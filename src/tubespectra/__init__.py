@@ -13,6 +13,7 @@ from .assumptions import (
     AssumptionReport,
     CheckerConfig,
     check_basic,
+    check_coefficient_assumptions,
     check_curvature_decay,
     check_metric_hypotheses,
 )
@@ -65,7 +66,6 @@ from .operators import (
     assemble_free_hamiltonian,
     assemble_hamiltonian,
     assemble_weighted_form_hamiltonian,
-    check_coefficient_assumptions,
 )
 from .profiles import (
     CurvatureProfile,

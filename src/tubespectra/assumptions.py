@@ -1,7 +1,8 @@
 """Numerical verification of the geometric decay hypotheses.
 
 The spectral statements for a curved tube require the curvatures (or, on
-a surface strip, the metric coefficient) to settle to their straight-tube
+a surface strip, the metric coefficient), and with them the coefficients
+G and V of the transformed Hamiltonian, to settle to their straight-tube
 values at infinity: some quantities must merely vanish, others must decay
 at a power rate |s|^-(1+theta) for some theta in (0, 1].  Finite data can
 never prove a limit, so the checks here use honest finite-range
@@ -29,7 +30,7 @@ configuration produce byte-identical reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,6 +47,7 @@ __all__ = [
     "bounded_entry",
     "check_curvature_decay",
     "check_metric_hypotheses",
+    "check_coefficient_assumptions",
     "check_basic",
 ]
 
@@ -404,41 +406,31 @@ def check_metric_hypotheses(metric, ladder=None, u_probe=None, config=None):
         ladder = default_ladder(metric.s_range)
     sampler = make_tail_sampler(metric.s_range, cfg)
     if u_probe is None:
-        u_probe = _metric_u_probe(metric)
-
-    def sup_u(fn):
-        def g(s):
-            s = np.asarray(s, dtype=float)
-            vals = fn(s[:, None], np.broadcast_to(u_probe, (s.size,) + u_probe.shape))
-            return np.max(np.abs(vals), axis=-1)
-
-        return g
+        u_probe = _u_probe(metric.a, metric.dimension - 1)
 
     m = metric
+    h_dev = _sup_over_probe(lambda s, u: m.h(s, u) - 1.0, u_probe)
     entries = [
-        limit_entry(
-            "metric-approach-flat[h-1]", "sup_u|h-1|",
-            sup_u(lambda s, u: m.h(s, u) - 1.0), ladder, sampler, cfg,
-        ),
+        limit_entry("metric-approach-flat[h-1]", "sup_u|h-1|", h_dev, ladder, sampler, cfg),
         limit_entry(
             "metric-approach-flat[h_ss]", "sup_u|h_,11|",
-            sup_u(m.h_ss), ladder, sampler, cfg,
+            _sup_over_probe(m.h_ss, u_probe), ladder, sampler, cfg,
         ),
         limit_entry(
             "metric-approach-flat[grad_u^2]", "sup_u|h_,mu h_,mu|",
-            sup_u(m.hu_sq), ladder, sampler, cfg,
+            _sup_over_probe(m.hu_sq, u_probe), ladder, sampler, cfg,
         ),
         limit_entry(
             "metric-approach-flat[lap_u]", "sup_u|h_,mumu|",
-            sup_u(m.lap_u), ladder, sampler, cfg,
+            _sup_over_probe(m.lap_u, u_probe), ladder, sampler, cfg,
         ),
     ]
     quantities = {
-        "h-1": sup_u(lambda s, u: m.h(s, u) - 1.0),
-        "h_s": sup_u(m.h_s),
-        "h_sss": sup_u(m.h_sss),
-        "grad_u^2_s": sup_u(m.hu_sq_s),
-        "lap_u_s": sup_u(m.lap_u_s),
+        "h-1": h_dev,
+        "h_s": _sup_over_probe(m.h_s, u_probe),
+        "h_sss": _sup_over_probe(m.h_sss, u_probe),
+        "grad_u^2_s": _sup_over_probe(m.hu_sq_s, u_probe),
+        "lap_u_s": _sup_over_probe(m.lap_u_s, u_probe),
     }
     agg, subs = decay_entry("metric-decay-rate", quantities, ladder, sampler, cfg)
     entries.append(agg)
@@ -446,14 +438,110 @@ def check_metric_hypotheses(metric, ladder=None, u_probe=None, config=None):
     return AssumptionReport(entries=tuple(entries), config=cfg)
 
 
-def _metric_u_probe(metric):
-    a = metric.a
-    m = metric.dimension - 1
+# ---------------------------------------------------------------------------
+# coefficient-level checks
+
+
+def check_coefficient_assumptions(coeffs, potential, ladder=None, s_range=None,
+                                  u_probe=None, config=None):
+    """Verify the operator-level decay hypotheses on G and V numerically.
+
+    Items checked, each over a ladder of tail radii R (sup over |s| > R,
+    uniformly over a transverse probe set):
+
+    * G-bounds:              0 < C- <= G <= C+ < inf
+    * G-approach-identity:   sup|G - 1| -> 0
+    * G-s-derivative-decay:  |G^11_,1| (and |G - 1| itself) fit
+                             C <s>^-(1+theta) with theta in (0, 1]
+    * G-divergence-bounded:  sup|G^1i_,i| finite
+    * V-bounded / V-approach-zero / V-s-derivative-decay: likewise for V.
+
+    Including the undifferentiated quantity in each decay fit is a
+    deliberate strengthening: it makes the fitted theta reflect the
+    slowest-decaying member and keeps the verdict conservative.
+    """
+    cfg = config or CheckerConfig()
+    metric = coeffs.metric
+    if s_range is None:
+        if metric is None:
+            raise InputError("need s_range for a free coefficient field")
+        s_range = metric.s_range
+    if ladder is None:
+        ladder = default_ladder(s_range)
+    if len(ladder) < 4:
+        raise InputError("need at least 4 ladder radii for the decay regression")
+
+    if u_probe is None:
+        a = metric.a if metric is not None else 1.0
+        m = metric.dimension - 1 if metric is not None else 1
+        u_probe = _u_probe(a, m)
+
+    sampler = make_tail_sampler(s_range, cfg)
+
+    c_lo, c_hi = coeffs.matrix_bounds()
+    entries = [
+        bounded_entry(
+            "G-bounds",
+            "eigenvalue bounds of G",
+            value=(c_lo, c_hi),
+            ok=0.0 < c_lo <= c_hi < np.inf,
+            notes=f"C-={c_lo!r} C+={c_hi!r}",
+        )
+    ]
+    g_dev = _sup_over_probe(coeffs.deviation_from_identity, u_probe)
+    g_der = _sup_over_probe(coeffs.g_ss_s, u_probe)
+    entries.append(limit_entry("G-approach-identity", "sup|G-1|", g_dev, ladder, sampler, cfg))
+    agg, subs = decay_entry(
+        "G-s-derivative-decay", {"G11_s": g_der, "G-1": g_dev}, ladder, sampler, cfg
+    )
+    entries.append(agg)
+    entries.extend(subs)
+    div_sup = float(np.max(g_der(sampler.master_abscissae())))
+    entries.append(
+        bounded_entry(
+            "G-divergence-bounded",
+            "sup|G^1i_,i|",
+            value=div_sup,
+            ok=np.isfinite(div_sup),
+            notes=f"sup={div_sup!r}",
+        )
+    )
+
+    v_abs = _sup_over_probe(potential, u_probe)
+    v_der = _sup_over_probe(potential.derivative_s, u_probe)
+    v_sup = float(np.max(v_abs(sampler.master_abscissae())))
+    entries.append(
+        bounded_entry(
+            "V-bounded", "sup|V|", value=v_sup, ok=np.isfinite(v_sup), notes=f"sup={v_sup!r}"
+        )
+    )
+    entries.append(limit_entry("V-approach-zero", "sup|V|", v_abs, ladder, sampler, cfg))
+    agg, subs = decay_entry(
+        "V-s-derivative-decay", {"V_s": v_der, "V": v_abs}, ladder, sampler, cfg
+    )
+    entries.append(agg)
+    entries.extend(subs)
+    return AssumptionReport(entries=tuple(entries), config=cfg)
+
+
+def _u_probe(a, m):
+    """Transverse probe points: 9 on an interval, a 5^m lattice in the ball."""
     if m == 1:
         return np.linspace(-a, a, 9)
     grids = np.meshgrid(*([np.linspace(-a, a, 5)] * m), indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=-1)
     return pts[np.linalg.norm(pts, axis=-1) <= a]
+
+
+def _sup_over_probe(fn, probe):
+    """s -> max over the probe points of |fn(s, u)|, vectorized over s."""
+
+    def g(s):
+        s = np.asarray(s, dtype=float)
+        vals = fn(s[:, None], np.broadcast_to(probe, (s.size,) + probe.shape))
+        return np.max(np.abs(vals), axis=-1)
+
+    return g
 
 
 # ---------------------------------------------------------------------------

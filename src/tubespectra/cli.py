@@ -22,7 +22,12 @@ import sys
 import numpy as np
 
 from . import __version__
-from .assumptions import check_basic, check_curvature_decay, check_metric_hypotheses
+from .assumptions import (
+    check_basic,
+    check_coefficient_assumptions,
+    check_curvature_decay,
+    check_metric_hypotheses,
+)
 from .config import WaveguideConfig, load_config
 from .cross_section import cross_section_spectrum
 from .errors import ConfigError, SolverError, TubeSpectraError
@@ -46,7 +51,6 @@ from .operators import (
     TruncatedGrid,
     assemble_free_hamiltonian,
     assemble_hamiltonian,
-    check_coefficient_assumptions,
 )
 from .reporting import (
     render_report,

@@ -347,5 +347,14 @@ def parse_config(parser, base_dir="."):
         raise ConfigError("[numerics] s_max must be positive")
     if cfg.domain_length is not None and cfg.domain_length <= 0:
         raise ConfigError("[numerics] domain_length must be positive")
+    for name in ("n_eigs", "n_thresholds"):
+        if getattr(cfg, name) < 1:
+            raise ConfigError(f"[numerics] {name} must be at least 1")
+    if cfg.include_mourre and not cfg.mourre_windows and cfg.n_thresholds < 3:
+        # the default windows sit between nu_1, nu_2 and nu_3
+        raise ConfigError(
+            "[numerics] n_thresholds must be at least 3 for include_mourre "
+            "with the default mourre_windows"
+        )
     return cfg
 

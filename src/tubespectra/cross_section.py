@@ -3,10 +3,9 @@
 The eigenvalues nu_1 < nu_2 <= ... of the Dirichlet Laplacian on the
 bounded cross-section omega are the energies where new transverse
 channels open; nu_1 is the onset of the essential spectrum and the whole
-list forms the threshold set.  Intervals, rectangles and discs are solved
-analytically (disc via Bessel zeros found by bracketed root refinement);
-general planar shapes come in as grid masks and are solved by the 5-point
-Dirichlet stencil with Richardson extrapolation over two resolutions.
+list forms the threshold set.  The supported shapes, intervals,
+rectangles and discs, are all solved analytically (disc via Bessel zeros
+found by bracketed root refinement).
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CoverageError, InputError, ResolutionError
+from .errors import CoverageError, InputError
 
 __all__ = [
     "CrossSection",
@@ -56,7 +55,7 @@ BELOW_LOWEST_THRESHOLD = BelowLowestThreshold()
 class CrossSection:
     """Bounded open connected cross-section omega in R^(d-1).
 
-    ``kind`` is one of interval | rectangle | disc | mask.  ``a`` is
+    ``kind`` is one of interval | rectangle | disc.  ``a`` is
     sup_{u in omega} |u| with the centre of mass at the origin.
     """
 
@@ -64,8 +63,6 @@ class CrossSection:
     dim: int
     a: float
     params: tuple = ()
-    mask: np.ndarray = None
-    mask_extent: tuple = None
 
     @staticmethod
     def interval(a):
@@ -85,33 +82,6 @@ class CrossSection:
         if radius <= 0:
             raise InputError("disc radius must be positive")
         return CrossSection(kind="disc", dim=2, a=float(radius), params=(float(radius),))
-
-    @staticmethod
-    def from_mask(mask, extent):
-        """General omega as a boolean interior mask on a grid box.
-
-        ``extent`` = (width_x, width_y) of the full grid box; the mask
-        must be connected (4-neighbour) and nonempty.  Coordinates are
-        recentred so the mask's centre of mass sits at the origin, which
-        fixes the radius a = sup|u| (the spectrum is translation
-        invariant).
-        """
-        from scipy import ndimage
-
-        mask = np.asarray(mask, dtype=bool)
-        if mask.ndim != 2 or not mask.any():
-            raise InputError("mask must be a nonempty 2-d boolean array")
-        structure = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
-        _, n_components = ndimage.label(mask, structure=structure)
-        if n_components != 1:
-            raise InputError(f"mask is disconnected ({n_components} components)")
-        wx, wy = float(extent[0]), float(extent[1])
-        xs = (np.arange(mask.shape[0]) + 0.5) / mask.shape[0] * wx
-        ys = (np.arange(mask.shape[1]) + 0.5) / mask.shape[1] * wy
-        X, Y = np.meshgrid(xs, ys, indexing="ij")
-        cx, cy = float(X[mask].mean()), float(Y[mask].mean())
-        a = float(np.max(np.hypot(X[mask] - cx, Y[mask] - cy)))
-        return CrossSection(kind="mask", dim=2, a=a, mask=mask, mask_extent=(wx, wy))
 
 
 @dataclass(frozen=True)
@@ -209,71 +179,7 @@ def _disc_spectrum(radius, n_max):
     return ThresholdSet(tuple(values[:n_max]), ("analytic",) * n_max)
 
 
-def _mask_fd_eigenvalues(mask, extent, factor, n_max):
-    """5-point Dirichlet eigenvalues on the mask refined by ``factor``.
-
-    Unknowns live on cell corners: a node is interior iff all four cells
-    around it belong to the mask, so for grid-aligned shapes the Dirichlet
-    wall sits exactly on the mask boundary and the eigenvalues converge at
-    second order (cell-centred placement would lose an order through the
-    half-cell wall offset).
-    """
-    import scipy.sparse as sp
-    from scipy.sparse.linalg import eigsh
-
-    cells = np.kron(mask, np.ones((factor, factor), dtype=bool))
-    nx, ny = cells.shape
-    hx = extent[0] / nx
-    hy = extent[1] / ny
-    interior = (
-        cells[:-1, :-1] & cells[1:, :-1] & cells[:-1, 1:] & cells[1:, 1:]
-    )
-    idx = -np.ones(interior.shape, dtype=np.int64)
-    idx[interior] = np.arange(interior.sum())
-    n = int(interior.sum())
-    if n <= n_max:
-        raise ResolutionError("mask grid too coarse for the requested mode count")
-
-    rows, cols, vals = [], [], []
-    diag = np.full(n, 2.0 / hx**2 + 2.0 / hy**2)
-    for axis, h in ((0, hx), (1, hy)):
-        if axis == 0:
-            here = interior[:-1, :] & interior[1:, :]
-            r, c = idx[:-1, :][here], idx[1:, :][here]
-        else:
-            here = interior[:, :-1] & interior[:, 1:]
-            r, c = idx[:, :-1][here], idx[:, 1:][here]
-        rows.append(r)
-        cols.append(c)
-        vals.append(np.full(r.size, -1.0 / h**2))
-    m = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
-    )
-    m = m + m.T + sp.diags(diag)
-    k = min(n_max, n - 2)
-    if n <= 1200:
-        return np.sort(np.linalg.eigvalsh(m.toarray()))[:k]
-    v0 = np.full(n, 1.0 / np.sqrt(n))
-    return np.sort(eigsh(m.tocsc(), k=k, sigma=0.0, which="LM",
-                         return_eigenvectors=False, v0=v0))
-
-
-def _mask_spectrum(omega, n_max, grid_resolution):
-    mask, extent = omega.mask, omega.mask_extent
-    base = max(1, int(grid_resolution) if grid_resolution else 1)
-    shortest = min(mask.shape) * base
-    if shortest < 16:
-        raise ResolutionError(
-            f"grid-mask needs >= 16 interior points per shortest side (got {shortest})"
-        )
-    coarse = _mask_fd_eigenvalues(mask, extent, base, n_max)
-    fine = _mask_fd_eigenvalues(mask, extent, 2 * base, n_max)
-    extrap = (4.0 * fine - coarse) / 3.0
-    extrap = np.maximum.accumulate(extrap)  # extrapolation may disturb ties
-    return ThresholdSet(tuple(float(v) for v in extrap), ("discretized",) * n_max)
-
-
-def cross_section_spectrum(omega, n_max, grid_resolution=None):
+def cross_section_spectrum(omega, n_max):
     """Lowest ``n_max`` Dirichlet eigenvalues of omega, with multiplicity."""
     if n_max < 1:
         raise InputError("n_max must be at least 1")
@@ -283,8 +189,6 @@ def cross_section_spectrum(omega, n_max, grid_resolution=None):
         return _rectangle_spectrum(*omega.params, n_max)
     if omega.kind == "disc":
         return _disc_spectrum(omega.params[0], n_max)
-    if omega.kind == "mask":
-        return _mask_spectrum(omega, n_max, grid_resolution)
     raise InputError(f"unknown cross-section kind {omega.kind!r}")
 
 

@@ -255,15 +255,10 @@ def integrate_tang_rotation(profile, s_grid, r0=None, substeps=1, anchor=0.0):
     return RotationField(s_grid=s_grid, matrices=states)
 
 
-def build_frame_field(profile, s_grid, substeps=1, **kwargs):
+def build_frame_field(profile, s_grid):
     """Frenet frame plus transverse rotations on a common grid."""
-    base = integrate_frenet(profile, s_grid, substeps=substeps, **{
-        k: v for k, v in kwargs.items() if k in ("initial_frame", "initial_point", "anchor")
-    })
-    rot = integrate_tang_rotation(
-        profile, s_grid, substeps=substeps,
-        r0=kwargs.get("r0"), anchor=kwargs.get("anchor", 0.0),
-    )
+    base = integrate_frenet(profile, s_grid)
+    rot = integrate_tang_rotation(profile, s_grid)
     return FrameField(s_grid=base.s_grid, frames=base.frames,
                       points=base.points, rotations=rot.matrices)
 

@@ -85,10 +85,6 @@ class TubeMetric:
             raise InputError(f"transverse point needs {m} components")
         return u
 
-    def det_g(self, s, u):
-        """|g| = h^2."""
-        return self.h(s, u) ** 2
-
     # Subclasses implement: h, h_s, h_ss, h_sss, h_u, hu_sq, hu_sq_s,
     # lap_u, lap_u_s, cross_su.
 
@@ -453,13 +449,12 @@ def metric_from_profile(profile, a):
     return EuclideanTubeMetric(profile, None, a)
 
 
-def metric_from_jacobi(surface, s_grid=None, u_grid=None, fd_step=1e-2):
+def metric_from_jacobi(surface, u_grid=None):
     """Strip metric on a surface of Gauss curvature K.
 
     ``u_grid`` (when given) must contain 0 and fixes the internal
-    integration nodes; ``s_grid`` is accepted for interface parity and
-    only widens the declared range, since evaluation integrates at the
-    exact requested s values.
+    integration nodes; evaluation integrates at the exact requested s
+    values over the surface's own ``s_range``.
     """
     if u_grid is not None:
         u_grid = np.asarray(u_grid, dtype=float)
@@ -470,13 +465,7 @@ def metric_from_jacobi(surface, s_grid=None, u_grid=None, fd_step=1e-2):
         u_step = float(np.min(np.diff(np.sort(u_grid))))
     else:
         u_step = None
-    metric = SurfaceStripMetric(surface, u_step=u_step, fd_step=fd_step)
-    if s_grid is not None:
-        s_grid = np.asarray(s_grid, dtype=float)
-        lo = min(metric.s_range[0], float(s_grid.min()))
-        hi = max(metric.s_range[1], float(s_grid.max()))
-        metric.s_range = (lo, hi)
-    return metric
+    return SurfaceStripMetric(surface, u_step=u_step)
 
 
 @dataclass(frozen=True)

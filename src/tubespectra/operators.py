@@ -17,7 +17,7 @@ makes Dirichlet domain monotonicity in L exact at fixed spacing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -32,8 +32,6 @@ __all__ = [
     "assemble_hamiltonian",
     "assemble_free_hamiltonian",
     "assemble_weighted_form_hamiltonian",
-    "check_coefficient_assumptions",
-    "export_triplets",
 ]
 
 
@@ -165,13 +163,13 @@ class TruncatedGrid:
         act = self.active()
         return S[act], U[act]
 
-    def wall_mass_fraction(self, vec, layers=4):
-        """Fraction of |vec|^2 within ``layers`` nodes of the s-walls."""
+    def wall_mass_fraction(self, vec):
+        """Fraction of |vec|^2 within 4 nodes of the s-walls."""
         x = np.asarray(vec).reshape(self.s_nodes.size - 2, -1)
         total = float(np.sum(np.abs(x) ** 2))
         if total == 0.0:
             return 0.0
-        near = float(np.sum(np.abs(x[:layers]) ** 2) + np.sum(np.abs(x[-layers:]) ** 2))
+        near = float(np.sum(np.abs(x[:4]) ** 2) + np.sum(np.abs(x[-4:]) ** 2))
         return near / total
 
 
@@ -191,7 +189,6 @@ class DiscreteOperator:
     matrix: sp.spmatrix
     grid: TruncatedGrid
     tag: str
-    symmetric: bool = True
 
     @property
     def shape(self):
@@ -398,124 +395,3 @@ def assemble_weighted_form_hamiltonian(metric, grid, enforce_resolution=True):
     # symmetrize away the last-bit roundoff of the triple product
     m = 0.5 * (m + m.T)
     return DiscreteOperator(matrix=m.tocsr(), grid=grid, tag="weighted-form")
-
-
-def export_triplets(op, path):
-    """Coordinate text dump: row col value, one entry per line."""
-    coo = op.matrix.tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    with open(path, "w") as fh:
-        fh.write(f"# {op.tag} {coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
-        for r, c, v in zip(coo.row[order], coo.col[order], coo.data[order]):
-            fh.write(f"{int(r)} {int(c)} {float(v)!r}\n")
-
-
-# ---------------------------------------------------------------------------
-# coefficient-level hypothesis checks
-
-def check_coefficient_assumptions(coeffs, potential, ladder=None, s_range=None,
-                                  u_probe=None, config=None):
-    """Verify the operator-level decay hypotheses on G and V numerically.
-
-    Items checked, each over a ladder of tail radii R (sup over |s| > R,
-    uniformly over a transverse probe set):
-
-    * G-bounds:              0 < C- <= G <= C+ < inf
-    * G-approach-identity:   sup|G - 1| -> 0
-    * G-s-derivative-decay:  |G^11_,1| (and |G - 1| itself) fit
-                             C <s>^-(1+theta) with theta in (0, 1]
-    * G-divergence-bounded:  sup|G^1i_,i| finite
-    * V-bounded / V-approach-zero / V-s-derivative-decay: likewise for V.
-
-    Including the undifferentiated quantity in each decay fit is a
-    deliberate strengthening: it makes the fitted theta reflect the
-    slowest-decaying member and keeps the verdict conservative.
-    """
-    from .assumptions import (
-        AssumptionReport,
-        CheckerConfig,
-        bounded_entry,
-        decay_entry,
-        default_ladder,
-        limit_entry,
-        make_tail_sampler,
-    )
-
-    cfg = config or CheckerConfig()
-    metric = coeffs.metric
-    if s_range is None:
-        if metric is None:
-            raise InputError("need s_range for a free coefficient field")
-        s_range = metric.s_range
-    if ladder is None:
-        ladder = default_ladder(s_range)
-    if len(ladder) < 4:
-        raise InputError("need at least 4 ladder radii for the decay regression")
-
-    if u_probe is None:
-        a = metric.a if metric is not None else 1.0
-        m = metric.dimension - 1 if metric is not None else 1
-        u_probe = _default_u_probe(a, m)
-
-    def sup_u(fn):
-        def g(s):
-            s = np.asarray(s, dtype=float)
-            vals = fn(s[:, None], np.broadcast_to(u_probe, (s.size,) + u_probe.shape))
-            return np.max(np.abs(vals), axis=-1)
-
-        return g
-
-    sampler = make_tail_sampler(s_range, cfg)
-
-    c_lo, c_hi = coeffs.matrix_bounds()
-    entries = [
-        bounded_entry(
-            "G-bounds",
-            "eigenvalue bounds of G",
-            value=(c_lo, c_hi),
-            ok=0.0 < c_lo <= c_hi < np.inf,
-            notes=f"C-={c_lo!r} C+={c_hi!r}",
-        )
-    ]
-    g_dev = sup_u(coeffs.deviation_from_identity)
-    g_der = sup_u(coeffs.g_ss_s)
-    entries.append(limit_entry("G-approach-identity", "sup|G-1|", g_dev, ladder, sampler, cfg))
-    agg, subs = decay_entry(
-        "G-s-derivative-decay", {"G11_s": g_der, "G-1": g_dev}, ladder, sampler, cfg
-    )
-    entries.append(agg)
-    entries.extend(subs)
-    div_sup = float(np.max(g_der(sampler.master_abscissae())))
-    entries.append(
-        bounded_entry(
-            "G-divergence-bounded",
-            "sup|G^1i_,i|",
-            value=div_sup,
-            ok=np.isfinite(div_sup),
-            notes=f"sup={div_sup!r}",
-        )
-    )
-
-    v_abs = sup_u(lambda s, u: potential(s, u))
-    v_der = sup_u(lambda s, u: potential.derivative_s(s, u))
-    v_sup = float(np.max(v_abs(sampler.master_abscissae())))
-    entries.append(
-        bounded_entry(
-            "V-bounded", "sup|V|", value=v_sup, ok=np.isfinite(v_sup), notes=f"sup={v_sup!r}"
-        )
-    )
-    entries.append(limit_entry("V-approach-zero", "sup|V|", v_abs, ladder, sampler, cfg))
-    agg, subs = decay_entry(
-        "V-s-derivative-decay", {"V_s": v_der, "V": v_abs}, ladder, sampler, cfg
-    )
-    entries.append(agg)
-    entries.extend(subs)
-    return AssumptionReport(entries=tuple(entries), config=cfg)
-
-
-def _default_u_probe(a, m):
-    if m == 1:
-        return np.linspace(-a, a, 9)
-    grids = np.meshgrid(*([np.linspace(-a, a, 5)] * m), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    return pts[np.linalg.norm(pts, axis=-1) <= a]

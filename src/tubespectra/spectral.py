@@ -56,6 +56,8 @@ __all__ = [
 ]
 
 _DENSE_CUTOFF = 2000
+# roundoff slack, relative to max(1, |nu_1|), of the ladder monotonicity test
+_MONOTONICITY_SLACK = 1e-10
 
 
 def _start_vector(n):
@@ -64,12 +66,13 @@ def _start_vector(n):
     return v / np.linalg.norm(v)
 
 
-def lowest_eigenvalues(op, k, tol=0.0, sigma=None, maxiter=None):
+def lowest_eigenvalues(op, k):
     """k smallest eigenvalues of a symmetric operator, with residuals.
 
-    Dense LAPACK below 2000 unknowns, else ARPACK shift-invert Lanczos
-    with the shift below the spectrum floor (default -1).  Residuals are
-    ||M v - lambda v|| for the returned unit eigenvectors.
+    Dense LAPACK below 2000 unknowns, else ARPACK shift-invert Lanczos at
+    the fixed shift -1, below the spectrum floor, converged to machine
+    precision (ARPACK tol=0).  Residuals are ||M v - lambda v|| for the
+    returned unit eigenvectors.
     """
     m = op.matrix if isinstance(op, DiscreteOperator) else op
     n = m.shape[0]
@@ -83,12 +86,9 @@ def lowest_eigenvalues(op, k, tol=0.0, sigma=None, maxiter=None):
     else:
         from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
-        if sigma is None:
-            sigma = -1.0
         try:
             vals, vecs = eigsh(
-                m.tocsc(), k=k, sigma=sigma, which="LM", tol=tol,
-                v0=_start_vector(n), maxiter=maxiter,
+                m.tocsc(), k=k, sigma=-1.0, which="LM", tol=0.0, v0=_start_vector(n),
             )
         except ArpackNoConvergence as exc:
             got = np.asarray(exc.eigenvalues)
@@ -205,12 +205,8 @@ class ConvergencePolicy:
 
     spacings: tuple = (1.0 / 8.0, 1.0 / 16.0, 1.0 / 32.0)
     domain_length: float = None      # None: choose by the doubling rule
-    initial_length: float = 8.0
     truncation_tol: float = None     # None: 1e-6 * nu_1
     n_eigs: int = 6
-    max_doublings: int = 6
-    solver_tol: float = 0.0
-    monotonicity_slack: float = 1e-10
 
 
 @dataclass(frozen=True)
@@ -272,7 +268,11 @@ def select_domain_length(assemble, spacing, initial_length=8.0,
 
 
 def _truncation_estimates(assemble, length, spacing, k):
-    """Per-index truncation error from an L/4, L/2, L geometric probe."""
+    """Per-index truncation error from an L/4, L/2, L geometric probe.
+
+    Returns (estimates, ladder, eigenvalues at L): the last is the
+    refinement ladder's coarsest level, so it is never solved twice.
+    """
     lengths = [length / 4.0, length / 2.0, length]
     levels = []
     for ell in lengths:
@@ -288,7 +288,7 @@ def _truncation_estimates(assemble, length, spacing, k):
             est[j] = abs(m2) * q / (1.0 - q)  # geometric tail of the moves
         else:
             est[j] = abs(m2)
-    return est, tuple((float(ell), float(v[0])) for ell, v in zip(lengths, levels))
+    return est, tuple((float(ell), float(v[0])) for ell, v in zip(lengths, levels)), v2
 
 
 def bound_states(assemble, thresholds, policy=None):
@@ -308,24 +308,23 @@ def bound_states(assemble, thresholds, policy=None):
 
     if policy.domain_length is None:
         length, trunc_ladder = select_domain_length(
-            assemble, spacings[0], policy.initial_length,
-            policy.truncation_tol, nu1, policy.max_doublings,
+            assemble, spacings[0], truncation_tol=policy.truncation_tol, nu1=nu1,
         )
         trunc_est = np.full(policy.n_eigs, abs(trunc_ladder[-1][1] - trunc_ladder[-2][1]))
+        raw = []
     else:
         length = float(policy.domain_length)
-        trunc_est, trunc_ladder = _truncation_estimates(
+        trunc_est, trunc_ladder, coarsest = _truncation_estimates(
             assemble, length, spacings[0], policy.n_eigs
         )
+        raw = [coarsest]
 
-    raw = []
-    for h in spacings:
-        vals, _ = lowest_eigenvalues(assemble(length, h), policy.n_eigs,
-                                     tol=policy.solver_tol)
+    for h in spacings[len(raw):]:
+        vals, _ = lowest_eigenvalues(assemble(length, h), policy.n_eigs)
         raw.append(np.asarray(vals))
     raw_arr = np.stack(raw)
 
-    slack = policy.monotonicity_slack * max(1.0, abs(nu1))
+    slack = _MONOTONICITY_SLACK * max(1.0, abs(nu1))
     for j in range(policy.n_eigs):
         diffs = np.diff(raw_arr[:, j])
         if not (np.all(diffs >= -slack) or np.all(diffs <= slack)):
@@ -334,33 +333,24 @@ def bound_states(assemble, thresholds, policy=None):
                 ladder=tuple(map(tuple, raw_arr.T)),
             )
 
-    states = []
-    for j in range(policy.n_eigs):
-        res = richardson_extrapolate(spacings, raw_arr[:, j])
-        total = res.error_estimate + float(trunc_est[j])
-        if res.extrapolated < nu1 - total:
-            states.append(
-                BoundState(
-                    value=res.extrapolated,
-                    error=total,
-                    refinement_error=res.error_estimate,
-                    truncation_error=float(trunc_est[j]),
-                    ladder_values=tuple(float(v) for v in raw_arr[:, j]),
-                    fitted_order=res.fitted_order,
-                    flagged=res.flagged,
-                )
-            )
-
+    fits = [richardson_extrapolate(spacings, raw_arr[:, j]) for j in range(policy.n_eigs)]
+    bars = [res.error_estimate + float(trunc_est[j]) for j, res in enumerate(fits)]
+    states = [
+        BoundState(
+            value=res.extrapolated,
+            error=bar,
+            refinement_error=res.error_estimate,
+            truncation_error=float(trunc_est[j]),
+            ladder_values=tuple(float(v) for v in raw_arr[:, j]),
+            fitted_order=res.fitted_order,
+            flagged=res.flagged,
+        )
+        for j, (res, bar) in enumerate(zip(fits, bars))
+        if res.extrapolated < nu1 - bar
+    ]
     # count stability over the final two levels, using each level's raw values
-    counts = []
-    for lvl in (-2, -1):
-        n_below = 0
-        for j in range(policy.n_eigs):
-            res = richardson_extrapolate(spacings, raw_arr[:, j])
-            bar = res.error_estimate + float(trunc_est[j])
-            if raw_arr[lvl, j] < nu1 - bar:
-                n_below += 1
-        counts.append(n_below)
+    counts = [sum(bool(raw_arr[lvl, j] < nu1 - bar) for j, bar in enumerate(bars))
+              for lvl in (-2, -1)]
 
     return BoundStatesResult(
         states=tuple(states),
@@ -397,7 +387,7 @@ def assemble_dilation(grid):
     n = grid.n_unknowns
     m = sp.coo_matrix((vals, (rows, cols)), shape=(n, n))
     m = (m - m.T).tocsr()
-    return DiscreteOperator(matrix=m, grid=grid, tag="A", symmetric=False)
+    return DiscreteOperator(matrix=m, grid=grid, tag="A")
 
 
 def assemble_commutator(coeffs, potential, grid, tag="commutator"):
@@ -461,15 +451,16 @@ class MourreWindow:
 
 def mourre_check_free(h0_op, commutator_op, thresholds, lambda_windows,
                       projector_rank=64, epsilon_factor=0.05,
-                      threshold_margin_factor=1.5, tolerance_factor=0.05,
-                      wall_layers=4, wall_mass_tol=0.01):
+                      tolerance_factor=0.05, wall_mass_tol=0.01):
     """Projected commutator lower bound against 2 rho(lambda).
 
     For each window the spectral projector of the discrete free
     Hamiltonian onto (lambda - eps, lambda + eps) is built from explicit
-    eigenpairs, wall-localised vectors (truncation artifacts) are
+    eigenpairs, wall-localised vectors (more than ``wall_mass_tol`` of
+    their mass within 4 nodes of the s-walls: truncation artifacts) are
     discarded, and the smallest eigenvalue of the compressed commutator is
-    compared to 2 rho(lambda) minus the stated tolerance.
+    compared to 2 rho(lambda) minus the stated tolerance.  Windows closer
+    than 1.5 eps to a threshold are refused.
     """
     if h0_op.grid is not commutator_op.grid:
         raise InputError("free Hamiltonian and commutator must share a grid")
@@ -489,7 +480,7 @@ def mourre_check_free(h0_op, commutator_op, thresholds, lambda_windows,
             )
         if eps is None:
             eps = epsilon_factor * rho
-        margin = threshold_margin_factor * eps
+        margin = 1.5 * eps
         dist = float(np.min(np.abs(nu - lam)))
         if dist <= margin:
             raise WindowError(
@@ -519,7 +510,7 @@ def mourre_check_free(h0_op, commutator_op, thresholds, lambda_windows,
         keep = [
             i
             for i in range(vals.size)
-            if h0_op.grid.wall_mass_fraction(vecs[:, i], wall_layers) <= wall_mass_tol
+            if h0_op.grid.wall_mass_fraction(vecs[:, i]) <= wall_mass_tol
         ]
         n_filtered = int(vals.size - len(keep))
         if not keep:
@@ -547,31 +538,6 @@ def mourre_check_free(h0_op, commutator_op, thresholds, lambda_windows,
             )
         )
     return results
-
-
-def mourre_sign_check_curved(h_op, commutator_op, grid, momenta, envelope_width=None):
-    """Qualitative curved-tube check: the commutator form is positive on
-    first-transverse-mode wave packets with nonzero axial momentum.
-
-    Quantitative projected bounds are not meaningful at finite truncation
-    for the full Hamiltonian (the compact corrections of the abstract
-    estimate are not separable numerically), so only the sign survives as
-    a desk-scale check.
-    """
-    smax = grid.length
-    if envelope_width is None:
-        envelope_width = smax / 4.0
-    s_i, u_i = grid.interior_coordinates()
-    a = float(np.max(np.abs(grid.t_axes[0])))
-    mode = np.cos(np.pi * u_i[..., 0] / (2.0 * a))
-    out = []
-    for k in momenta:
-        env = np.exp(-((s_i / envelope_width) ** 2))
-        for phase in (np.cos(k * s_i), np.sin(k * s_i)):
-            v = phase * env * mode
-            v = v / np.linalg.norm(v)
-            out.append(float(v @ (commutator_op.matrix @ v)))
-    return np.asarray(out)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tubespectra.cli import main
-from tubespectra.config import load_config
+from tubespectra.config import load_config, load_config_text
 from tubespectra.errors import ConfigError
 from tubespectra.reporting import extract_embedded_config, strip_generated_line
 
@@ -278,6 +278,32 @@ def test_config_errors_carry_section_and_field(tmp_path, capsys):
     assert "nope.txt" in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("n_eigs = 3", "n_eigs = 0"),
+        ("n_thresholds = 10", "n_thresholds = 0"),
+        # the default Mourre windows need nu_3
+        ("n_thresholds = 10\ninclude_mourre = false", "n_thresholds = 2\ninclude_mourre = true"),
+    ],
+)
+def test_config_rejects_counts_the_run_cannot_use(old, new):
+    with pytest.raises(ConfigError) as exc:
+        load_config_text(STRAIGHT.replace(old, new))
+    field = new.split(" =")[0]
+    assert str(exc.value).startswith(f"[numerics] {field}")
+
+
+def test_config_accepts_two_thresholds_with_explicit_mourre_windows():
+    cfg = load_config_text(
+        STRAIGHT.replace(
+            "n_thresholds = 10\ninclude_mourre = false",
+            "n_thresholds = 2\ninclude_mourre = true\nmourre_windows = 4.7",
+        )
+    )
+    assert cfg.n_thresholds == 2 and cfg.mourre_windows == (4.7,)
+
+
 def test_table_curvature_round_trip(tmp_path):
     s = np.linspace(-30, 30, 1201)
     np.savetxt(tmp_path / "kappa.txt", np.stack([s, 0.65 * np.exp(-((s / 1.2) ** 2))], axis=1))
@@ -289,3 +315,48 @@ def test_table_curvature_round_trip(tmp_path):
     profile = cfg.profile()
     assert profile.s_range == (-30.0, 30.0)
     assert profile.kappa(1, 0.0) == pytest.approx(0.65, abs=1e-9)
+
+
+RECT_TUBE = """
+[problem]
+kind = euclidean-tube
+dimension = 3
+
+[curvature]
+family = gaussian-bump
+kappa0 = 0.5
+sigma = 1.0
+
+[curvature2]
+family = gaussian-bump
+kappa0 = 0.3
+sigma = 1.0
+
+[cross_section]
+shape = rectangle
+side_x = 1.0
+side_y = 1.0
+
+[numerics]
+domain_length = 16.0
+"""
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="build_metric samples the rotation 9.77 apart at the default "
+    "s_max = 1e4, across a curvature bump of width 1: h is off by ~2e-2",
+)
+def test_d3_metric_resolves_the_rotation_across_the_curvature_bump():
+    from tubespectra.cli import build_metric
+    from tubespectra.frames import integrate_tang_rotation
+    from tubespectra.metric import metric_from_frames
+
+    cfg = load_config_text(RECT_TUBE)
+    profile, omega = cfg.profile(), cfg.cross_section()
+    metric = build_metric(cfg, profile, omega)
+    rotation = integrate_tang_rotation(profile, np.linspace(-20.0, 20.0, 4001))
+    fine = metric_from_frames(profile, rotation, omega.a)
+    s = np.array([-1.0, 1.0])
+    u = np.full((2, 2), 0.5)
+    assert np.allclose(metric.h(s, u), fine.h(s, u), rtol=0.0, atol=1e-6)

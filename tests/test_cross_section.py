@@ -6,7 +6,6 @@ from tubespectra import (
     CoverageError,
     CrossSection,
     InputError,
-    ResolutionError,
     ThresholdSet,
     cross_section_spectrum,
     rho_of_lambda,
@@ -53,33 +52,6 @@ def test_scaling_law_for_thresholds():
         r1 = cross_section_spectrum(CrossSection.rectangle(1.0, 2.0), 5)
         rc = cross_section_spectrum(CrossSection.rectangle(factor, 2 * factor), 5)
         assert np.allclose(np.array(rc.nu), np.array(r1.nu) / factor**2, rtol=1e-10)
-
-
-def test_mask_rectangle_converges_at_second_order():
-    # 2:1 rectangle as a full mask; analytic nu_1 = pi^2 (1/4 + 1)
-    mask = np.ones((32, 16), dtype=bool)
-    omega = CrossSection.from_mask(mask, extent=(2.0, 1.0))
-    analytic = np.pi**2 * (1.0 / 4.0 + 1.0)
-    coarse = cross_section_spectrum(omega, 1, grid_resolution=1)
-    fine = cross_section_spectrum(omega, 1, grid_resolution=2)
-    assert fine.exactness == ("discretized",)
-    err_c = abs(coarse.nu1 - analytic)
-    err_f = abs(fine.nu1 - analytic)
-    # both already Richardson-extrapolated once; doubling still gains ~4x
-    assert err_f < err_c / 2.5
-    assert err_f < 5e-3 * analytic
-
-
-def test_mask_validation():
-    mask = np.zeros((20, 20), dtype=bool)
-    mask[2:8, 2:8] = True
-    mask[12:18, 12:18] = True  # second component
-    with pytest.raises(InputError):
-        CrossSection.from_mask(mask, extent=(1.0, 1.0))
-    tiny = np.ones((4, 4), dtype=bool)
-    omega = CrossSection.from_mask(tiny, extent=(1.0, 1.0))
-    with pytest.raises(ResolutionError):
-        cross_section_spectrum(omega, 1, grid_resolution=1)
 
 
 def test_threshold_set_invariants():

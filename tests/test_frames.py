@@ -82,6 +82,12 @@ def test_frame_invariants_on_random_profiles(seed):
     ff.validate()  # orthonormality and det R = 1 within 1e-10
 
 
+def test_frame_field_rejects_unknown_keywords():
+    prof = profile_d2(gaussian_bump(0.5, 1.0))
+    with pytest.raises(TypeError):
+        build_frame_field(prof, np.linspace(-4, 4, 65), anchr=1.0)
+
+
 def test_frenet_equivariance_under_fixed_rotation():
     rng = np.random.default_rng(42)
     prof = random_smooth_profile(rng, dimension=3)

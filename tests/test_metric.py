@@ -29,7 +29,6 @@ def test_planar_metric_is_one_minus_kappa_u(bump_profile, bump_metric):
     assert np.allclose(bump_metric.h_sss(S, U), -bump_profile.kappa(1, S, 3) * U, atol=1e-15)
     assert np.allclose(bump_metric.hu_sq(S, U), kap**2, atol=1e-15)
     assert np.allclose(bump_metric.lap_u(S, U), 0.0)
-    assert np.allclose(bump_metric.det_g(S, U), bump_metric.h(S, U) ** 2)
 
 
 def test_straight_tube_metric_is_identically_one(straight_profile):

@@ -19,7 +19,6 @@ from tubespectra import (
     richardson_extrapolate,
     tabulated_function,
 )
-from tubespectra.operators import export_triplets
 
 NU1 = np.pi**2 / 4.0
 
@@ -173,16 +172,6 @@ def test_weighted_form_matches_flat_operator(bump_metric):
         ext[name] = richardson_extrapolate(spacings, vals)
     tol = 3.0 * max(ext["flat"].error_estimate, ext["weighted"].error_estimate)
     assert abs(ext["flat"].extrapolated - ext["weighted"].extrapolated) <= tol
-
-
-def test_triplet_export(tmp_path):
-    grid = TruncatedGrid.interval(1.0, 1.0, 1.0)
-    op = assemble_free_hamiltonian(grid, enforce_resolution=False)
-    path = tmp_path / "matrix.txt"
-    export_triplets(op, path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0].startswith("# H0 1 1 1")
-    assert lines[1] == "0 0 4.0"
 
 
 # ---------------------------------------------------------------------------

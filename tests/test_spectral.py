@@ -29,7 +29,6 @@ from tubespectra import (
     select_domain_length,
 )
 from tubespectra.cli import hamiltonian_recipe
-from tubespectra.spectral import mourre_sign_check_curved
 
 NU1 = np.pi**2 / 4.0
 
@@ -140,6 +139,20 @@ def test_bound_state_for_strongly_bent_strip(strong_recipe, interval_thresholds)
     report = SpectralReport(thresholds=interval_thresholds, bound_states=res)
     assert report.is_sound()
     assert report.essential_spectrum_onset == NU1
+
+
+def test_given_domain_length_assembles_each_level_once(strong_recipe, interval_thresholds):
+    calls = []
+
+    def counting_recipe(length, spacing):
+        calls.append((length, spacing))
+        return strong_recipe(length, spacing)
+
+    policy = ConvergencePolicy(spacings=(0.2, 0.1), domain_length=4.0, n_eigs=2)
+    res = bound_states(counting_recipe, interval_thresholds, policy)
+    # L/4, L/2 and L at the coarsest spacing, then L at the finer one
+    assert calls == [(1.0, 0.2), (2.0, 0.2), (4.0, 0.2), (4.0, 0.1)]
+    assert res.raw_ladder[0][0] == res.truncation_ladder[-1][1]
 
 
 def test_straight_tube_reports_no_bound_state(interval_thresholds, straight_profile):
@@ -358,12 +371,3 @@ def test_mourre_measured_bound_tracks_two_rho(mourre_setup):
     assert win.measured_bound <= 2.0 * rho + 0.1
     assert win.passed == (win.measured_bound >= win.expected_bound - win.tolerance)
 
-
-def test_curved_commutator_form_is_positive_on_travelling_packets(strong_metric):
-    grid = TruncatedGrid.interval(16.0, 0.125, 1.0)
-    coeffs = CoefficientField(strong_metric)
-    pot = EffectivePotential(strong_metric)
-    h_op = assemble_hamiltonian(coeffs, pot, grid)
-    c_op = assemble_commutator(coeffs, pot, grid)
-    forms = mourre_sign_check_curved(h_op, c_op, grid, momenta=(1.0, 2.0, 3.0))
-    assert np.all(forms > 0.0)
