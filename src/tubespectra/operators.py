@@ -198,9 +198,6 @@ class DiscreteOperator:
         d = self.matrix - self.matrix.T
         return 0.0 if d.nnz == 0 else float(np.max(np.abs(d.data)))
 
-    def to_dense(self):
-        return self.matrix.toarray()
-
 
 class CoefficientField:
     """The matrix G = diag(h^-2, 1, ..., 1) and its s-derivative.

@@ -37,12 +37,14 @@ class ScalarFunction:
 
     ``derivatives[n]`` is a vectorized callable returning the n-th
     derivative.  Requesting a higher order than declared is an error, per
-    the availability contract of the profile.
+    the availability contract of the profile.  ``sup_abs``, when known,
+    is sup|f| over the whole line (an upper bound on any sub-range).
     """
 
-    def __init__(self, derivatives, label="kappa"):
+    def __init__(self, derivatives, label="kappa", sup_abs=None):
         self._derivatives = tuple(derivatives)
         self.label = label
+        self.sup_abs = None if sup_abs is None else float(sup_abs)
 
     @property
     def max_order(self):
@@ -70,7 +72,8 @@ def constant_function(value, max_order=3):
     def _zero(s):
         return np.zeros_like(np.asarray(s, dtype=float))
 
-    return ScalarFunction([_const] + [_zero] * max_order, label=f"const({value})")
+    return ScalarFunction([_const] + [_zero] * max_order, label=f"const({value})",
+                          sup_abs=abs(value))
 
 
 def gaussian_bump(kappa0, sigma=1.0):
@@ -95,7 +98,8 @@ def gaussian_bump(kappa0, sigma=1.0):
         t = s / sigma
         return kappa0 * np.exp(-t * t) * (-8.0 * t**3 + 12.0 * t) / sigma**3
 
-    return ScalarFunction([d0, d1, d2, d3], label=f"gaussian({kappa0},{sigma})")
+    return ScalarFunction([d0, d1, d2, d3], label=f"gaussian({kappa0},{sigma})",
+                          sup_abs=abs(kappa0))
 
 
 def power_tail(kappa0, sigma=1.0, p=2.0):
@@ -132,7 +136,8 @@ def power_tail(kappa0, sigma=1.0, p=2.0):
             / sigma**3
         )
 
-    return ScalarFunction([d0, d1, d2, d3], label=f"powertail({kappa0},{sigma},{p})")
+    return ScalarFunction([d0, d1, d2, d3], label=f"powertail({kappa0},{sigma},{p})",
+                          sup_abs=abs(kappa0))
 
 
 # Fourth-order centered / second-order one-sided first-derivative stencils.
@@ -200,7 +205,8 @@ def tabulated_function(s_samples, values, max_order=3, label="table"):
 
         return _eval
 
-    fn = ScalarFunction([make_eval(sp) for sp in splines], label=label)
+    fn = ScalarFunction([make_eval(sp) for sp in splines], label=label,
+                        sup_abs=np.max(np.abs(values)))
     fn.sample_grid = s_samples
     return fn
 
@@ -277,21 +283,24 @@ class CurvatureProfile:
         return out
 
     def kappa1_sup(self, refine=8, base_samples=4096):
-        """Estimate of sup|kappa_1| over s_range.
+        """sup|kappa_1| over s_range.
 
-        Maximum of |kappa_1| over a sampling of the range refined ``refine``
-        times beyond ``base_samples`` (or beyond the tabulated grid, when
-        the function carries one), combined with the declared analytic
-        bound when available.  Conservative by construction: the declared
-        bound can only raise the estimate.
+        The supremum kappa_1 declares (``ScalarFunction.sup_abs``) when it
+        has one: |kappa0| for gaussian bumps and power tails (an upper
+        bound when s_range misses the peak at 0), |value| for constants,
+        the largest sample for tables (their spline may overshoot it
+        between samples).  Otherwise the maximum of |kappa_1| over
+        ``refine * base_samples`` evenly spaced points, which can miss a
+        peak narrower than their spacing.  The declared analytic bound,
+        when given, can only raise the result.
         """
-        grid = getattr(self.kappas[0], "sample_grid", None)
-        n = refine * (len(grid) if grid is not None else base_samples)
-        s = np.linspace(self.s_range[0], self.s_range[1], n)
-        sampled = float(np.max(np.abs(self.kappas[0](s))))
+        sup = self.kappas[0].sup_abs
+        if sup is None:
+            s = np.linspace(self.s_range[0], self.s_range[1], refine * base_samples)
+            sup = float(np.max(np.abs(self.kappas[0](s))))
         if self.kappa1_bound is not None:
-            return max(sampled, self.kappa1_bound)
-        return sampled
+            return max(sup, self.kappa1_bound)
+        return sup
 
     def __repr__(self):
         names = ", ".join(k.label for k in self.kappas)

@@ -67,6 +67,12 @@ def render_report(report, resolved_config_text=None, title="tubespectra spectral
             lines.append(f"state[{j}].fitted_order = {_fmt(st.fitted_order)}")
             lines.append(f"state[{j}].flagged = {st.flagged}")
         lines.append(f"truncation_ladder = {_fmt([v for pair in bs.truncation_ladder for v in pair])}")
+        for j, lv in enumerate(bs.levels, start=1):
+            lines.append(
+                f"level[{j}] = L {_fmt(lv.length)}, h {_fmt(lv.spacing)}, "
+                f"n {lv.unknowns}, nnz {lv.nnz}, shift {_fmt(lv.shift)}, "
+                f"max_residual {lv.max_residual:.1e}"
+            )
         lines.append(f"report_sound = {report.is_sound()}")
 
     if report.mourre_windows:

@@ -6,6 +6,14 @@ below a size cutoff), refined over a spacing ladder, and Richardson
 extrapolated assuming the clean second-order convergence of the stencil;
 the fitted order is reported and the result flagged when it strays from 2.
 
+Every shift-invert solve factorizes A - sigma I exactly once, with SuperLU
+under a symmetric fill-reducing ordering, and hands those factors to
+ARPACK.  Ladder solves shift just below the previous level's lowest
+eigenvalue, where Lanczos converges in a few dozen solves, and certify
+the shift afterwards by Sylvester's law of inertia: no negative pivot, so
+no eigenvalue below sigma that the solve could have missed.  A shift that
+fails the check is lowered and the solve repeated.
+
 The commutator with the axial dilation generator A = (q p + p q)/2 is
 assembled from its closed form
 
@@ -44,6 +52,7 @@ __all__ = [
     "richardson_extrapolate",
     "ConvergencePolicy",
     "BoundState",
+    "LadderLevel",
     "BoundStatesResult",
     "bound_states",
     "select_domain_length",
@@ -58,6 +67,9 @@ __all__ = [
 _DENSE_CUTOFF = 2000
 # roundoff slack, relative to max(1, |nu_1|), of the ladder monotonicity test
 _MONOTONICITY_SLACK = 1e-10
+# first distance of the shift below a hint, relative to max(1, |hint|); the
+# inertia guard doubles the distance until no eigenvalue lies below the shift
+_SHIFT_OFFSET = 1e-2
 
 
 def _start_vector(n):
@@ -66,13 +78,98 @@ def _start_vector(n):
     return v / np.linalg.norm(v)
 
 
-def lowest_eigenvalues(op, k):
+def _factorize(m, sigma):
+    """SuperLU factors of m - sigma I under a symmetric ordering.
+
+    Minimum degree on A^T + A with diagonal pivots (SymmetricMode,
+    diag_pivot_thresh=0) keeps the row and column permutations equal
+    unless a pivot is exactly zero.  Then P (m - sigma I) P^T = L U with L
+    unit lower triangular and U = D L^T, and by Sylvester's law of inertia
+    the negative entries of diag(U) count the eigenvalues of m below sigma.
+    Raises SuperLU's RuntimeError when m - sigma I is exactly singular.
+    """
+    # imported on first use, like eigsh below: scipy.sparse.linalg would
+    # add about 0.2 s to every import of the package
+    from scipy.sparse.linalg import splu
+
+    shifted = (m - sigma * sp.identity(m.shape[0], format="csc")).tocsc()
+    return splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                options={"SymmetricMode": True})
+
+
+def _shift_invert(m, k, sigma, lu):
+    """The k eigenpairs of m nearest sigma; ARPACK solves with ``lu``."""
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+
+    opinv = LinearOperator(m.shape, matvec=lu.solve, dtype=float)
+    try:
+        return eigsh(m, k=k, sigma=sigma, which="LM", OPinv=opinv, tol=0.0,
+                     v0=_start_vector(m.shape[0]))
+    except ArpackNoConvergence as exc:
+        got = np.asarray(exc.eigenvalues)
+        best = None
+        if got.size and exc.eigenvectors is not None and exc.eigenvectors.size:
+            v = exc.eigenvectors[:, 0]
+            best = float(np.linalg.norm(m @ v - got[0] * v))
+        raise SolverError(
+            f"eigensolver did not converge for k={k} (got {got.size})",
+            best_residual=best,
+        ) from exc
+
+
+def _certified_pairs(m, k, sigma):
+    """The k eigenpairs of m nearest sigma, or None when one may lie below.
+
+    None when m - sigma I is exactly singular or its factors have a
+    negative pivot; SolverError when they pivoted off the diagonal.
+    """
+    try:
+        lu = _factorize(m, sigma)
+    except RuntimeError:  # exactly singular: sigma is an eigenvalue
+        return None
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise SolverError(
+            f"factorization at shift {sigma!r} pivoted off the diagonal: "
+            "its inertia does not count eigenvalues"
+        )
+    pairs = _shift_invert(m, k, sigma, lu)
+    # read after the solve: .U copies the factor
+    return None if np.any(lu.U.diagonal() < 0.0) else pairs
+
+
+class Eigensolve(tuple):
+    """``(values, residuals)`` of one solve, with the shift it used.
+
+    ``shift`` is the certified shift-invert sigma, or None when dense
+    LAPACK solved the problem.
+    """
+
+    def __new__(cls, values, residuals, shift):
+        self = super().__new__(cls, (values, residuals))
+        self.shift = shift
+        return self
+
+
+def lowest_eigenvalues(op, k, below=None):
     """k smallest eigenvalues of a symmetric operator, with residuals.
 
-    Dense LAPACK below 2000 unknowns, else ARPACK shift-invert Lanczos at
-    the fixed shift -1, below the spectrum floor, converged to machine
-    precision (ARPACK tol=0).  Residuals are ||M v - lambda v|| for the
-    returned unit eigenvectors.
+    Dense LAPACK below 2000 unknowns.  Above, shift-invert Lanczos
+    (ARPACK, converged to machine precision: tol=0) at a shift sigma just
+    under ``below`` -- a hint such as the lowest eigenvalue of the previous
+    ladder level -- placed at ``below - 1e-2 * max(1, |below|)``, or at -1
+    without a hint.  M - sigma I is factorized once and ARPACK solves with
+    those factors.  The shift is certified by inertia after the solve: the
+    factorization must have no negative pivot, so no eigenvalue lies below
+    sigma and the k eigenvalues nearest sigma are the k lowest.  When it
+    has one, or M - sigma I is exactly singular, the result is discarded,
+    the distance of sigma below the hint is doubled, and the solve
+    repeated.  Raises SolverError when the factorization had to pivot off
+    the diagonal (its inertia would then mean nothing) or ARPACK did not
+    converge.
+
+    Returns ``(values, residuals)``, residuals ||M v - lambda v|| of the
+    unit eigenvectors, as an :class:`Eigensolve` whose ``shift`` is the
+    certified sigma (None on the dense path).
     """
     m = op.matrix if isinstance(op, DiscreteOperator) else op
     n = m.shape[0]
@@ -83,45 +180,40 @@ def lowest_eigenvalues(op, k):
         dense = m.toarray() if sp.issparse(m) else np.asarray(m)
         vals, vecs = np.linalg.eigh(dense)
         vals, vecs = vals[:k], vecs[:, :k]
+        sigma = None
     else:
-        from scipy.sparse.linalg import ArpackNoConvergence, eigsh
-
-        try:
-            vals, vecs = eigsh(
-                m.tocsc(), k=k, sigma=-1.0, which="LM", tol=0.0, v0=_start_vector(n),
-            )
-        except ArpackNoConvergence as exc:
-            got = np.asarray(exc.eigenvalues)
-            best = None
-            if got.size and exc.eigenvectors is not None and exc.eigenvectors.size:
-                v = exc.eigenvectors[:, 0]
-                best = float(np.linalg.norm(m @ v - got[0] * v))
-            raise SolverError(
-                f"eigensolver did not converge for k={k} (got {got.size})",
-                best_residual=best,
-            ) from exc
+        anchor = -1.0 if below is None else float(below)
+        step = _SHIFT_OFFSET * max(1.0, abs(anchor))
+        sigma = anchor if below is None else anchor - step
+        while (pairs := _certified_pairs(m, k, sigma)) is None:
+            sigma -= step
+            step *= 2.0
+        vals, vecs = pairs
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order]
     residuals = np.linalg.norm(m @ vecs - vecs * vals[None, :], axis=0)
-    return vals, residuals
+    return Eigensolve(vals, residuals, sigma)
 
 
-def _eigenpairs_near(matrix, target, k):
-    """Eigenpairs nearest ``target`` via shift-invert (dense fallback)."""
+def _eigenpairs_near(matrix, target, k, lu):
+    """Eigenpairs nearest ``target`` via shift-invert (dense fallback).
+
+    The shift sits 1e-9 above ``target``, off an exact eigenvalue
+    collision.  ``lu`` holds the factors an earlier call at the same
+    target returned, or None to factorize.  Returns ``(values, vectors,
+    lu)`` ordered by distance to ``target``; ``lu`` is None on the dense
+    path.
+    """
     n = matrix.shape[0]
     if n <= _DENSE_CUTOFF:
         vals, vecs = np.linalg.eigh(matrix.toarray())
     else:
-        from scipy.sparse.linalg import eigsh
-
-        # tiny shift offset keeps the factorization away from an exact
-        # eigenvalue collision
-        vals, vecs = eigsh(
-            matrix.tocsc(), k=min(k, n - 2), sigma=target + 1e-9, which="LM",
-            v0=_start_vector(n),
-        )
+        sigma = target + 1e-9
+        if lu is None:
+            lu = _factorize(matrix, sigma)
+        vals, vecs = _shift_invert(matrix, min(k, n - 2), sigma, lu)
     order = np.argsort(np.abs(vals - target))
-    return vals[order], vecs[:, order]
+    return vals[order], vecs[:, order], lu
 
 
 # ---------------------------------------------------------------------------
@@ -221,12 +313,25 @@ class BoundState:
 
 
 @dataclass(frozen=True)
+class LadderLevel:
+    """One refinement-ladder eigensolve: size, shift and residual."""
+
+    length: float
+    spacing: float
+    unknowns: int
+    nnz: int
+    shift: float                 # certified shift; None for dense LAPACK
+    max_residual: float
+
+
+@dataclass(frozen=True)
 class BoundStatesResult:
     states: tuple
     thresholds: object
     domain_length: float
     spacings: tuple
     raw_ladder: tuple            # tuple per level of eigenvalue tuples
+    levels: tuple                # LadderLevel per row of raw_ladder
     truncation_ladder: tuple     # ((L, lowest eigenvalue), ...) at coarse spacing
     count_stable: bool
     runtime_seconds: float
@@ -260,25 +365,44 @@ def select_domain_length(assemble, spacing, initial_length=8.0,
     ladder = [(length, float(vals[0]))]
     for _ in range(max_doublings):
         length *= 2.0
-        vals, _ = lowest_eigenvalues(assemble(length, spacing), n_eigs)
+        vals, _ = lowest_eigenvalues(assemble(length, spacing), n_eigs,
+                                     below=ladder[-1][1])
         ladder.append((length, float(vals[0])))
         if abs(ladder[-1][1] - ladder[-2][1]) < truncation_tol:
             break
     return length, tuple(ladder)
 
 
+def _solve_level(assemble, length, spacing, k, below):
+    """Eigenvalues of one (L, spacing) operator and its LadderLevel."""
+    op = assemble(length, spacing)
+    vals, residuals = solved = lowest_eigenvalues(op, k, below=below)
+    level = LadderLevel(
+        length=float(length),
+        spacing=float(spacing),
+        unknowns=int(op.shape[0]),
+        nnz=int(getattr(op, "matrix", op).nnz),
+        shift=solved.shift,
+        max_residual=float(np.max(residuals)),
+    )
+    return np.asarray(vals), level
+
+
 def _truncation_estimates(assemble, length, spacing, k):
     """Per-index truncation error from an L/4, L/2, L geometric probe.
 
-    Returns (estimates, ladder, eigenvalues at L): the last is the
-    refinement ladder's coarsest level, so it is never solved twice.
+    Returns (estimates, ladder, eigenvalues at L, LadderLevel at L): the
+    last two are the refinement ladder's coarsest level, so it is never
+    solved twice.
     """
     lengths = [length / 4.0, length / 2.0, length]
-    levels = []
+    probes = []
+    below = None
     for ell in lengths:
-        vals, _ = lowest_eigenvalues(assemble(ell, spacing), k)
-        levels.append(np.asarray(vals))
-    v0, v1, v2 = levels
+        vals, level = _solve_level(assemble, ell, spacing, k, below)
+        probes.append(vals)
+        below = float(vals[0])
+    v0, v1, v2 = probes
     est = np.empty(k)
     for j in range(k):
         m1 = v1[j] - v0[j]
@@ -288,7 +412,8 @@ def _truncation_estimates(assemble, length, spacing, k):
             est[j] = abs(m2) * q / (1.0 - q)  # geometric tail of the moves
         else:
             est[j] = abs(m2)
-    return est, tuple((float(ell), float(v[0])) for ell, v in zip(lengths, levels)), v2
+    ladder = tuple((float(ell), float(v[0])) for ell, v in zip(lengths, probes))
+    return est, ladder, v2, level
 
 
 def bound_states(assemble, thresholds, policy=None):
@@ -311,17 +436,20 @@ def bound_states(assemble, thresholds, policy=None):
             assemble, spacings[0], truncation_tol=policy.truncation_tol, nu1=nu1,
         )
         trunc_est = np.full(policy.n_eigs, abs(trunc_ladder[-1][1] - trunc_ladder[-2][1]))
-        raw = []
+        raw, levels = [], []
     else:
         length = float(policy.domain_length)
-        trunc_est, trunc_ladder, coarsest = _truncation_estimates(
+        trunc_est, trunc_ladder, coarsest, level = _truncation_estimates(
             assemble, length, spacings[0], policy.n_eigs
         )
-        raw = [coarsest]
+        raw, levels = [coarsest], [level]
 
+    below = trunc_ladder[-1][1]          # lambda_0 at (L, spacings[0])
     for h in spacings[len(raw):]:
-        vals, _ = lowest_eigenvalues(assemble(length, h), policy.n_eigs)
-        raw.append(np.asarray(vals))
+        vals, level = _solve_level(assemble, length, h, policy.n_eigs, below)
+        raw.append(vals)
+        levels.append(level)
+        below = float(vals[0])
     raw_arr = np.stack(raw)
 
     slack = _MONOTONICITY_SLACK * max(1.0, abs(nu1))
@@ -358,6 +486,7 @@ def bound_states(assemble, thresholds, policy=None):
         domain_length=length,
         spacings=spacings,
         raw_ladder=tuple(tuple(float(v) for v in row) for row in raw_arr),
+        levels=tuple(levels),
         truncation_ladder=trunc_ladder,
         count_stable=counts[0] == counts[1],
         runtime_seconds=time.perf_counter() - t0,
@@ -491,8 +620,9 @@ def mourre_check_free(h0_op, commutator_op, thresholds, lambda_windows,
         lo, hi = lam - eps, lam + eps
         k = 16
         n = h0_op.shape[0]
+        lu = None  # factorized on the first solve, reused as k grows
         while True:
-            vals, vecs = _eigenpairs_near(h0_op.matrix, lam, k)
+            vals, vecs, lu = _eigenpairs_near(h0_op.matrix, lam, k, lu)
             bracketed = np.any(vals <= lo) and np.any(vals >= hi)
             if bracketed or n <= _DENSE_CUTOFF:
                 break

@@ -4,6 +4,7 @@ import pytest
 from tubespectra import (
     CheckerConfig,
     CurvatureProfile,
+    EllipticityError,
     SurfaceData,
     check_basic,
     check_curvature_decay,
@@ -165,6 +166,16 @@ def test_basic_boundary_case_fails_without_a_metric():
     report = check_basic(profile=prof, half_width=1.0)
     assert report.entry("basic-curvature-bound").verdict == "fail"
     assert report.overall == "fail"
+
+
+def test_narrow_bump_breaking_the_curvature_bound_fails_the_gate():
+    # a * sup|kappa_1| = 1.2: the tube map is not a local diffeomorphism
+    prof = d2_profile(gaussian_bump(1.2, 0.25))
+    report = check_basic(profile=prof, half_width=1.0)
+    assert report.entry("basic-curvature-bound").verdict == "fail"
+    assert report.overall == "fail"
+    with pytest.raises(EllipticityError):
+        metric_from_profile(prof, 1.0)
 
 
 def test_basic_with_overlap_result(bump_metric, bump_profile):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -188,6 +190,16 @@ def test_bent_tube_spectrum_reports_a_bound_state(tmp_path):
     report = (tmp_path / "report.txt").read_text()
     assert "count = 1" in report
     assert "report_sound = True" in report
+    levels = re.findall(
+        r"^level\[\d\] = L 32\.0, h (\S+), n \d+, nnz \d+, shift (\S+), "
+        r"max_residual (\d\.\de-\d\d)$",
+        report, flags=re.M,
+    )
+    assert [h for h, _, _ in levels] == ["0.125", "0.0625"]
+    assert all(float(res) < 1e-8 for _, _, res in levels)
+    # each certified shift sits below every eigenvalue of its level
+    ladder = re.search(r"^state\[1\]\.ladder = (.*)$", report, flags=re.M).group(1)
+    assert all(float(sig) < float(v) for (_, sig, _), v in zip(levels, ladder.split(", ")))
 
 
 def test_flat_strip_config_matches_the_euclidean_run(tmp_path):

@@ -99,6 +99,26 @@ def test_kappa1_sup_combines_samples_and_declared_bound():
     assert declared.kappa1_sup() == 0.7
 
 
+@pytest.mark.parametrize(
+    "fn, sup",
+    [
+        # evenly spaced samples over +-1e4 miss these peaks (0.82, 0.27)
+        (gaussian_bump(0.9, 1.0), 0.9),
+        (gaussian_bump(1.2, 0.25), 1.2),
+        (power_tail(-0.7, 0.1, 3.0), 0.7),
+        (constant_function(-0.4), 0.4),
+    ],
+)
+def test_kappa1_sup_of_the_families_is_exact(fn, sup):
+    assert CurvatureProfile([fn], (-1e4, 1e4)).kappa1_sup() == sup
+
+
+def test_kappa1_sup_of_a_table_is_its_largest_sample():
+    s = np.linspace(-5.0, 5.0, 101)
+    fn = tabulated_function(s, -0.6 * np.exp(-((s - 0.05) ** 2)))
+    assert CurvatureProfile([fn], (s[0], s[-1])).kappa1_sup() == np.max(np.abs(fn(s)))
+
+
 def test_frenet_matrix_is_skew_and_bidiagonal():
     prof = CurvatureProfile(
         [gaussian_bump(0.5), constant_function(0.2), constant_function(0.1)],

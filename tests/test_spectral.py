@@ -10,6 +10,7 @@ from tubespectra import (
     DiagnosticsError,
     EffectivePotential,
     InputError,
+    SolverError,
     SpectralReport,
     ThresholdSet,
     TruncatedGrid,
@@ -28,6 +29,7 @@ from tubespectra import (
     richardson_extrapolate,
     select_domain_length,
 )
+from tubespectra import spectral
 from tubespectra.cli import hamiltonian_recipe
 
 NU1 = np.pi**2 / 4.0
@@ -90,6 +92,47 @@ def test_eigenvalue_count_below_second_threshold_grows_linearly():
 def test_bad_k_is_rejected():
     with pytest.raises(InputError):
         lowest_eigenvalues(sp.eye(5).tocsr(), 5)
+
+
+def test_inertia_guard_lowers_a_shift_above_the_lowest_eigenvalue():
+    op = assemble_free_hamiltonian(TruncatedGrid.interval(9.0, 0.125, 1.0))
+    assert op.shape[0] > 2000  # sparse shift-invert path
+    k = 3
+    dense = np.linalg.eigvalsh(op.matrix.toarray())
+    reference = dense[:k]
+    unhinted = lowest_eigenvalues(op, k)
+    assert unhinted.shift == -1.0
+    # a hint at the fifth eigenvalue puts the first shift above four of them
+    below = float(dense[4])
+    first = below - spectral._SHIFT_OFFSET * max(1.0, abs(below))
+    assert first > dense[3]
+    hinted = lowest_eigenvalues(op, k, below=below)
+    assert hinted.shift < reference[0] < first
+    np.testing.assert_allclose(hinted[0], reference, rtol=1e-10)
+    np.testing.assert_allclose(hinted[0], unhinted[0], rtol=1e-10)
+    assert np.all(hinted[1] < 1e-10)
+
+
+def test_exactly_singular_shift_is_lowered():
+    below = 3.0
+    first = below - spectral._SHIFT_OFFSET * max(1.0, abs(below))
+    m = sp.diags(first + 0.5 * np.arange(2500)).tocsr()  # sigma == lambda_0
+    with pytest.raises(RuntimeError):
+        spectral._factorize(m, first)
+    vals, res = solved = lowest_eigenvalues(m, 3, below=below)
+    assert solved.shift < first
+    np.testing.assert_allclose(vals, first + 0.5 * np.arange(3), rtol=1e-12)
+    assert np.all(res < 1e-12)
+
+
+def test_off_diagonal_pivot_raises_solver_error():
+    # the shift -1 zeroes the diagonal of an isolated 2x2 block, so SuperLU
+    # must pivot off the diagonal and the inertia count would be meaningless
+    m = sp.lil_matrix(sp.diags(2.0 + 0.5 * np.arange(2500)))
+    m[0, 0] = m[1, 1] = -1.0
+    m[0, 1] = m[1, 0] = 1.0
+    with pytest.raises(SolverError, match="pivoted off the diagonal"):
+        lowest_eigenvalues(m.tocsr(), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +385,22 @@ def mourre_setup():
     c0 = assemble_commutator(CoefficientField(None), None, grid)
     thresholds = cross_section_spectrum(CrossSection.interval(1.0), 20)
     return h0, c0, thresholds
+
+
+def test_mourre_factorizes_once_per_window(mourre_setup, monkeypatch):
+    h0, c0, th = mourre_setup
+    import scipy.sparse.linalg as spla
+
+    factorized, solves = [], []
+    splu, near = spla.splu, spectral._eigenpairs_near
+    monkeypatch.setattr(spla, "splu", lambda *a, **kw: factorized.append(1) or splu(*a, **kw))
+    monkeypatch.setattr(spectral, "_eigenpairs_near",
+                        lambda m, t, k, lu: solves.append(k) or near(m, t, k, lu))
+    lam = 0.5 * (th.nu[1] + th.nu[2])
+    # about 29 states in the wide window: its projector rank doubles once
+    mourre_check_free(h0, c0, th, [(lam, 4.0), (lam, 1.0)], wall_mass_tol=0.05)
+    assert solves == [16, 32, 16]
+    assert len(factorized) == 2
 
 
 def test_mourre_window_rejects_threshold_proximity(mourre_setup):
