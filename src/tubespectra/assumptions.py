@@ -22,9 +22,14 @@ then reflects the slowest-decaying member of the family, which keeps a
 ``pass`` conservative and makes the fitted exponent meaningful for
 power-tail profiles.
 
-Tail suprema are computed over one nested master sample set (suffix
-maxima over |s|), so they are exactly non-increasing in R by
-construction.  All checks are deterministic: identical inputs and
+Every sampled supremum the gate reports is taken on one set of
+abscissae (:func:`sample_abscissae`): geometric tails on both sides
+plus evenly spaced near-field points that cover the hole the tails leave
+around s = 0, where curvature bumps sit.  The strip ellipticity bounds
+(``metric.ellipticity_bounds``) and the fallback of
+``CurvatureProfile.kappa1_sup`` sample the same set.  Tail suprema are
+suffix maxima over |s| on it, so they are exactly non-increasing in R
+by construction.  All checks are deterministic: identical inputs and
 configuration produce byte-identical reports.
 """
 
@@ -42,6 +47,7 @@ __all__ = [
     "AssumptionReport",
     "default_ladder",
     "make_tail_sampler",
+    "sample_abscissae",
     "limit_entry",
     "decay_entry",
     "bounded_entry",
@@ -61,7 +67,7 @@ class CheckerConfig:
     theta_cap: float = 1.0        # reported theta is clipped to (0, theta_cap]
     residual_max: float = 0.2     # rate test: largest acceptable RMS log-residual
     tail_samples: int = 2048      # log-spaced samples per tail side
-    linear_samples: int = 2049    # full-range linear samples (global sup)
+    linear_samples: int = 2049    # near-field linear samples, where the tails stop
     min_ladder_points: int = 4
     min_ladder_span: float = 8.0  # max(R)/min(R) below this => inconclusive
     underflow_floor: float = 1e-280
@@ -140,22 +146,37 @@ def default_ladder(s_range, levels=6):
     return tuple(m / 2.0**j for j in range(levels, 0, -1))
 
 
+def sample_abscissae(s_range, cfg=None):
+    """The one set of s values every sampled sup of the gate is taken on.
+
+    ``tail_samples`` geometric points per side from start = m*1e-3 out to
+    the ends of s_range (m = min(-lo, hi)), plus ``linear_samples`` evenly
+    spaced near-field points on [-start, start], the hole the tails leave.
+    A range that does not straddle 0 gets the linear points only, spread
+    over the whole range.  Returned sorted by |s|.
+    """
+    cfg = cfg or CheckerConfig()
+    lo, hi = float(s_range[0]), float(s_range[1])
+    if not lo < hi:
+        raise InputError("empty s_range")
+    if lo < 0 < hi:
+        start = min(-lo, hi) * 1e-3
+        pieces = [
+            np.linspace(-start, start, cfg.linear_samples),
+            np.geomspace(start, hi, cfg.tail_samples),
+            -np.geomspace(start, -lo, cfg.tail_samples),
+        ]
+    else:
+        pieces = [np.linspace(lo, hi, cfg.linear_samples)]
+    s = np.unique(np.concatenate(pieces))
+    return s[np.argsort(np.abs(s), kind="stable")]
+
+
 class TailSampler:
     """Nested sample set over s_range with suffix-max tail suprema."""
 
     def __init__(self, s_range, cfg):
-        lo, hi = float(s_range[0]), float(s_range[1])
-        if not lo < hi:
-            raise InputError("empty s_range")
-        pieces = [np.linspace(lo, hi, cfg.linear_samples)]
-        m = min(-lo, hi) if lo < 0 < hi else None
-        if m is not None and m > 0:
-            start = m * 1e-3
-            pieces.append(np.geomspace(start, hi, cfg.tail_samples))
-            pieces.append(-np.geomspace(start, -lo, cfg.tail_samples))
-        s = np.unique(np.concatenate(pieces))
-        order = np.argsort(np.abs(s), kind="stable")
-        self.s_sorted = s[order]          # sorted by |s|
+        self.s_sorted = sample_abscissae(s_range, cfg)   # sorted by |s|
         self.abs_sorted = np.abs(self.s_sorted)
 
     def master_abscissae(self):
@@ -548,25 +569,18 @@ def _sup_over_probe(fn, probe):
 # basic well-posedness
 
 
-def check_basic(metric=None, profile=None, half_width=None, overlap=None,
-                waive_overlap=False, config=None):
+def check_basic(metric=None, overlap=None, waive_overlap=False, config=None):
     """Tube well-posedness: curvature bound, ellipticity, self-overlap.
 
-    Works without a metric (profile plus half-width) so the curvature
-    bound can be reported even for configurations where metric
-    construction itself would refuse.
+    The curvature-bound product is reported for euclidean tubes only:
+    strips are gated through their Jacobi ellipticity bounds, and a tube
+    with a * sup|kappa_1| >= 1 never gets a metric
+    (``EllipticityError``).
     """
     cfg = config or CheckerConfig()
     entries = []
-    euclidean = getattr(metric, "source", None) == "euclidean-tube"
-    if euclidean or profile is not None:
-        if euclidean:
-            a, sup = metric.a, metric.kappa1_sup
-        else:
-            if half_width is None:
-                raise InputError("need half_width together with a bare profile")
-            a, sup = float(half_width), profile.kappa1_sup()
-        product = a * sup
+    if getattr(metric, "source", None) == "euclidean-tube":
+        product = metric.a * metric.kappa1_sup
         entries.append(
             bounded_entry(
                 "basic-curvature-bound", "a * sup|kappa_1|",

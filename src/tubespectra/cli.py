@@ -113,7 +113,7 @@ def hamiltonian_recipe(metric, omega):
     return assemble
 
 
-def overlap_certificate(cfg, profile, omega, metric):
+def overlap_certificate(cfg, profile, omega):
     """Sampled self-overlap check on the physically relevant window."""
     if cfg.kind == "surface-strip":
         return None, True  # abstract manifold: only the base curve is embedded
@@ -136,15 +136,8 @@ def overlap_certificate(cfg, profile, omega, metric):
 def assumption_gate(cfg, profile, omega, metric):
     """The hypothesis reports that gate the spectral run."""
     reports = {}
-    overlap, waived = overlap_certificate(cfg, profile, omega, metric)
-    reports["basic"] = check_basic(
-        metric,
-        # the curvature-bound product gates euclidean tubes only; strips
-        # are gated through the Jacobi ellipticity bounds instead
-        profile=profile if cfg.kind == "euclidean-tube" else None,
-        overlap=overlap,
-        waive_overlap=waived,
-    )
+    overlap, waived = overlap_certificate(cfg, profile, omega)
+    reports["basic"] = check_basic(metric, overlap=overlap, waive_overlap=waived)
     if cfg.kind == "euclidean-tube":
         reports["curvature-decay"] = check_curvature_decay(profile)
     else:

@@ -29,6 +29,7 @@ from typing import Callable
 
 import numpy as np
 
+from .assumptions import _u_probe, sample_abscissae
 from .errors import EllipticityError, InputError
 from .frames import RotationField
 from .profiles import CurvatureProfile
@@ -240,11 +241,6 @@ class EuclideanTubeMetric(TubeMetric):
         u = self._split_u(u)
         shape = np.broadcast_shapes(np.shape(val), u.shape[:-1])
         return np.broadcast_to(np.asarray(val, dtype=float), shape).copy()
-
-    def analytic_bounds(self):
-        """(1 - a sup|kappa1|, 1 + a sup|kappa1|)."""
-        prod = self.a * self.kappa1_sup
-        return 1.0 - prod, 1.0 + prod
 
 
 def _mv(mat, vec):
@@ -472,61 +468,29 @@ def metric_from_jacobi(surface, u_grid=None):
 class EllipticityBounds:
     c_minus: float
     c_plus: float
-    analytic_minus: float = None
-    analytic_plus: float = None
 
     def __iter__(self):
         return iter((self.c_minus, self.c_plus))
 
 
-def ellipticity_bounds(metric, sample_budget=4096):
-    """Estimate (inf h, sup h) over the truncated domain.
+def ellipticity_bounds(metric):
+    """(inf h, sup h) over the tube.
 
-    A deterministic unscrambled Halton sample of the interior is combined
-    with a boundary lattice (|u| = a and the s-range endpoints), where the
-    extremes of an affine-in-u coefficient actually live.  For euclidean
-    tubes the analytic bounds 1 -+ a sup|kappa_1| are attached and the
-    sampled bounds are asserted to lie inside them.
+    Euclidean tubes: 1 -+ a sup|kappa_1|, since h is affine in u and the
+    rotation keeps the curvature vector's length.  Exact for intervals
+    and discs, conservative for rectangles (a is the half-diagonal), and
+    as good as ``kappa1_sup`` for curvatures without a declared sup.
+    Strips: min and max of h over the assumption gate's abscissae times
+    its transverse probe, so the Jacobi sweep is shared with the gate's
+    metric checks and raises at any focal node.
     """
-    from scipy.stats import qmc
-
-    m = metric.dimension - 1
-    lo, hi = metric.s_range
-    a = metric.a
-
-    halton = qmc.Halton(d=1 + m, scramble=False)
-    pts = halton.random(sample_budget)
-    s_in = lo + pts[:, 0] * (hi - lo)
-    u_in = (2.0 * pts[:, 1:] - 1.0) * a
-    keep = np.linalg.norm(u_in, axis=1) <= a
-    s_in, u_in = s_in[keep], u_in[keep]
-
-    n_edge = max(64, sample_budget // 16)
-    s_edge = np.linspace(lo, hi, n_edge)
-    if m == 1:
-        u_edge = np.concatenate([np.full(n_edge, -a), np.full(n_edge, a)])
-        s_edge = np.tile(s_edge, 2)
-    else:
-        ang = np.linspace(0.0, 2.0 * np.pi, 32, endpoint=False)
-        circle = a * np.stack([np.cos(ang), np.sin(ang)], axis=1)
-        u_edge = np.repeat(circle, n_edge, axis=0)
-        s_edge = np.tile(s_edge, 32)
-
-    s_all = np.concatenate([s_in, s_edge])
-    u_all = np.concatenate([u_in.reshape(-1, m), u_edge.reshape(-1, m)])
-    vals = metric.h(s_all, u_all)
-    c_minus, c_plus = float(vals.min()), float(vals.max())
-
     if isinstance(metric, EuclideanTubeMetric):
-        alo, ahi = metric.analytic_bounds()
-        if c_minus < alo - 1e-10 or c_plus > ahi + 1e-10:
-            raise EllipticityError(
-                f"sampled bounds ({c_minus:g}, {c_plus:g}) escape the analytic "
-                f"bounds ({alo:g}, {ahi:g})",
-                where=(c_minus, c_plus),
-            )
-        return EllipticityBounds(c_minus, c_plus, alo, ahi)
-    return EllipticityBounds(c_minus, c_plus)
+        prod = metric.a * metric.kappa1_sup
+        return EllipticityBounds(1.0 - prod, 1.0 + prod)
+    s = sample_abscissae(metric.s_range)
+    probe = _u_probe(metric.a, metric.dimension - 1)
+    vals = metric.h(s[:, None], np.broadcast_to(probe, (s.size,) + probe.shape))
+    return EllipticityBounds(float(vals.min()), float(vals.max()))
 
 
 def export_metric_csv(metric, path, s_values, u_values):

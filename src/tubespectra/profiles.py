@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .assumptions import sample_abscissae
 from .errors import InputError
 
 __all__ = [
@@ -222,12 +223,9 @@ class CurvatureProfile:
         reported lazily when the missing order is requested.
     s_range : (float, float)
         Closed arclength interval on which the profile may be evaluated.
-    kappa1_bound : float, optional
-        Declared analytic bound on sup|kappa_1|; folded into
-        :meth:`kappa1_sup`.
     """
 
-    def __init__(self, kappas, s_range, kappa1_bound=None):
+    def __init__(self, kappas, s_range):
         kappas = tuple(kappas)
         if not kappas:
             raise InputError("need at least one curvature function (d >= 2)")
@@ -236,7 +234,6 @@ class CurvatureProfile:
             raise InputError("s_range must be a nondegenerate interval")
         self.kappas = kappas
         self.s_range = (lo, hi)
-        self.kappa1_bound = None if kappa1_bound is None else float(kappa1_bound)
 
     @property
     def dimension(self):
@@ -282,24 +279,21 @@ class CurvatureProfile:
         out[..., 0] = -self.kappa(1, s, order)
         return out
 
-    def kappa1_sup(self, refine=8, base_samples=4096):
+    def kappa1_sup(self):
         """sup|kappa_1| over s_range.
 
         The supremum kappa_1 declares (``ScalarFunction.sup_abs``) when it
         has one: |kappa0| for gaussian bumps and power tails (an upper
         bound when s_range misses the peak at 0), |value| for constants,
         the largest sample for tables (their spline may overshoot it
-        between samples).  Otherwise the maximum of |kappa_1| over
-        ``refine * base_samples`` evenly spaced points, which can miss a
-        peak narrower than their spacing.  The declared analytic bound,
-        when given, can only raise the result.
+        between samples).  Otherwise the maximum of |kappa_1| on the
+        assumption gate's abscissae (``assumptions.sample_abscissae``),
+        which can miss a peak narrower than their spacing there.
         """
         sup = self.kappas[0].sup_abs
         if sup is None:
-            s = np.linspace(self.s_range[0], self.s_range[1], refine * base_samples)
+            s = sample_abscissae(self.s_range)
             sup = float(np.max(np.abs(self.kappas[0](s))))
-        if self.kappa1_bound is not None:
-            return max(sup, self.kappa1_bound)
         return sup
 
     def __repr__(self):

@@ -351,8 +351,10 @@ def select_domain_length(assemble, spacing, initial_length=8.0,
                          n_eigs=1):
     """Double L until the lowest eigenvalue moves less than the tolerance.
 
-    Returns (L, truncation_ladder) where the ladder holds (L, lambda_min)
-    pairs at the probing spacing.  Dirichlet truncation approaches the
+    Returns (L, truncation_ladder, eigenvalues at L, LadderLevel at L),
+    where the ladder holds (L, lambda_min) pairs at the probing spacing;
+    the last two are the refinement ladder's coarsest level, so it is
+    never solved twice.  Dirichlet truncation approaches the
     infinite-tube value monotonically from above, so the moves shrink
     geometrically once L passes the decay length of the state.
     """
@@ -361,16 +363,15 @@ def select_domain_length(assemble, spacing, initial_length=8.0,
             raise InputError("need truncation_tol or nu1 for its default")
         truncation_tol = 1e-6 * nu1
     length = float(initial_length)
-    vals, _ = lowest_eigenvalues(assemble(length, spacing), n_eigs)
+    vals, level = _solve_level(assemble, length, spacing, n_eigs, None)
     ladder = [(length, float(vals[0]))]
     for _ in range(max_doublings):
         length *= 2.0
-        vals, _ = lowest_eigenvalues(assemble(length, spacing), n_eigs,
-                                     below=ladder[-1][1])
+        vals, level = _solve_level(assemble, length, spacing, n_eigs, ladder[-1][1])
         ladder.append((length, float(vals[0])))
         if abs(ladder[-1][1] - ladder[-2][1]) < truncation_tol:
             break
-    return length, tuple(ladder)
+    return length, tuple(ladder), vals, level
 
 
 def _solve_level(assemble, length, spacing, k, below):
@@ -432,20 +433,20 @@ def bound_states(assemble, thresholds, policy=None):
         raise InputError("policy spacings must strictly decrease")
 
     if policy.domain_length is None:
-        length, trunc_ladder = select_domain_length(
+        length, trunc_ladder, coarsest, level = select_domain_length(
             assemble, spacings[0], truncation_tol=policy.truncation_tol, nu1=nu1,
+            n_eigs=policy.n_eigs,
         )
         trunc_est = np.full(policy.n_eigs, abs(trunc_ladder[-1][1] - trunc_ladder[-2][1]))
-        raw, levels = [], []
     else:
         length = float(policy.domain_length)
         trunc_est, trunc_ladder, coarsest, level = _truncation_estimates(
             assemble, length, spacings[0], policy.n_eigs
         )
-        raw, levels = [coarsest], [level]
+    raw, levels = [coarsest], [level]
 
     below = trunc_ladder[-1][1]          # lambda_0 at (L, spacings[0])
-    for h in spacings[len(raw):]:
+    for h in spacings[1:]:
         vals, level = _solve_level(assemble, length, h, policy.n_eigs, below)
         raw.append(vals)
         levels.append(level)

@@ -149,6 +149,26 @@ n_thresholds = 10
 """
 
 
+# the acceptance bent strip at the default s_max = 1e4
+BENT_STRIP = """
+[problem]
+kind = euclidean-tube
+dimension = 2
+
+[curvature]
+family = gaussian-bump
+kappa0 = 0.5
+sigma = 1.0
+
+[cross_section]
+shape = interval
+half_width = 1.0
+
+[numerics]
+include_mourre = false
+"""
+
+
 def write(tmp_path, text, name="problem.ini"):
     path = tmp_path / name
     path.write_text(text)
@@ -213,6 +233,55 @@ def test_flat_strip_config_matches_the_euclidean_run(tmp_path):
     sb = tube.bound_states.states
     assert len(sa) == len(sb) == 1
     assert abs(sa[0].value - sb[0].value) < 1e-6
+
+
+def test_flat_strip_check_passes_at_the_default_s_max(tmp_path, capsys):
+    # the gate's samples must reach the bump at s = 0, not only the tails
+    text = FLAT_STRIP.replace("s_max = 1000.0\n", "")
+    code = main(["check", "--config", write(tmp_path, text), "--out", str(tmp_path)])
+    assert code == 0, capsys.readouterr().out
+
+
+def test_bent_strip_coefficient_bounds_are_exact(tmp_path):
+    from tubespectra.cli import run_check
+
+    report, code = run_check(load_config_text(BENT_STRIP), str(tmp_path))
+    assert code == 0
+    coeffs = report.assumption_reports["coefficients"]
+    # c- = 1 - 0.5 and c+ = 1 + 0.5 give C- = 1/c+^2 and C+ = 1/c-^2
+    bounds = re.fullmatch(r"C-=(\S+) C\+=(\S+)", coeffs.entry("G-bounds").notes)
+    assert tuple(map(float, bounds.groups())) == pytest.approx((1 / 1.5**2, 1 / 0.5**2))
+    div = re.fullmatch(r"sup=(\S+)", coeffs.entry("G-divergence-bounded").notes)
+    assert float(div.group(1)) > 1.0
+
+
+def test_check_loads_no_sampler_module(tmp_path):
+    # importing scipy.stats costs about 0.6 s and 20 MB per process
+    import os
+    import subprocess
+    import sys
+
+    import tubespectra
+
+    src = os.path.dirname(os.path.dirname(tubespectra.__file__))
+    path = write(tmp_path, BENT_STRIP)
+    code = (
+        "import sys\n"
+        "from tubespectra.cli import run_check\n"
+        "from tubespectra.config import load_config\n"
+        f"_, exit_code = run_check(load_config({path!r}), {str(tmp_path)!r})\n"
+        "assert exit_code == 0, exit_code\n"
+        "assert 'scipy.stats' not in sys.modules\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=300)
+
+
+def test_curvature_bound_breach_exits_1_with_the_product(tmp_path, capsys):
+    text = BENT_STRIP.replace("kappa0 = 0.5\nsigma = 1.0", "kappa0 = 1.2\nsigma = 0.25")
+    code = main(["check", "--config", write(tmp_path, text), "--out", str(tmp_path)])
+    assert code == 1
+    assert "a * sup|kappa_1| = 1.2 >= 1" in capsys.readouterr().err
 
 
 def test_constant_curvature_check_exits_2(tmp_path, capsys):

@@ -218,10 +218,14 @@ def test_bounds_constant_curvature_analytic_window():
     prof = CurvatureProfile([constant_function(0.5)], (-10, 10))
     m = metric_from_profile(prof, 1.0)
     b = ellipticity_bounds(m)
-    assert (b.analytic_minus, b.analytic_plus) == (0.5, 1.5)
-    assert b.analytic_minus <= b.c_minus <= b.c_plus <= b.analytic_plus
-    assert b.c_minus == pytest.approx(0.5, abs=1e-9)
-    assert b.c_plus == pytest.approx(1.5, abs=1e-9)
+    assert (b.c_minus, b.c_plus) == (0.5, 1.5)
+
+
+@pytest.mark.parametrize("sigma", [1.0, 0.25])
+def test_bounds_of_a_bump_at_the_default_s_max_are_exact(sigma):
+    # sampled over +-1e4, these bumps gave c- = 1.0 (the truth is 0.1)
+    prof = CurvatureProfile([gaussian_bump(0.9, sigma)], (-1e4, 1e4))
+    assert tuple(ellipticity_bounds(metric_from_profile(prof, 1.0))) == (1 - 0.9, 1 + 0.9)
 
 
 def test_bounds_positively_curved_strip():

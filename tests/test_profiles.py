@@ -93,10 +93,15 @@ def test_tabulated_profile_input_validation():
 
 
 def test_kappa1_sup_combines_samples_and_declared_bound():
-    prof = CurvatureProfile([gaussian_bump(0.5, 1.0)], (-20, 20))
-    assert prof.kappa1_sup() == pytest.approx(0.5, abs=1e-6)
-    declared = CurvatureProfile([gaussian_bump(0.5, 1.0)], (-20, 20), kappa1_bound=0.7)
-    assert declared.kappa1_sup() == 0.7
+    from tubespectra.profiles import ScalarFunction
+
+    bump = gaussian_bump(0.9, 0.25)
+    assert CurvatureProfile([bump], (-1e4, 1e4)).kappa1_sup() == 0.9
+    # no declared sup: sampled on the gate's abscissae, which resolve the
+    # peak at s = 0 even at s_max = 1e4 (evenly spaced samples gave 0.2)
+    undeclared = ScalarFunction([bump])
+    prof = CurvatureProfile([undeclared], (-1e4, 1e4))
+    assert prof.kappa1_sup() == pytest.approx(0.9, abs=1e-9)
 
 
 @pytest.mark.parametrize(

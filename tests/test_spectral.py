@@ -184,17 +184,24 @@ def test_bound_state_for_strongly_bent_strip(strong_recipe, interval_thresholds)
     assert report.essential_spectrum_onset == NU1
 
 
-def test_given_domain_length_assembles_each_level_once(strong_recipe, interval_thresholds):
+@pytest.mark.parametrize("domain_length", [4.0, None], ids=["given-length", "selected-length"])
+def test_ladder_assembles_each_level_once(strong_recipe, interval_thresholds, domain_length):
     calls = []
 
     def counting_recipe(length, spacing):
         calls.append((length, spacing))
         return strong_recipe(length, spacing)
 
-    policy = ConvergencePolicy(spacings=(0.2, 0.1), domain_length=4.0, n_eigs=2)
+    policy = ConvergencePolicy(spacings=(0.2, 0.1), domain_length=domain_length, n_eigs=2)
     res = bound_states(counting_recipe, interval_thresholds, policy)
-    # L/4, L/2 and L at the coarsest spacing, then L at the finer one
-    assert calls == [(1.0, 0.2), (2.0, 0.2), (4.0, 0.2), (4.0, 0.1)]
+    if domain_length is not None:
+        # L/4, L/2 and L at the coarsest spacing, then L at the finer one
+        assert calls == [(1.0, 0.2), (2.0, 0.2), (4.0, 0.2), (4.0, 0.1)]
+    else:
+        # the doublings at the coarsest spacing, then L at the finer one
+        assert calls == [(ell, 0.2) for ell, _ in res.truncation_ladder] + [
+            (res.domain_length, 0.1)
+        ]
     assert res.raw_ladder[0][0] == res.truncation_ladder[-1][1]
 
 
@@ -253,10 +260,12 @@ def test_non_monotone_ladder_raises_diagnostics_error():
 
 
 def test_domain_doubling_rule_stops(strong_recipe):
-    length, ladder = select_domain_length(
+    length, ladder, lowest, level = select_domain_length(
         strong_recipe, 0.125, initial_length=4.0, truncation_tol=1e-4, nu1=NU1
     )
     assert length >= 8.0
+    # the last doubling's solve comes back for reuse as a ladder level
+    assert (level.length, level.spacing, lowest[0]) == (length, 0.125, ladder[-1][1])
     vals = [v for _, v in ladder]
     assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))  # monotone down
     assert abs(vals[-1] - vals[-2]) < 1e-4
