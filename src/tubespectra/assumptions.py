@@ -214,7 +214,7 @@ def _ladder_shape_ok(ladder, cfg):
     return True
 
 
-def bounded_entry(identifier, quantity, value, ok, notes=""):
+def bounded_entry(identifier, quantity, ok, notes=""):
     return HypothesisEntry(
         identifier=identifier,
         quantity=quantity,
@@ -384,7 +384,7 @@ def check_curvature_decay(profile, ladder=None, config=None):
     entries.append(
         bounded_entry(
             "curvature-bounded[K_sub]", "sup|K_sub|",
-            value=sup_sub, ok=np.isfinite(sup_sub), notes=f"sup={sup_sub!r}",
+            ok=np.isfinite(sup_sub), notes=f"sup={sup_sub!r}",
         )
     )
     if d >= 3:
@@ -392,7 +392,7 @@ def check_curvature_decay(profile, ladder=None, config=None):
         entries.append(
             bounded_entry(
                 "curvature-bounded[K'^2]", "sup|d K^2|",
-                value=sup_c2, ok=np.isfinite(sup_c2), notes=f"sup={sup_c2!r}",
+                ok=np.isfinite(sup_c2), notes=f"sup={sup_c2!r}",
             )
         )
 
@@ -504,7 +504,6 @@ def check_coefficient_assumptions(coeffs, potential, ladder=None, s_range=None,
         bounded_entry(
             "G-bounds",
             "eigenvalue bounds of G",
-            value=(c_lo, c_hi),
             ok=0.0 < c_lo <= c_hi < np.inf,
             notes=f"C-={c_lo!r} C+={c_hi!r}",
         )
@@ -522,7 +521,6 @@ def check_coefficient_assumptions(coeffs, potential, ladder=None, s_range=None,
         bounded_entry(
             "G-divergence-bounded",
             "sup|G^1i_,i|",
-            value=div_sup,
             ok=np.isfinite(div_sup),
             notes=f"sup={div_sup!r}",
         )
@@ -533,7 +531,7 @@ def check_coefficient_assumptions(coeffs, potential, ladder=None, s_range=None,
     v_sup = float(np.max(v_abs(sampler.master_abscissae())))
     entries.append(
         bounded_entry(
-            "V-bounded", "sup|V|", value=v_sup, ok=np.isfinite(v_sup), notes=f"sup={v_sup!r}"
+            "V-bounded", "sup|V|", ok=np.isfinite(v_sup), notes=f"sup={v_sup!r}"
         )
     )
     entries.append(limit_entry("V-approach-zero", "sup|V|", v_abs, ladder, sampler, cfg))
@@ -584,7 +582,7 @@ def check_basic(metric=None, overlap=None, waive_overlap=False, config=None):
         entries.append(
             bounded_entry(
                 "basic-curvature-bound", "a * sup|kappa_1|",
-                value=product, ok=product < 1.0,
+                ok=product < 1.0,
                 notes=f"product={product!r} margin={1.0 - product!r}",
             )
         )
@@ -593,7 +591,6 @@ def check_basic(metric=None, overlap=None, waive_overlap=False, config=None):
         entries.append(
             bounded_entry(
                 "basic-ellipticity", "c- <= h <= c+",
-                value=(bounds.c_minus, bounds.c_plus),
                 ok=bounds.c_minus > 0.0,
                 notes=f"c-={bounds.c_minus!r} c+={bounds.c_plus!r}",
             )

@@ -36,6 +36,7 @@ from .frames import (
     check_self_overlap,
     export_mesh,
     integrate_tang_rotation,
+    overlap_clearance,
     tube_embedding,
 )
 from .metric import (
@@ -83,15 +84,19 @@ def grid_for(omega, length, spacing):
     raise ConfigError(f"no operator grid for cross-section kind {omega.kind!r}")
 
 
+def s_window(profile, half_width):
+    """[-half_width, half_width] clipped to both ends of the profile's s_range."""
+    lo, hi = profile.s_range
+    return max(lo, -half_width), min(hi, half_width)
+
+
 def build_metric(cfg: WaveguideConfig, profile, omega):
     """Metric evaluators for either problem kind."""
     if cfg.kind == "euclidean-tube":
         if cfg.dimension == 2:
             return metric_from_profile(profile, omega.a)
-        span = max(cfg.s_max, 1.25 * (cfg.domain_length or 64.0))
-        span = min(span, profile.s_range[1])
-        s_grid = np.linspace(-span, span, 2049)
-        rot = integrate_tang_rotation(profile, s_grid)
+        # the gate samples the whole s_range, so the rotation must cover it
+        rot = integrate_tang_rotation(profile, np.linspace(*profile.s_range, 2049))
         return metric_from_frames(profile, rot, omega.a)
     surface = SurfaceData(
         gauss_curvature=cfg.gauss_curvature_fn(),
@@ -118,12 +123,10 @@ def overlap_certificate(cfg, profile, omega):
     if cfg.kind == "surface-strip":
         return None, True  # abstract manifold: only the base curve is embedded
     a = omega.a
-    clearance = 2.0 * a * 0.99
-    span = min(profile.s_range[1], (cfg.domain_length or 32.0) + 4.0 * a)
+    lo, hi = s_window(profile, (cfg.domain_length or 32.0) + 4.0 * a)
     # keep embedded sample spacing safely under clearance/2
-    n_s = max(64, int(np.ceil(2.0 * span / (clearance / 4.0))) + 1)
-    s_grid = np.linspace(-span, span, n_s)
-    frames = build_frame_field(profile, s_grid)
+    n_s = max(64, int(np.ceil((hi - lo) / (overlap_clearance(a) / 4.0))) + 1)
+    frames = build_frame_field(profile, np.linspace(lo, hi, n_s))
     if cfg.dimension == 2:
         u_pts = np.array([[-a], [0.0], [a]])
     else:
@@ -258,8 +261,7 @@ def run_export(cfg: WaveguideConfig, out_dir="."):
     omega = cfg.cross_section()
     metric = build_metric(cfg, profile, omega)
     a = omega.a
-    span = min(profile.s_range[1], cfg.domain_length or 16.0)
-    s_grid = np.linspace(-span, span, cfg.mesh_s_points)
+    s_grid = np.linspace(*s_window(profile, cfg.domain_length or 16.0), cfg.mesh_s_points)
     if cfg.dimension == 2:
         u_vals = np.linspace(-a, a, cfg.mesh_u_points)[:, None]
     else:

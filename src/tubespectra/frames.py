@@ -8,13 +8,13 @@ every grid step the state is projected back onto the nearest rotation
 (SVD polar factor with determinant correction), which removes the O(h^5)
 per-step drift the exact flow does not have.
 
-Initial data are pinned at arclength 0 by default: standard basis frame,
-identity rotation, curve through the origin.
+Initial data are pinned at arclength 0: standard basis frame, identity
+rotation, curve through the origin.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,6 +30,7 @@ __all__ = [
     "build_frame_field",
     "tube_embedding",
     "check_self_overlap",
+    "overlap_clearance",
     "export_mesh",
 ]
 
@@ -70,17 +71,18 @@ def _rk4_interval(rhs, s0, y0, s1, substeps):
     return y
 
 
-def _march(rhs, anchor, y0, targets, substeps, drift_slice):
-    """March from ``anchor`` through the sorted ``targets``.
+def _march(rhs, y0, targets, drift_slice):
+    """March from arclength 0 through the sorted ``targets``.
 
     ``drift_slice`` selects the rotation block of the state for the drift
-    check and re-projection.  On excessive drift the interval is retried
-    with doubled substeps a few times before raising.
+    check and re-projection.  Each interval takes one RK4 step; on
+    excessive drift it is retried with doubled substeps a few times before
+    raising.
     """
     out = []
-    s_prev, y = anchor, y0
+    s_prev, y = 0.0, y0
     for s_next in targets:
-        sub = substeps
+        sub = 1
         for attempt in range(_MAX_RETRIES + 1):
             y_try = _rk4_interval(rhs, s_prev, y, s_next, sub)
             if _orthogonality_drift(y_try[drift_slice]) <= _DRIFT_TOL:
@@ -98,25 +100,23 @@ def _march(rhs, anchor, y0, targets, substeps, drift_slice):
     return out
 
 
-def _integrate_bidirectional(rhs, s_grid, y0, substeps, drift_slice, anchor=0.0):
-    """Integrate a matrix ODE both ways from the anchor onto s_grid."""
+def _integrate_bidirectional(rhs, s_grid, y0, drift_slice):
+    """Integrate a matrix ODE both ways from arclength 0 onto s_grid."""
     s_grid = np.asarray(s_grid, dtype=float)
     if s_grid.ndim != 1 or s_grid.size < 1:
         raise InputError("s_grid must be a non-empty 1-d array")
     if np.any(np.diff(s_grid) <= 0):
         raise InputError("s_grid must be strictly increasing")
-    if anchor < s_grid[0] - 1e-12 or anchor > s_grid[-1] + 1e-12:
-        raise InputError("anchor arclength must lie inside the s_grid span")
+    if s_grid[0] > 1e-12 or s_grid[-1] < -1e-12:
+        raise InputError("s_grid must span arclength 0, where the initial data are pinned")
 
     result = np.empty((s_grid.size,) + y0.shape)
-    fwd = np.nonzero(s_grid > anchor + 1e-14)[0]
-    bwd = np.nonzero(s_grid < anchor - 1e-14)[0][::-1]
-    at = np.nonzero(np.abs(s_grid - anchor) <= 1e-14)[0]
-    for i in at:
-        result[i] = y0
-    for idx, y in zip(fwd, _march(rhs, anchor, y0, s_grid[fwd], substeps, drift_slice)):
+    fwd = np.nonzero(s_grid > 1e-14)[0]
+    bwd = np.nonzero(s_grid < -1e-14)[0][::-1]
+    result[np.abs(s_grid) <= 1e-14] = y0
+    for idx, y in zip(fwd, _march(rhs, y0, s_grid[fwd], drift_slice)):
         result[idx] = y
-    for idx, y in zip(bwd, _march(rhs, anchor, y0, s_grid[bwd], substeps, drift_slice)):
+    for idx, y in zip(bwd, _march(rhs, y0, s_grid[bwd], drift_slice)):
         result[idx] = y
     return result
 
@@ -152,7 +152,6 @@ class FrameField:
     frames: np.ndarray      # (n, d, d), rows are e_i
     points: np.ndarray      # (n, d)
     rotations: np.ndarray   # (n, d-1, d-1)
-    frame_tol: float = field(default=FRAME_TOL)
 
     @property
     def dimension(self):
@@ -170,31 +169,21 @@ class FrameField:
         d = self.dimension
         eye = np.eye(d)
         orth = np.max(np.abs(np.einsum("kij,klj->kil", self.frames, self.frames) - eye))
-        if orth > self.frame_tol:
-            raise InputError(f"frame orthonormality defect {orth:g} above {self.frame_tol:g}")
+        if orth > FRAME_TOL:
+            raise InputError(f"frame orthonormality defect {orth:g} above {FRAME_TOL:g}")
         det_r = np.max(np.abs(np.linalg.det(self.rotations) - 1.0))
         eye_r = np.eye(d - 1)
         orth_r = np.max(
             np.abs(np.einsum("kij,klj->kil", self.rotations, self.rotations) - eye_r)
         )
-        if max(det_r, orth_r) > self.frame_tol:
+        if max(det_r, orth_r) > FRAME_TOL:
             raise InputError(
-                f"rotation defect (det {det_r:g}, orth {orth_r:g}) above {self.frame_tol:g}"
+                f"rotation defect (det {det_r:g}, orth {orth_r:g}) above {FRAME_TOL:g}"
             )
         return self
 
 
-def _validate_rotation(m, size, what):
-    m = np.asarray(m, dtype=float)
-    if m.shape != (size, size):
-        raise InputError(f"{what} must be {size}x{size}")
-    if np.max(np.abs(m @ m.T - np.eye(size))) > 1e-9 or abs(np.linalg.det(m) - 1.0) > 1e-9:
-        raise InputError(f"{what} is not a rotation (orthogonal, det=1)")
-    return m
-
-
-def integrate_frenet(profile, s_grid, initial_frame=None, initial_point=None,
-                     substeps=1, anchor=0.0):
+def integrate_frenet(profile, s_grid):
     """Integrate the Serret-Frenet system and the curve itself.
 
     Returns a :class:`FrameField` whose rotation block is the identity at
@@ -202,22 +191,13 @@ def integrate_frenet(profile, s_grid, initial_frame=None, initial_point=None,
     :func:`build_frame_field`) to attach the transverse rotations.
     """
     d = profile.dimension
-    if initial_frame is None:
-        initial_frame = np.eye(d)
-    initial_frame = _validate_rotation(initial_frame, d, "initial frame")
-    if initial_point is None:
-        initial_point = np.zeros(d)
-    initial_point = np.asarray(initial_point, dtype=float)
-    if initial_point.shape != (d,):
-        raise InputError(f"initial point must have {d} components")
-
     s_grid = np.asarray(s_grid, dtype=float)
     lo, hi = profile.s_range
     if s_grid.size and (s_grid.min() < lo - 1e-12 or s_grid.max() > hi + 1e-12):
         raise InputError("s_grid leaves the profile's s_range")
 
     # Joint state: rows 0..d-1 hold the frame, row d the curve point.
-    y0 = np.vstack([initial_frame, initial_point[None, :]])
+    y0 = np.vstack([np.eye(d), np.zeros((1, d))])
 
     def rhs(s, y):
         k = profile.frenet_matrix(s)
@@ -226,23 +206,18 @@ def integrate_frenet(profile, s_grid, initial_frame=None, initial_point=None,
         dy[d] = y[0]
         return dy
 
-    states = _integrate_bidirectional(rhs, s_grid, y0, substeps, np.s_[:d], anchor)
+    states = _integrate_bidirectional(rhs, s_grid, y0, np.s_[:d])
     rot = np.broadcast_to(np.eye(d - 1), (s_grid.size, d - 1, d - 1)).copy()
     return FrameField(s_grid=s_grid, frames=states[:, :d, :],
                       points=states[:, d, :], rotations=rot)
 
 
-def integrate_tang_rotation(profile, s_grid, r0=None, substeps=1, anchor=0.0):
-    """Solve dR/ds + R K_sub = 0 with a rotation initial condition.
+def integrate_tang_rotation(profile, s_grid):
+    """Solve dR/ds + R K_sub = 0 with R(0) the identity.
 
     The exact flow conserves orthogonality and det R = 1; the integrator
     preserves both numerically via per-step re-projection.
     """
-    m = profile.dimension - 1
-    if r0 is None:
-        r0 = np.eye(m)
-    r0 = _validate_rotation(r0, m, "initial rotation")
-
     s_grid = np.asarray(s_grid, dtype=float)
     lo, hi = profile.s_range
     if s_grid.size and (s_grid.min() < lo - 1e-12 or s_grid.max() > hi + 1e-12):
@@ -251,7 +226,9 @@ def integrate_tang_rotation(profile, s_grid, r0=None, substeps=1, anchor=0.0):
     def rhs(s, y):
         return -(y @ profile.sub_block(s))
 
-    states = _integrate_bidirectional(rhs, s_grid, r0, substeps, np.s_[:], anchor)
+    states = _integrate_bidirectional(
+        rhs, s_grid, np.eye(profile.dimension - 1), np.s_[:]
+    )
     return RotationField(s_grid=s_grid, matrices=states)
 
 
@@ -320,31 +297,29 @@ class OverlapResult:
     arc_separations: np.ndarray  # (k,)
     min_arc_separation: float
     clearance: float
-    waived: bool = False
-
-    def __bool__(self):
-        return self.overlap_free
 
 
-def check_self_overlap(cloud, min_arc_separation=None, clearance=None):
+def overlap_clearance(a):
+    """Distance two far-apart samples of a radius-a tube must keep: just
+    under the tube diameter."""
+    return 2.0 * a * 0.99
+
+
+def check_self_overlap(cloud):
     """Detect tube self-overlap on a sampled point cloud.
 
     Two samples are offending when their arclength parameters differ by
-    more than ``min_arc_separation`` while their images lie within
-    ``clearance`` of each other.  Defaults tie both lengths to the tube
-    radius a: within arc distance 4a the tube is locally embedded whenever
-    the basic curvature bound holds, beyond that we demand clearance just
-    under the tube diameter.
+    more than 4a while their images lie within ``overlap_clearance(a)`` of
+    each other, a being the tube radius: within arc distance 4a the tube
+    is locally embedded whenever the basic curvature bound holds.
     """
     from scipy.spatial import cKDTree
 
     a = cloud.radius
-    if min_arc_separation is None:
-        min_arc_separation = 4.0 * a
-    if clearance is None:
-        clearance = 2.0 * a * 0.99
-    if clearance <= 0 or min_arc_separation <= 0:
-        raise InputError("clearance and min_arc_separation must be positive")
+    if a <= 0:
+        raise InputError("tube radius must be positive")
+    min_arc_separation = 4.0 * a
+    clearance = overlap_clearance(a)
 
     pts = cloud.reshaped_points()
     if cloud.n_s < 2:

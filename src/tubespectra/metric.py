@@ -56,9 +56,10 @@ class TubeMetric:
 
     ``hu_sq``    = delta^{mu nu} h_,mu h_,nu
     ``lap_u``    = delta^{mu nu} h_,mu nu
-    ``hu_sq_s``  = d/ds of ``hu_sq``
+    ``hu_sq_s``  = d/ds of ``hu_sq`` (twice delta^{mu nu} h_,1mu h_,nu)
     ``lap_u_s``  = delta^{mu nu} h_,1 mu nu
-    ``cross_su`` = delta^{mu nu} h_,1mu h_,nu
+
+    together with h and its s-derivatives ``h_s``, ``h_ss``, ``h_sss``.
 
     Evaluators are immutable after construction; concurrent evaluation is
     safe.
@@ -86,8 +87,8 @@ class TubeMetric:
             raise InputError(f"transverse point needs {m} components")
         return u
 
-    # Subclasses implement: h, h_s, h_ss, h_sss, h_u, hu_sq, hu_sq_s,
-    # lap_u, lap_u_s, cross_su.
+    # Subclasses implement: h, h_s, h_ss, h_sss, hu_sq, hu_sq_s, lap_u,
+    # lap_u_s.
 
     @property
     def bounds(self):
@@ -95,14 +96,6 @@ class TubeMetric:
         if self._bounds is None:
             self._bounds = ellipticity_bounds(self)
         return self._bounds
-
-    @property
-    def c_minus(self):
-        return self.bounds.c_minus
-
-    @property
-    def c_plus(self):
-        return self.bounds.c_plus
 
 
 class EuclideanTubeMetric(TubeMetric):
@@ -132,12 +125,9 @@ class EuclideanTubeMetric(TubeMetric):
         if m == 1:
             self._rot = None  # rotation is identically the scalar 1
         else:
-            if rotations is None:
-                raise InputError("d >= 3 requires transverse rotation samples")
-            if isinstance(rotations, RotationField):
-                s_grid, mats = rotations.s_grid, rotations.matrices
-            else:
-                s_grid, mats = rotations
+            if not isinstance(rotations, RotationField):
+                raise InputError("d >= 3 requires a RotationField of transverse rotations")
+            s_grid, mats = rotations.s_grid, rotations.matrices
             if mats.shape[-1] != m:
                 raise InputError("rotation block size does not match the profile")
             from scipy.interpolate import CubicSpline
@@ -212,11 +202,6 @@ class EuclideanTubeMetric(TubeMetric):
     def h_sss(self, s, u):
         return self._contract(s, u, 3)
 
-    def h_u(self, s, u):
-        u = self._split_u(u)
-        w = self._w(np.asarray(s, dtype=float), 0)
-        return np.broadcast_to(w, np.broadcast_shapes(w.shape, u.shape)).copy()
-
     # Rotation orthogonality collapses the transverse contractions to
     # curvature scalars; these identities are exact, no interpolation.
     def hu_sq(self, s, u):
@@ -225,10 +210,6 @@ class EuclideanTubeMetric(TubeMetric):
 
     def hu_sq_s(self, s, u):
         val = 2.0 * self.profile.kappa(1, s, 0) * self.profile.kappa(1, s, 1)
-        return self._bcast(val, s, u)
-
-    def cross_su(self, s, u):
-        val = self.profile.kappa(1, s, 0) * self.profile.kappa(1, s, 1)
         return self._bcast(val, s, u)
 
     def lap_u(self, s, u):
@@ -273,24 +254,22 @@ class SurfaceStripMetric(TubeMetric):
 
     h is computed on demand by a vectorized RK4 sweep in u (from the
     centreline outward, both directions, all requested s at once) over an
-    internal u grid, and evaluated in between with cubic Hermite
-    interpolation using the stored transverse derivative.  Evaluating at
-    the exact requested s (instead of interpolating stored columns) keeps
-    the s-interpolation error out of the finite-difference s-derivatives.
+    internal u grid of ``_HALF_NODES`` steps per side, and evaluated in
+    between with cubic Hermite interpolation using the stored transverse
+    derivative.  Evaluating at the exact requested s (instead of
+    interpolating stored columns) keeps the s-interpolation error out of
+    the finite-difference s-derivatives, taken with step ``_FD_STEP``.
     """
 
     source = "surface-strip"
+    _HALF_NODES = 256
+    _FD_STEP = 1e-2
 
-    def __init__(self, surface: SurfaceData, u_step=None, fd_step=1e-2):
+    def __init__(self, surface: SurfaceData):
         super().__init__(surface.a, 2, surface.s_range)
         self.surface = surface
-        a = self.a
-        if u_step is None:
-            u_step = a / 256.0
-        n_half = max(8, int(np.ceil(a / u_step)))
-        self.u_nodes = np.linspace(-a, a, 2 * n_half + 1)
-        self._i0 = n_half
-        self.fd_step = float(fd_step)
+        self.u_nodes = np.linspace(-self.a, self.a, 2 * self._HALF_NODES + 1)
+        self._i0 = self._HALF_NODES
         self._cache = {}
 
     # -- Jacobi sweep -------------------------------------------------------
@@ -385,9 +364,6 @@ class SurfaceStripMetric(TubeMetric):
     def h(self, s, u):
         return self._columns(s, u, "h")
 
-    def h_u(self, s, u):
-        return self._columns(s, u, "hu")[..., None]
-
     # -- order-4 finite differences in s ------------------------------------
     _D1 = ((-2, 1.0 / 12.0), (-1, -8.0 / 12.0), (1, 8.0 / 12.0), (2, -1.0 / 12.0))
     _D2 = ((-2, -1.0 / 12.0), (-1, 16.0 / 12.0), (0, -30.0 / 12.0),
@@ -399,8 +375,8 @@ class SurfaceStripMetric(TubeMetric):
         s = np.asarray(s, dtype=float)
         acc = 0.0
         for off, c in stencil:
-            acc = acc + c * fn(s + off * self.fd_step, u)
-        return acc / self.fd_step**power
+            acc = acc + c * fn(s + off * self._FD_STEP, u)
+        return acc / self._FD_STEP**power
 
     def h_s(self, s, u):
         return self._fd(self.h, self._D1, 1, s, u)
@@ -418,11 +394,6 @@ class SurfaceStripMetric(TubeMetric):
         hu = self._columns(s, u, "hu")
         hus = self._fd(lambda a, b: self._columns(a, b, "hu"), self._D1, 1, s, u)
         return 2.0 * hu * hus
-
-    def cross_su(self, s, u):
-        hu = self._columns(s, u, "hu")
-        hus = self._fd(lambda a, b: self._columns(a, b, "hu"), self._D1, 1, s, u)
-        return hus * hu
 
     def lap_u(self, s, u):
         s_arr = np.asarray(s, dtype=float)
@@ -445,23 +416,14 @@ def metric_from_profile(profile, a):
     return EuclideanTubeMetric(profile, None, a)
 
 
-def metric_from_jacobi(surface, u_grid=None):
+def metric_from_jacobi(surface):
     """Strip metric on a surface of Gauss curvature K.
 
-    ``u_grid`` (when given) must contain 0 and fixes the internal
-    integration nodes; evaluation integrates at the exact requested s
-    values over the surface's own ``s_range``.
+    The Jacobi equation is integrated on 513 evenly spaced u-nodes across
+    the strip, at the exact requested s values within the surface's own
+    ``s_range``.
     """
-    if u_grid is not None:
-        u_grid = np.asarray(u_grid, dtype=float)
-        if not np.any(np.abs(u_grid) < 1e-14):
-            raise InputError("u_grid must include the centreline u = 0")
-        if np.any(np.abs(u_grid) > surface.a + 1e-12):
-            raise InputError("u_grid leaves the strip half-width")
-        u_step = float(np.min(np.diff(np.sort(u_grid))))
-    else:
-        u_step = None
-    return SurfaceStripMetric(surface, u_step=u_step)
+    return SurfaceStripMetric(surface)
 
 
 @dataclass(frozen=True)

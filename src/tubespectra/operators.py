@@ -64,23 +64,19 @@ class TruncatedGrid:
 
     # -- constructors -------------------------------------------------------
     @staticmethod
-    def interval(length, s_spacing, half_width, t_spacing=None):
+    def interval(length, spacing, half_width):
         """d=2 grid on [-L, L] x [-a, a]."""
-        if t_spacing is None:
-            t_spacing = s_spacing
-        s_nodes = _axis_nodes(length, s_spacing)
-        u_nodes = _axis_nodes(half_width, t_spacing)
+        s_nodes = _axis_nodes(length, spacing)
+        u_nodes = _axis_nodes(half_width, spacing)
         interior = np.zeros(u_nodes.size, dtype=bool)
         interior[1:-1] = True
         return TruncatedGrid(s_nodes, (u_nodes,), interior)
 
     @staticmethod
-    def box(length, s_spacing, half_widths, t_spacing=None):
+    def box(length, spacing, half_widths):
         """d>=3 grid with a rectangular cross-section."""
-        if t_spacing is None:
-            t_spacing = s_spacing
-        s_nodes = _axis_nodes(length, s_spacing)
-        axes = tuple(_axis_nodes(a, t_spacing) for a in half_widths)
+        s_nodes = _axis_nodes(length, spacing)
+        axes = tuple(_axis_nodes(a, spacing) for a in half_widths)
         interior = np.ones(tuple(ax.size for ax in axes), dtype=bool)
         for k in range(len(axes)):
             sl = [slice(None)] * len(axes)
@@ -90,12 +86,10 @@ class TruncatedGrid:
         return TruncatedGrid(s_nodes, axes, interior)
 
     @staticmethod
-    def disc(length, s_spacing, radius, t_spacing=None):
+    def disc(length, spacing, radius):
         """d=3 grid with a disc cross-section masked on its bounding box."""
-        if t_spacing is None:
-            t_spacing = s_spacing
-        s_nodes = _axis_nodes(length, s_spacing)
-        ax = _axis_nodes(radius, t_spacing)
+        s_nodes = _axis_nodes(length, spacing)
+        ax = _axis_nodes(radius, spacing)
         X, Y = np.meshgrid(ax, ax, indexing="ij")
         interior = np.hypot(X, Y) < radius - 1e-12
         interior[0, :] = interior[-1, :] = False
@@ -234,7 +228,7 @@ class CoefficientField:
         """(C-, C+) with C- 1 <= G <= C+ 1."""
         if self.metric is None:
             return 1.0, 1.0
-        c_minus, c_plus = self.metric.c_minus, self.metric.c_plus
+        c_minus, c_plus = self.metric.bounds
         return min(c_plus**-2.0, 1.0), max(c_minus**-2.0, 1.0)
 
 
@@ -292,7 +286,7 @@ class EffectivePotential:
             + 0.5
             * (
                 h1 * m.hu_sq(s, u) / h**3
-                - (h1 * m.lap_u(s, u) + m.cross_su(s, u)) / h**2
+                - (h1 * m.lap_u(s, u) + 0.5 * m.hu_sq_s(s, u)) / h**2
                 + m.lap_u_s(s, u) / h
             )
         )

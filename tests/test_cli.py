@@ -398,6 +398,39 @@ def test_table_curvature_round_trip(tmp_path):
     assert profile.kappa(1, 0.0) == pytest.approx(0.65, abs=1e-9)
 
 
+
+def _bump_table(tmp_path, lo, hi):
+    s = np.linspace(lo, hi, int(round(10 * (hi - lo))) + 1)
+    np.savetxt(tmp_path / "kappa.txt", np.stack([s, 0.3 * np.exp(-(s**2))], axis=1))
+    return "family = table\nfile = kappa.txt"
+
+
+def test_asymmetric_table_keeps_every_window_inside_its_s_range(tmp_path, capsys):
+    # every s-window must stay inside [-20, 60]: mirroring the upper end
+    # gives [-36, 36], which the frame integration refuses (exit 1)
+    text = BENT_STRIP.replace(
+        "family = gaussian-bump\nkappa0 = 0.5\nsigma = 1.0", _bump_table(tmp_path, -20.0, 60.0)
+    )
+    code = main(["check", "--config", write(tmp_path, text), "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert "error" not in captured.err
+    assert "basic: pass" in captured.out
+    # the decay ladder scales with the shorter side (R <= 10), inside the bump
+    assert code == 2
+
+
+def test_d3_table_wider_than_s_max_samples_the_rotation_over_the_table(tmp_path, capsys):
+    # a table on [-100, 100] with s_max = 50: the gate samples all of the
+    # table, so the rotation must cover it, not just +-max(s_max, 1.25 L)
+    text = RECT_TUBE.replace(
+        "family = gaussian-bump\nkappa0 = 0.5\nsigma = 1.0", _bump_table(tmp_path, -100.0, 100.0)
+    ).replace("domain_length = 16.0", "s_max = 50.0")
+    code = main(["check", "--config", write(tmp_path, text), "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert "error" not in captured.err
+    assert code == 0
+
+
 RECT_TUBE = """
 [problem]
 kind = euclidean-tube

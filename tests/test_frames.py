@@ -7,6 +7,8 @@ from tubespectra import (
     InputError,
     IntegrationError,
     ResolutionError,
+    SurfaceData,
+    TruncatedGrid,
     constant_function,
     gaussian_bump,
     integrate_frenet,
@@ -14,6 +16,7 @@ from tubespectra import (
     build_frame_field,
     check_self_overlap,
     export_mesh,
+    metric_from_jacobi,
     tube_embedding,
 )
 from conftest import random_smooth_profile
@@ -82,23 +85,25 @@ def test_frame_invariants_on_random_profiles(seed):
     ff.validate()  # orthonormality and det R = 1 within 1e-10
 
 
-def test_frame_field_rejects_unknown_keywords():
-    prof = profile_d2(gaussian_bump(0.5, 1.0))
+@pytest.mark.parametrize(
+    "keyword", ["anchr", "anchor", "r0", "clearance", "u_grid", "t_spacing"]
+)
+def test_frame_field_rejects_unknown_keywords(keyword):
+    # a misspelt keyword, then one removed keyword per geometry-layer entry point
+    bump, s = profile_d2(gaussian_bump(0.5)), np.linspace(-4, 4, 65)
+    flat = SurfaceData(lambda s, u: np.zeros_like(s), lambda s: 0.0 * s, 1.0, (-5.0, 5.0))
+    calls = {
+        "anchr": lambda kw: build_frame_field(bump, s, **kw),
+        "anchor": lambda kw: integrate_frenet(bump, s, **kw),
+        "r0": lambda kw: integrate_tang_rotation(bump, s, **kw),
+        "clearance": lambda kw: check_self_overlap(
+            tube_embedding(integrate_frenet(bump, s), np.zeros(1), radius=0.5), **kw
+        ),
+        "u_grid": lambda kw: metric_from_jacobi(flat, **kw),
+        "t_spacing": lambda kw: TruncatedGrid.interval(4.0, 0.5, 1.0, **kw),
+    }
     with pytest.raises(TypeError):
-        build_frame_field(prof, np.linspace(-4, 4, 65), anchr=1.0)
-
-
-def test_frenet_equivariance_under_fixed_rotation():
-    rng = np.random.default_rng(42)
-    prof = random_smooth_profile(rng, dimension=3)
-    q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-    if np.linalg.det(q) < 0:
-        q[:, 0] *= -1
-    s = np.linspace(-4, 4, 129)
-    base = integrate_frenet(prof, s)
-    rotated = integrate_frenet(prof, s, initial_frame=np.eye(3) @ q.T)
-    assert np.allclose(rotated.frames, base.frames @ q.T, atol=1e-8)
-    assert np.allclose(rotated.points, base.points @ q.T, atol=1e-8)
+        calls[keyword]({keyword: 0.5})
 
 
 def test_tang_frame_derivative_identities():
@@ -143,26 +148,15 @@ def test_tang_rotation_d3_integrates_torsion():
 
 
 def test_tang_rotation_d4_zero_curvatures_keeps_r0():
+    # R(0) is pinned to the identity; with no curvature it never moves
     prof = CurvatureProfile([constant_function(0.0)] * 3, (-10, 10))
-    theta = 0.7
-    r0 = np.eye(3)
-    r0[:2, :2] = [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
     s = np.linspace(-5, 5, 33)
-    rot = integrate_tang_rotation(prof, s, r0=r0)
-    assert np.allclose(rot.matrices, r0, atol=1e-13)
+    rot = integrate_tang_rotation(prof, s)
+    assert np.allclose(rot.matrices, np.eye(3), atol=1e-13)
 
 
 def test_bad_initial_data_is_rejected():
     prof = profile_d2(constant_function(0.1))
-    s = np.linspace(0, 1, 5)
-    with pytest.raises(InputError):
-        integrate_frenet(prof, s, initial_frame=np.array([[1.0, 1.0], [0.0, 1.0]]))
-    with pytest.raises(InputError):
-        integrate_tang_rotation(
-            CurvatureProfile([constant_function(0.1)] * 2, (-2, 2)),
-            np.linspace(0, 1, 5),
-            r0=np.array([[2.0, 0.0], [0.0, 0.5]]),
-        )
     with pytest.raises(InputError):
         integrate_frenet(prof, np.array([0.0, 0.5, 0.5]))
 

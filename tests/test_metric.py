@@ -4,7 +4,6 @@ import pytest
 from tubespectra import (
     CurvatureProfile,
     EllipticityError,
-    InputError,
     SurfaceData,
     constant_function,
     ellipticity_bounds,
@@ -36,7 +35,7 @@ def test_straight_tube_metric_is_identically_one(straight_profile):
     s = np.linspace(-5, 5, 11)
     u = np.full_like(s, 0.3)
     assert np.all(m.h(s, u) == 1.0)
-    for fn in (m.h_s, m.h_ss, m.h_sss, m.hu_sq, m.hu_sq_s, m.lap_u, m.lap_u_s, m.cross_su):
+    for fn in (m.h_s, m.h_ss, m.h_sss, m.hu_sq, m.hu_sq_s, m.lap_u, m.lap_u_s):
         assert np.all(fn(s, u) == 0.0)
 
 
@@ -93,8 +92,6 @@ def test_closed_form_s_derivatives_match_finite_differences(seed):
     assert np.allclose(metric.h_ss(s, u), fd1(metric.h_s), atol=5e-8)
     assert np.allclose(metric.h_sss(s, u), fd1(metric.h_ss), atol=5e-7)
     assert np.allclose(metric.hu_sq_s(s, u), fd1(metric.hu_sq), atol=5e-8)
-    # cross term: for a tube, d^{mu nu} h_,1mu h_,nu = (1/2) d/ds hu_sq
-    assert np.allclose(metric.cross_su(s, u), 0.5 * metric.hu_sq_s(s, u), atol=1e-12)
 
 
 def test_affine_in_u_is_exact(bump_metric):
@@ -193,14 +190,6 @@ def test_focal_point_inside_strip_is_an_ellipticity_error():
     metric = metric_from_jacobi(surf)
     with pytest.raises(EllipticityError):
         metric.h(np.zeros(3), np.array([0.0, 1.0, 1.9]))
-
-
-def test_jacobi_u_grid_validation():
-    surf = flat_surface(lambda s: np.zeros_like(np.asarray(s, float)))
-    with pytest.raises(InputError):
-        metric_from_jacobi(surf, u_grid=np.array([0.25, 0.5]))  # missing 0
-    with pytest.raises(InputError):
-        metric_from_jacobi(surf, u_grid=np.array([0.0, 1.5]))  # outside width
 
 
 # ---------------------------------------------------------------------------

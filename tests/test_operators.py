@@ -7,6 +7,7 @@ from tubespectra import (
     EffectivePotential,
     EllipticityError,
     ResolutionError,
+    SurfaceData,
     TruncatedGrid,
     assemble_free_hamiltonian,
     assemble_hamiltonian,
@@ -15,6 +16,7 @@ from tubespectra import (
     constant_function,
     gaussian_bump,
     lowest_eigenvalues,
+    metric_from_jacobi,
     metric_from_profile,
     richardson_extrapolate,
     tabulated_function,
@@ -54,20 +56,32 @@ def test_potential_on_axis_for_constant_curvature():
         assert np.allclose(comps[name], 0.0)
 
 
+def curved_strip_metric():
+    """Strip whose Gauss and geodesic curvatures both vary in s and u."""
+    return metric_from_jacobi(SurfaceData(
+        gauss_curvature=lambda s, u: 0.3 * np.exp(-np.asarray(s) ** 2) * (1.0 + 0.5 * u),
+        kappa=lambda s: 0.5 * np.exp(-np.asarray(s) ** 2),
+        a=1.0,
+        s_range=(-10.0, 10.0),
+    ))
+
+
 def test_potential_derivative_matches_finite_differences(bump_metric):
-    pot = EffectivePotential(bump_metric)
-    s = np.linspace(-2.5, 2.5, 11)
-    u = np.full_like(s, 0.37)
-    errs = []
-    for delta in (4e-2, 2e-2):
-        fd = (
-            pot(s - 2 * delta, u)
-            - 8 * pot(s - delta, u)
-            + 8 * pot(s + delta, u)
-            - pot(s + 2 * delta, u)
-        ) / (12 * delta)
-        errs.append(np.max(np.abs(fd - pot.derivative_s(s, u))))
-    assert errs[1] < errs[0] / 8.0  # fourth-order oracle: expect ~16x
+    # the strip takes its cross term from hu_sq_s by finite differences
+    for metric in (bump_metric, curved_strip_metric()):
+        pot = EffectivePotential(metric)
+        s = np.linspace(-2.5, 2.5, 11)
+        u = np.full_like(s, 0.37)
+        errs = []
+        for delta in (4e-2, 2e-2):
+            fd = (
+                pot(s - 2 * delta, u)
+                - 8 * pot(s - delta, u)
+                + 8 * pot(s + delta, u)
+                - pot(s + 2 * delta, u)
+            ) / (12 * delta)
+            errs.append(np.max(np.abs(fd - pot.derivative_s(s, u))))
+        assert errs[1] < errs[0] / 8.0  # fourth-order oracle: expect ~16x
 
 
 def test_potential_singularity_is_flagged():
