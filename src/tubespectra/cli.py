@@ -62,7 +62,6 @@ from .spectral import (
     ConvergencePolicy,
     SpectralReport,
     assemble_commutator,
-    assemble_dilation,
     bound_states,
     mourre_check_free,
 )

@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .assumptions import _u_probe, sample_abscissae
+from .assumptions import _on_probe, _u_probe, sample_abscissae
 from .errors import EllipticityError, InputError
 from .frames import RotationField
 from .profiles import CurvatureProfile
@@ -449,9 +449,8 @@ def ellipticity_bounds(metric):
     if isinstance(metric, EuclideanTubeMetric):
         prod = metric.a * metric.kappa1_sup
         return EllipticityBounds(1.0 - prod, 1.0 + prod)
-    s = sample_abscissae(metric.s_range)
-    probe = _u_probe(metric.a, metric.dimension - 1)
-    vals = metric.h(s[:, None], np.broadcast_to(probe, (s.size,) + probe.shape))
+    s, probe = sample_abscissae(metric.s_range), _u_probe(metric.a, metric.dimension - 1)
+    vals = _on_probe(metric.h, s, probe)
     return EllipticityBounds(float(vals.min()), float(vals.max()))
 
 

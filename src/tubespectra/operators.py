@@ -303,12 +303,12 @@ def _axis_pair_slices(shape, axis):
     return tuple(lo), tuple(hi)
 
 
-def _assemble_divergence_form(grid, coefficient_arrays, sign=1.0):
-    """Matrix of sign * sum_k (-d_k c_k d_k) with face-averaged coefficients.
+def _assemble_divergence_form(grid, coefficient_arrays):
+    """Matrix of sum_k (-d_k c_k d_k) with face-averaged coefficients.
 
     ``coefficient_arrays[k]`` holds the nodal values of c_k on the full
-    tensor grid.  Returns (matrix, diag_only) with the matrix exactly
-    symmetric by construction.
+    tensor grid.  Returns the CSR matrix, exactly symmetric by
+    construction.
     """
     idx, act = grid.row_index()
     n = grid.n_unknowns
@@ -333,7 +333,7 @@ def _assemble_divergence_form(grid, coefficient_arrays, sign=1.0):
         shape=(n, n),
     )
     m = m + m.T + sp.diags(diag_full[act])
-    return sign * m.tocsr()
+    return m.tocsr()
 
 
 def _require_resolution(grid):

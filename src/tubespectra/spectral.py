@@ -1,10 +1,10 @@
 """Eigenvalue computations, convergence ladders and the Mourre check.
 
 Bound states live strictly below the first transverse threshold nu_1.
-On a truncated grid they are found by shift-invert Lanczos (dense LAPACK
-below a size cutoff), refined over a spacing ladder, and Richardson
-extrapolated assuming the clean second-order convergence of the stencil;
-the fitted order is reported and the result flagged when it strays from 2.
+On a truncated grid they are found by shift-invert Lanczos, refined over
+a spacing ladder, and Richardson extrapolated assuming the clean
+second-order convergence of the stencil; the fitted order is reported
+and the result flagged when it strays from 2.
 
 Every shift-invert solve factorizes A - sigma I exactly once, with SuperLU
 under a symmetric fill-reducing ordering, and hands those factors to
@@ -64,7 +64,6 @@ __all__ = [
     "SpectralReport",
 ]
 
-_DENSE_CUTOFF = 2000
 # roundoff slack, relative to max(1, |nu_1|), of the ladder monotonicity test
 _MONOTONICITY_SLACK = 1e-10
 # first distance of the shift below a hint, relative to max(1, |hint|); the
@@ -138,11 +137,7 @@ def _certified_pairs(m, k, sigma):
 
 
 class Eigensolve(tuple):
-    """``(values, residuals)`` of one solve, with the shift it used.
-
-    ``shift`` is the certified shift-invert sigma, or None when dense
-    LAPACK solved the problem.
-    """
+    """``(values, residuals)`` of one solve, with its certified shift."""
 
     def __new__(cls, values, residuals, shift):
         self = super().__new__(cls, (values, residuals))
@@ -153,65 +148,54 @@ class Eigensolve(tuple):
 def lowest_eigenvalues(op, k, below=None):
     """k smallest eigenvalues of a symmetric operator, with residuals.
 
-    Dense LAPACK below 2000 unknowns.  Above, shift-invert Lanczos
-    (ARPACK, converged to machine precision: tol=0) at a shift sigma just
-    under ``below`` -- a hint such as the lowest eigenvalue of the previous
-    ladder level -- placed at ``below - 1e-2 * max(1, |below|)``, or at -1
-    without a hint.  M - sigma I is factorized once and ARPACK solves with
-    those factors.  The shift is certified by inertia after the solve: the
-    factorization must have no negative pivot, so no eigenvalue lies below
-    sigma and the k eigenvalues nearest sigma are the k lowest.  When it
-    has one, or M - sigma I is exactly singular, the result is discarded,
-    the distance of sigma below the hint is doubled, and the solve
-    repeated.  Raises SolverError when the factorization had to pivot off
-    the diagonal (its inertia would then mean nothing) or ARPACK did not
+    Shift-invert Lanczos (ARPACK, converged to machine precision: tol=0)
+    at a shift sigma just under ``below`` -- a hint such as the lowest
+    eigenvalue of the previous ladder level -- placed at
+    ``below - 1e-2 * max(1, |below|)``, or at -1 without a hint.
+    M - sigma I is factorized once and ARPACK solves with those factors.
+    The shift is certified by inertia after the solve: the factorization
+    must have no negative pivot, so no eigenvalue lies below sigma and
+    the k eigenvalues nearest sigma are the k lowest.  When it has one,
+    or M - sigma I is exactly singular, the result is discarded, the
+    distance of sigma below the hint is doubled, and the solve repeated.
+    Raises SolverError when the factorization had to pivot off the
+    diagonal (its inertia would then mean nothing) or ARPACK did not
     converge.
 
     Returns ``(values, residuals)``, residuals ||M v - lambda v|| of the
     unit eigenvectors, as an :class:`Eigensolve` whose ``shift`` is the
-    certified sigma (None on the dense path).
+    certified sigma.
     """
     m = op.matrix if isinstance(op, DiscreteOperator) else op
     n = m.shape[0]
     if k < 1 or k >= n:
         raise InputError(f"need 1 <= k < matrix dimension (k={k}, n={n})")
 
-    if n <= _DENSE_CUTOFF:
-        dense = m.toarray() if sp.issparse(m) else np.asarray(m)
-        vals, vecs = np.linalg.eigh(dense)
-        vals, vecs = vals[:k], vecs[:, :k]
-        sigma = None
-    else:
-        anchor = -1.0 if below is None else float(below)
-        step = _SHIFT_OFFSET * max(1.0, abs(anchor))
-        sigma = anchor if below is None else anchor - step
-        while (pairs := _certified_pairs(m, k, sigma)) is None:
-            sigma -= step
-            step *= 2.0
-        vals, vecs = pairs
-        order = np.argsort(vals)
-        vals, vecs = vals[order], vecs[:, order]
+    anchor = -1.0 if below is None else float(below)
+    step = _SHIFT_OFFSET * max(1.0, abs(anchor))
+    sigma = anchor if below is None else anchor - step
+    while (pairs := _certified_pairs(m, k, sigma)) is None:
+        sigma -= step
+        step *= 2.0
+    vals, vecs = pairs
+    order = np.argsort(vals)
+    vals, vecs = vals[order], vecs[:, order]
     residuals = np.linalg.norm(m @ vecs - vecs * vals[None, :], axis=0)
     return Eigensolve(vals, residuals, sigma)
 
 
 def _eigenpairs_near(matrix, target, k, lu):
-    """Eigenpairs nearest ``target`` via shift-invert (dense fallback).
+    """Eigenpairs nearest ``target`` via shift-invert.
 
     The shift sits 1e-9 above ``target``, off an exact eigenvalue
     collision.  ``lu`` holds the factors an earlier call at the same
     target returned, or None to factorize.  Returns ``(values, vectors,
-    lu)`` ordered by distance to ``target``; ``lu`` is None on the dense
-    path.
+    lu)`` ordered by distance to ``target``.
     """
-    n = matrix.shape[0]
-    if n <= _DENSE_CUTOFF:
-        vals, vecs = np.linalg.eigh(matrix.toarray())
-    else:
-        sigma = target + 1e-9
-        if lu is None:
-            lu = _factorize(matrix, sigma)
-        vals, vecs = _shift_invert(matrix, min(k, n - 2), sigma, lu)
+    sigma = target + 1e-9
+    if lu is None:
+        lu = _factorize(matrix, sigma)
+    vals, vecs = _shift_invert(matrix, min(k, matrix.shape[0] - 2), sigma, lu)
     order = np.argsort(np.abs(vals - target))
     return vals[order], vecs[:, order], lu
 
@@ -320,7 +304,7 @@ class LadderLevel:
     spacing: float
     unknowns: int
     nnz: int
-    shift: float                 # certified shift; None for dense LAPACK
+    shift: float                 # certified shift-invert sigma
     max_residual: float
 
 
@@ -520,7 +504,7 @@ def assemble_dilation(grid):
     return DiscreteOperator(matrix=m, grid=grid, tag="A")
 
 
-def assemble_commutator(coeffs, potential, grid, tag="commutator"):
+def assemble_commutator(coeffs, potential, grid):
     """Closed-form i[H, A] for diagonal coefficient fields.
 
     Three surviving terms: twice the axial kinetic part, the axial part
@@ -530,16 +514,16 @@ def assemble_commutator(coeffs, potential, grid, tag="commutator"):
     """
     S, U = grid.node_coordinates()
     g_nodes = np.ascontiguousarray(coeffs.axis_coefficient(0, S, U))
-    kinetic = _assemble_divergence_form(grid, [g_nodes], sign=1.0)
+    kinetic = _assemble_divergence_form(grid, [g_nodes])
 
     q_g1 = np.ascontiguousarray(S * coeffs.g_ss_s(S, U))
-    middle = _assemble_divergence_form(grid, [q_g1], sign=1.0)
+    middle = _assemble_divergence_form(grid, [q_g1])
 
     m = 2.0 * kinetic - middle
     if potential is not None:
         s_i, u_i = grid.interior_coordinates()
         m = m - sp.diags(s_i * np.asarray(potential.derivative_s(s_i, u_i), dtype=float))
-    return DiscreteOperator(matrix=m.tocsr(), grid=grid, tag=tag)
+    return DiscreteOperator(matrix=m.tocsr(), grid=grid, tag="commutator")
 
 
 def direct_commutator(h_op, dilation_op):
@@ -625,7 +609,7 @@ def mourre_check_free(h0_op, commutator_op, thresholds, lambda_windows,
         while True:
             vals, vecs, lu = _eigenpairs_near(h0_op.matrix, lam, k, lu)
             bracketed = np.any(vals <= lo) and np.any(vals >= hi)
-            if bracketed or n <= _DENSE_CUTOFF:
+            if bracketed:
                 break
             if k >= min(projector_rank, n - 2):
                 # an under-covered projector would silently miss window

@@ -3,10 +3,14 @@ import pytest
 
 from tubespectra import (
     CheckerConfig,
+    CoefficientField,
     CurvatureProfile,
+    EffectivePotential,
     EllipticityError,
+    InputError,
     SurfaceData,
     check_basic,
+    check_coefficient_assumptions,
     check_curvature_decay,
     check_metric_hypotheses,
     check_self_overlap,
@@ -16,6 +20,7 @@ from tubespectra import (
     metric_from_jacobi,
     metric_from_profile,
     power_tail,
+    tabulated_function,
     tube_embedding,
 )
 
@@ -25,13 +30,14 @@ def d2_profile(fn, s_max=1e4):
 
 
 def test_tail_suprema_are_non_increasing_by_construction():
-    from tubespectra.assumptions import default_ladder, make_tail_sampler
+    from tubespectra.assumptions import default_ladder, sample_abscissae, sampled_abs, tail_sups
 
     prof = d2_profile(power_tail(0.5, 1.0, 1.5))
-    sampler = make_tail_sampler(prof.s_range, CheckerConfig())
+    s = sample_abscissae(prof.s_range, CheckerConfig())
     ladder = default_ladder(prof.s_range)
     # a wiggly quantity still yields monotone suffix maxima
-    sups, _ = sampler.tail_sups(lambda s: np.abs(np.sin(3 * s)) / (1 + np.abs(s)), ladder)
+    vals = sampled_abs(lambda t: np.abs(np.sin(3 * t)) / (1 + np.abs(t)), s)
+    sups, _ = tail_sups(vals, s, ladder)
     assert np.all(np.diff(sups) <= 0.0)
 
 
@@ -94,6 +100,52 @@ def test_short_range_is_inconclusive_never_pass():
     assert agg.verdict == "inconclusive"
     assert report.overall in ("inconclusive", "fail")
     assert report.overall != "pass"
+
+
+def test_short_table_decay_is_inconclusive_not_fail():
+    # the shorter side of [-20, 60] puts the R-ladder (0.3125 .. 10) inside
+    # the bump: no power law fits there, which is missing data, not a
+    # broken hypothesis
+    s = np.linspace(-20.0, 60.0, 801)
+    prof = CurvatureProfile([tabulated_function(s, 0.3 * np.exp(-(s**2)))], (-20.0, 60.0))
+    report = check_curvature_decay(prof)
+    assert report.entry("curvature-decay-rate").verdict == "inconclusive"
+    assert report.overall == "inconclusive"
+
+
+def test_each_gate_quantity_is_evaluated_once(bump_metric, monkeypatch):
+    from tubespectra import metric as metric_module
+    from tubespectra import operators
+
+    calls = {}
+
+    def count(cls, name):
+        fn = cls.__dict__[name]
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, counted)
+
+    count(operators.EffectivePotential, "__call__")
+    count(operators.CoefficientField, "deviation_from_identity")
+    count(operators.CoefficientField, "g_ss_s")
+    count(metric_module.EuclideanTubeMetric, "h")
+    check_coefficient_assumptions(
+        CoefficientField(bump_metric), EffectivePotential(bump_metric)
+    )
+    assert {k: calls[k] for k in ("__call__", "deviation_from_identity", "g_ss_s")} == {
+        "__call__": 1, "deviation_from_identity": 1, "g_ss_s": 1,
+    }
+    calls.clear()
+    check_metric_hypotheses(bump_metric)
+    assert calls == {"h": 1}
+
+
+def test_free_coefficient_field_is_refused():
+    with pytest.raises(InputError):
+        check_coefficient_assumptions(CoefficientField(None), None)
 
 
 def test_reports_are_deterministic(bump_profile):

@@ -415,7 +415,10 @@ def test_asymmetric_table_keeps_every_window_inside_its_s_range(tmp_path, capsys
     captured = capsys.readouterr()
     assert "error" not in captured.err
     assert "basic: pass" in captured.out
-    # the decay ladder scales with the shorter side (R <= 10), inside the bump
+    # the decay ladder scales with the shorter side (R <= 10), inside the
+    # bump: no power law fits there, so the rate fits cannot tell
+    report = (tmp_path / "report.txt").read_text()
+    assert "[curvature-decay-rate] kind=decay verdict=inconclusive" in report
     assert code == 2
 
 
