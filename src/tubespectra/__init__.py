@@ -49,6 +49,7 @@ from .frames import (
     tube_embedding,
 )
 from .metric import (
+    ConstantCurvatureStripMetric,
     EuclideanTubeMetric,
     SurfaceData,
     SurfaceStripMetric,

@@ -30,8 +30,9 @@ both sides plus evenly spaced near-field points that cover the hole the
 tails leave around s = 0, where curvature bumps sit.  Every limit, decay
 and bounded entry reads that one array: tail suprema are its suffix
 maxima over |s| (:func:`tail_sups`), so they are exactly non-increasing
-in R by construction, and a bounded entry takes its maximum.  The strip
-ellipticity bounds (``metric.ellipticity_bounds``) and the fallback of
+in R by construction, and a bounded entry takes its maximum.  The
+ellipticity bounds of strips whose Gauss curvature varies
+(``metric.ellipticity_bounds``) and the fallback of
 ``CurvatureProfile.kappa1_sup`` sample the same set.  All checks are
 deterministic: identical inputs and configuration produce byte-identical
 reports.

@@ -97,9 +97,10 @@ def build_metric(cfg: WaveguideConfig, profile, omega):
         # the gate samples the whole s_range, so the rotation must cover it
         rot = integrate_tang_rotation(profile, np.linspace(*profile.s_range, 2049))
         return metric_from_frames(profile, rot, omega.a)
+    K = cfg.surface_curvature  # a number gets the closed-form metric
     surface = SurfaceData(
-        gauss_curvature=cfg.gauss_curvature_fn(),
-        kappa=lambda s: profile.kappa(1, s, 0),
+        gauss_curvature=cfg.gauss_curvature_fn() if isinstance(K, tuple) else K,
+        kappa=profile.kappas[0],
         a=omega.a,
         s_range=profile.s_range,
     )

@@ -118,28 +118,20 @@ class WaveguideConfig:
         raise ConfigError(f"cross-section shape {shape!r} not supported in configs")
 
     def gauss_curvature_fn(self):
-        k = self.surface_curvature
-        if isinstance(k, tuple) and k and k[0] == "table":
-            path = k[1]
-            if not os.path.isabs(path):
-                path = os.path.join(self.base_dir, path)
-            data = np.loadtxt(path)
-            if data.ndim != 2 or data.shape[1] < 3:
-                raise ConfigError(f"surface table {path!r} needs columns s u K")
-            from scipy.interpolate import LinearNDInterpolator
+        """K(s, u) interpolated from the ``[surface] file`` table."""
+        path = self.surface_curvature[1]
+        if not os.path.isabs(path):
+            path = os.path.join(self.base_dir, path)
+        data = np.loadtxt(path)
+        if data.ndim != 2 or data.shape[1] < 3:
+            raise ConfigError(f"surface table {path!r} needs columns s u K")
+        from scipy.interpolate import LinearNDInterpolator
 
-            interp = LinearNDInterpolator(data[:, :2], data[:, 2], fill_value=0.0)
-
-            def fn(s, u):
-                s, u = np.broadcast_arrays(np.asarray(s, float), np.asarray(u, float))
-                return interp(np.stack([s.ravel(), u.ravel()], axis=-1)).reshape(s.shape)
-
-            return fn
-        value = float(k)
+        interp = LinearNDInterpolator(data[:, :2], data[:, 2], fill_value=0.0)
 
         def fn(s, u):
-            shape = np.broadcast_shapes(np.shape(s), np.shape(u))
-            return np.full(shape, value)
+            s, u = np.broadcast_arrays(np.asarray(s, float), np.asarray(u, float))
+            return interp(np.stack([s.ravel(), u.ravel()], axis=-1)).reshape(s.shape)
 
         return fn
 

@@ -15,8 +15,10 @@ in closed form from the rotation system dR/ds = -R K_sub:
 with k = (K_alpha^1) and K the transverse sub-block of the generator.
 For strips on an abstract surface of Gauss curvature K_g the coefficient
 instead solves the transverse Jacobi equation h_,22 + K_g h = 0 with
-h(.,0) = 1, h_,2(.,0) = -kappa; s-derivatives then come from order-4
-finite differences because no closed form exists for general K_g.
+h(.,0) = 1, h_,2(.,0) = -kappa.  For a constant K_g it has the closed
+form h = C_K(u) - kappa(s) S_K(u), and every s-derivative follows from
+kappa's; a K_g that varies (a table or a callable) is integrated by RK4
+in u, with s-derivatives from order-4 finite differences.
 
 Both variants expose the same evaluator interface, vectorized over numpy
 arrays, so the operator assembly downstream never branches on the source.
@@ -32,12 +34,13 @@ import numpy as np
 from .assumptions import _on_probe, _u_probe, sample_abscissae
 from .errors import EllipticityError, InputError
 from .frames import RotationField
-from .profiles import CurvatureProfile
+from .profiles import CurvatureProfile, ScalarFunction
 
 __all__ = [
     "TubeMetric",
     "EuclideanTubeMetric",
     "SurfaceStripMetric",
+    "ConstantCurvatureStripMetric",
     "SurfaceData",
     "EllipticityBounds",
     "metric_from_frames",
@@ -232,19 +235,24 @@ def _mv(mat, vec):
 class SurfaceData:
     """Geometry of a strip's ambient surface in Fermi coordinates.
 
-    ``gauss_curvature(s, u)`` must broadcast over arrays and stay bounded
+    ``gauss_curvature`` is a number, for a surface of constant curvature,
+    or a callable K(s, u) that broadcasts over arrays and stays bounded
     on the strip; ``kappa(s)`` is the geodesic curvature of the base
-    curve.
+    curve, a ``ScalarFunction`` with derivatives to third order when the
+    Gauss curvature is a number.
     """
 
-    gauss_curvature: Callable
+    gauss_curvature: object
     kappa: Callable
     a: float
     s_range: tuple
 
     def __post_init__(self):
-        probe_s = np.linspace(self.s_range[0], self.s_range[1], 64)
-        probe = self.gauss_curvature(probe_s, np.zeros_like(probe_s))
+        if callable(self.gauss_curvature):
+            probe_s = np.linspace(self.s_range[0], self.s_range[1], 64)
+            probe = self.gauss_curvature(probe_s, np.zeros_like(probe_s))
+        else:
+            probe = float(self.gauss_curvature)
         if not np.all(np.isfinite(probe)):
             raise InputError("Gauss curvature is not finite on the strip centreline")
 
@@ -404,6 +412,100 @@ class SurfaceStripMetric(TubeMetric):
         return self._fd(self.lap_u, self._D1, 1, s, u)
 
 
+def _jacobi_basis(K, u):
+    """(C_K(u), S_K(u)): the Jacobi solutions with C = S' = 1, C' = S = 0 at u = 0.
+
+    C_K' = -K S_K and S_K' = C_K for every K.
+    """
+    if K > 0.0:
+        w = np.sqrt(K)
+        return np.cos(w * u), np.sin(w * u) / w
+    if K < 0.0:
+        w = np.sqrt(-K)
+        return np.cosh(w * u), np.sinh(w * u) / w
+    return np.ones_like(u), u
+
+
+class ConstantCurvatureStripMetric(TubeMetric):
+    """Strip metric on a surface of constant Gauss curvature K, in closed form.
+
+    h = C_K(u) - kappa(s) S_K(u) with C_K, S_K = cos, sin(sqrt(K) u)/sqrt(K)
+    for K > 0, cosh, sinh(sqrt(-K) u)/sqrt(-K) for K < 0 and 1, u for
+    K = 0.  The s-derivatives are -kappa^(n) S_K, h_u = C_K' - kappa S_K'
+    and h_uu = -K h, all exact.  Every evaluation first checks the
+    requested s for a focal point (h = 0) inside the strip.
+    """
+
+    source = "surface-strip"
+
+    def __init__(self, surface: SurfaceData):
+        super().__init__(surface.a, 2, surface.s_range)
+        if not isinstance(surface.kappa, ScalarFunction):
+            raise InputError("a constant Gauss curvature needs kappa as a ScalarFunction")
+        self.K = float(surface.gauss_curvature)
+        self.kappa = surface.kappa
+        self.kappa1_sup = CurvatureProfile([surface.kappa], surface.s_range).kappa1_sup()
+
+    def _focal_distance(self, k):
+        """First zero of C_K - k S_K in u > 0 (inf if none), for k = |kappa|."""
+        K = self.K
+        with np.errstate(divide="ignore", over="ignore"):
+            if K > 0.0:
+                w = np.sqrt(K)
+                return np.arctan2(w, k) / w
+            if K < 0.0:
+                w = np.sqrt(-K)
+                return np.arctanh(np.minimum(w / k, 1.0)) / w
+            return 1.0 / k
+
+    def _terms(self, s, u):
+        """(s, kappa(s), C_K(u), S_K(u)); raises at a focal point inside the strip."""
+        s = np.asarray(s, dtype=float)
+        k = self.kappa(s)
+        d = self._focal_distance(np.abs(k))
+        if np.any(d <= self.a):
+            i = int(np.argmin(d))
+            s_f, k_f, d_f = float(s.flat[i]), float(k.flat[i]), float(d.flat[i])
+            u_f = d_f if k_f >= 0.0 else -d_f  # on the side where kappa u > 0
+            raise EllipticityError(
+                f"focal point inside the strip: h = 0 at (s={s_f:g}, u={u_f:g})",
+                where=(s_f, u_f),
+            )
+        C, S = _jacobi_basis(self.K, self._split_u(u)[..., 0])
+        return s, k, C, S
+
+    def h(self, s, u):
+        _, k, C, S = self._terms(s, u)
+        return C - k * S
+
+    def _h_deriv(self, s, u, order):
+        s, _, _, S = self._terms(s, u)
+        return -self.kappa(s, order) * S
+
+    def h_s(self, s, u):
+        return self._h_deriv(s, u, 1)
+
+    def h_ss(self, s, u):
+        return self._h_deriv(s, u, 2)
+
+    def h_sss(self, s, u):
+        return self._h_deriv(s, u, 3)
+
+    def hu_sq(self, s, u):
+        _, k, C, S = self._terms(s, u)
+        return (-self.K * S - k * C) ** 2
+
+    def hu_sq_s(self, s, u):
+        s, k, C, S = self._terms(s, u)
+        return -2.0 * (-self.K * S - k * C) * self.kappa(s, 1) * C
+
+    def lap_u(self, s, u):
+        return -self.K * self.h(s, u)
+
+    def lap_u_s(self, s, u):
+        return -self.K * self.h_s(s, u)
+
+
 def metric_from_frames(profile, rotations, a):
     """Euclidean tube metric from curvature data and rotation samples."""
     return EuclideanTubeMetric(profile, rotations, a)
@@ -419,11 +521,14 @@ def metric_from_profile(profile, a):
 def metric_from_jacobi(surface):
     """Strip metric on a surface of Gauss curvature K.
 
-    The Jacobi equation is integrated on 513 evenly spaced u-nodes across
-    the strip, at the exact requested s values within the surface's own
-    ``s_range``.
+    A number K gets the closed form (:class:`ConstantCurvatureStripMetric`).
+    A callable K(s, u) is integrated (:class:`SurfaceStripMetric`) on 513
+    evenly spaced u-nodes across the strip, at the exact requested s
+    values within the surface's own ``s_range``.
     """
-    return SurfaceStripMetric(surface)
+    if callable(surface.gauss_curvature):
+        return SurfaceStripMetric(surface)
+    return ConstantCurvatureStripMetric(surface)
 
 
 @dataclass(frozen=True)
@@ -442,16 +547,40 @@ def ellipticity_bounds(metric):
     rotation keeps the curvature vector's length.  Exact for intervals
     and discs, conservative for rectangles (a is the half-diagonal), and
     as good as ``kappa1_sup`` for curvatures without a declared sup.
-    Strips: min and max of h over the assumption gate's abscissae times
-    its transverse probe, so the Jacobi sweep is shared with the gate's
-    metric checks and raises at any focal node.
+    Strips of constant K: min and max over |u| <= a of
+    C_K -+ sup|kappa| |S_K|, from the ends u = 0, a and the interior
+    extrema in closed form; exact when kappa attains its sup, else
+    conservative, like the tubes.  Other strips: min and max of h over
+    the assumption gate's abscissae times its transverse probe, so the
+    Jacobi sweep is shared with the gate's metric checks and raises at
+    any focal node.
     """
     if isinstance(metric, EuclideanTubeMetric):
         prod = metric.a * metric.kappa1_sup
         return EllipticityBounds(1.0 - prod, 1.0 + prod)
+    if isinstance(metric, ConstantCurvatureStripMetric):
+        return _constant_curvature_bounds(metric.K, metric.a, metric.kappa1_sup)
     s, probe = sample_abscissae(metric.s_range), _u_probe(metric.a, metric.dimension - 1)
     vals = _on_probe(metric.h, s, probe)
     return EllipticityBounds(float(vals.min()), float(vals.max()))
+
+
+def _constant_curvature_bounds(K, a, k):
+    """min and max over |u| <= a of C_K -+ k |S_K|, for k >= 0."""
+    C, S = (float(v) for v in _jacobi_basis(K, np.asarray(a, dtype=float)))
+    low, high = [1.0, C - k * abs(S)], [1.0, C + k * abs(S)]
+    w = np.sqrt(abs(K))
+    if K > 0.0:
+        # C_K -+ k S_K = r cos(w u +- phi) until S_K changes sign at u = pi/w
+        r, phi = np.hypot(1.0, k / w), np.arctan(k / w)
+        if w * a + phi >= np.pi:
+            low.append(-r)
+        if phi <= w * a:
+            high.append(r)
+    elif K < 0.0 and k < w and np.arctanh(k / w) < w * a:
+        # C_K - k S_K has its minimum sqrt(1 - (k/w)^2) inside the strip
+        low.append(np.sqrt(1.0 - (k / w) ** 2))
+    return EllipticityBounds(float(min(low)), float(max(high)))
 
 
 def export_metric_csv(metric, path, s_values, u_values):

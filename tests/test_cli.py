@@ -232,14 +232,33 @@ def test_flat_strip_config_matches_the_euclidean_run(tmp_path):
     sa = flat.bound_states.states
     sb = tube.bound_states.states
     assert len(sa) == len(sb) == 1
-    assert abs(sa[0].value - sb[0].value) < 1e-6
+    # h = 1 - kappa u in closed form on both paths: the same operators
+    assert flat.bound_states.raw_ladder == tube.bound_states.raw_ladder
 
 
-def test_flat_strip_check_passes_at_the_default_s_max(tmp_path, capsys):
+def test_flat_strip_check_passes_at_the_default_s_max(tmp_path, capsys, monkeypatch):
+    from tubespectra.metric import SurfaceStripMetric
+
+    def refuse(self, s_values):
+        raise AssertionError("constant Gauss curvature reached the RK4 sweep")
+
+    # [surface] curvature = <number> takes the closed form, never the sweep
+    monkeypatch.setattr(SurfaceStripMetric, "_sweep", refuse)
     # the gate's samples must reach the bump at s = 0, not only the tails
     text = FLAT_STRIP.replace("s_max = 1000.0\n", "")
     code = main(["check", "--config", write(tmp_path, text), "--out", str(tmp_path)])
-    assert code == 0, capsys.readouterr().out
+    assert code == 0, capsys.readouterr()
+
+
+def test_focal_point_inside_a_curved_strip_exits_1(tmp_path, capsys):
+    text = (
+        FLAT_STRIP.replace("curvature = 0.0", "curvature = 3.0")
+        .replace("kappa0 = 0.65\nsigma = 1.2", "kappa0 = 0.5\nsigma = 1.0")
+        .replace("s_max = 1000.0\n", "")
+    )
+    code = main(["check", "--config", write(tmp_path, text), "--out", str(tmp_path)])
+    assert code == 1
+    assert "focal point" in capsys.readouterr().err
 
 
 def test_bent_strip_coefficient_bounds_are_exact(tmp_path):

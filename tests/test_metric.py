@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 
 from tubespectra import (
+    ConstantCurvatureStripMetric,
     CurvatureProfile,
     EllipticityError,
+    InputError,
     SurfaceData,
+    SurfaceStripMetric,
     constant_function,
     ellipticity_bounds,
     gaussian_bump,
@@ -192,6 +195,39 @@ def test_focal_point_inside_strip_is_an_ellipticity_error():
         metric.h(np.zeros(3), np.array([0.0, 1.0, 1.9]))
 
 
+@pytest.mark.parametrize("K", [-1.0, 0.0, 0.5])
+def test_constant_curvature_closed_form_matches_the_jacobi_sweep(K):
+    kap = gaussian_bump(0.4, 1.0)
+    closed = metric_from_jacobi(SurfaceData(K, kap, 1.0, (-20.0, 20.0)))
+    swept = metric_from_jacobi(const_surface(K, kappa_fn=kap))
+    assert isinstance(closed, ConstantCurvatureStripMetric)
+    assert isinstance(swept, SurfaceStripMetric)  # a callable K still runs the sweep
+    s = np.linspace(-3, 3, 13)
+    u = np.linspace(-1, 1, 29)  # includes off-node values
+    S, U = np.meshgrid(s, u, indexing="ij")
+    # the sweep's s-derivatives are order-4 differences with step 1e-2,
+    # off by O(step^4) = O(1e-8) times a derivative of kappa
+    for name, tol in (("h", 1e-9), ("hu_sq", 1e-9), ("lap_u", 1e-9), ("h_s", 5e-8),
+                      ("hu_sq_s", 5e-8), ("lap_u_s", 5e-8), ("h_ss", 5e-8),
+                      ("h_sss", 1e-6)):
+        err = np.max(np.abs(getattr(closed, name)(S, U) - getattr(swept, name)(S, U)))
+        assert err <= tol, (name, err)
+
+
+def test_constant_curvature_focal_point_is_located_exactly():
+    metric = metric_from_jacobi(SurfaceData(3.0, gaussian_bump(-0.5, 1.0), 1.0, (-20.0, 20.0)))
+    with pytest.raises(EllipticityError, match="focal point") as err:
+        metric.h(np.linspace(-1, 1, 5), np.zeros(5))
+    # kappa(0) = -0.5 < 0 puts the focal point on the u < 0 side
+    w = np.sqrt(3.0)
+    assert err.value.where == pytest.approx((0.0, -np.arctan2(w, 0.5) / w), abs=1e-15)
+
+
+def test_constant_curvature_needs_kappa_derivatives():
+    with pytest.raises(InputError):
+        metric_from_jacobi(SurfaceData(0.0, lambda s: 0.0 * s, 1.0, (-5.0, 5.0)))
+
+
 # ---------------------------------------------------------------------------
 # ellipticity bounds
 
@@ -222,6 +258,19 @@ def test_bounds_positively_curved_strip():
     b = ellipticity_bounds(metric)
     assert b.c_minus == pytest.approx(np.cos(1.0), abs=1e-6)
     assert b.c_plus == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize(
+    "K,kappa0",
+    [(0.0, 0.5), (-1.0, 0.4), (0.5, 0.4), (2.0, 0.2), (-0.25, 0.3)],
+    ids=["flat", "interior-min", "interior-max", "near-focal", "cosh"],
+)
+def test_constant_curvature_strip_bounds_are_exact(K, kappa0):
+    metric = metric_from_jacobi(SurfaceData(K, gaussian_bump(kappa0, 1.0), 1.0, (-1e4, 1e4)))
+    b = ellipticity_bounds(metric)
+    # h(0, u) over |u| <= a runs through C_K -+ sup|kappa| |S_K| on both sides
+    h = metric.h(np.zeros(1), np.linspace(-1.0, 1.0, 200001))
+    assert (b.c_minus, b.c_plus) == pytest.approx((h.min(), h.max()), abs=1e-10)
 
 
 def test_metric_csv_export(tmp_path, bump_metric):
