@@ -9,8 +9,9 @@ operator -> spectrum -> Mourre check from a single INI problem file:
     tubespectra mourre   --config problem.ini [--out DIR]
 
 Exit codes: 0 success, 2 assumption-gate failure (override with --force),
-3 solver failure.  Runs are deterministic; reports embed the resolved
-configuration so they can be reproduced from themselves.
+3 solver failure, a report that does not pass, or a Mourre window that
+``spectrum`` refused after its ladder.  Runs are deterministic; reports
+embed the resolved configuration so they can be reproduced from themselves.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .assumptions import (
 )
 from .config import WaveguideConfig, load_config
 from .cross_section import cross_section_spectrum
-from .errors import ConfigError, SolverError, TubeSpectraError
+from .errors import ConfigError, SolverError, TubeSpectraError, WindowError
 from .frames import (
     build_frame_field,
     check_self_overlap,
@@ -225,13 +226,17 @@ def run_spectrum(cfg: WaveguideConfig, out_dir=".", force=False):
     )
     try:
         result = bound_states(hamiltonian_recipe(metric, omega), thresholds, policy)
-        report.bound_states = result
-        if cfg.include_mourre:
-            report.mourre_windows = tuple(run_mourre_windows(cfg, omega, thresholds))
     except SolverError:
         text = render_report(report, cfg.render())
         _write(out_dir, cfg.outputs["report"], text)
         return report, EXIT_SOLVER
+    report.bound_states = result
+    if cfg.include_mourre:
+        # a refused window must not cost the finished ladder its report
+        try:
+            report.mourre_windows = tuple(run_mourre_windows(cfg, omega, thresholds))
+        except WindowError as exc:
+            report.mourre_error = str(exc)
 
     report.metadata.update(
         {
@@ -248,9 +253,8 @@ def run_spectrum(cfg: WaveguideConfig, out_dir=".", force=False):
     if report.mourre_windows:
         write_mourre_csv(os.path.join(out_dir, cfg.outputs["mourre"]), report.mourre_windows)
 
-    ok = report.is_sound() and (
-        not report.mourre_windows or all(w.passed for w in report.mourre_windows)
-    )
+    ok = (report.is_sound() and report.mourre_error is None
+          and all(w.passed for w in report.mourre_windows))
     return report, EXIT_OK if ok else EXIT_SOLVER
 
 

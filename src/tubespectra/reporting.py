@@ -75,8 +75,10 @@ def render_report(report, resolved_config_text=None, title="tubespectra spectral
             )
         lines.append(f"report_sound = {report.is_sound()}")
 
-    if report.mourre_windows:
+    if report.mourre_windows or report.mourre_error is not None:
         lines.append("[mourre]")
+        if report.mourre_error is not None:
+            lines.append(f"error = {report.mourre_error}")
         for j, w in enumerate(report.mourre_windows, start=1):
             lines.append(
                 f"window[{j}] = center {_fmt(w.center)}, eps {_fmt(w.half_width)}, "

@@ -6,13 +6,19 @@ a spacing ladder, and Richardson extrapolated assuming the clean
 second-order convergence of the stencil; the fitted order is reported
 and the result flagged when it strays from 2.
 
-Every shift-invert solve factorizes A - sigma I exactly once, with SuperLU
+Every ladder solve factorizes A - sigma I exactly once, with SuperLU
 under a symmetric fill-reducing ordering, and hands those factors to
 ARPACK.  Ladder solves shift just below the previous level's lowest
 eigenvalue, where Lanczos converges in a few dozen solves, and certify
 the shift afterwards by Sylvester's law of inertia: no negative pivot, so
 no eigenvalue below sigma that the solve could have missed.  A shift that
 fails the check is lowered and the solve repeated.
+
+The Mourre check factorizes nothing.  The free Hamiltonian of a straight
+tube separates exactly, H0 = T_s x I + I x H_perp, so its eigenpairs are
+the sums mu_j + nu_t with vectors phi_j x psi_t: closed-form sine modes
+along s and a dense solve of the small transverse block.  The operator is
+certified equal to that Kronecker sum before any pair is taken from it.
 
 The commutator with the axial dilation generator A = (q p + p q)/2 is
 assembled from its closed form
@@ -184,20 +190,61 @@ def lowest_eigenvalues(op, k, below=None):
     return Eigensolve(vals, residuals, sigma)
 
 
-def _eigenpairs_near(matrix, target, k, lu):
-    """Eigenpairs nearest ``target`` via shift-invert.
+def _separable_modes(op):
+    """Exact eigen-factors of a free Hamiltonian H0 = T_s x I + I x H_perp.
 
-    The shift sits 1e-9 above ``target``, off an exact eigenvalue
-    collision.  ``lu`` holds the factors an earlier call at the same
-    target returned, or None to factorize.  Returns ``(values, vectors,
-    lu)`` ordered by distance to ``target``.
+    T_s is the Dirichlet second difference along s, whose eigenvalues
+    mu_j = (4/ds^2) sin^2(j pi / (2(N+1))) and sine modes are known in
+    closed form; H_perp, the leading block of H0 less 2/ds^2, is solved
+    densely.  ``op.matrix`` is certified equal to that Kronecker sum to
+    roundoff first, so a curved or potential-bearing operator raises
+    InputError instead of being mis-solved.  Returns ``(mu, nu, psi)``
+    with H_perp psi = psi diag(nu).
     """
-    sigma = target + 1e-9
-    if lu is None:
-        lu = _factorize(matrix, sigma)
-    vals, vecs = _shift_invert(matrix, min(k, matrix.shape[0] - 2), sigma, lu)
-    order = np.argsort(np.abs(vals - target))
-    return vals[order], vecs[:, order], lu
+    grid = op.grid
+    n_s = grid.s_nodes.size - 2
+    m = int(grid.t_interior.sum())
+    h0 = op.matrix.tocsr()
+    ds2 = grid.s_spacing**2
+    if h0.shape != (n_s * m, n_s * m):
+        raise InputError(f"operator of shape {h0.shape} does not live on its grid")
+    h_perp = h0[:m, :m].toarray() - (2.0 / ds2) * np.eye(m)
+    t_s = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n_s, n_s)) / ds2
+    kron_sum = sp.kron(t_s, sp.identity(m)) + sp.kron(sp.identity(n_s), sp.csr_matrix(h_perp))
+    misfit = abs(h0 - kron_sum).max()
+    if misfit > 1e-12 * abs(h0).max():
+        raise InputError(
+            f"operator is not a straight-tube Kronecker sum (misfit {misfit:g}): "
+            "only the free Hamiltonian has separable eigenpairs"
+        )
+    j = np.arange(1, n_s + 1)
+    mu = (4.0 / ds2) * np.sin(j * np.pi / (2.0 * (n_s + 1))) ** 2
+    nu, psi = np.linalg.eigh(h_perp)
+    return mu, nu, psi
+
+
+def _eigenpairs_near(matrix, target, k, modes):
+    """Eigenpairs of a separable free Hamiltonian nearest ``target``.
+
+    ``modes`` is the ``(mu, nu, psi)`` of :func:`_separable_modes`.  The
+    k modes (at most n - 2) nearest ``target + 1e-9`` -- the shift the
+    shift-invert solve used to sit at, off an exact eigenvalue collision --
+    are selected from the sums mu_j + nu_t, and only their vectors
+    phi_j x psi_t are built.  Returns ``(values, vectors)`` ordered by
+    distance to ``target``.
+    """
+    mu, nu, psi = modes
+    n_s = mu.size
+    values = (mu[:, None] + nu[None, :]).ravel()
+    k = min(k, matrix.shape[0] - 2)
+    pick = np.argsort(np.abs(values - (target + 1e-9)), kind="stable")[:k]
+    pick = pick[np.argsort(np.abs(values[pick] - target), kind="stable")]
+    j, t = np.divmod(pick, nu.size)
+    # phi_j(i) = sqrt(2/(N+1)) sin(i j pi/(N+1)), i j reduced mod 2(N+1)
+    phase = np.outer(np.arange(1, n_s + 1), j + 1) % (2 * (n_s + 1))
+    phi = np.sqrt(2.0 / (n_s + 1)) * np.sin(phase * (np.pi / (n_s + 1)))
+    vectors = (phi[:, None, :] * psi[None, :, t]).reshape(-1, k)
+    return values[pick], vectors
 
 
 # ---------------------------------------------------------------------------
@@ -569,15 +616,20 @@ def mourre_check_free(h0_op, commutator_op, thresholds, lambda_windows,
     """Projected commutator lower bound against 2 rho(lambda).
 
     For each window the spectral projector of the discrete free
-    Hamiltonian onto (lambda - eps, lambda + eps) is built from explicit
-    eigenpairs, wall-localised vectors (more than ``wall_mass_tol`` of
-    their mass within 4 nodes of the s-walls: truncation artifacts) are
-    discarded, and the smallest eigenvalue of the compressed commutator is
-    compared to 2 rho(lambda) minus the stated tolerance.  Windows closer
-    than 1.5 eps to a threshold are refused.
+    Hamiltonian onto (lambda - eps, lambda + eps) is built from its exact
+    separable eigenpairs (``h0_op`` must be the Kronecker sum
+    T_s x I + I x H_perp of a straight tube, else InputError): the modes
+    nearest lambda, their number doubled from 16 up to ``projector_rank``
+    until they bracket the window on both sides.  Wall-localised vectors
+    (more than ``wall_mass_tol`` of their mass within 4 nodes of the
+    s-walls: truncation artifacts) are discarded, and the smallest
+    eigenvalue of the compressed commutator is compared to 2 rho(lambda)
+    minus the stated tolerance.  Windows closer than 1.5 eps to a
+    threshold are refused.
     """
     if h0_op.grid is not commutator_op.grid:
         raise InputError("free Hamiltonian and commutator must share a grid")
+    modes = _separable_modes(h0_op)
     results = []
     nu = np.asarray(thresholds.nu)
     for item in lambda_windows:
@@ -605,9 +657,8 @@ def mourre_check_free(h0_op, commutator_op, thresholds, lambda_windows,
         lo, hi = lam - eps, lam + eps
         k = 16
         n = h0_op.shape[0]
-        lu = None  # factorized on the first solve, reused as k grows
         while True:
-            vals, vecs, lu = _eigenpairs_near(h0_op.matrix, lam, k, lu)
+            vals, vecs = _eigenpairs_near(h0_op.matrix, lam, k, modes)
             bracketed = np.any(vals <= lo) and np.any(vals >= hi)
             if bracketed:
                 break
@@ -665,6 +716,7 @@ class SpectralReport:
     thresholds: object
     bound_states: BoundStatesResult
     mourre_windows: tuple = ()
+    mourre_error: str = None     # why the Mourre check refused, after the ladder
     assumption_reports: dict = field(default_factory=dict)
     metadata: dict = field(default_factory=dict)
 

@@ -338,6 +338,83 @@ def test_mourre_subcommand_all_windows_pass(tmp_path, capsys):
     assert len(csv_lines) == 4  # header + three windows
 
 
+SQUARE_SMOKE = """
+[problem]
+kind = euclidean-tube
+dimension = 3
+
+[curvature]
+family = gaussian-bump
+kappa0 = 0.5
+sigma = 1.0
+
+[curvature2]
+family = gaussian-bump
+kappa0 = 0.3
+sigma = 1.0
+
+[cross_section]
+shape = rectangle
+side_x = 1.0
+side_y = 1.0
+
+[numerics]
+s_max = 100.0
+domain_length = 4.0
+spacings = 0.25, 0.125
+n_eigs = 2
+include_mourre = true
+"""
+
+
+def test_mourre_refusal_after_the_ladder_keeps_the_report(tmp_path, capsys):
+    # the third default window lands on the double threshold nu_2 = nu_3
+    cfg_path = write(tmp_path, SQUARE_SMOKE)
+    code = main(["spectrum", "--config", cfg_path, "--out", str(tmp_path)])
+    assert code == 3
+    assert capsys.readouterr().out.strip().endswith("; exit 3")
+    report = (tmp_path / "report.txt").read_text()
+    assert "[bound_states]" in report and "level[2] = L 4.0, h 0.125" in report
+    mourre = report.split("[mourre]\n", 1)[1].split("\n", 1)[0]
+    assert re.fullmatch(r"error = window at 49\.348 sits within 0 of a threshold "
+                        r"\(margin \S+\): rho jumps there, refuse", mourre)
+    assert (tmp_path / "spectrum.csv").exists()
+    assert not (tmp_path / "mourre.csv").exists()
+
+
+DISC_MOURRE = """
+[problem]
+kind = euclidean-tube
+dimension = 3
+
+[curvature]
+family = constant
+value = 0.0
+
+[curvature2]
+family = constant
+value = 0.0
+
+[cross_section]
+shape = disc
+radius = 1.0
+
+[numerics]
+mourre_domain_length = 32.0
+mourre_spacing = 0.0625
+mourre_windows = 8.0, 12.0, 20.0
+"""
+
+
+def test_disc_mourre_at_full_length_and_fine_spacing_completes(tmp_path, capsys):
+    # about 820,000 unknowns: a factorization here used to run out of memory
+    cfg_path = write(tmp_path, DISC_MOURRE)
+    code = main(["mourre", "--config", cfg_path, "--out", str(tmp_path)])
+    rows = [l for l in capsys.readouterr().out.split("\n") if l.startswith("lambda=")]
+    assert code == 0
+    assert len(rows) == 3 and all(r.endswith("PASS") for r in rows)
+
+
 def test_reports_are_reproducible(tmp_path):
     cfg_path = write(tmp_path, BUMP)
     main(["spectrum", "--config", cfg_path, "--out", str(tmp_path / "a")])

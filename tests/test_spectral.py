@@ -391,7 +391,7 @@ def mourre_setup():
     return h0, c0, thresholds
 
 
-def test_mourre_factorizes_once_per_window(mourre_setup, monkeypatch):
+def test_mourre_never_factorizes(mourre_setup, monkeypatch):
     h0, c0, th = mourre_setup
     import scipy.sparse.linalg as spla
 
@@ -399,12 +399,59 @@ def test_mourre_factorizes_once_per_window(mourre_setup, monkeypatch):
     splu, near = spla.splu, spectral._eigenpairs_near
     monkeypatch.setattr(spla, "splu", lambda *a, **kw: factorized.append(1) or splu(*a, **kw))
     monkeypatch.setattr(spectral, "_eigenpairs_near",
-                        lambda m, t, k, lu: solves.append(k) or near(m, t, k, lu))
+                        lambda m, t, k, modes: solves.append(k) or near(m, t, k, modes))
     lam = 0.5 * (th.nu[1] + th.nu[2])
     # about 29 states in the wide window: its projector rank doubles once
     mourre_check_free(h0, c0, th, [(lam, 4.0), (lam, 1.0)], wall_mass_tol=0.05)
     assert solves == [16, 32, 16]
-    assert len(factorized) == 2
+    assert factorized == []
+
+
+@pytest.mark.parametrize("grid, omega, lam, eps", [
+    (TruncatedGrid.interval(4.0, 0.125, 1.0), CrossSection.interval(1.0), 15.0, 3.0),
+    (TruncatedGrid.box(2.0, 0.125, (0.5, 0.5)), CrossSection.rectangle(1.0, 1.0), 35.0, 8.0),
+    (TruncatedGrid.disc(1.5, 1.0 / 6.0, 1.0), CrossSection.disc(1.0), 20.0, 3.5),
+], ids=["interval", "rectangle", "disc"])
+def test_mourre_separable_pairs_match_the_dense_oracle(grid, omega, lam, eps):
+    h0 = assemble_free_hamiltonian(grid)
+    c0 = assemble_commutator(CoefficientField(None), None, grid)
+    th = cross_section_spectrum(omega, 6)
+    assert h0.shape[0] <= 2000
+    # every window state is kept, so the projector does not depend on the
+    # basis a degenerate eigenspace is given
+    (win,) = mourre_check_free(h0, c0, th, [(lam, eps)], projector_rank=256,
+                               wall_mass_tol=1.0)
+    w, v = np.linalg.eigh(h0.matrix.toarray())
+    inside = (w > lam - eps) & (w < lam + eps)
+    basis, _ = np.linalg.qr(v[:, inside])
+    comp = basis.T @ (c0.matrix @ basis)
+    assert win.n_states == np.count_nonzero(inside)
+    assert win.measured_bound == pytest.approx(
+        np.linalg.eigvalsh(0.5 * (comp + comp.T))[0], rel=1e-10, abs=1e-10)
+
+    modes = spectral._separable_modes(h0)
+    vals, vecs = spectral._eigenpairs_near(h0.matrix, lam, 24, modes)
+    nearest = w[np.argsort(np.abs(w - (lam + 1e-9)), kind="stable")[:24]]
+    np.testing.assert_allclose(np.sort(vals), np.sort(nearest), rtol=1e-10, atol=0)
+    assert np.all(np.diff(np.abs(vals - lam)) >= 0.0)
+    np.testing.assert_allclose(vecs.T @ vecs, np.eye(24), atol=1e-12)
+    residuals = np.linalg.norm(h0.matrix @ vecs - vecs * vals, axis=0)
+    assert np.max(residuals) <= 1e-10 * np.max(np.abs(w))
+
+
+def test_mourre_refuses_an_operator_that_does_not_separate(bump_metric, mourre_setup):
+    _, _, th = mourre_setup
+    grid = TruncatedGrid.interval(4.0, 0.125, 1.0)
+    c0 = assemble_commutator(CoefficientField(None), None, grid)
+    curved = assemble_hamiltonian(CoefficientField(bump_metric),
+                                  EffectivePotential(bump_metric), grid)
+    s_i, _ = grid.interior_coordinates()
+    shifted = assemble_free_hamiltonian(grid)
+    shifted.matrix = (shifted.matrix + sp.diags(1e-3 * np.exp(-s_i**2))).tocsr()
+    lam = th.nu1 + 0.3 * (th.nu[1] - th.nu1)
+    for op in (curved, shifted):
+        with pytest.raises(InputError, match="Kronecker sum"):
+            mourre_check_free(op, c0, th, [(lam, 0.3)])
 
 
 def test_mourre_window_rejects_threshold_proximity(mourre_setup):
