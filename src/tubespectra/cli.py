@@ -153,7 +153,12 @@ def assumption_gate(cfg, profile, omega, metric):
 
 
 def default_mourre_windows(thresholds):
-    nu1, nu2, nu3 = thresholds.nu[0], thresholds.nu[1], thresholds.nu[2]
+    """Windows between the first three distinct thresholds: a double one counts once."""
+    distinct = np.unique(thresholds.nu)
+    if distinct.size < 3:
+        raise WindowError(f"default Mourre windows need 3 distinct thresholds, "
+                          f"got {distinct.size}: set mourre_windows")
+    nu1, nu2, nu3 = distinct[:3]
     d1, d2 = nu2 - nu1, nu3 - nu2
     return (nu1 + 0.3 * d1, nu1 + 0.7 * d1, nu2 + 0.4 * d2)
 

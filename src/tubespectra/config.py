@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cross_section import CrossSection
-from .errors import ConfigError
+from .errors import ConfigError, InputError
 from .profiles import (
     CurvatureProfile,
     constant_function,
@@ -118,7 +118,7 @@ class WaveguideConfig:
         raise ConfigError(f"cross-section shape {shape!r} not supported in configs")
 
     def gauss_curvature_fn(self):
-        """K(s, u) interpolated from the ``[surface] file`` table."""
+        """K(s, u) interpolated from the ``[surface] file`` table; InputError off it."""
         path = self.surface_curvature[1]
         if not os.path.isabs(path):
             path = os.path.join(self.base_dir, path)
@@ -127,11 +127,16 @@ class WaveguideConfig:
             raise ConfigError(f"surface table {path!r} needs columns s u K")
         from scipy.interpolate import LinearNDInterpolator
 
-        interp = LinearNDInterpolator(data[:, :2], data[:, 2], fill_value=0.0)
+        interp = LinearNDInterpolator(data[:, :2], data[:, 2], fill_value=np.nan)
 
         def fn(s, u):
             s, u = np.broadcast_arrays(np.asarray(s, float), np.asarray(u, float))
-            return interp(np.stack([s.ravel(), u.ravel()], axis=-1)).reshape(s.shape)
+            K = interp(np.stack([s.ravel(), u.ravel()], axis=-1))
+            if np.isnan(K).any():
+                i = int(np.argmax(np.isnan(K)))
+                raise InputError(f"surface table {path!r} does not cover "
+                                 f"(s={s.ravel()[i]:g}, u={u.ravel()[i]:g})")
+            return K.reshape(s.shape)
 
         return fn
 

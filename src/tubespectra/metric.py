@@ -266,7 +266,8 @@ class SurfaceStripMetric(TubeMetric):
     between with cubic Hermite interpolation using the stored transverse
     derivative.  Evaluating at the exact requested s (instead of
     interpolating stored columns) keeps the s-interpolation error out of
-    the finite-difference s-derivatives, taken with step ``_FD_STEP``.
+    the finite-difference s-derivatives, taken with step ``_FD_STEP``;
+    ``s_range`` is the surface's, inset by the 3 steps they reach.
     """
 
     source = "surface-strip"
@@ -274,7 +275,9 @@ class SurfaceStripMetric(TubeMetric):
     _FD_STEP = 1e-2
 
     def __init__(self, surface: SurfaceData):
-        super().__init__(surface.a, 2, surface.s_range)
+        lo, hi = surface.s_range
+        reach = 3 * self._FD_STEP
+        super().__init__(surface.a, 2, (lo + reach, hi - reach))
         self.surface = surface
         self.u_nodes = np.linspace(-self.a, self.a, 2 * self._HALF_NODES + 1)
         self._i0 = self._HALF_NODES

@@ -157,15 +157,6 @@ class TruncatedGrid:
         act = self.active()
         return S[act], U[act]
 
-    def wall_mass_fraction(self, vec):
-        """Fraction of |vec|^2 within 4 nodes of the s-walls."""
-        x = np.asarray(vec).reshape(self.s_nodes.size - 2, -1)
-        total = float(np.sum(np.abs(x) ** 2))
-        if total == 0.0:
-            return 0.0
-        near = float(np.sum(np.abs(x[:4]) ** 2) + np.sum(np.abs(x[-4:]) ** 2))
-        return near / total
-
 
 def _axis_nodes(half_length, spacing):
     n = int(round(2.0 * half_length / spacing))
@@ -187,10 +178,6 @@ class DiscreteOperator:
     @property
     def shape(self):
         return self.matrix.shape
-
-    def max_asymmetry(self):
-        d = self.matrix - self.matrix.T
-        return 0.0 if d.nnz == 0 else float(np.max(np.abs(d.data)))
 
 
 class CoefficientField:
@@ -232,6 +219,10 @@ class CoefficientField:
         return min(c_plus**-2.0, 1.0), max(c_minus**-2.0, 1.0)
 
 
+# the potential is refused where h falls to this floor: it is singular at 0
+_H_FLOOR = 1e-8
+
+
 class EffectivePotential:
     """The scalar potential of the unitarily transformed Laplacian.
 
@@ -239,17 +230,16 @@ class EffectivePotential:
     straight tube every one of them vanishes identically.
     """
 
-    def __init__(self, metric, h_floor=1e-8):
+    def __init__(self, metric):
         self.metric = metric
-        self.h_floor = float(h_floor)
 
     def _h_checked(self, s, u):
         h = self.metric.h(s, u)
-        if np.any(h <= self.h_floor):
+        if np.any(h <= _H_FLOOR):
             flat = np.argmin(h)
             s_b = np.broadcast_to(np.asarray(s, dtype=float), h.shape)
             raise EllipticityError(
-                f"h <= {self.h_floor:g} at s={s_b.ravel()[flat]:g}: potential singular",
+                f"h <= {_H_FLOOR:g} at s={s_b.ravel()[flat]:g}: potential singular",
                 where=float(s_b.ravel()[flat]),
             )
         return h
@@ -344,10 +334,9 @@ def _require_resolution(grid):
         )
 
 
-def assemble_hamiltonian(coeffs, potential, grid, tag="H", enforce_resolution=True):
+def assemble_hamiltonian(coeffs, potential, grid, tag="H"):
     """Assemble -d_i G^ij d_j + V on the truncated grid."""
-    if enforce_resolution:
-        _require_resolution(grid)
+    _require_resolution(grid)
     S, U = grid.node_coordinates()
     arrays = [np.ascontiguousarray(coeffs.axis_coefficient(k, S, U))
               for k in range(1 + grid.transverse_dim)]
@@ -358,14 +347,12 @@ def assemble_hamiltonian(coeffs, potential, grid, tag="H", enforce_resolution=Tr
     return DiscreteOperator(matrix=m.tocsr(), grid=grid, tag=tag)
 
 
-def assemble_free_hamiltonian(grid, enforce_resolution=True):
+def assemble_free_hamiltonian(grid):
     """The Dirichlet Laplacian on the straight tube: G = 1, V = 0."""
-    return assemble_hamiltonian(
-        CoefficientField(None), None, grid, tag="H0", enforce_resolution=enforce_resolution
-    )
+    return assemble_hamiltonian(CoefficientField(None), None, grid, tag="H0")
 
 
-def assemble_weighted_form_hamiltonian(metric, grid, enforce_resolution=True):
+def assemble_weighted_form_hamiltonian(metric, grid):
     """Discretize the weighted Dirichlet form with lumped mass diag(h).
 
     Stiffness carries h g^ij at the faces (1/h along s, h transversely)
@@ -374,8 +361,7 @@ def assemble_weighted_form_hamiltonian(metric, grid, enforce_resolution=True):
     must agree with the flat-measure operator's up to discretization
     error.
     """
-    if enforce_resolution:
-        _require_resolution(grid)
+    _require_resolution(grid)
     S, U = grid.node_coordinates()
     h_nodes = np.ascontiguousarray(metric.h(S, U))
     arrays = [1.0 / h_nodes] + [h_nodes] * grid.transverse_dim

@@ -18,7 +18,9 @@ The Mourre check factorizes nothing.  The free Hamiltonian of a straight
 tube separates exactly, H0 = T_s x I + I x H_perp, so its eigenpairs are
 the sums mu_j + nu_t with vectors phi_j x psi_t: closed-form sine modes
 along s and a dense solve of the small transverse block.  The operator is
-certified equal to that Kronecker sum before any pair is taken from it.
+certified equal to that Kronecker sum after every window is checked
+against the thresholds; a window's projector is then exactly the sums
+inside it, less wall-localised modes, and only those vectors are built.
 
 The commutator with the axial dilation generator A = (q p + p q)/2 is
 assembled from its closed form
@@ -75,6 +77,9 @@ _MONOTONICITY_SLACK = 1e-10
 # first distance of the shift below a hint, relative to max(1, |hint|); the
 # inertia guard doubles the distance until no eigenvalue lies below the shift
 _SHIFT_OFFSET = 1e-2
+# most states one Mourre window may hold: 64 vectors of the 811,239-unknown
+# unit-disc grid (L = 32, h = 1/16) already take 415 MB
+_MAX_WINDOW_STATES = 64
 
 
 def _start_vector(n):
@@ -142,12 +147,12 @@ def _certified_pairs(m, k, sigma):
     return None if np.any(lu.U.diagonal() < 0.0) else pairs
 
 
-class Eigensolve(tuple):
-    """``(values, residuals)`` of one solve, with its certified shift."""
+class _Result(tuple):
+    """A result tuple that carries named extras, such as a solve's shift."""
 
-    def __new__(cls, values, residuals, shift):
-        self = super().__new__(cls, (values, residuals))
-        self.shift = shift
+    def __new__(cls, items, **extras):
+        self = super().__new__(cls, items)
+        self.__dict__.update(extras)
         return self
 
 
@@ -169,8 +174,7 @@ def lowest_eigenvalues(op, k, below=None):
     converge.
 
     Returns ``(values, residuals)``, residuals ||M v - lambda v|| of the
-    unit eigenvectors, as an :class:`Eigensolve` whose ``shift`` is the
-    certified sigma.
+    unit eigenvectors, as a tuple whose ``shift`` is the certified sigma.
     """
     m = op.matrix if isinstance(op, DiscreteOperator) else op
     n = m.shape[0]
@@ -187,7 +191,7 @@ def lowest_eigenvalues(op, k, below=None):
     order = np.argsort(vals)
     vals, vecs = vals[order], vecs[:, order]
     residuals = np.linalg.norm(m @ vecs - vecs * vals[None, :], axis=0)
-    return Eigensolve(vals, residuals, sigma)
+    return _Result((vals, residuals), shift=sigma)
 
 
 def _separable_modes(op):
@@ -223,28 +227,52 @@ def _separable_modes(op):
     return mu, nu, psi
 
 
-def _eigenpairs_near(matrix, target, k, modes):
-    """Eigenpairs of a separable free Hamiltonian nearest ``target``.
+def _sine_modes(rows, j, n_s):
+    """phi_j(i) = sqrt(2/(N+1)) sin(i j pi/(N+1)) at 1-based ``rows`` i.
 
-    ``modes`` is the ``(mu, nu, psi)`` of :func:`_separable_modes`.  The
-    k modes (at most n - 2) nearest ``target + 1e-9`` -- the shift the
-    shift-invert solve used to sit at, off an exact eigenvalue collision --
-    are selected from the sums mu_j + nu_t, and only their vectors
-    phi_j x psi_t are built.  Returns ``(values, vectors)`` ordered by
-    distance to ``target``.
+    The unit Dirichlet modes of T_s for 0-based mode indices ``j``; i j is
+    reduced mod 2(N+1) before the sine.
+    """
+    phase = np.outer(rows, j + 1) % (2 * (n_s + 1))
+    return np.sqrt(2.0 / (n_s + 1)) * np.sin(phase * (np.pi / (n_s + 1)))
+
+
+def _eigenpairs_near(op, center, half_width, modes, wall_mass_tol):
+    """Every eigenpair of a separable free Hamiltonian inside one window.
+
+    ``modes`` is the ``(mu, nu, psi)`` of :func:`_separable_modes` for
+    ``op``.  The sums mu_j + nu_t strictly inside center -+ half_width are
+    kept unless phi_j puts more than ``wall_mass_tol`` of its unit mass
+    within 4 nodes of an s-wall (the wall fraction of phi_j x psi_t is that
+    of phi_j), and counted before any vector is built: WindowError for none
+    or more than ``_MAX_WINDOW_STATES``.  Returns ``(values, vectors)``,
+    nearest ``center`` first (ties: nearest ``center + 1e-9``, then lowest
+    index), as a tuple whose ``n_filtered`` counts the dropped modes.
     """
     mu, nu, psi = modes
-    n_s = mu.size
+    n_s = op.grid.s_nodes.size - 2
+    lo, hi = center - half_width, center + half_width
     values = (mu[:, None] + nu[None, :]).ravel()
-    k = min(k, matrix.shape[0] - 2)
-    pick = np.argsort(np.abs(values - (target + 1e-9)), kind="stable")[:k]
-    pick = pick[np.argsort(np.abs(values[pick] - target), kind="stable")]
-    j, t = np.divmod(pick, nu.size)
-    # phi_j(i) = sqrt(2/(N+1)) sin(i j pi/(N+1)), i j reduced mod 2(N+1)
-    phase = np.outer(np.arange(1, n_s + 1), j + 1) % (2 * (n_s + 1))
-    phi = np.sqrt(2.0 / (n_s + 1)) * np.sin(phase * (np.pi / (n_s + 1)))
-    vectors = (phi[:, None, :] * psi[None, :, t]).reshape(-1, k)
-    return values[pick], vectors
+    inside = np.flatnonzero((values > lo) & (values < hi))
+    walls = np.r_[1:5, n_s - 3:n_s + 1]
+    wall_mass = np.sum(_sine_modes(walls, inside // nu.size, n_s) ** 2, axis=0)
+    keep = inside[wall_mass <= wall_mass_tol]
+    if not keep.size:
+        raise WindowError(
+            f"no interior spectral content in ({lo:g}, {hi:g}); "
+            "enlarge the domain length L"
+        )
+    if keep.size > _MAX_WINDOW_STATES:
+        raise WindowError(
+            f"({lo:g}, {hi:g}) holds {keep.size} interior states, more than "
+            f"the {_MAX_WINDOW_STATES} one projector may hold: shrink the window"
+        )
+    off = values[keep]
+    keep = keep[np.lexsort((keep, np.abs(off - (center + 1e-9)), np.abs(off - center)))]
+    j, t = np.divmod(keep, nu.size)
+    phi = _sine_modes(np.arange(1, n_s + 1), j, n_s)
+    vectors = (phi[:, None, :] * psi[None, :, t]).reshape(-1, keep.size)
+    return _Result((values[keep], vectors), n_filtered=int(inside.size - keep.size))
 
 
 # ---------------------------------------------------------------------------
@@ -377,13 +405,11 @@ class BoundStatesResult:
         return all(st.value < nu1 - st.error for st in self.states)
 
 
-def select_domain_length(assemble, spacing, initial_length=8.0,
-                         truncation_tol=None, nu1=None, max_doublings=6,
-                         n_eigs=1):
-    """Double L until the lowest eigenvalue moves less than the tolerance.
+def select_domain_length(assemble, spacing, truncation_tol=None, nu1=None, n_eigs=1):
+    """Double L from 8 until the lowest eigenvalue moves less than the tolerance.
 
-    Returns (L, truncation_ladder, eigenvalues at L, LadderLevel at L),
-    where the ladder holds (L, lambda_min) pairs at the probing spacing;
+    At most 6 times, to L = 512.  Returns (L, truncation_ladder,
+    eigenvalues at L, LadderLevel at L), where the ladder holds (L, lambda_min) pairs at the probing spacing;
     the last two are the refinement ladder's coarsest level, so it is
     never solved twice.  Dirichlet truncation approaches the
     infinite-tube value monotonically from above, so the moves shrink
@@ -393,10 +419,10 @@ def select_domain_length(assemble, spacing, initial_length=8.0,
         if nu1 is None:
             raise InputError("need truncation_tol or nu1 for its default")
         truncation_tol = 1e-6 * nu1
-    length = float(initial_length)
+    length = 8.0
     vals, level = _solve_level(assemble, length, spacing, n_eigs, None)
     ladder = [(length, float(vals[0]))]
-    for _ in range(max_doublings):
+    for _ in range(6):
         length *= 2.0
         vals, level = _solve_level(assemble, length, spacing, n_eigs, ladder[-1][1])
         ladder.append((length, float(vals[0])))
@@ -611,33 +637,28 @@ class MourreWindow:
 
 
 def mourre_check_free(h0_op, commutator_op, thresholds, lambda_windows,
-                      projector_rank=64, epsilon_factor=0.05,
-                      tolerance_factor=0.05, wall_mass_tol=0.01):
+                      epsilon_factor=0.05, tolerance_factor=0.05, wall_mass_tol=0.01):
     """Projected commutator lower bound against 2 rho(lambda).
 
-    For each window the spectral projector of the discrete free
-    Hamiltonian onto (lambda - eps, lambda + eps) is built from its exact
-    separable eigenpairs (``h0_op`` must be the Kronecker sum
-    T_s x I + I x H_perp of a straight tube, else InputError): the modes
-    nearest lambda, their number doubled from 16 up to ``projector_rank``
-    until they bracket the window on both sides.  Wall-localised vectors
-    (more than ``wall_mass_tol`` of their mass within 4 nodes of the
-    s-walls: truncation artifacts) are discarded, and the smallest
-    eigenvalue of the compressed commutator is compared to 2 rho(lambda)
-    minus the stated tolerance.  Windows closer than 1.5 eps to a
-    threshold are refused.
+    Every window is validated before any mode is computed: a centre below
+    nu_1 (the bound is vacuous) or within 1.5 eps of a threshold (rho
+    jumps) raises WindowError.  The spectral projector of the discrete
+    free Hamiltonian onto each (lambda - eps, lambda + eps) is then exact:
+    every separable eigenpair inside it (``h0_op`` must be the Kronecker
+    sum T_s x I + I x H_perp of a straight tube, else InputError) less
+    wall-localised truncation artifacts, see :func:`_eigenpairs_near`.
+    The smallest eigenvalue of the assembled commutator compressed to
+    those modes is compared to 2 rho(lambda) minus the stated tolerance.
     """
     if h0_op.grid is not commutator_op.grid:
         raise InputError("free Hamiltonian and commutator must share a grid")
-    modes = _separable_modes(h0_op)
-    results = []
     nu = np.asarray(thresholds.nu)
+    windows = []
     for item in lambda_windows:
         if isinstance(item, (tuple, list)):
             lam, eps = float(item[0]), float(item[1])
         else:
-            lam = float(item)
-            eps = None
+            lam, eps = float(item), None
         rho = rho_of_lambda(thresholds, lam)
         if rho is BELOW_LOWEST_THRESHOLD:
             raise WindowError(
@@ -653,38 +674,13 @@ def mourre_check_free(h0_op, commutator_op, thresholds, lambda_windows,
                 f"window at {lam:g} sits within {dist:g} of a threshold "
                 f"(margin {margin:g}): rho jumps there, refuse"
             )
+        windows.append((lam, eps, rho))
 
-        lo, hi = lam - eps, lam + eps
-        k = 16
-        n = h0_op.shape[0]
-        while True:
-            vals, vecs = _eigenpairs_near(h0_op.matrix, lam, k, modes)
-            bracketed = np.any(vals <= lo) and np.any(vals >= hi)
-            if bracketed:
-                break
-            if k >= min(projector_rank, n - 2):
-                # an under-covered projector would silently miss window
-                # states and inflate the measured bound
-                raise WindowError(
-                    f"projector rank {k} cannot bracket ({lo:g}, {hi:g}); "
-                    "raise projector_rank or shrink the window"
-                )
-            k = min(2 * k, max(projector_rank, 16))
-        inside = (vals > lo) & (vals < hi)
-        vals, vecs = vals[inside], vecs[:, inside]
-
-        keep = [
-            i
-            for i in range(vals.size)
-            if h0_op.grid.wall_mass_fraction(vecs[:, i]) <= wall_mass_tol
-        ]
-        n_filtered = int(vals.size - len(keep))
-        if not keep:
-            raise WindowError(
-                f"no interior spectral content in ({lo:g}, {hi:g}); "
-                "enlarge the domain length L"
-            )
-        basis, _ = np.linalg.qr(vecs[:, keep])
+    modes = _separable_modes(h0_op)
+    results = []
+    for lam, eps, rho in windows:
+        values, vectors = pairs = _eigenpairs_near(h0_op, lam, eps, modes, wall_mass_tol)
+        basis, _ = np.linalg.qr(vectors)
         w = basis.T @ (commutator_op.matrix @ basis)
         w = 0.5 * (w + w.T)
         measured = float(np.linalg.eigvalsh(w)[0])
@@ -697,8 +693,8 @@ def mourre_check_free(h0_op, commutator_op, thresholds, lambda_windows,
                 rho=float(rho),
                 expected_bound=expected,
                 measured_bound=measured,
-                n_states=len(keep),
-                n_filtered=n_filtered,
+                n_states=values.size,
+                n_filtered=pairs.n_filtered,
                 tolerance=tol,
                 passed=measured >= expected - tol,
             )

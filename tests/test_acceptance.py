@@ -197,7 +197,7 @@ def test_criterion_6_mourre_estimate_for_the_free_hamiltonian(bent_strip):
     windows = (th.nu[0] + 0.3 * d1, th.nu[0] + 0.7 * d1, th.nu[1] + 0.4 * d2)
     results = mourre_check_free(
         h0, commutator, th, windows,
-        epsilon_factor=0.05, tolerance_factor=0.05, projector_rank=96,
+        epsilon_factor=0.05, tolerance_factor=0.05,
     )
     runtime = time.perf_counter() - t0
     assert runtime < 300.0

@@ -1,4 +1,5 @@
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -364,11 +365,12 @@ domain_length = 4.0
 spacings = 0.25, 0.125
 n_eigs = 2
 include_mourre = true
+mourre_windows = 49.3
 """
 
 
 def test_mourre_refusal_after_the_ladder_keeps_the_report(tmp_path, capsys):
-    # the third default window lands on the double threshold nu_2 = nu_3
+    # the window sits 0.048 below nu_2 = 49.348, inside its 2.2 margin
     cfg_path = write(tmp_path, SQUARE_SMOKE)
     code = main(["spectrum", "--config", cfg_path, "--out", str(tmp_path)])
     assert code == 3
@@ -376,10 +378,31 @@ def test_mourre_refusal_after_the_ladder_keeps_the_report(tmp_path, capsys):
     report = (tmp_path / "report.txt").read_text()
     assert "[bound_states]" in report and "level[2] = L 4.0, h 0.125" in report
     mourre = report.split("[mourre]\n", 1)[1].split("\n", 1)[0]
-    assert re.fullmatch(r"error = window at 49\.348 sits within 0 of a threshold "
-                        r"\(margin \S+\): rho jumps there, refuse", mourre)
+    assert re.fullmatch(r"error = window at 49\.3 sits within 0\.0480\d* of a threshold "
+                        r"\(margin 2\.21\d*\): rho jumps there, refuse", mourre)
     assert (tmp_path / "spectrum.csv").exists()
     assert not (tmp_path / "mourre.csv").exists()
+
+
+def test_default_mourre_windows_need_three_distinct_thresholds():
+    from tubespectra import ThresholdSet, WindowError
+    from tubespectra.cli import default_mourre_windows
+
+    double = ThresholdSet((1.0, 2.0, 2.0, 2.0), ("analytic",) * 4)
+    with pytest.raises(WindowError, match="need 3 distinct thresholds, got 2"):
+        default_mourre_windows(double)
+
+
+def test_unit_square_default_mourre_windows_pass(tmp_path, capsys):
+    # the defaults sit between the distinct thresholds 19.74, 49.35 (double)
+    # and 78.96, so none lands on nu_2 = nu_3
+    cfg_path = write(tmp_path, SQUARE_SMOKE.replace("mourre_windows = 49.3\n", ""))
+    code = main(["mourre", "--config", cfg_path, "--out", str(tmp_path)])
+    rows = [l for l in capsys.readouterr().out.split("\n") if l.startswith("lambda=")]
+    assert code == 0
+    assert [r.split()[0] for r in rows] == [
+        "lambda=28.6219", "lambda=40.4654", "lambda=61.1915"]
+    assert all(r.endswith("PASS") for r in rows)
 
 
 DISC_MOURRE = """
@@ -528,6 +551,44 @@ def test_d3_table_wider_than_s_max_samples_the_rotation_over_the_table(tmp_path,
     captured = capsys.readouterr()
     assert "error" not in captured.err
     assert code == 0
+
+
+def _surface_table(tmp_path, half_width, K):
+    s, u = np.meshgrid(np.linspace(-40.0, 40.0, 81), np.linspace(-half_width, half_width, 5),
+                       indexing="ij")
+    np.savetxt(tmp_path / "K.txt", np.stack([s.ravel(), u.ravel(), np.full(s.size, K)], axis=1))
+    return FLAT_STRIP.replace(
+        "family = gaussian-bump\nkappa0 = 0.65\nsigma = 1.2", _bump_table(tmp_path, -40.0, 40.0)
+    ).replace("curvature = 0.0", "file = K.txt")
+
+
+def test_surface_table_strip_runs_the_gate(tmp_path, capsys):
+    # the metric's s-differences must not reach past the tabulated kappa
+    cfg_path = write(tmp_path, _surface_table(tmp_path, 1.0, 0.0))
+    code = main(["check", "--config", cfg_path, "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.split() == ["basic:", "pass", "metric-decay:", "pass",
+                                    "coefficients:", "pass"]
+    assert code == 0
+
+
+def test_surface_table_narrower_than_the_strip_exits_1(tmp_path, capsys):
+    # K is tabulated on |u| <= 0.5 only: it must not read 0 across the rest
+    cfg_path = write(tmp_path, _surface_table(tmp_path, 0.5, 0.4))
+    code = main(["check", "--config", cfg_path, "--out", str(tmp_path)])
+    assert code == 1
+    assert re.search(r"K\.txt' does not cover \(s=-?[\d.]+, u=0\.50\d*\)",
+                     capsys.readouterr().err)
+
+
+def test_readme_ini_block_loads_and_round_trips():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+    cfg = load_config_text(block)
+    again = load_config_text(cfg.render())
+    assert again == cfg
+    assert again.render() == cfg.render()
 
 
 RECT_TUBE = """

@@ -256,9 +256,9 @@ def test_non_monotone_ladder_raises_diagnostics_error():
 
 def test_domain_doubling_rule_stops(strong_recipe):
     length, ladder, lowest, level = select_domain_length(
-        strong_recipe, 0.125, initial_length=4.0, truncation_tol=1e-4, nu1=NU1
+        strong_recipe, 0.125, truncation_tol=1e-4, nu1=NU1
     )
-    assert length >= 8.0
+    assert ladder[0][0] == 8.0 and length >= 16.0
     # the last doubling's solve comes back for reuse as a ladder level
     assert (level.length, level.spacing, lowest[0]) == (length, 0.125, ladder[-1][1])
     vals = [v for _, v in ladder]
@@ -395,16 +395,61 @@ def test_mourre_never_factorizes(mourre_setup, monkeypatch):
     h0, c0, th = mourre_setup
     import scipy.sparse.linalg as spla
 
-    factorized, solves = [], []
+    factorized, kept = [], []
     splu, near = spla.splu, spectral._eigenpairs_near
     monkeypatch.setattr(spla, "splu", lambda *a, **kw: factorized.append(1) or splu(*a, **kw))
-    monkeypatch.setattr(spectral, "_eigenpairs_near",
-                        lambda m, t, k, modes: solves.append(k) or near(m, t, k, modes))
+
+    def counting(*args):
+        pairs = near(*args)
+        kept.append(pairs[0].size)
+        return pairs
+
+    monkeypatch.setattr(spectral, "_eigenpairs_near", counting)
     lam = 0.5 * (th.nu[1] + th.nu[2])
-    # about 29 states in the wide window: its projector rank doubles once
-    mourre_check_free(h0, c0, th, [(lam, 4.0), (lam, 1.0)], wall_mass_tol=0.05)
-    assert solves == [16, 32, 16]
+    wide, narrow = mourre_check_free(h0, c0, th, [(lam, 4.0), (lam, 1.0)],
+                                     wall_mass_tol=0.05)
+    # one exact selection per window: the wide one holds 29 states
+    assert kept == [wide.n_states, narrow.n_states] and wide.n_states == 29
     assert factorized == []
+
+
+def test_mourre_validates_every_window_before_any_mode(mourre_setup, monkeypatch):
+    h0, c0, th = mourre_setup
+
+    def refuse(op):
+        raise AssertionError("modes computed before every window was validated")
+
+    monkeypatch.setattr(spectral, "_separable_modes", refuse)
+    ok = th.nu1 + 0.3 * (th.nu[1] - th.nu1)
+    with pytest.raises(WindowError, match=r"sits within 0 of a threshold"):
+        mourre_check_free(h0, c0, th, [ok, ok, th.nu[1]])
+
+
+def test_mourre_refuses_a_window_past_the_state_cap(mourre_setup):
+    _, _, th = mourre_setup
+    grid = TruncatedGrid.interval(32.0, 0.125, 1.0)
+    h0 = assemble_free_hamiltonian(grid)
+    c0 = assemble_commutator(CoefficientField(None), None, grid)
+    lam = 0.5 * (th.nu[2] + th.nu[3])
+    (win,) = mourre_check_free(h0, c0, th, [(lam, 4.0)], wall_mass_tol=1.0)
+    assert win.n_states == 62
+    with pytest.raises(WindowError, match=r"holds 69 interior states, more than the 64"):
+        mourre_check_free(h0, c0, th, [(lam, 4.4)], wall_mass_tol=1.0)
+
+
+@pytest.mark.parametrize("tol, kept", [(0.02, 3), (0.03, 9), (0.04, 19)])
+def test_mourre_wall_filter_matches_the_full_vector_fractions(mourre_setup, tol, kept):
+    # the filter reads phi_j alone; the reference is each whole vector's
+    # share of |v|^2 on the 4 node layers next to either s-wall
+    h0, _, th = mourre_setup
+    lam = 0.5 * (th.nu[1] + th.nu[2])
+    modes = spectral._separable_modes(h0)
+    vals, vecs = spectral._eigenpairs_near(h0, lam, 4.0, modes, 1.0)
+    x = vecs.reshape(h0.grid.s_nodes.size - 2, -1, vals.size) ** 2
+    wall = (x[:4].sum(axis=(0, 1)) + x[-4:].sum(axis=(0, 1))) / x.sum(axis=(0, 1))
+    pairs = spectral._eigenpairs_near(h0, lam, 4.0, modes, tol)
+    np.testing.assert_array_equal(pairs[0], vals[wall <= tol])
+    assert (pairs[0].size, pairs.n_filtered) == (kept, vals.size - kept)
 
 
 @pytest.mark.parametrize("grid, omega, lam, eps", [
@@ -419,8 +464,7 @@ def test_mourre_separable_pairs_match_the_dense_oracle(grid, omega, lam, eps):
     assert h0.shape[0] <= 2000
     # every window state is kept, so the projector does not depend on the
     # basis a degenerate eigenspace is given
-    (win,) = mourre_check_free(h0, c0, th, [(lam, eps)], projector_rank=256,
-                               wall_mass_tol=1.0)
+    (win,) = mourre_check_free(h0, c0, th, [(lam, eps)], wall_mass_tol=1.0)
     w, v = np.linalg.eigh(h0.matrix.toarray())
     inside = (w > lam - eps) & (w < lam + eps)
     basis, _ = np.linalg.qr(v[:, inside])
@@ -430,11 +474,10 @@ def test_mourre_separable_pairs_match_the_dense_oracle(grid, omega, lam, eps):
         np.linalg.eigvalsh(0.5 * (comp + comp.T))[0], rel=1e-10, abs=1e-10)
 
     modes = spectral._separable_modes(h0)
-    vals, vecs = spectral._eigenpairs_near(h0.matrix, lam, 24, modes)
-    nearest = w[np.argsort(np.abs(w - (lam + 1e-9)), kind="stable")[:24]]
-    np.testing.assert_allclose(np.sort(vals), np.sort(nearest), rtol=1e-10, atol=0)
+    vals, vecs = spectral._eigenpairs_near(h0, lam, eps, modes, 1.0)
+    np.testing.assert_allclose(np.sort(vals), w[inside], rtol=1e-10, atol=0)
     assert np.all(np.diff(np.abs(vals - lam)) >= 0.0)
-    np.testing.assert_allclose(vecs.T @ vecs, np.eye(24), atol=1e-12)
+    np.testing.assert_allclose(vecs.T @ vecs, np.eye(vals.size), atol=1e-12)
     residuals = np.linalg.norm(h0.matrix @ vecs - vecs * vals, axis=0)
     assert np.max(residuals) <= 1e-10 * np.max(np.abs(w))
 
