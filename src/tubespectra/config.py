@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cross_section import CrossSection
+from .cross_section import CrossSection, cross_section_spectrum
 from .errors import ConfigError, InputError
 from .profiles import (
     CurvatureProfile,
@@ -347,11 +347,13 @@ def parse_config(parser, base_dir="."):
     for name in ("n_eigs", "n_thresholds"):
         if getattr(cfg, name) < 1:
             raise ConfigError(f"[numerics] {name} must be at least 1")
-    if cfg.include_mourre and not cfg.mourre_windows and cfg.n_thresholds < 3:
-        # the default windows sit between nu_1, nu_2 and nu_3
-        raise ConfigError(
-            "[numerics] n_thresholds must be at least 3 for include_mourre "
-            "with the default mourre_windows"
-        )
+    if cfg.include_mourre and not cfg.mourre_windows:
+        # the default windows sit between the first three distinct thresholds
+        nu = cross_section_spectrum(cfg.cross_section(), cfg.n_thresholds).nu
+        if len(set(nu)) < 3:
+            raise ConfigError(
+                f"[numerics] n_thresholds = {cfg.n_thresholds} gives {len(set(nu))} distinct "
+                "thresholds; include_mourre with the default mourre_windows needs 3"
+            )
     return cfg
 

@@ -6,13 +6,15 @@ a spacing ladder, and Richardson extrapolated assuming the clean
 second-order convergence of the stencil; the fitted order is reported
 and the result flagged when it strays from 2.
 
-Every ladder solve factorizes A - sigma I exactly once, with SuperLU
-under a symmetric fill-reducing ordering, and hands those factors to
-ARPACK.  Ladder solves shift just below the previous level's lowest
-eigenvalue, where Lanczos converges in a few dozen solves, and certify
-the shift afterwards by Sylvester's law of inertia: no negative pivot, so
-no eigenvalue below sigma that the solve could have missed.  A shift that
-fails the check is lowered and the solve repeated.
+Every grid stores s as the slowest index, so A - sigma I is banded, its
+half-bandwidth the number of transverse nodes per slice.  Every ladder
+solve factorizes it once by banded Cholesky (LAPACK dpbtrf) and ARPACK
+solves through that factor.  Ladder solves shift just below the previous
+level's lowest eigenvalue, where Lanczos converges in a few dozen solves.
+The factorization is the certificate: Cholesky exists only for a
+positive definite matrix, so when it succeeds no eigenvalue lies at or
+below sigma and the solve cannot miss one.  A shift where it fails is
+lowered before any solve is made.
 
 The Mourre check factorizes nothing.  The free Hamiltonian of a straight
 tube separates exactly, H0 = T_s x I + I x H_perp, so its eigenpairs are
@@ -55,6 +57,7 @@ from .operators import (
 )
 
 __all__ = [
+    "lower_band",
     "lowest_eigenvalues",
     "RichardsonResult",
     "richardson_extrapolate",
@@ -74,8 +77,8 @@ __all__ = [
 
 # roundoff slack, relative to max(1, |nu_1|), of the ladder monotonicity test
 _MONOTONICITY_SLACK = 1e-10
-# first distance of the shift below a hint, relative to max(1, |hint|); the
-# inertia guard doubles the distance until no eigenvalue lies below the shift
+# first distance of the shift below a hint, relative to max(1, |hint|); it
+# doubles until the Cholesky factorization certifies the shift
 _SHIFT_OFFSET = 1e-2
 # most states one Mourre window may hold: 64 vectors of the 811,239-unknown
 # unit-disc grid (L = 32, h = 1/16) already take 415 MB
@@ -88,33 +91,53 @@ def _start_vector(n):
     return v / np.linalg.norm(v)
 
 
+def lower_band(matrix):
+    """Fortran-ordered LAPACK lower band of a symmetric sparse matrix's lower triangle."""
+    low = sp.tril(matrix, format="coo")
+    low.sum_duplicates()
+    offset = low.row - low.col
+    band = np.zeros((int(offset.max(initial=0)) + 1, matrix.shape[0]), order="F")
+    band[offset, low.col] = low.data
+    return band
+
+
 def _factorize(m, sigma):
-    """SuperLU factors of m - sigma I under a symmetric ordering.
+    """Banded Cholesky factor of m - sigma I, or None when there is none.
 
-    Minimum degree on A^T + A with diagonal pivots (SymmetricMode,
-    diag_pivot_thresh=0) keeps the row and column permutations equal
-    unless a pivot is exactly zero.  Then P (m - sigma I) P^T = L U with L
-    unit lower triangular and U = D L^T, and by Sylvester's law of inertia
-    the negative entries of diag(U) count the eigenvalues of m below sigma.
-    Raises SuperLU's RuntimeError when m - sigma I is exactly singular.
+    dpbtrf fails when m - sigma I is not positive definite, that is when
+    some eigenvalue of m lies at or below sigma, so its success certifies
+    sigma.  Cholesky needs no pivoting and is backward stable: the factor
+    is exact for a matrix within roundoff of m - sigma I.
     """
-    # imported on first use, like eigsh below: scipy.sparse.linalg would
-    # add about 0.2 s to every import of the package
-    from scipy.sparse.linalg import splu
+    # imported on first use, like eigsh below: scipy.linalg would add
+    # about 0.1 s to every import of the package
+    from scipy.linalg.lapack import dpbtrf
 
-    shifted = (m - sigma * sp.identity(m.shape[0], format="csc")).tocsc()
-    return splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                options={"SymmetricMode": True})
+    band = lower_band(m)
+    band[0] -= sigma
+    factor, info = dpbtrf(band, lower=1, overwrite_ab=1)
+    return factor if info == 0 else None
 
 
-def _shift_invert(m, k, sigma, lu):
-    """The k eigenpairs of m nearest sigma; ARPACK solves with ``lu``."""
+def _shift_invert(m, k, sigma, factor):
+    """The k eigenpairs of m nearest sigma, and the solves ARPACK made.
+
+    ARPACK applies (m - sigma I)^-1 through the banded Cholesky ``factor``.
+    """
+    from scipy.linalg.lapack import dpbtrs
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
-    opinv = LinearOperator(m.shape, matvec=lu.solve, dtype=float)
+    solves = 0
+
+    def solve(rhs):
+        nonlocal solves
+        solves += 1
+        return dpbtrs(factor, rhs, lower=1)[0]
+
+    opinv = LinearOperator(m.shape, matvec=solve, dtype=float)
     try:
-        return eigsh(m, k=k, sigma=sigma, which="LM", OPinv=opinv, tol=0.0,
-                     v0=_start_vector(m.shape[0]))
+        vals, vecs = eigsh(m, k=k, sigma=sigma, which="LM", OPinv=opinv, tol=0.0,
+                           v0=_start_vector(m.shape[0]))
     except ArpackNoConvergence as exc:
         got = np.asarray(exc.eigenvalues)
         best = None
@@ -125,26 +148,7 @@ def _shift_invert(m, k, sigma, lu):
             f"eigensolver did not converge for k={k} (got {got.size})",
             best_residual=best,
         ) from exc
-
-
-def _certified_pairs(m, k, sigma):
-    """The k eigenpairs of m nearest sigma, or None when one may lie below.
-
-    None when m - sigma I is exactly singular or its factors have a
-    negative pivot; SolverError when they pivoted off the diagonal.
-    """
-    try:
-        lu = _factorize(m, sigma)
-    except RuntimeError:  # exactly singular: sigma is an eigenvalue
-        return None
-    if not np.array_equal(lu.perm_r, lu.perm_c):
-        raise SolverError(
-            f"factorization at shift {sigma!r} pivoted off the diagonal: "
-            "its inertia does not count eigenvalues"
-        )
-    pairs = _shift_invert(m, k, sigma, lu)
-    # read after the solve: .U copies the factor
-    return None if np.any(lu.U.diagonal() < 0.0) else pairs
+    return vals, vecs, solves
 
 
 class _Result(tuple):
@@ -163,35 +167,38 @@ def lowest_eigenvalues(op, k, below=None):
     at a shift sigma just under ``below`` -- a hint such as the lowest
     eigenvalue of the previous ladder level -- placed at
     ``below - 1e-2 * max(1, |below|)``, or at -1 without a hint.
-    M - sigma I is factorized once and ARPACK solves with those factors.
-    The shift is certified by inertia after the solve: the factorization
-    must have no negative pivot, so no eigenvalue lies below sigma and
-    the k eigenvalues nearest sigma are the k lowest.  When it has one,
-    or M - sigma I is exactly singular, the result is discarded, the
-    distance of sigma below the hint is doubled, and the solve repeated.
-    Raises SolverError when the factorization had to pivot off the
-    diagonal (its inertia would then mean nothing) or ARPACK did not
-    converge.
+    M - sigma I is factorized once by banded Cholesky and ARPACK solves
+    with that factor.  The factorization certifies the shift before any
+    solve: it exists only when no eigenvalue lies at or below sigma, and
+    then the k eigenvalues nearest sigma are the k lowest.  When it does
+    not exist, the distance of sigma below the hint is doubled and M
+    factorized again.  Only the lower triangle of M is read, so a matrix
+    that is not exactly symmetric raises InputError; SolverError when
+    ARPACK did not converge.
 
     Returns ``(values, residuals)``, residuals ||M v - lambda v|| of the
-    unit eigenvectors, as a tuple whose ``shift`` is the certified sigma.
+    unit eigenvectors, as a tuple whose ``shift`` is the certified sigma,
+    ``band`` the half-bandwidth of M and ``solves`` the number of solves
+    ARPACK made with the factor.
     """
     m = op.matrix if isinstance(op, DiscreteOperator) else op
     n = m.shape[0]
     if k < 1 or k >= n:
         raise InputError(f"need 1 <= k < matrix dimension (k={k}, n={n})")
+    if (m != m.T).nnz:
+        raise InputError("matrix is not exactly symmetric")
 
     anchor = -1.0 if below is None else float(below)
     step = _SHIFT_OFFSET * max(1.0, abs(anchor))
     sigma = anchor if below is None else anchor - step
-    while (pairs := _certified_pairs(m, k, sigma)) is None:
+    while (factor := _factorize(m, sigma)) is None:
         sigma -= step
         step *= 2.0
-    vals, vecs = pairs
+    vals, vecs, solves = _shift_invert(m, k, sigma, factor)
     order = np.argsort(vals)
     vals, vecs = vals[order], vecs[:, order]
     residuals = np.linalg.norm(m @ vecs - vecs * vals[None, :], axis=0)
-    return _Result((vals, residuals), shift=sigma)
+    return _Result((vals, residuals), shift=sigma, band=factor.shape[0] - 1, solves=solves)
 
 
 def _separable_modes(op):
@@ -373,13 +380,15 @@ class BoundState:
 
 @dataclass(frozen=True)
 class LadderLevel:
-    """One refinement-ladder eigensolve: size, shift and residual."""
+    """One refinement-ladder eigensolve: size, band, shift, solves, residual."""
 
     length: float
     spacing: float
     unknowns: int
     nnz: int
+    band: int                    # half-bandwidth of the operator
     shift: float                 # certified shift-invert sigma
+    solves: int                  # ARPACK solves with the shift's factor
     max_residual: float
 
 
@@ -440,7 +449,9 @@ def _solve_level(assemble, length, spacing, k, below):
         spacing=float(spacing),
         unknowns=int(op.shape[0]),
         nnz=int(getattr(op, "matrix", op).nnz),
+        band=solved.band,
         shift=solved.shift,
+        solves=solved.solves,
         max_residual=float(np.max(residuals)),
     )
     return np.asarray(vals), level

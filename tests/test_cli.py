@@ -212,15 +212,19 @@ def test_bent_tube_spectrum_reports_a_bound_state(tmp_path):
     assert "count = 1" in report
     assert "report_sound = True" in report
     levels = re.findall(
-        r"^level\[\d\] = L 32\.0, h (\S+), n \d+, nnz \d+, shift (\S+), "
-        r"max_residual (\d\.\de-\d\d)$",
+        r"^level\[\d\] = L 32\.0, h (\S+), n \d+, nnz \d+, band (\d+), shift (\S+), "
+        r"solves (\d+), max_residual (\d\.\de-\d\d)$",
         report, flags=re.M,
     )
-    assert [h for h, _, _ in levels] == ["0.125", "0.0625"]
-    assert all(float(res) < 1e-8 for _, _, res in levels)
+    assert [h for h, *_ in levels] == ["0.125", "0.0625"]
+    # one slice of transverse nodes: 15 at h = 1/8, 31 at h = 1/16
+    assert [int(band) for _, band, *_ in levels] == [15, 31]
+    assert all(int(solves) > 0 for *_, solves, _ in levels)
+    assert all(float(res) < 1e-8 for *_, res in levels)
     # each certified shift sits below every eigenvalue of its level
     ladder = re.search(r"^state\[1\]\.ladder = (.*)$", report, flags=re.M).group(1)
-    assert all(float(sig) < float(v) for (_, sig, _), v in zip(levels, ladder.split(", ")))
+    assert all(float(sig) < float(v)
+               for (_, _, sig, _, _), v in zip(levels, ladder.split(", ")))
 
 
 def test_flat_strip_config_matches_the_euclidean_run(tmp_path):
@@ -492,6 +496,16 @@ def test_config_rejects_counts_the_run_cannot_use(old, new):
         load_config_text(STRAIGHT.replace(old, new))
     field = new.split(" =")[0]
     assert str(exc.value).startswith(f"[numerics] {field}")
+
+
+def test_config_refuses_default_mourre_windows_on_a_double_threshold(tmp_path):
+    # the unit square's first three thresholds are 19.74 and the double 49.35
+    text = SQUARE_SMOKE.replace("mourre_windows = 49.3\n", "n_thresholds = 3\n")
+    with pytest.raises(ConfigError, match=r"^\[numerics\] n_thresholds = 3 gives 2 distinct"):
+        load_config_text(text)
+    code = main(["spectrum", "--config", write(tmp_path, text), "--out", str(tmp_path)])
+    assert code == 1 and not (tmp_path / "report.txt").exists()
+    assert load_config_text(text.replace("n_thresholds = 3", "n_thresholds = 4")).n_thresholds == 4
 
 
 def test_config_accepts_two_thresholds_with_explicit_mourre_windows():

@@ -10,7 +10,6 @@ from tubespectra import (
     DiagnosticsError,
     EffectivePotential,
     InputError,
-    SolverError,
     SpectralReport,
     ThresholdSet,
     TruncatedGrid,
@@ -112,22 +111,113 @@ def test_exactly_singular_shift_is_lowered():
     below = 3.0
     first = below - spectral._SHIFT_OFFSET * max(1.0, abs(below))
     m = sp.diags(first + 0.5 * np.arange(2500)).tocsr()  # sigma == lambda_0
-    with pytest.raises(RuntimeError):
-        spectral._factorize(m, first)
+    assert spectral._factorize(m, first) is None
     vals, res = solved = lowest_eigenvalues(m, 3, below=below)
     assert solved.shift < first
     np.testing.assert_allclose(vals, first + 0.5 * np.arange(3), rtol=1e-12)
     assert np.all(res < 1e-12)
 
 
-def test_off_diagonal_pivot_raises_solver_error():
-    # the shift -1 zeroes the diagonal of an isolated 2x2 block, so SuperLU
-    # must pivot off the diagonal and the inertia count would be meaningless
+def test_a_shift_a_hair_above_the_lowest_eigenvalue_is_lowered():
+    below = 3.0
+    first = below - spectral._SHIFT_OFFSET * max(1.0, abs(below))
+    lam0 = first - 1e-9 * max(1.0, abs(first))
+    m = sp.diags(np.r_[lam0, first + 0.5 * np.arange(1, 2500)]).tocsr()
+    assert spectral._factorize(m, first) is None
+    vals, res = solved = lowest_eigenvalues(m, 2, below=below)
+    assert solved.shift < lam0
+    np.testing.assert_allclose(vals, [lam0, first + 0.5], rtol=1e-12)
+    assert np.all(res < 1e-12)
+
+
+def test_an_indefinite_block_is_solved_below_its_negative_eigenvalue():
+    # the shift -1 zeroes the diagonal of an isolated 2x2 block with
+    # eigenvalues -2 and 0; Cholesky fails there and below until the shift
+    # passes -2, with no pivoting that could void the certificate
     m = sp.lil_matrix(sp.diags(2.0 + 0.5 * np.arange(2500)))
     m[0, 0] = m[1, 1] = -1.0
     m[0, 1] = m[1, 0] = 1.0
-    with pytest.raises(SolverError, match="pivoted off the diagonal"):
+    m = m.tocsr()
+    dense = np.linalg.eigvalsh(m.toarray())[:2]
+    np.testing.assert_allclose(dense, [-2.0, 0.0], atol=1e-12)
+    vals, res = solved = lowest_eigenvalues(m, 2)
+    assert solved.shift < -2.0
+    assert spectral._factorize(m, solved.shift) is not None
+    np.testing.assert_allclose(vals, dense, rtol=1e-12, atol=1e-12)
+    assert np.all(res < 1e-12)
+
+
+def test_a_matrix_that_is_not_exactly_symmetric_is_refused():
+    m = sp.lil_matrix(sp.diags(1.0 + np.arange(50.0)))
+    m[3, 2] = 1e-3
+    m[2, 3] = 1e-3 * (1.0 + 2.0**-40)
+    with pytest.raises(InputError, match="not exactly symmetric"):
         lowest_eigenvalues(m.tocsr(), 2)
+
+
+def test_lower_band_holds_each_subdiagonal():
+    rng = np.random.default_rng(3)
+    a = np.triu(np.tril(rng.normal(size=(9, 9)), 0), -3)
+    dense = a + a.T
+    band = spectral.lower_band(sp.csr_matrix(dense))
+    assert band.shape == (4, 9) and band.flags.f_contiguous
+    for r in range(4):
+        np.testing.assert_array_equal(band[r, : 9 - r], np.diagonal(dense, -r))
+        assert not band[r, 9 - r:].any()
+    # unsummed duplicate entries add up, as in the matrix they stand for
+    half = sp.coo_matrix(dense / 2.0)
+    twice = sp.coo_matrix((np.tile(half.data, 2), (np.tile(half.row, 2), np.tile(half.col, 2))),
+                          shape=dense.shape)
+    np.testing.assert_array_equal(spectral.lower_band(twice), band)
+
+
+D3_TUBE = """
+[problem]
+kind = euclidean-tube
+dimension = 3
+
+[curvature]
+family = gaussian-bump
+kappa0 = 0.5
+sigma = 1.0
+
+[curvature2]
+family = gaussian-bump
+kappa0 = 0.3
+sigma = 1.0
+
+[cross_section]
+{cross_section}
+
+[numerics]
+s_max = 100.0
+"""
+
+
+def _d3_recipe(cross_section):
+    from tubespectra.cli import build_metric
+    from tubespectra.config import load_config_text
+
+    cfg = load_config_text(D3_TUBE.format(cross_section=cross_section))
+    omega = cfg.cross_section()
+    return hamiltonian_recipe(build_metric(cfg, cfg.profile(), omega), omega)
+
+
+@pytest.mark.parametrize("cross_section, length, spacing", [
+    (None, 4.0, 0.125),
+    ("shape = rectangle\nside_x = 1.0\nside_y = 1.0", 2.0, 0.125),
+    ("shape = disc\nradius = 1.0", 1.5, 1.0 / 6.0),
+], ids=["interval", "rectangle", "disc"])
+def test_assembled_operators_are_symmetric_with_one_slice_of_bandwidth(
+        strong_recipe, cross_section, length, spacing):
+    # s is the slowest index, so the banded factor sees a half-bandwidth of
+    # one transverse slice
+    recipe = strong_recipe if cross_section is None else _d3_recipe(cross_section)
+    op = recipe(length, spacing)
+    m = op.matrix.tocoo()
+    assert (op.matrix != op.matrix.T).nnz == 0
+    assert np.max(m.row - m.col) == op.grid.t_interior.sum()
+    assert spectral.lower_band(op.matrix).shape[0] - 1 == op.grid.t_interior.sum()
 
 
 # ---------------------------------------------------------------------------
@@ -396,8 +486,10 @@ def test_mourre_never_factorizes(mourre_setup, monkeypatch):
     import scipy.sparse.linalg as spla
 
     factorized, kept = [], []
-    splu, near = spla.splu, spectral._eigenpairs_near
+    splu, factorize, near = spla.splu, spectral._factorize, spectral._eigenpairs_near
     monkeypatch.setattr(spla, "splu", lambda *a, **kw: factorized.append(1) or splu(*a, **kw))
+    monkeypatch.setattr(spectral, "_factorize",
+                        lambda *a: factorized.append(1) or factorize(*a))
 
     def counting(*args):
         pairs = near(*args)
@@ -411,6 +503,9 @@ def test_mourre_never_factorizes(mourre_setup, monkeypatch):
     # one exact selection per window: the wide one holds 29 states
     assert kept == [wide.n_states, narrow.n_states] and wide.n_states == 29
     assert factorized == []
+    # the counter sees the factorization a ladder solve makes
+    lowest_eigenvalues(h0, 1)
+    assert factorized == [1]
 
 
 def test_mourre_validates_every_window_before_any_mode(mourre_setup, monkeypatch):

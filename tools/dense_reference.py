@@ -19,7 +19,6 @@ Result frozen in tests/test_acceptance.py:
 
 import time
 
-import numpy as np
 import scipy.linalg as la
 
 from tubespectra import (
@@ -32,16 +31,7 @@ from tubespectra import (
     gaussian_bump,
     metric_from_profile,
 )
-
-
-def lower_band(matrix):
-    """LAPACK lower banded storage of a symmetric sparse matrix."""
-    coo = matrix.tocoo()
-    keep = coo.row >= coo.col
-    rows, cols, vals = coo.row[keep], coo.col[keep], coo.data[keep]
-    band = np.zeros((int(np.max(rows - cols)) + 1, matrix.shape[0]))
-    band[rows - cols, cols] = vals
-    return band
+from tubespectra.spectral import lower_band
 
 
 def main():
