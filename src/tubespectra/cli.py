@@ -29,7 +29,7 @@ from .assumptions import (
     check_curvature_decay,
     check_metric_hypotheses,
 )
-from .config import WaveguideConfig, load_config
+from .config import MOURRE_MIN_THRESHOLDS, WaveguideConfig, load_config
 from .cross_section import cross_section_spectrum
 from .errors import ConfigError, SolverError, TubeSpectraError, WindowError
 from .frames import (
@@ -293,7 +293,7 @@ def run_mourre(cfg: WaveguideConfig, out_dir="."):
     """Free-Hamiltonian Mourre table."""
     os.makedirs(out_dir, exist_ok=True)
     omega = cfg.cross_section()
-    thresholds = cross_section_spectrum(omega, max(cfg.n_thresholds, 4))
+    thresholds = cross_section_spectrum(omega, max(cfg.n_thresholds, MOURRE_MIN_THRESHOLDS))
     windows = run_mourre_windows(cfg, omega, thresholds)
     write_mourre_csv(os.path.join(out_dir, cfg.outputs["mourre"]), windows)
     for w in windows:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cross_section import CrossSection, cross_section_spectrum
-from .errors import ConfigError, InputError
+from .errors import ConfigError, CoverageError, InputError, WindowError
 from .profiles import (
     CurvatureProfile,
     constant_function,
@@ -33,8 +33,11 @@ from .profiles import (
     power_tail,
     tabulated_function,
 )
+from .spectral import validate_mourre_windows
 
 _KINDS = ("euclidean-tube", "surface-strip")
+# the `mourre` command takes at least this many thresholds, `spectrum` n_thresholds
+MOURRE_MIN_THRESHOLDS = 4
 
 
 @dataclass(frozen=True)
@@ -355,5 +358,19 @@ def parse_config(parser, base_dir="."):
                 f"[numerics] n_thresholds = {cfg.n_thresholds} gives {len(set(nu))} distinct "
                 "thresholds; include_mourre with the default mourre_windows needs 3"
             )
+    if cfg.mourre_windows:
+        # refuse a bad explicit window now, not after the ladder, against the
+        # thresholds of each command that checks it
+        omega = cfg.cross_section()
+        counts = {max(cfg.n_thresholds, MOURRE_MIN_THRESHOLDS)}
+        if cfg.include_mourre:
+            counts.add(cfg.n_thresholds)
+        for count in sorted(counts):
+            thresholds = cross_section_spectrum(omega, count)
+            try:
+                validate_mourre_windows(thresholds, cfg.mourre_windows,
+                                        cfg.mourre_epsilon_factor)
+            except (WindowError, CoverageError) as exc:
+                raise ConfigError(f"[numerics] mourre_windows: {exc}") from None
     return cfg
 

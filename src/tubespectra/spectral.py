@@ -9,12 +9,17 @@ and the result flagged when it strays from 2.
 Every grid stores s as the slowest index, so A - sigma I is banded, its
 half-bandwidth the number of transverse nodes per slice.  Every ladder
 solve factorizes it once by banded Cholesky (LAPACK dpbtrf) and ARPACK
-solves through that factor.  Ladder solves shift just below the previous
-level's lowest eigenvalue, where Lanczos converges in a few dozen solves.
-The factorization is the certificate: Cholesky exists only for a
-positive definite matrix, so when it succeeds no eigenvalue lies at or
-below sigma and the solve cannot miss one.  A shift where it fails is
-lowered before any solve is made.
+solves through that factor.  Ladder solves shift 1e-3 * max(1, |hint|)
+below a hint: nu_1 for the ladder's first solve, the previous level's
+lowest eigenvalue after it.  The factorization is the certificate:
+Cholesky exists only for a positive definite matrix, so when it succeeds
+no eigenvalue lies at or below sigma and the solve cannot miss one.  A
+shift where it fails is lowered before any solve is made.  Each level
+after the first starts Lanczos from the previous level's eigenvectors:
+their sum, prolongated onto the new grid by linear interpolation along
+each tensor axis and taken as zero outside the old box, plus 1e-4 of a
+fixed vector so that no symmetry sector is left without a component.
+Lanczos then converges on its first pass.
 
 The Mourre check factorizes nothing.  The free Hamiltonian of a straight
 tube separates exactly, H0 = T_s x I + I x H_perp, so its eigenpairs are
@@ -79,7 +84,10 @@ __all__ = [
 _MONOTONICITY_SLACK = 1e-10
 # first distance of the shift below a hint, relative to max(1, |hint|); it
 # doubles until the Cholesky factorization certifies the shift
-_SHIFT_OFFSET = 1e-2
+_SHIFT_OFFSET = 1e-3
+# weight of the fixed start vector added to a warm start, so that every
+# symmetry sector has a component to grow from
+_SYMMETRY_BREAKER = 1e-4
 # most states one Mourre window may hold: 64 vectors of the 811,239-unknown
 # unit-disc grid (L = 32, h = 1/16) already take 415 MB
 _MAX_WINDOW_STATES = 64
@@ -119,10 +127,11 @@ def _factorize(m, sigma):
     return factor if info == 0 else None
 
 
-def _shift_invert(m, k, sigma, factor):
+def _shift_invert(m, k, sigma, factor, v0):
     """The k eigenpairs of m nearest sigma, and the solves ARPACK made.
 
-    ARPACK applies (m - sigma I)^-1 through the banded Cholesky ``factor``.
+    ARPACK starts from ``v0`` and applies (m - sigma I)^-1 through the
+    banded Cholesky ``factor``.
     """
     from scipy.linalg.lapack import dpbtrs
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
@@ -136,8 +145,7 @@ def _shift_invert(m, k, sigma, factor):
 
     opinv = LinearOperator(m.shape, matvec=solve, dtype=float)
     try:
-        vals, vecs = eigsh(m, k=k, sigma=sigma, which="LM", OPinv=opinv, tol=0.0,
-                           v0=_start_vector(m.shape[0]))
+        vals, vecs = eigsh(m, k=k, sigma=sigma, which="LM", OPinv=opinv, tol=0.0, v0=v0)
     except ArpackNoConvergence as exc:
         got = np.asarray(exc.eigenvalues)
         best = None
@@ -160,13 +168,13 @@ class _Result(tuple):
         return self
 
 
-def lowest_eigenvalues(op, k, below=None):
+def lowest_eigenvalues(op, k, below=None, start=None):
     """k smallest eigenvalues of a symmetric operator, with residuals.
 
     Shift-invert Lanczos (ARPACK, converged to machine precision: tol=0)
     at a shift sigma just under ``below`` -- a hint such as the lowest
     eigenvalue of the previous ladder level -- placed at
-    ``below - 1e-2 * max(1, |below|)``, or at -1 without a hint.
+    ``below - 1e-3 * max(1, |below|)``, or at -1 without a hint.
     M - sigma I is factorized once by banded Cholesky and ARPACK solves
     with that factor.  The factorization certifies the shift before any
     solve: it exists only when no eigenvalue lies at or below sigma, and
@@ -176,10 +184,17 @@ def lowest_eigenvalues(op, k, below=None):
     that is not exactly symmetric raises InputError; SolverError when
     ARPACK did not converge.
 
+    Lanczos starts from a fixed vector, or from ``start`` -- a guess at
+    the wanted eigenvectors, such as the previous ladder level's carried
+    onto this grid -- normalised and with 1e-4 of the fixed vector added,
+    so that a guess with no component in some symmetry sector cannot hide
+    that sector's eigenvalues.
+
     Returns ``(values, residuals)``, residuals ||M v - lambda v|| of the
     unit eigenvectors, as a tuple whose ``shift`` is the certified sigma,
-    ``band`` the half-bandwidth of M and ``solves`` the number of solves
-    ARPACK made with the factor.
+    ``band`` the half-bandwidth of M, ``solves`` the number of solves
+    ARPACK made with the factor and ``vectors`` the unit eigenvectors,
+    one column per value.
     """
     m = op.matrix if isinstance(op, DiscreteOperator) else op
     n = m.shape[0]
@@ -187,6 +202,13 @@ def lowest_eigenvalues(op, k, below=None):
         raise InputError(f"need 1 <= k < matrix dimension (k={k}, n={n})")
     if (m != m.T).nnz:
         raise InputError("matrix is not exactly symmetric")
+    v0 = _start_vector(n)
+    if start is not None:
+        start = np.asarray(start, dtype=float)
+        if start.shape != (n,):
+            raise InputError(f"start vector of shape {start.shape} for dimension {n}")
+        norm = np.linalg.norm(start)
+        v0 = _SYMMETRY_BREAKER * v0 + (start / norm if norm > 0.0 else 0.0)
 
     anchor = -1.0 if below is None else float(below)
     step = _SHIFT_OFFSET * max(1.0, abs(anchor))
@@ -194,11 +216,12 @@ def lowest_eigenvalues(op, k, below=None):
     while (factor := _factorize(m, sigma)) is None:
         sigma -= step
         step *= 2.0
-    vals, vecs, solves = _shift_invert(m, k, sigma, factor)
+    vals, vecs, solves = _shift_invert(m, k, sigma, factor, v0)
     order = np.argsort(vals)
     vals, vecs = vals[order], vecs[:, order]
     residuals = np.linalg.norm(m @ vecs - vecs * vals[None, :], axis=0)
-    return _Result((vals, residuals), shift=sigma, band=factor.shape[0] - 1, solves=solves)
+    return _Result((vals, residuals), shift=sigma, band=factor.shape[0] - 1,
+                   solves=solves, vectors=vecs)
 
 
 def _separable_modes(op):
@@ -422,28 +445,71 @@ def select_domain_length(assemble, spacing, truncation_tol=None, nu1=None, n_eig
     the last two are the refinement ladder's coarsest level, so it is
     never solved twice.  Dirichlet truncation approaches the
     infinite-tube value monotonically from above, so the moves shrink
-    geometrically once L passes the decay length of the state.
+    geometrically once L passes the decay length of the state.  The first
+    probe is hinted at ``nu1``, each doubling at the probe before it and
+    started from that probe's eigenvectors; the tuple's ``carried`` holds
+    those of the last probe, for the refinement ladder.
     """
     if truncation_tol is None:
         if nu1 is None:
             raise InputError("need truncation_tol or nu1 for its default")
         truncation_tol = 1e-6 * nu1
     length = 8.0
-    vals, level = _solve_level(assemble, length, spacing, n_eigs, None)
+    vals, level, carried = _solve_level(assemble, length, spacing, n_eigs, nu1)
     ladder = [(length, float(vals[0]))]
     for _ in range(6):
         length *= 2.0
-        vals, level = _solve_level(assemble, length, spacing, n_eigs, ladder[-1][1])
+        vals, level, carried = _solve_level(assemble, length, spacing, n_eigs,
+                                            ladder[-1][1], carried)
         ladder.append((length, float(vals[0])))
         if abs(ladder[-1][1] - ladder[-2][1]) < truncation_tol:
             break
-    return length, tuple(ladder), vals, level
+    return _Result((length, tuple(ladder), vals, level), carried=carried)
 
 
-def _solve_level(assemble, length, spacing, k, below):
-    """Eigenvalues of one (L, spacing) operator and its LadderLevel."""
+def _interpolation(old, new):
+    """Sparse linear interpolation from uniform nodes ``old`` to ``new``, zero off old's span."""
+    pos = (new - old[0]) / (old[1] - old[0])
+    rows = np.flatnonzero((pos > -1e-9) & (pos < old.size - 1 + 1e-9))
+    left = np.clip(np.floor(pos[rows]), 0, old.size - 2).astype(np.int64)
+    right = np.clip(pos[rows] - left, 0.0, 1.0)
+    return sp.csr_matrix(
+        (np.r_[1.0 - right, right], (np.r_[rows, rows], np.r_[left, left + 1])),
+        shape=(new.size, old.size),
+    )
+
+
+def _prolongate(carried, grid):
+    """A grid function ``carried = (old grid, values)`` on ``grid``'s unknowns.
+
+    Separable linear interpolation along each tensor axis, zero outside
+    the old box: it carries a ladder level onto both of the ladder's
+    steps, h -> h/2 at the same L and L -> 2L at the same h.
+    """
+    old_grid, values = carried
+    full = np.zeros(old_grid.full_shape)
+    full[old_grid.active()] = values
+    old_axes = (old_grid.s_nodes,) + tuple(old_grid.t_axes)
+    new_axes = (grid.s_nodes,) + tuple(grid.t_axes)
+    for axis, (old, new) in enumerate(zip(old_axes, new_axes)):
+        front = np.moveaxis(full, axis, 0)
+        moved = _interpolation(old, new) @ front.reshape(old.size, -1)
+        full = np.moveaxis(moved.reshape((new.size,) + front.shape[1:]), 0, axis)
+    return full[grid.active()]
+
+
+def _solve_level(assemble, length, spacing, k, below, carried=None):
+    """Eigenvalues of one (L, spacing) operator, its LadderLevel and its carry.
+
+    ``carried``, the previous level's ``(grid, sum of unit eigenvectors)``,
+    is prolongated onto this level's grid as the Lanczos start; the level
+    returns its own for the next.  An operator without a grid is solved
+    cold and carries nothing.
+    """
     op = assemble(length, spacing)
-    vals, residuals = solved = lowest_eigenvalues(op, k, below=below)
+    grid = getattr(op, "grid", None)
+    start = None if carried is None or grid is None else _prolongate(carried, grid)
+    vals, residuals = solved = lowest_eigenvalues(op, k, below=below, start=start)
     level = LadderLevel(
         length=float(length),
         spacing=float(spacing),
@@ -454,21 +520,23 @@ def _solve_level(assemble, length, spacing, k, below):
         solves=solved.solves,
         max_residual=float(np.max(residuals)),
     )
-    return np.asarray(vals), level
+    carry = None if grid is None else (grid, solved.vectors.sum(axis=1))
+    return np.asarray(vals), level, carry
 
 
-def _truncation_estimates(assemble, length, spacing, k):
+def _truncation_estimates(assemble, length, spacing, k, nu1=None):
     """Per-index truncation error from an L/4, L/2, L geometric probe.
 
-    Returns (estimates, ladder, eigenvalues at L, LadderLevel at L): the
-    last two are the refinement ladder's coarsest level, so it is never
-    solved twice.
+    Returns (estimates, ladder, eigenvalues at L, LadderLevel at L, carry
+    at L): the last three are the refinement ladder's coarsest level, so
+    it is never solved twice.  The first probe is hinted at ``nu1``, each
+    later one at the probe before it and started from its eigenvectors.
     """
     lengths = [length / 4.0, length / 2.0, length]
     probes = []
-    below = None
+    below, carried = nu1, None
     for ell in lengths:
-        vals, level = _solve_level(assemble, ell, spacing, k, below)
+        vals, level, carried = _solve_level(assemble, ell, spacing, k, below, carried)
         probes.append(vals)
         below = float(vals[0])
     v0, v1, v2 = probes
@@ -482,7 +550,7 @@ def _truncation_estimates(assemble, length, spacing, k):
         else:
             est[j] = abs(m2)
     ladder = tuple((float(ell), float(v[0])) for ell, v in zip(lengths, probes))
-    return est, ladder, v2, level
+    return est, ladder, v2, level, carried
 
 
 def bound_states(assemble, thresholds, policy=None):
@@ -501,21 +569,23 @@ def bound_states(assemble, thresholds, policy=None):
         raise InputError("policy spacings must strictly decrease")
 
     if policy.domain_length is None:
-        length, trunc_ladder, coarsest, level = select_domain_length(
+        selected = select_domain_length(
             assemble, spacings[0], truncation_tol=policy.truncation_tol, nu1=nu1,
             n_eigs=policy.n_eigs,
         )
+        length, trunc_ladder, coarsest, level = selected
+        carried = selected.carried
         trunc_est = np.full(policy.n_eigs, abs(trunc_ladder[-1][1] - trunc_ladder[-2][1]))
     else:
         length = float(policy.domain_length)
-        trunc_est, trunc_ladder, coarsest, level = _truncation_estimates(
-            assemble, length, spacings[0], policy.n_eigs
+        trunc_est, trunc_ladder, coarsest, level, carried = _truncation_estimates(
+            assemble, length, spacings[0], policy.n_eigs, nu1
         )
     raw, levels = [coarsest], [level]
 
     below = trunc_ladder[-1][1]          # lambda_0 at (L, spacings[0])
     for h in spacings[1:]:
-        vals, level = _solve_level(assemble, length, h, policy.n_eigs, below)
+        vals, level, carried = _solve_level(assemble, length, h, policy.n_eigs, below, carried)
         raw.append(vals)
         levels.append(level)
         below = float(vals[0])
@@ -647,22 +717,15 @@ class MourreWindow:
     passed: bool
 
 
-def mourre_check_free(h0_op, commutator_op, thresholds, lambda_windows,
-                      epsilon_factor=0.05, tolerance_factor=0.05, wall_mass_tol=0.01):
-    """Projected commutator lower bound against 2 rho(lambda).
+def validate_mourre_windows(thresholds, lambda_windows, epsilon_factor=0.05):
+    """Each window as ``(centre, half width, rho)``, or WindowError.
 
-    Every window is validated before any mode is computed: a centre below
-    nu_1 (the bound is vacuous) or within 1.5 eps of a threshold (rho
-    jumps) raises WindowError.  The spectral projector of the discrete
-    free Hamiltonian onto each (lambda - eps, lambda + eps) is then exact:
-    every separable eigenpair inside it (``h0_op`` must be the Kronecker
-    sum T_s x I + I x H_perp of a straight tube, else InputError) less
-    wall-localised truncation artifacts, see :func:`_eigenpairs_near`.
-    The smallest eigenvalue of the assembled commutator compressed to
-    those modes is compared to 2 rho(lambda) minus the stated tolerance.
+    A window is a centre, whose half width is ``epsilon_factor`` times
+    rho(centre), or a ``(centre, half width)`` pair.  A centre below nu_1
+    (the Mourre bound is vacuous there) or within 1.5 half widths of a
+    threshold (rho jumps there) raises WindowError; a centre at or above
+    the last threshold raises CoverageError.
     """
-    if h0_op.grid is not commutator_op.grid:
-        raise InputError("free Hamiltonian and commutator must share a grid")
     nu = np.asarray(thresholds.nu)
     windows = []
     for item in lambda_windows:
@@ -686,6 +749,25 @@ def mourre_check_free(h0_op, commutator_op, thresholds, lambda_windows,
                 f"(margin {margin:g}): rho jumps there, refuse"
             )
         windows.append((lam, eps, rho))
+    return windows
+
+
+def mourre_check_free(h0_op, commutator_op, thresholds, lambda_windows,
+                      epsilon_factor=0.05, tolerance_factor=0.05, wall_mass_tol=0.01):
+    """Projected commutator lower bound against 2 rho(lambda).
+
+    Every window is validated by :func:`validate_mourre_windows` before
+    any mode is computed.  The spectral projector of the discrete
+    free Hamiltonian onto each (lambda - eps, lambda + eps) is then exact:
+    every separable eigenpair inside it (``h0_op`` must be the Kronecker
+    sum T_s x I + I x H_perp of a straight tube, else InputError) less
+    wall-localised truncation artifacts, see :func:`_eigenpairs_near`.
+    The smallest eigenvalue of the assembled commutator compressed to
+    those modes is compared to 2 rho(lambda) minus the stated tolerance.
+    """
+    if h0_op.grid is not commutator_op.grid:
+        raise InputError("free Hamiltonian and commutator must share a grid")
+    windows = validate_mourre_windows(thresholds, lambda_windows, epsilon_factor)
 
     modes = _separable_modes(h0_op)
     results = []

@@ -4,7 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tubespectra.cli import main
+from tubespectra import lowest_eigenvalues
+from tubespectra.cli import build_metric, hamiltonian_recipe, main
 from tubespectra.config import load_config, load_config_text
 from tubespectra.errors import ConfigError
 from tubespectra.reporting import extract_embedded_config, strip_generated_line
@@ -225,6 +226,32 @@ def test_bent_tube_spectrum_reports_a_bound_state(tmp_path):
     ladder = re.search(r"^state\[1\]\.ladder = (.*)$", report, flags=re.M).group(1)
     assert all(float(sig) < float(v)
                for (_, _, sig, _, _), v in zip(levels, ladder.split(", ")))
+    # the finer level starts from the coarser level's eigenvectors: fewer
+    # solves than a cold start on the same operator at the same hint
+    cfg = load_config_text(BUMP)
+    omega = cfg.cross_section()
+    recipe = hamiltonian_recipe(build_metric(cfg, cfg.profile(), omega), omega)
+    cold = lowest_eigenvalues(recipe(32.0, 0.0625), cfg.n_eigs, below=float(ladder.split(", ")[0]))
+    assert cold.shift == float(levels[1][2])
+    assert int(levels[1][3]) < cold.solves
+
+
+def test_warm_started_ladder_matches_cold_solves(tmp_path):
+    from tubespectra.cli import run_spectrum
+
+    cfg = load_config_text(BUMP)
+    report, code = run_spectrum(cfg, str(tmp_path))
+    assert code == 0
+    result = report.bound_states
+    omega = cfg.cross_section()
+    recipe = hamiltonian_recipe(build_metric(cfg, cfg.profile(), omega), omega)
+    # every level solved again from the fixed start vector, shift -1
+    for ell, value in result.truncation_ladder:
+        cold, _ = lowest_eigenvalues(recipe(ell, cfg.spacings[0]), cfg.n_eigs)
+        np.testing.assert_allclose(value, cold[0], rtol=1e-12, atol=0.0)
+    for h, row in zip(cfg.spacings, result.raw_ladder):
+        cold, _ = lowest_eigenvalues(recipe(cfg.domain_length, h), cfg.n_eigs)
+        np.testing.assert_allclose(row, cold, rtol=1e-12, atol=0.0)
 
 
 def test_flat_strip_config_matches_the_euclidean_run(tmp_path):
@@ -374,18 +401,46 @@ mourre_windows = 49.3
 
 
 def test_mourre_refusal_after_the_ladder_keeps_the_report(tmp_path, capsys):
-    # the window sits 0.048 below nu_2 = 49.348, inside its 2.2 margin
-    cfg_path = write(tmp_path, SQUARE_SMOKE)
+    # a window that passes the thresholds at load but holds no mode of the
+    # Mourre grid is refused only when the check runs, after the ladder
+    text = SQUARE_SMOKE.replace(
+        "mourre_windows = 49.3",
+        "mourre_windows = 30.0\nmourre_epsilon_factor = 1e-6\n"
+        "mourre_domain_length = 4.0\nmourre_spacing = 0.25",
+    )
+    cfg_path = write(tmp_path, text)
     code = main(["spectrum", "--config", cfg_path, "--out", str(tmp_path)])
     assert code == 3
     assert capsys.readouterr().out.strip().endswith("; exit 3")
     report = (tmp_path / "report.txt").read_text()
     assert "[bound_states]" in report and "level[2] = L 4.0, h 0.125" in report
     mourre = report.split("[mourre]\n", 1)[1].split("\n", 1)[0]
-    assert re.fullmatch(r"error = window at 49\.3 sits within 0\.0480\d* of a threshold "
-                        r"\(margin 2\.21\d*\): rho jumps there, refuse", mourre)
+    assert mourre == ("error = no interior spectral content in (30, 30); "
+                      "enlarge the domain length L")
     assert (tmp_path / "spectrum.csv").exists()
     assert not (tmp_path / "mourre.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "window, message",
+    [
+        # nu_1 = 2 pi^2 = 19.74
+        ("15.0", r"window centre 15 below the first threshold: the bound is vacuous there"),
+        # 0.048 below nu_2 = 49.348, inside its 2.2 margin
+        ("49.3", r"window at 49\.3 sits within 0\.0480\d* of a threshold "
+                 r"\(margin 2\.21\d*\): rho jumps there, refuse"),
+    ],
+    ids=["below-nu1", "at-a-threshold"],
+)
+def test_config_refuses_a_bad_explicit_mourre_window(tmp_path, capsys, window, message):
+    text = SQUARE_SMOKE.replace("mourre_windows = 49.3", f"mourre_windows = {window}")
+    with pytest.raises(ConfigError, match=r"^\[numerics\] mourre_windows: " + message):
+        load_config_text(text)
+    # refused before the ladder: no report, config exit code
+    for command in ("spectrum", "mourre"):
+        code = main([command, "--config", write(tmp_path, text), "--out", str(tmp_path)])
+        assert code == 1 and not (tmp_path / "report.txt").exists()
+        assert "config error: [numerics] mourre_windows" in capsys.readouterr().err
 
 
 def test_default_mourre_windows_need_three_distinct_thresholds():

@@ -147,6 +147,61 @@ def test_an_indefinite_block_is_solved_below_its_negative_eigenvalue():
     assert np.all(res < 1e-12)
 
 
+def test_a_warm_start_cannot_hide_a_symmetry_sector():
+    # the free interval H0 written in the basis of grid functions even and
+    # odd in s is block diagonal, the two sectors uncoupled to the last bit:
+    # a start vector even in s then stays even through every exact solve
+    grid = TruncatedGrid.interval(4.0, 0.125, 1.0)
+    h0 = assemble_free_hamiltonian(grid).matrix
+    half = (grid.s_nodes.size - 2) // 2          # s-nodes on each side of 0
+    m = int(grid.t_interior.sum())
+    ds2 = grid.s_spacing**2
+    h_perp = h0[:m, :m] - (2.0 / ds2) * sp.identity(m)
+    even_s = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(half + 1, half + 1)).tolil()
+    even_s[0, 1] = even_s[1, 0] = -np.sqrt(2.0)  # the node at s = 0 and the pairs s, -s
+    odd_s = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(half, half))
+    sectors = [sp.kron(t / ds2, sp.identity(m)) + sp.kron(sp.identity(t.shape[0]), h_perp)
+               for t in (even_s, odd_s)]
+    op = sp.block_diag(sectors, format="csr")
+    n_even = sectors[0].shape[0]
+    assert op.shape == h0.shape and not op[n_even:, :n_even].nnz
+    k = 4
+    dense = np.linalg.eigvalsh(h0.toarray())[:k]
+    even = np.zeros(op.shape[0])
+    even[:n_even] = 1.0
+    vals, res = solved = lowest_eigenvalues(op, k, start=even)
+    # the lowest modes alternate even and odd in s: both sectors are found
+    np.testing.assert_allclose(vals, dense, rtol=1e-10)
+    assert np.all(res < 1e-10)
+    odd_mass = np.sum(solved.vectors[n_even:] ** 2, axis=0)
+    np.testing.assert_allclose(odd_mass, [0.0, 1.0, 0.0, 1.0], atol=1e-10)
+    with pytest.raises(InputError, match="start vector"):
+        lowest_eigenvalues(op, k, start=even[:-1])
+
+
+def test_prolongation_carries_a_level_onto_both_ladder_steps():
+    coarse = TruncatedGrid.interval(2.0, 0.25, 1.0)
+    s_i, u_i = coarse.interior_coordinates()
+    values = (4.0 - s_i**2) * (1.0 - u_i[:, 0] ** 2)
+    # h -> h/2 at the same L: old nodes keep their values, new ones between
+    # them take the mean of their neighbours
+    fine = TruncatedGrid.interval(2.0, 0.125, 1.0)
+    carried = spectral._prolongate((coarse, values), fine)
+    s_f, u_f = fine.interior_coordinates()
+    on_old = np.isclose(np.mod(s_f, 0.25), 0.0) & np.isclose(np.mod(u_f[:, 0], 0.25), 0.0)
+    np.testing.assert_allclose(carried[on_old], values, rtol=1e-14)
+    exact = (4.0 - s_f**2) * (1.0 - u_f[:, 0] ** 2)
+    # linear interpolation errs by at most h^2/8 (max|f_ss| + max|f_uu|)
+    assert np.all(np.abs(carried - exact) <= 0.25**2 / 8.0 * (2.0 + 8.0))
+    # L -> 2L at the same h: the old box is copied, zero outside it
+    long = TruncatedGrid.interval(4.0, 0.25, 1.0)
+    carried = spectral._prolongate((coarse, values), long)
+    s_l, _ = long.interior_coordinates()
+    inside = np.abs(s_l) < 2.0
+    np.testing.assert_array_equal(carried[inside], values)
+    assert not np.any(carried[~inside])
+
+
 def test_a_matrix_that_is_not_exactly_symmetric_is_refused():
     m = sp.lil_matrix(sp.diags(1.0 + np.arange(50.0)))
     m[3, 2] = 1e-3
