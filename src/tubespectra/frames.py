@@ -1,15 +1,19 @@
 """Moving frames, tube embedding and the self-overlap certificate.
 
-The Serret-Frenet system ``de_i/ds = K_i^j e_j`` and the transverse
-rotation system ``dR/ds = -R K_sub`` are both linear, non-stiff ODEs whose
-exact solutions stay on the orthogonal group.  They are integrated here
-with classical fixed-step RK4 tied to the requested output grid, and after
-every grid step the state is projected back onto the nearest rotation
-(SVD polar factor with determinant correction), which removes the O(h^5)
-per-step drift the exact flow does not have.
-
-Initial data are pinned at arclength 0: standard basis frame, identity
-rotation, curve through the origin.
+The Serret-Frenet system ``de_i/ds = K_i^j e_j`` with ``dp/ds = e_1`` and
+the rotation system ``dR/ds = -R K_sub``, marched as Z = R^T with
+``dZ/ds = K_sub Z``, are linear ODEs y' = G(s) y whose exact flows stay on
+the orthogonal group.  Fixed-step RK4 on the output grid makes each step a
+matrix, y_{n+1} = P_n y_n, fixed by G at its stage points, so every P_n is
+built at once.  Each frame block is replaced by its nearest rotation (SVD
+polar factor, determinant +1) and the states are running products of the
+P_n: the same as projecting the state after every step, since
+polar(P F) = polar(P) F for orthogonal F.  An interval whose frame block
+has max|P P^T - I| > 1e-3 (a gross-stiffness guard, not an accuracy
+control) is redone with doubled substeps up to three times; then
+IntegrationError names the first such s marching out from 0, the forward
+side first.  Initial data are pinned at arclength 0: standard basis
+frame, identity rotation, curve through the origin.
 """
 
 from __future__ import annotations
@@ -35,74 +39,57 @@ __all__ = [
 ]
 
 FRAME_TOL = 1e-10          # orthonormality / determinant tolerance on outputs
-# Pre-projection drift allowed per grid interval.  Projection restores
-# orthogonality exactly, so this is a gross-stiffness guard (steps with
-# |kappa| h approaching 1), not an accuracy control: accuracy follows the
-# grid resolution, preserving the clean RK4 order.
-_DRIFT_TOL = 1e-3
+_DRIFT_TOL = 1e-3          # max|P P^T - I| allowed per interval before projection
 _MAX_RETRIES = 3           # substep doublings before giving up on an interval
 
 
-def nearest_rotation(m):
-    """Project a square matrix onto the nearest special-orthogonal matrix."""
-    u, _, vt = np.linalg.svd(m)
-    r = u @ vt
-    if np.linalg.det(r) < 0:
-        u = u.copy()
-        u[:, -1] *= -1.0
-        r = u @ vt
-    return r
+def _rk4_propagators(generator, s0, s1, substeps):
+    """RK4 propagators P, y(s1) ~ P y(s0), of y' = G(s) y, one per interval.
 
-
-def _orthogonality_drift(m):
-    return float(np.max(np.abs(m @ m.T - np.eye(m.shape[0]))))
-
-
-def _rk4_interval(rhs, s0, y0, s1, substeps):
-    h = (s1 - s0) / substeps
-    y = y0
-    for m in range(substeps):
-        s = s0 + m * h
-        k1 = rhs(s, y)
-        k2 = rhs(s + 0.5 * h, y + 0.5 * h * k1)
-        k3 = rhs(s + 0.5 * h, y + 0.5 * h * k2)
-        k4 = rhs(s + h, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return y
-
-
-def _march(rhs, y0, targets, drift_slice):
-    """March from arclength 0 through the sorted ``targets``.
-
-    ``drift_slice`` selects the rotation block of the state for the drift
-    check and re-projection.  Each interval takes one RK4 step; on
-    excessive drift it is retried with doubled substeps a few times before
-    raising.
+    Each interval [s0, s1] takes ``substeps`` RK4 steps, whose one-step
+    propagators are multiplied in order.  G is evaluated in one call, on
+    every stage abscissa of every step.
     """
-    out = []
-    s_prev, y = 0.0, y0
-    for s_next in targets:
-        sub = 1
-        for attempt in range(_MAX_RETRIES + 1):
-            y_try = _rk4_interval(rhs, s_prev, y, s_next, sub)
-            if _orthogonality_drift(y_try[drift_slice]) <= _DRIFT_TOL:
-                break
-            sub *= 2
-        else:
-            raise IntegrationError(
-                f"orthogonality drift above {_DRIFT_TOL:g} near s={s_next:g} "
-                f"after {_MAX_RETRIES} substep doublings",
-                s=s_next,
-            )
-        y_try[drift_slice] = nearest_rotation(y_try[drift_slice])
-        out.append(y_try)
-        s_prev, y = s_next, y_try
+    h = (s1 - s0) / substeps
+    starts = s0 + np.arange(substeps)[:, None] * h
+    g = generator(np.stack([starts, starts + 0.5 * h, starts + h]))
+    eye = np.eye(g.shape[-1])
+    h = h[:, None, None]
+    prop = eye
+    for g1, g2, g4 in zip(*g):
+        k2 = g2 @ (eye + 0.5 * h * g1)
+        k3 = g2 @ (eye + 0.5 * h * k2)
+        k4 = g4 @ (eye + h * k3)
+        prop = (eye + (h / 6.0) * (g1 + 2.0 * k2 + 2.0 * k3 + k4)) @ prop
+    return prop
+
+
+def _orthogonality_defects(m):
+    """max|M M^T - I| of each matrix M in a stack."""
+    eye = np.eye(m.shape[-1])
+    return np.max(np.abs(m @ np.swapaxes(m, -1, -2) - eye), axis=(-2, -1))
+
+
+def _cumulative_product(p):
+    """out[n] = p[n] @ ... @ p[0], by log2(n) stacked products."""
+    out = p.copy()
+    k = 1
+    while k < len(out):
+        out[k:] = out[k:] @ out[:-k]
+        k *= 2
     return out
 
 
-def _integrate_bidirectional(rhs, s_grid, y0, drift_slice):
-    """Integrate a matrix ODE both ways from arclength 0 onto s_grid."""
+def _integrate_bidirectional(profile, generator, s_grid, block):
+    """Propagators Y(s) of y' = G(s) y from arclength 0 onto s_grid.
+
+    The leading ``block`` x ``block`` of each interval's propagator is the
+    frame block that the drift guard reads and the polar factor replaces.
+    """
     s_grid = np.asarray(s_grid, dtype=float)
+    lo, hi = profile.s_range
+    if s_grid.size and (s_grid.min() < lo - 1e-12 or s_grid.max() > hi + 1e-12):
+        raise InputError("s_grid leaves the profile's s_range")
     if s_grid.ndim != 1 or s_grid.size < 1:
         raise InputError("s_grid must be a non-empty 1-d array")
     if np.any(np.diff(s_grid) <= 0):
@@ -110,14 +97,31 @@ def _integrate_bidirectional(rhs, s_grid, y0, drift_slice):
     if s_grid[0] > 1e-12 or s_grid[-1] < -1e-12:
         raise InputError("s_grid must span arclength 0, where the initial data are pinned")
 
-    result = np.empty((s_grid.size,) + y0.shape)
-    fwd = np.nonzero(s_grid > 1e-14)[0]
-    bwd = np.nonzero(s_grid < -1e-14)[0][::-1]
-    result[np.abs(s_grid) <= 1e-14] = y0
-    for idx, y in zip(fwd, _march(rhs, y0, s_grid[fwd], drift_slice)):
-        result[idx] = y
-    for idx, y in zip(bwd, _march(rhs, y0, s_grid[bwd], drift_slice)):
-        result[idx] = y
+    fwd = np.flatnonzero(s_grid > 1e-14)
+    bwd = np.flatnonzero(s_grid < -1e-14)[::-1]
+    sides = (s_grid[fwd], s_grid[bwd])
+    s0 = np.concatenate([np.r_[0.0, side][:-1] for side in sides])
+    s1 = np.concatenate(sides)
+    prop = _rk4_propagators(generator, s0, s1, 1)
+    bad = np.flatnonzero(_orthogonality_defects(prop[:, :block, :block]) > _DRIFT_TOL)
+    for attempt in range(1, _MAX_RETRIES + 1):
+        if not bad.size:
+            break
+        prop[bad] = _rk4_propagators(generator, s0[bad], s1[bad], 2**attempt)
+        bad = bad[_orthogonality_defects(prop[bad, :block, :block]) > _DRIFT_TOL]
+    if bad.size:
+        s = float(s1[bad[0]])
+        raise IntegrationError(f"orthogonality drift above {_DRIFT_TOL:g} near s={s:g} "
+                               f"after {_MAX_RETRIES} substep doublings", s=s)
+
+    u, _, vt = np.linalg.svd(prop[:, :block, :block])
+    u[np.linalg.det(u @ vt) < 0, :, -1] *= -1.0
+    prop[:, :block, :block] = u @ vt
+
+    result = np.empty((s_grid.size,) + prop.shape[1:])
+    result[np.abs(s_grid) <= 1e-14] = np.eye(prop.shape[-1])
+    result[fwd] = _cumulative_product(prop[:fwd.size])
+    result[bwd] = _cumulative_product(prop[fwd.size:])
     return result
 
 
@@ -133,8 +137,7 @@ class RotationField:
         return self.matrices.shape[-1]
 
     def max_orthogonality_defect(self):
-        eye = np.eye(self.block_size)
-        return float(max(np.max(np.abs(m @ m.T - eye)) for m in self.matrices))
+        return float(np.max(_orthogonality_defects(self.matrices)))
 
     def max_determinant_defect(self):
         return float(np.max(np.abs(np.linalg.det(self.matrices) - 1.0)))
@@ -166,16 +169,11 @@ class FrameField:
 
     def validate(self):
         """Check the frame-field invariants; raises on violation."""
-        d = self.dimension
-        eye = np.eye(d)
-        orth = np.max(np.abs(np.einsum("kij,klj->kil", self.frames, self.frames) - eye))
+        orth = np.max(_orthogonality_defects(self.frames))
         if orth > FRAME_TOL:
             raise InputError(f"frame orthonormality defect {orth:g} above {FRAME_TOL:g}")
-        det_r = np.max(np.abs(np.linalg.det(self.rotations) - 1.0))
-        eye_r = np.eye(d - 1)
-        orth_r = np.max(
-            np.abs(np.einsum("kij,klj->kil", self.rotations, self.rotations) - eye_r)
-        )
+        rot = RotationField(self.s_grid, self.rotations)
+        det_r, orth_r = rot.max_determinant_defect(), rot.max_orthogonality_defect()
         if max(det_r, orth_r) > FRAME_TOL:
             raise InputError(
                 f"rotation defect (det {det_r:g}, orth {orth_r:g}) above {FRAME_TOL:g}"
@@ -190,23 +188,16 @@ def integrate_frenet(profile, s_grid):
     every sample; compose with :func:`integrate_tang_rotation` (or call
     :func:`build_frame_field`) to attach the transverse rotations.
     """
-    d = profile.dimension
-    s_grid = np.asarray(s_grid, dtype=float)
-    lo, hi = profile.s_range
-    if s_grid.size and (s_grid.min() < lo - 1e-12 or s_grid.max() > hi + 1e-12):
-        raise InputError("s_grid leaves the profile's s_range")
+    d, s_grid = profile.dimension, np.asarray(s_grid, dtype=float)
 
-    # Joint state: rows 0..d-1 hold the frame, row d the curve point.
-    y0 = np.vstack([np.eye(d), np.zeros((1, d))])
+    def generator(s):
+        # joint state: rows 0..d-1 hold the frame, row d the curve point
+        g = np.zeros(s.shape + (d + 1, d + 1))
+        g[..., :d, :d] = profile.frenet_matrix(s)
+        g[..., d, 0] = 1.0
+        return g
 
-    def rhs(s, y):
-        k = profile.frenet_matrix(s)
-        dy = np.empty_like(y)
-        dy[:d] = k @ y[:d]
-        dy[d] = y[0]
-        return dy
-
-    states = _integrate_bidirectional(rhs, s_grid, y0, np.s_[:d])
+    states = _integrate_bidirectional(profile, generator, s_grid, d)[:, :, :d]
     rot = np.broadcast_to(np.eye(d - 1), (s_grid.size, d - 1, d - 1)).copy()
     return FrameField(s_grid=s_grid, frames=states[:, :d, :],
                       points=states[:, d, :], rotations=rot)
@@ -218,18 +209,9 @@ def integrate_tang_rotation(profile, s_grid):
     The exact flow conserves orthogonality and det R = 1; the integrator
     preserves both numerically via per-step re-projection.
     """
-    s_grid = np.asarray(s_grid, dtype=float)
-    lo, hi = profile.s_range
-    if s_grid.size and (s_grid.min() < lo - 1e-12 or s_grid.max() > hi + 1e-12):
-        raise InputError("s_grid leaves the profile's s_range")
-
-    def rhs(s, y):
-        return -(y @ profile.sub_block(s))
-
-    states = _integrate_bidirectional(
-        rhs, s_grid, np.eye(profile.dimension - 1), np.s_[:]
-    )
-    return RotationField(s_grid=s_grid, matrices=states)
+    z = _integrate_bidirectional(profile, profile.sub_block, s_grid, profile.dimension - 1)
+    return RotationField(s_grid=np.asarray(s_grid, dtype=float),
+                         matrices=np.swapaxes(z, 1, 2).copy())
 
 
 def build_frame_field(profile, s_grid):

@@ -99,30 +99,41 @@ def _start_vector(n):
     return v / np.linalg.norm(v)
 
 
-def lower_band(matrix):
-    """Fortran-ordered LAPACK lower band of a symmetric sparse matrix's lower triangle."""
+def _lower_entries(matrix):
+    """Band rows, columns and values of a sparse matrix's lower triangle, and its order."""
     low = sp.tril(matrix, format="coo")
     low.sum_duplicates()
-    offset = low.row - low.col
-    band = np.zeros((int(offset.max(initial=0)) + 1, matrix.shape[0]), order="F")
-    band[offset, low.col] = low.data
+    return low.row - low.col, low.col, low.data, matrix.shape[0]
+
+
+def _scatter_band(entries, sigma=0.0):
+    """Fortran-ordered LAPACK lower band of m - sigma I from m's ``_lower_entries``."""
+    offset, col, data, n = entries
+    band = np.zeros((int(offset.max(initial=0)) + 1, n), order="F")
+    band[offset, col] = data
+    band[0] -= sigma
     return band
 
 
-def _factorize(m, sigma):
+def lower_band(matrix):
+    """Fortran-ordered LAPACK lower band of a symmetric sparse matrix's lower triangle."""
+    return _scatter_band(_lower_entries(matrix))
+
+
+def _factorize(entries, sigma):
     """Banded Cholesky factor of m - sigma I, or None when there is none.
 
-    dpbtrf fails when m - sigma I is not positive definite, that is when
-    some eigenvalue of m lies at or below sigma, so its success certifies
-    sigma.  Cholesky needs no pivoting and is backward stable: the factor
-    is exact for a matrix within roundoff of m - sigma I.
+    ``entries`` are m's ``_lower_entries``.  dpbtrf fails when m - sigma I
+    is not positive definite, that is when some eigenvalue of m lies at or
+    below sigma, so its success certifies sigma.  Cholesky needs no
+    pivoting and is backward stable: the factor is exact for a matrix
+    within roundoff of m - sigma I.
     """
     # imported on first use, like eigsh below: scipy.linalg would add
     # about 0.1 s to every import of the package
     from scipy.linalg.lapack import dpbtrf
 
-    band = lower_band(m)
-    band[0] -= sigma
+    band = _scatter_band(entries, sigma)
     factor, info = dpbtrf(band, lower=1, overwrite_ab=1)
     return factor if info == 0 else None
 
@@ -168,7 +179,7 @@ class _Result(tuple):
         return self
 
 
-def lowest_eigenvalues(op, k, below=None, start=None):
+def lowest_eigenvalues(op, k, below=None, start=None, overwrite_start=False):
     """k smallest eigenvalues of a symmetric operator, with residuals.
 
     Shift-invert Lanczos (ARPACK, converged to machine precision: tol=0)
@@ -188,7 +199,8 @@ def lowest_eigenvalues(op, k, below=None, start=None):
     the wanted eigenvectors, such as the previous ladder level's carried
     onto this grid -- normalised and with 1e-4 of the fixed vector added,
     so that a guess with no component in some symmetry sector cannot hide
-    that sector's eigenvalues.
+    that sector's eigenvalues.  That is done on a copy, or in ``start``
+    itself with ``overwrite_start``, which spares a vector of the size of M.
 
     Returns ``(values, residuals)``, residuals ||M v - lambda v|| of the
     unit eigenvectors, as a tuple whose ``shift`` is the certified sigma,
@@ -204,18 +216,21 @@ def lowest_eigenvalues(op, k, below=None, start=None):
         raise InputError("matrix is not exactly symmetric")
     v0 = _start_vector(n)
     if start is not None:
-        start = np.asarray(start, dtype=float)
+        start = np.asarray(start, float) if overwrite_start else np.array(start, float)
         if start.shape != (n,):
             raise InputError(f"start vector of shape {start.shape} for dimension {n}")
-        norm = np.linalg.norm(start)
-        v0 = _SYMMETRY_BREAKER * v0 + (start / norm if norm > 0.0 else 0.0)
+        start /= np.linalg.norm(start) or 1.0
+        start += _SYMMETRY_BREAKER * v0
+        v0 = start
 
     anchor = -1.0 if below is None else float(below)
     step = _SHIFT_OFFSET * max(1.0, abs(anchor))
     sigma = anchor if below is None else anchor - step
-    while (factor := _factorize(m, sigma)) is None:
+    entries = _lower_entries(m)
+    while (factor := _factorize(entries, sigma)) is None:
         sigma -= step
         step *= 2.0
+    del entries
     vals, vecs, solves = _shift_invert(m, k, sigma, factor, v0)
     order = np.argsort(vals)
     vals, vecs = vals[order], vecs[:, order]
@@ -501,15 +516,16 @@ def _prolongate(carried, grid):
 def _solve_level(assemble, length, spacing, k, below, carried=None):
     """Eigenvalues of one (L, spacing) operator, its LadderLevel and its carry.
 
-    ``carried``, the previous level's ``(grid, sum of unit eigenvectors)``,
-    is prolongated onto this level's grid as the Lanczos start; the level
-    returns its own for the next.  An operator without a grid is solved
-    cold and carries nothing.
+    ``carried``, a list holding the previous level's ``(grid, sum of unit
+    eigenvectors)``, is emptied and prolongated onto this level's grid as
+    the Lanczos start; the level returns its own for the next.  An
+    operator without a grid is solved cold and carries nothing.
     """
     op = assemble(length, spacing)
     grid = getattr(op, "grid", None)
-    start = None if carried is None or grid is None else _prolongate(carried, grid)
-    vals, residuals = solved = lowest_eigenvalues(op, k, below=below, start=start)
+    start = _prolongate(carried.pop(), grid) if carried and grid is not None else None
+    vals, residuals = solved = lowest_eigenvalues(op, k, below=below, start=start,
+                                                  overwrite_start=True)
     level = LadderLevel(
         length=float(length),
         spacing=float(spacing),
@@ -520,7 +536,7 @@ def _solve_level(assemble, length, spacing, k, below, carried=None):
         solves=solved.solves,
         max_residual=float(np.max(residuals)),
     )
-    carry = None if grid is None else (grid, solved.vectors.sum(axis=1))
+    carry = [] if grid is None else [(grid, solved.vectors.sum(axis=1))]
     return np.asarray(vals), level, carry
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+import tubespectra.frames as frames_module
 from tubespectra import (
     CurvatureProfile,
     InputError,
@@ -165,6 +166,106 @@ def test_wild_generator_on_coarse_grid_raises_integration_error():
     prof = profile_d2(constant_function(500.0), span=10.0)
     with pytest.raises(IntegrationError):
         integrate_frenet(prof, np.linspace(0.0, 4.0, 3))
+
+
+def test_wild_generator_on_the_backward_side_names_its_s():
+    # only the interval (0, -4) over-drifts; the forward side is fine-stepped
+    prof = profile_d2(constant_function(500.0), span=10.0)
+    with pytest.raises(IntegrationError) as exc:
+        integrate_frenet(prof, np.r_[-4.0, np.linspace(0.0, 0.05, 101)])
+    assert exc.value.s == -4.0
+
+
+def _sequential_rk4(rhs, s_grid, y0, block):
+    """One RK4 step per grid interval, marched from arclength 0 outwards.
+
+    An interval whose state drifts more than 1e-3 from orthogonality is
+    redone with doubled substeps, up to 8; the leading ``block`` rows are
+    then projected onto the nearest rotation.  Returns the states and
+    ``{s: substeps}`` for every interval that needed more than one.
+    """
+    states, retried = np.empty((s_grid.size,) + y0.shape), {}
+    states[s_grid == 0.0] = y0
+    for side in (np.flatnonzero(s_grid > 0), np.flatnonzero(s_grid < 0)[::-1]):
+        s0, y = 0.0, y0
+        for idx in side:
+            s1, sub = s_grid[idx], 1
+            while True:
+                h, z = (s1 - s0) / sub, y
+                for m in range(sub):
+                    s = s0 + m * h
+                    k1 = rhs(s, z)
+                    k2 = rhs(s + 0.5 * h, z + 0.5 * h * k1)
+                    k3 = rhs(s + 0.5 * h, z + 0.5 * h * k2)
+                    k4 = rhs(s + h, z + h * k3)
+                    z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                b = z[:block]
+                if np.max(np.abs(b @ b.T - np.eye(block))) <= 1e-3:
+                    break
+                sub *= 2
+                if sub > 8:
+                    raise IntegrationError("drift", s=s1)
+            if sub > 1:
+                retried[float(s1)] = sub
+            u, _, vt = np.linalg.svd(b)
+            z[:block] = u @ vt
+            states[idx], s0, y = z, s1, z
+    return states, retried
+
+
+def _sequential_frenet(prof, s):
+    d = prof.dimension
+
+    def rhs(t, y):
+        return np.vstack([prof.frenet_matrix(t) @ y[:d], y[:1]])
+    return _sequential_rk4(rhs, s, np.vstack([np.eye(d), np.zeros((1, d))]), d)
+
+
+def _sequential_rotation(prof, s):
+    return _sequential_rk4(lambda t, y: -(y @ prof.sub_block(t)), s,
+                           np.eye(prof.dimension - 1), prof.dimension - 1)
+
+
+def _relative_gap(got, want):
+    return np.max(np.abs(got - want)) / max(1.0, np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("dimension", [2, 3, 4])
+def test_batched_march_matches_the_sequential_projected_march(dimension):
+    prof = random_smooth_profile(np.random.default_rng(dimension), dimension=dimension)
+    s = np.linspace(-8, 8, 257)
+    ff = build_frame_field(prof, s)
+    states, retried = _sequential_frenet(prof, s)
+    rot, rot_retried = _sequential_rotation(prof, s)
+    assert not retried and not rot_retried
+    assert _relative_gap(ff.frames, states[:, :dimension]) < 1e-13
+    assert _relative_gap(ff.points, states[:, dimension]) < 1e-13
+    assert _relative_gap(ff.rotations, rot) < 1e-13
+
+
+def test_metric_rotation_grid_retries_exactly_the_two_bump_intervals(monkeypatch):
+    # the d=3 euclidean-tube rotation grid of cli.build_metric, on rect-tube's curvatures
+    prof = CurvatureProfile([gaussian_bump(0.5), gaussian_bump(0.3)], (-1e4, 1e4))
+    s = np.linspace(-1e4, 1e4, 2049)
+    calls, propagate = [], frames_module._rk4_propagators
+
+    def recording(generator, s0, s1, substeps):
+        calls.append((substeps, tuple(s1)))
+        return propagate(generator, s0, s1, substeps)
+
+    monkeypatch.setattr(frames_module, "_rk4_propagators", recording)
+    rot = integrate_tang_rotation(prof, s)
+    expected, retried = _sequential_rotation(prof, s)
+    edge = s[1025]  # 9.77, the first node past 0
+    assert retried == {edge: 8, -edge: 8}
+    assert calls[1:] == [(sub, (edge, -edge)) for sub in (2, 4, 8)]
+    assert _relative_gap(rot.matrices, expected) < 1e-13
+    # the Frenet march over-drifts there even at 8 substeps, first at +edge
+    with pytest.raises(IntegrationError) as batched:
+        integrate_frenet(prof, s)
+    with pytest.raises(IntegrationError) as sequential:
+        _sequential_frenet(prof, s)
+    assert batched.value.s == sequential.value.s == edge
 
 
 def test_straight_tube_embedding_gives_parallel_lines():

@@ -111,7 +111,7 @@ def test_exactly_singular_shift_is_lowered():
     below = 3.0
     first = below - spectral._SHIFT_OFFSET * max(1.0, abs(below))
     m = sp.diags(first + 0.5 * np.arange(2500)).tocsr()  # sigma == lambda_0
-    assert spectral._factorize(m, first) is None
+    assert spectral._factorize(spectral._lower_entries(m), first) is None
     vals, res = solved = lowest_eigenvalues(m, 3, below=below)
     assert solved.shift < first
     np.testing.assert_allclose(vals, first + 0.5 * np.arange(3), rtol=1e-12)
@@ -123,7 +123,7 @@ def test_a_shift_a_hair_above_the_lowest_eigenvalue_is_lowered():
     first = below - spectral._SHIFT_OFFSET * max(1.0, abs(below))
     lam0 = first - 1e-9 * max(1.0, abs(first))
     m = sp.diags(np.r_[lam0, first + 0.5 * np.arange(1, 2500)]).tocsr()
-    assert spectral._factorize(m, first) is None
+    assert spectral._factorize(spectral._lower_entries(m), first) is None
     vals, res = solved = lowest_eigenvalues(m, 2, below=below)
     assert solved.shift < lam0
     np.testing.assert_allclose(vals, [lam0, first + 0.5], rtol=1e-12)
@@ -142,7 +142,7 @@ def test_an_indefinite_block_is_solved_below_its_negative_eigenvalue():
     np.testing.assert_allclose(dense, [-2.0, 0.0], atol=1e-12)
     vals, res = solved = lowest_eigenvalues(m, 2)
     assert solved.shift < -2.0
-    assert spectral._factorize(m, solved.shift) is not None
+    assert spectral._factorize(spectral._lower_entries(m), solved.shift) is not None
     np.testing.assert_allclose(vals, dense, rtol=1e-12, atol=1e-12)
     assert np.all(res < 1e-12)
 
@@ -170,6 +170,11 @@ def test_a_warm_start_cannot_hide_a_symmetry_sector():
     even = np.zeros(op.shape[0])
     even[:n_even] = 1.0
     vals, res = solved = lowest_eigenvalues(op, k, start=even)
+    assert np.all(even[:n_even] == 1.0) and not np.any(even[n_even:])  # left as given
+    owned = even.copy()  # the ladder hands its start over, to be normalised in place
+    np.testing.assert_array_equal(
+        lowest_eigenvalues(op, k, start=owned, overwrite_start=True)[0], vals)
+    assert np.linalg.norm(owned) == pytest.approx(1.0, abs=1e-3)
     # the lowest modes alternate even and odd in s: both sectors are found
     np.testing.assert_allclose(vals, dense, rtol=1e-10)
     assert np.all(res < 1e-10)

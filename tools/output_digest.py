@@ -2,6 +2,7 @@
 """Digest every output of the benchmark's pipeline calls, for byte-identity checks.
 
     python3 tools/output_digest.py [--values] SRC_DIR > digest.txt
+    python3 tools/output_digest.py --compare OLD NEW --rtol R
 
 Runs the calls of the perfbench workloads (problem files from
 ``perfbench/workloads.py``) at seeds 0 and 7: the bent-strip and rect-tube
@@ -27,9 +28,21 @@ residual on the ``level[j]`` lines, which are not numeric values) can
 then be compared number by number under a relative tolerance.
 
 The full run takes about 25 s per tree on a 2-CPU machine.
+
+``--compare OLD NEW --rtol R`` reads two saved ``--values`` outputs and
+pairs their lines in order.  It prints the largest relative move
+|new - old| / max(|old|, |new|) of every key whose numbers moved, then
+the largest move of all, and exits 1 when that exceeds R or when the two
+outputs do not list the same keys and exit codes:
+
+    python3 tools/output_digest.py --values ../parent/src > old.txt
+    python3 tools/output_digest.py --values src > new.txt
+    python3 tools/output_digest.py --compare old.txt new.txt --rtol 1e-13
 """
 
+import argparse
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -98,12 +111,58 @@ def value_lines(src_dir, call):
     return lines
 
 
+def _parse_values(path):
+    """``(key, numbers)`` for each line of a saved ``--values`` output."""
+    rows = []
+    for line in Path(path).read_text().splitlines():
+        key, sep, value = line.partition(" = ")
+        rows.append((key, [float(v) for v in value.split(",")] if sep else []))
+    return rows
+
+
+def _relative_move(old, new):
+    if old == new or (math.isnan(old) and math.isnan(new)):
+        return 0.0
+    if not (math.isfinite(old) and math.isfinite(new)):
+        return math.inf
+    return abs(new - old) / max(abs(old), abs(new))
+
+
+def compare(old_path, new_path, rtol):
+    """Print the moves between two ``--values`` outputs; 1 when one exceeds ``rtol``."""
+    old, new = _parse_values(old_path), _parse_values(new_path)
+    if len(old) != len(new):
+        print(f"{len(old)} lines in {old_path}, {len(new)} in {new_path}")
+        return 1
+    worst = 0.0
+    for (key, before), (new_key, after) in zip(old, new):
+        if key != new_key or len(before) != len(after):
+            print(f"line {key!r} became {new_key!r} with {len(after)} numbers")
+            return 1
+        move = max(map(_relative_move, before, after), default=0.0)
+        if move:
+            print(f"{move:.3g} {key}")
+        worst = max(worst, move)
+    print(f"{len(old)} lines, largest relative move {worst:.3g} (rtol {rtol:g})")
+    return int(worst > rtol)
+
+
 def main(argv):
-    values = "--values" in argv[1:]
-    args = [a for a in argv[1:] if a != "--values"]
-    if len(args) != 1:
-        print("usage: output_digest.py [--values] SRC_DIR", file=sys.stderr)
-        return 2
+    parser = argparse.ArgumentParser(
+        description="Digest the benchmark calls' outputs, or compare two --values outputs."
+    )
+    parser.add_argument("src_dir", nargs="?", help="source tree to run (PYTHONPATH)")
+    parser.add_argument("--values", action="store_true",
+                        help="print numeric report values instead of SHA-256 digests")
+    parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
+                        help="compare two saved --values outputs")
+    parser.add_argument("--rtol", type=float, default=0.0,
+                        help="largest relative move --compare accepts (default 0)")
+    args = parser.parse_args(argv[1:])
+    if args.compare:
+        return compare(*args.compare, args.rtol)
+    if args.src_dir is None:
+        parser.error("need SRC_DIR or --compare OLD NEW")
     seen = set()
     for seed in SEEDS:
         for name in workloads.NAMES:
@@ -112,11 +171,11 @@ def main(argv):
                     continue
                 seen.add((call.kind, call.ini))
                 prefix = f"seed={seed} {call.label} {call.kind}"
-                if values:
-                    for line in value_lines(args[0], call):
+                if args.values:
+                    for line in value_lines(args.src_dir, call):
                         print(f"{prefix} {line}", flush=True)
                 else:
-                    print(f"{prefix} {digest_call(args[0], call)}", flush=True)
+                    print(f"{prefix} {digest_call(args.src_dir, call)}", flush=True)
     return 0
 
 
