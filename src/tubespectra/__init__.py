@@ -81,9 +81,7 @@ from .spectral import (
     MourreWindow,
     SpectralReport,
     assemble_commutator,
-    assemble_dilation,
     bound_states,
-    commutator_form_comparison,
     lowest_eigenvalues,
     mourre_check_free,
     richardson_extrapolate,

@@ -86,7 +86,6 @@ class WaveguideConfig:
     mourre_spacing: float
     mourre_epsilon_factor: float
     mourre_tolerance_factor: float
-    mourre_wall_mass_tol: float
     outputs: dict
     mesh_s_points: int
     mesh_u_points: int
@@ -171,7 +170,6 @@ class WaveguideConfig:
             "mourre_spacing": repr(self.mourre_spacing),
             "mourre_epsilon_factor": repr(self.mourre_epsilon_factor),
             "mourre_tolerance_factor": repr(self.mourre_tolerance_factor),
-            "mourre_wall_mass_tol": repr(self.mourre_wall_mass_tol),
         }
         if self.domain_length is not None:
             num["domain_length"] = repr(self.domain_length)
@@ -308,6 +306,9 @@ def parse_config(parser, base_dir="."):
         raise ConfigError("[numerics] spacings must be positive and strictly decreasing")
 
     windows = _get(parser, "numerics", "mourre_windows", _floats, ())
+    if parser.has_option("numerics", "mourre_wall_mass_tol"):
+        raise ConfigError("[numerics] mourre_wall_mass_tol is no longer a key: the Mourre "
+                          "check keeps every state of a window; remove it")
 
     cfg = WaveguideConfig(
         kind=kind,
@@ -329,9 +330,6 @@ def parse_config(parser, base_dir="."):
         mourre_epsilon_factor=_get(parser, "numerics", "mourre_epsilon_factor", float, 0.05),
         mourre_tolerance_factor=_get(
             parser, "numerics", "mourre_tolerance_factor", float, 0.05
-        ),
-        mourre_wall_mass_tol=_get(
-            parser, "numerics", "mourre_wall_mass_tol", float, 0.01
         ),
         outputs={
             "report": _get(parser, "outputs", "report", str, "report.txt"),

@@ -1,10 +1,12 @@
 """Structured-text report rendering and CSV exports.
 
 Reports are key-value text with bracketed sections and repr-formatted
-floats, so two runs of the same configuration produce byte-identical
-output except for the single ``generated:`` line, which carries every
-non-deterministic field (wall-clock stamp and runtimes) and is easy to
-strip in comparisons.  The resolved configuration is embedded verbatim
+floats, error bars excepted: those are differences of nearby values and
+carry 3 significant digits (``spectrum.csv`` keeps them in full).  Two
+runs of the same configuration produce byte-identical output except for
+the single ``generated:`` line, which carries every non-deterministic
+field (wall-clock stamp and runtimes) and is easy to strip in
+comparisons.  The resolved configuration is embedded verbatim
 between marker lines so a report can be re-run from itself.
 """
 
@@ -60,9 +62,9 @@ def render_report(report, resolved_config_text=None, title="tubespectra spectral
             lines.append("verdict = no bound state detected")
         for j, st in enumerate(bs.states, start=1):
             lines.append(f"state[{j}].value = {_fmt(st.value)}")
-            lines.append(f"state[{j}].error = {_fmt(st.error)}")
-            lines.append(f"state[{j}].refinement_error = {_fmt(st.refinement_error)}")
-            lines.append(f"state[{j}].truncation_error = {_fmt(st.truncation_error)}")
+            lines.append(f"state[{j}].error = {st.error:.2e}")
+            lines.append(f"state[{j}].refinement_error = {st.refinement_error:.2e}")
+            lines.append(f"state[{j}].truncation_error = {st.truncation_error:.2e}")
             lines.append(f"state[{j}].ladder = {_fmt(st.ladder_values)}")
             lines.append(f"state[{j}].fitted_order = {_fmt(st.fitted_order)}")
             lines.append(f"state[{j}].flagged = {st.flagged}")
@@ -84,8 +86,7 @@ def render_report(report, resolved_config_text=None, title="tubespectra spectral
             lines.append(
                 f"window[{j}] = center {_fmt(w.center)}, eps {_fmt(w.half_width)}, "
                 f"measured {_fmt(w.measured_bound)}, expected {_fmt(w.expected_bound)}, "
-                f"states {w.n_states}, filtered {w.n_filtered}, "
-                f"{'PASS' if w.passed else 'FAIL'}"
+                f"states {w.n_states}, {'PASS' if w.passed else 'FAIL'}"
             )
 
     for name, rep in report.assumption_reports.items():
@@ -129,11 +130,11 @@ def write_mourre_csv(path, windows):
         w = csv.writer(fh)
         w.writerow(
             ["center", "half_width", "rho", "expected", "measured",
-             "n_states", "n_filtered", "passed"]
+             "n_states", "passed"]
         )
         for win in windows:
             w.writerow(
                 [repr(win.center), repr(win.half_width), repr(win.rho),
                  repr(win.expected_bound), repr(win.measured_bound),
-                 win.n_states, win.n_filtered, win.passed]
+                 win.n_states, win.passed]
             )

@@ -23,14 +23,12 @@ from tubespectra import (
     SurfaceData,
     TruncatedGrid,
     assemble_commutator,
-    assemble_dilation,
     assemble_free_hamiltonian,
     assemble_hamiltonian,
     assemble_weighted_form_hamiltonian,
     bound_states,
     build_frame_field,
     check_curvature_decay,
-    commutator_form_comparison,
     constant_function,
     cross_section_spectrum,
     gaussian_bump,
@@ -45,6 +43,7 @@ from tubespectra import (
 )
 from tubespectra.cli import hamiltonian_recipe
 from conftest import random_smooth_profile
+from dilation import assemble_dilation, commutator_form_comparison
 
 NU1 = np.pi**2 / 4.0
 LADDER = (1.0 / 8.0, 1.0 / 16.0, 1.0 / 32.0)
@@ -189,14 +188,12 @@ def test_criterion_5_flat_strip_equivalence(bent_strip):
 def test_criterion_6_mourre_estimate_for_the_free_hamiltonian(bent_strip):
     t0 = time.perf_counter()
     grid = TruncatedGrid.interval(32.0, 1.0 / 16.0, 1.0)
-    h0 = assemble_free_hamiltonian(grid)
-    commutator = assemble_commutator(CoefficientField(None), None, grid)
     th = bent_strip.thresholds
     d1 = th.nu[1] - th.nu[0]
     d2 = th.nu[2] - th.nu[1]
     windows = (th.nu[0] + 0.3 * d1, th.nu[0] + 0.7 * d1, th.nu[1] + 0.4 * d2)
     results = mourre_check_free(
-        h0, commutator, th, windows,
+        grid, th, windows,
         epsilon_factor=0.05, tolerance_factor=0.05,
     )
     runtime = time.perf_counter() - t0

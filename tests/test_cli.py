@@ -146,7 +146,6 @@ s_max = 500.0
 mourre_domain_length = 24.0
 mourre_spacing = 0.125
 mourre_tolerance_factor = 0.1
-mourre_wall_mass_tol = 0.05
 n_thresholds = 10
 """
 
@@ -193,8 +192,7 @@ def test_spectrum_with_inline_mourre_windows(tmp_path):
         "include_mourre = true\n"
         "mourre_domain_length = 24.0\n"
         "mourre_spacing = 0.125\n"
-        "mourre_tolerance_factor = 0.1\n"
-        "mourre_wall_mass_tol = 0.05",
+        "mourre_tolerance_factor = 0.1",
     )
     cfg_path = write(tmp_path, text)
     code = main(["spectrum", "--config", cfg_path, "--out", str(tmp_path)])
@@ -441,6 +439,15 @@ def test_config_refuses_a_bad_explicit_mourre_window(tmp_path, capsys, window, m
         code = main([command, "--config", write(tmp_path, text), "--out", str(tmp_path)])
         assert code == 1 and not (tmp_path / "report.txt").exists()
         assert "config error: [numerics] mourre_windows" in capsys.readouterr().err
+
+
+def test_config_refuses_the_removed_wall_mass_key(tmp_path, capsys):
+    # an old report's embedded config still sets it: refuse, do not ignore
+    text = MOURRE.replace("n_thresholds = 10", "n_thresholds = 10\nmourre_wall_mass_tol = 0.01")
+    with pytest.raises(ConfigError, match=r"^\[numerics\] mourre_wall_mass_tol is no longer"):
+        load_config_text(text)
+    code = main(["mourre", "--config", write(tmp_path, text), "--out", str(tmp_path)])
+    assert code == 1 and "mourre_wall_mass_tol" in capsys.readouterr().err
 
 
 def test_default_mourre_windows_need_three_distinct_thresholds():

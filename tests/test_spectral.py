@@ -15,11 +15,9 @@ from tubespectra import (
     TruncatedGrid,
     WindowError,
     assemble_commutator,
-    assemble_dilation,
     assemble_free_hamiltonian,
     assemble_hamiltonian,
     bound_states,
-    commutator_form_comparison,
     cross_section_spectrum,
     gaussian_bump,
     lowest_eigenvalues,
@@ -30,6 +28,7 @@ from tubespectra import (
 )
 from tubespectra import spectral
 from tubespectra.cli import hamiltonian_recipe
+from dilation import assemble_dilation, commutator_form_comparison
 
 NU1 = np.pi**2 / 4.0
 
@@ -454,15 +453,33 @@ def test_dilation_symbol_on_a_plane_wave_packet():
 # commutator
 
 
-def test_free_commutator_is_twice_the_axial_kinetic_part():
-    grid = TruncatedGrid.interval(8.0, 0.125, 1.0)
-    c_free = assemble_commutator(CoefficientField(None), None, grid)
-    from tubespectra.operators import _assemble_divergence_form
+GRIDS = [
+    TruncatedGrid.interval(8.0, 0.125, 1.0),
+    TruncatedGrid.box(2.0, 0.125, (0.5, 0.5)),
+    TruncatedGrid.disc(1.5, 1.0 / 6.0, 1.0),
+]
 
-    S, U = grid.node_coordinates()
-    ones = np.ones(grid.full_shape)
-    axial = _assemble_divergence_form(grid, [ones])
+
+@pytest.mark.parametrize("grid", GRIDS, ids=["interval", "box", "disc"])
+def test_free_commutator_is_twice_the_axial_kinetic_part(grid):
+    # the two identities the closed-form Mourre bound rests on:
+    # i[H0, A] = 2 T_s x I and H0 = T_s x I + I x H_perp
+    n_s = grid.s_nodes.size - 2
+    m = int(grid.t_interior.sum())
+    t_s = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n_s, n_s)) / grid.s_spacing**2
+    axial = sp.kron(t_s, sp.identity(m))
+    c_free = assemble_commutator(CoefficientField(None), None, grid)
     assert abs(c_free.matrix - 2.0 * axial).max() == 0.0
+
+    h0 = assemble_free_hamiltonian(grid).matrix
+    h_perp = h0[:m, :m].toarray() - (2.0 / grid.s_spacing**2) * np.eye(m)
+    kron_sum = axial + sp.kron(sp.identity(n_s), sp.csr_matrix(h_perp))
+    assert abs(h0 - kron_sum).max() <= 1e-12 * abs(h0).max()
+    # every slice holds the same transverse block, so no slice is special
+    assert abs(h0[-m:, -m:] - h0[:m, :m]).max() == 0.0
+    mu, nu = spectral._separable_modes(grid)
+    np.testing.assert_allclose(nu, np.linalg.eigvalsh(h_perp), rtol=0, atol=1e-12 * nu.max())
+    np.testing.assert_allclose(mu, np.linalg.eigvalsh(t_s.toarray()), rtol=0, atol=1e-12 * mu.max())
 
 
 def test_commutator_formula_against_direct_matrix_commutator(bump_metric):
@@ -508,11 +525,11 @@ def test_curved_commutator_approaches_the_free_one_far_out(bump_metric):
 
 
 def test_mourre_empty_window_suggests_larger_domain(mourre_setup):
-    h0, c0, th = mourre_setup
+    grid, th = mourre_setup
     lam = th.nu1 + 0.31 * (th.nu[1] - th.nu1)
     with pytest.raises(WindowError) as err:
         # far narrower than the level spacing at this L: no states inside
-        mourre_check_free(h0, c0, th, [(lam, 1e-4)])
+        mourre_check_free(grid, th, [(lam, 1e-4)])
     assert "domain length" in str(err.value)
 
 
@@ -535,21 +552,22 @@ def test_commutator_requires_third_derivatives():
 @pytest.fixture(scope="module")
 def mourre_setup():
     grid = TruncatedGrid.interval(16.0, 0.125, 1.0)
-    h0 = assemble_free_hamiltonian(grid)
-    c0 = assemble_commutator(CoefficientField(None), None, grid)
     thresholds = cross_section_spectrum(CrossSection.interval(1.0), 20)
-    return h0, c0, thresholds
+    return grid, thresholds
 
 
 def test_mourre_never_factorizes(mourre_setup, monkeypatch):
-    h0, c0, th = mourre_setup
+    grid, th = mourre_setup
     import scipy.sparse.linalg as spla
 
-    factorized, kept = [], []
+    factorized, kept, assembled = [], [], []
     splu, factorize, near = spla.splu, spectral._factorize, spectral._eigenpairs_near
+    free = spectral.assemble_free_hamiltonian
     monkeypatch.setattr(spla, "splu", lambda *a, **kw: factorized.append(1) or splu(*a, **kw))
     monkeypatch.setattr(spectral, "_factorize",
                         lambda *a: factorized.append(1) or factorize(*a))
+    monkeypatch.setattr(spectral, "assemble_free_hamiltonian",
+                        lambda g: assembled.append(g.n_unknowns) or free(g))
 
     def counting(*args):
         pairs = near(*args)
@@ -558,53 +576,76 @@ def test_mourre_never_factorizes(mourre_setup, monkeypatch):
 
     monkeypatch.setattr(spectral, "_eigenpairs_near", counting)
     lam = 0.5 * (th.nu[1] + th.nu[2])
-    wide, narrow = mourre_check_free(h0, c0, th, [(lam, 4.0), (lam, 1.0)],
-                                     wall_mass_tol=0.05)
+    wide, narrow = mourre_check_free(grid, th, [(lam, 4.0), (lam, 1.0)])
     # one exact selection per window: the wide one holds 29 states
     assert kept == [wide.n_states, narrow.n_states] and wide.n_states == 29
     assert factorized == []
+    # the only assembly is one s-slice: the transverse block
+    assert assembled == [int(grid.t_interior.sum())]
     # the counter sees the factorization a ladder solve makes
-    lowest_eigenvalues(h0, 1)
+    lowest_eigenvalues(free(grid), 1)
     assert factorized == [1]
 
 
 def test_mourre_validates_every_window_before_any_mode(mourre_setup, monkeypatch):
-    h0, c0, th = mourre_setup
+    grid, th = mourre_setup
 
-    def refuse(op):
+    def refuse(grid):
         raise AssertionError("modes computed before every window was validated")
 
     monkeypatch.setattr(spectral, "_separable_modes", refuse)
     ok = th.nu1 + 0.3 * (th.nu[1] - th.nu1)
     with pytest.raises(WindowError, match=r"sits within 0 of a threshold"):
-        mourre_check_free(h0, c0, th, [ok, ok, th.nu[1]])
+        mourre_check_free(grid, th, [ok, ok, th.nu[1]])
 
 
-def test_mourre_refuses_a_window_past_the_state_cap(mourre_setup):
-    _, _, th = mourre_setup
+def test_mourre_measures_a_window_of_69_states(mourre_setup):
+    # no vector is built, so no window is too full to measure
+    _, th = mourre_setup
     grid = TruncatedGrid.interval(32.0, 0.125, 1.0)
-    h0 = assemble_free_hamiltonian(grid)
-    c0 = assemble_commutator(CoefficientField(None), None, grid)
     lam = 0.5 * (th.nu[2] + th.nu[3])
-    (win,) = mourre_check_free(h0, c0, th, [(lam, 4.0)], wall_mass_tol=1.0)
+    (win,) = mourre_check_free(grid, th, [(lam, 4.0)])
     assert win.n_states == 62
-    with pytest.raises(WindowError, match=r"holds 69 interior states, more than the 64"):
-        mourre_check_free(h0, c0, th, [(lam, 4.4)], wall_mass_tol=1.0)
+    (wide,) = mourre_check_free(grid, th, [(lam, 4.4)])
+    assert wide.n_states == 69
+    mu, nu = spectral._separable_modes(grid)
+    sums = mu[:, None] + nu[None, :]
+    inside = (sums > lam - 4.4) & (sums < lam + 4.4)
+    assert wide.measured_bound == 2.0 * mu[np.nonzero(inside)[0]].min()
+    assert wide.measured_bound <= win.measured_bound
 
 
-@pytest.mark.parametrize("tol, kept", [(0.02, 3), (0.03, 9), (0.04, 19)])
-def test_mourre_wall_filter_matches_the_full_vector_fractions(mourre_setup, tol, kept):
-    # the filter reads phi_j alone; the reference is each whole vector's
-    # share of |v|^2 on the 4 node layers next to either s-wall
-    h0, _, th = mourre_setup
+def test_mourre_keeps_every_state_near_the_walls(mourre_setup):
+    # on this coarse, short grid many window modes put over 4% of their
+    # mass within 4 nodes of an s-wall; none is a truncation artifact
+    grid, th = mourre_setup
     lam = 0.5 * (th.nu[1] + th.nu[2])
-    modes = spectral._separable_modes(h0)
-    vals, vecs = spectral._eigenpairs_near(h0, lam, 4.0, modes, 1.0)
-    x = vecs.reshape(h0.grid.s_nodes.size - 2, -1, vals.size) ** 2
-    wall = (x[:4].sum(axis=(0, 1)) + x[-4:].sum(axis=(0, 1))) / x.sum(axis=(0, 1))
-    pairs = spectral._eigenpairs_near(h0, lam, 4.0, modes, tol)
-    np.testing.assert_array_equal(pairs[0], vals[wall <= tol])
-    assert (pairs[0].size, pairs.n_filtered) == (kept, vals.size - kept)
+    mu, nu = spectral._separable_modes(grid)
+    sums = mu[:, None] + nu[None, :]
+    j, _ = np.nonzero((sums > lam - 4.0) & (sums < lam + 4.0))
+    n_s = mu.size
+    rows = np.r_[1:5, n_s - 3:n_s + 1]
+    phi = np.sqrt(2.0 / (n_s + 1)) * np.sin(np.outer(rows, j + 1) * np.pi / (n_s + 1))
+    assert j.size == 29 and np.count_nonzero(np.sum(phi**2, axis=0) > 0.04) == 10
+    (win,) = mourre_check_free(grid, th, [(lam, 4.0)])
+    assert win.n_states == 29 and win.measured_bound == 2.0 * mu[j].min()
+
+
+def test_mourre_default_windows_hold_every_state():
+    from tubespectra.cli import default_mourre_windows
+
+    # on the unit interval at h = 1/8 every state of the second and third
+    # default windows puts over 1% of its mass within 4 nodes of an s-wall
+    th = cross_section_spectrum(CrossSection.interval(1.0), 30)
+    wins = mourre_check_free(TruncatedGrid.interval(32.0, 0.125, 1.0), th,
+                             default_mourre_windows(th))
+    assert [w.n_states for w in wins] == [2, 2, 4] and all(w.passed for w in wins)
+    # the unit square's third default window holds 8 states
+    th = cross_section_spectrum(CrossSection.rectangle(1.0, 1.0), 30)
+    (win,) = mourre_check_free(TruncatedGrid.box(32.0, 0.0625, (0.5, 0.5)), th,
+                               default_mourre_windows(th)[2:])
+    assert win.n_states == 8 and win.passed
+    assert win.measured_bound == pytest.approx(24.197395118058353, rel=1e-13)
 
 
 @pytest.mark.parametrize("grid, omega, lam, eps", [
@@ -617,9 +658,9 @@ def test_mourre_separable_pairs_match_the_dense_oracle(grid, omega, lam, eps):
     c0 = assemble_commutator(CoefficientField(None), None, grid)
     th = cross_section_spectrum(omega, 6)
     assert h0.shape[0] <= 2000
-    # every window state is kept, so the projector does not depend on the
-    # basis a degenerate eigenspace is given
-    (win,) = mourre_check_free(h0, c0, th, [(lam, eps)], wall_mass_tol=1.0)
+    (win,) = mourre_check_free(grid, th, [(lam, eps)])
+    # the oracle: every eigenvector of the assembled operator inside the
+    # window, and the assembled commutator compressed to them
     w, v = np.linalg.eigh(h0.matrix.toarray())
     inside = (w > lam - eps) & (w < lam + eps)
     basis, _ = np.linalg.qr(v[:, inside])
@@ -628,54 +669,30 @@ def test_mourre_separable_pairs_match_the_dense_oracle(grid, omega, lam, eps):
     assert win.measured_bound == pytest.approx(
         np.linalg.eigvalsh(0.5 * (comp + comp.T))[0], rel=1e-10, abs=1e-10)
 
-    modes = spectral._separable_modes(h0)
-    vals, vecs = spectral._eigenpairs_near(h0, lam, eps, modes, 1.0)
+    mu, nu = spectral._separable_modes(grid)
+    vals, _ = spectral._eigenpairs_near(mu, nu, lam, eps)
     np.testing.assert_allclose(np.sort(vals), w[inside], rtol=1e-10, atol=0)
-    assert np.all(np.diff(np.abs(vals - lam)) >= 0.0)
-    np.testing.assert_allclose(vecs.T @ vecs, np.eye(vals.size), atol=1e-12)
-    residuals = np.linalg.norm(h0.matrix @ vecs - vecs * vals, axis=0)
-    assert np.max(residuals) <= 1e-10 * np.max(np.abs(w))
-
-
-def test_mourre_refuses_an_operator_that_does_not_separate(bump_metric, mourre_setup):
-    _, _, th = mourre_setup
-    grid = TruncatedGrid.interval(4.0, 0.125, 1.0)
-    c0 = assemble_commutator(CoefficientField(None), None, grid)
-    curved = assemble_hamiltonian(CoefficientField(bump_metric),
-                                  EffectivePotential(bump_metric), grid)
-    s_i, _ = grid.interior_coordinates()
-    shifted = assemble_free_hamiltonian(grid)
-    shifted.matrix = (shifted.matrix + sp.diags(1e-3 * np.exp(-s_i**2))).tocsr()
-    lam = th.nu1 + 0.3 * (th.nu[1] - th.nu1)
-    for op in (curved, shifted):
-        with pytest.raises(InputError, match="Kronecker sum"):
-            mourre_check_free(op, c0, th, [(lam, 0.3)])
 
 
 def test_mourre_window_rejects_threshold_proximity(mourre_setup):
-    h0, c0, th = mourre_setup
+    grid, th = mourre_setup
     with pytest.raises(WindowError):
-        mourre_check_free(h0, c0, th, [(th.nu[1], 0.5)])
+        mourre_check_free(grid, th, [(th.nu[1], 0.5)])
 
 
 def test_mourre_window_below_first_threshold_is_vacuous(mourre_setup):
-    h0, c0, th = mourre_setup
+    grid, th = mourre_setup
     with pytest.raises(WindowError):
-        mourre_check_free(h0, c0, th, [(0.5 * th.nu1, 0.05)])
+        mourre_check_free(grid, th, [(0.5 * th.nu1, 0.05)])
 
 
 def test_mourre_measured_bound_tracks_two_rho(mourre_setup):
-    h0, c0, th = mourre_setup
+    grid, th = mourre_setup
     lam = th.nu1 + 0.3 * (th.nu[1] - th.nu1)
     eps = 0.3
-    # the wall filter is relaxed here: at this deliberately coarse grid the
-    # 4-node wall zone is 3% of the domain and genuine sin modes carry >1%
-    (win,) = mourre_check_free(
-        h0, c0, th, [(lam, eps)], tolerance_factor=0.05, wall_mass_tol=0.05
-    )
+    (win,) = mourre_check_free(grid, th, [(lam, eps)], tolerance_factor=0.05)
     rho = lam - th.nu1
     assert win.n_states >= 1
     assert win.measured_bound >= 2.0 * (rho - eps) - 0.1
     assert win.measured_bound <= 2.0 * rho + 0.1
     assert win.passed == (win.measured_bound >= win.expected_bound - win.tolerance)
-

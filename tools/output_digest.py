@@ -21,11 +21,15 @@ is then a diff:
     diff old.txt new.txt
 
 With ``--values`` each call prints, instead of its SHAs, one line per
-numeric ``key = value`` line of its ``report.txt`` (a value that is a
-number or a comma-separated list of numbers), prefixed like the digest
-line.  Two trees whose solver settings differ (shift, solves and
-residual on the ``level[j]`` lines, which are not numeric values) can
-then be compared number by number under a relative tolerance.
+number of its outputs, prefixed like the digest line: each numeric
+``key = value`` line of its ``report.txt`` (a value that is a number or
+a comma-separated list of numbers); each numeric field of its other
+report lines as its own key, such as ``window[1].measured`` or
+``level[2].shift`` from the ``level[j]`` and ``window[j]`` lines and
+``<entry>.notes.sup`` from an assumption entry's ``notes: sup=…``; and
+each numeric cell of its CSV files, such as ``mourre.csv[1].measured``.
+Two trees whose numbers may move by roundoff can then be compared number
+by number under a relative tolerance.
 
 The full run takes about 25 s per tree on a 2-CPU machine.
 
@@ -41,7 +45,9 @@ outputs do not list the same keys and exit codes:
 """
 
 import argparse
+import csv
 import hashlib
+import io
 import math
 import os
 import subprocess
@@ -100,14 +106,55 @@ def _is_numeric(value):
     return True
 
 
+def report_values(text):
+    """Every number of a report, one ``key = value`` line each.
+
+    A numeric ``key = value`` line is kept whole.  A ``key = …`` line with
+    comma-separated ``name number`` fields (``level[j]``, ``window[j]``)
+    gives ``key.name = number`` per numeric field, and any other line its
+    numeric ``name=number`` tokens as ``entry.name = number``, ``entry``
+    being the last bracketed header and ``name`` led by the line's label
+    (``notes``, ``fit``) when it has one.
+    """
+    out, entry = [], ""
+    for line in text.splitlines():
+        key, sep, value = line.partition(" = ")
+        if sep and _is_numeric(value):
+            out.append(line)
+            continue
+        if sep:
+            for field in value.split(", "):
+                name, _, number = field.partition(" ")
+                if number and _is_numeric(number):
+                    out.append(f"{key}.{name} = {number}")
+            continue
+        if line.startswith("["):
+            entry = line.split(" ", 1)[0][1:-1]
+        label, colon, rest = line.strip().partition(": ")
+        prefix = f"{entry}.{label}" if colon and " " not in label else entry
+        for token in (rest if colon else line).split():
+            name, eq, number = token.partition("=")
+            number = number.rstrip(";,)")
+            if eq and number and _is_numeric(number):
+                out.append(f"{prefix}.{name} = {number}")
+    return out
+
+
+def csv_values(name, data):
+    """``name[i].column = value`` for every numeric cell of a CSV output."""
+    rows = csv.DictReader(io.StringIO(data.decode()))
+    return [f"{name}[{i}].{col} = {val}" for i, row in enumerate(rows, start=1)
+            for col, val in row.items() if val and _is_numeric(val)]
+
+
 def value_lines(src_dir, call):
-    """``exit=…``, then every numeric ``key = value`` line of the call's report."""
+    """``exit=…``, then every number of the call's report and CSV outputs."""
     code, _, files = run_call(src_dir, call)
     lines = [f"exit={code}"]
-    for line in files.get("report.txt", b"").decode().splitlines():
-        _, sep, value = line.partition(" = ")
-        if sep and _is_numeric(value):
-            lines.append(line)
+    lines.extend(report_values(files.get("report.txt", b"").decode()))
+    for name, data in files.items():
+        if name.endswith(".csv"):
+            lines.extend(csv_values(name, data))
     return lines
 
 
