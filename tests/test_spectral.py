@@ -615,18 +615,31 @@ def test_mourre_measures_a_window_of_69_states(mourre_setup):
     assert wide.measured_bound <= win.measured_bound
 
 
-def test_mourre_keeps_every_state_near_the_walls(mourre_setup):
-    # on this coarse, short grid many window modes put over 4% of their
-    # mass within 4 nodes of an s-wall; none is a truncation artifact
+@pytest.mark.parametrize("tol, kept", [(0.02, 3), (0.03, 9), (0.04, 19)])
+def test_mourre_wall_filter_matches_the_full_vector_fractions(mourre_setup, tol, kept):
+    # the check no longer filters: it once dropped a window state with more
+    # than tol of its mass on the 4 node layers next to either s-wall, read
+    # from phi_j alone.  The reference is each whole vector phi_j (x) psi_t;
+    # on this coarse, short grid none of them is a truncation artifact, and
+    # every one is kept
     grid, th = mourre_setup
     lam = 0.5 * (th.nu[1] + th.nu[2])
     mu, nu = spectral._separable_modes(grid)
     sums = mu[:, None] + nu[None, :]
-    j, _ = np.nonzero((sums > lam - 4.0) & (sums < lam + 4.0))
-    n_s = mu.size
-    rows = np.r_[1:5, n_s - 3:n_s + 1]
-    phi = np.sqrt(2.0 / (n_s + 1)) * np.sin(np.outer(rows, j + 1) * np.pi / (n_s + 1))
-    assert j.size == 29 and np.count_nonzero(np.sum(phi**2, axis=0) > 0.04) == 10
+    j, t = np.nonzero((sums > lam - 4.0) & (sums < lam + 4.0))
+    n_s, ds = mu.size, grid.s_spacing
+    phi = np.sqrt(2.0 / (n_s + 1)) * np.sin(
+        np.outer(np.arange(1, n_s + 1), j + 1) * np.pi / (n_s + 1))
+    one_slice = TruncatedGrid(np.array([-ds, 0.0, ds]), grid.t_axes, grid.t_interior)
+    _, psi = np.linalg.eigh(assemble_free_hamiltonian(one_slice).matrix.toarray())
+    vecs = phi[:, None, :] * psi[:, t][None, :, :]
+    flat = vecs.reshape(-1, j.size)
+    h0 = assemble_free_hamiltonian(grid)
+    np.testing.assert_allclose(h0.matrix @ flat, flat * sums[j, t], rtol=0, atol=1e-9)
+    x = vecs**2
+    wall = (x[:4].sum(axis=(0, 1)) + x[-4:].sum(axis=(0, 1))) / x.sum(axis=(0, 1))
+    np.testing.assert_allclose(np.sum(phi[np.r_[:4, -4:0]] ** 2, axis=0), wall, rtol=1e-12)
+    assert j.size == 29 and np.count_nonzero(wall <= tol) == kept
     (win,) = mourre_check_free(grid, th, [(lam, 4.0)])
     assert win.n_states == 29 and win.measured_bound == 2.0 * mu[j].min()
 
