@@ -85,5 +85,4 @@ from .spectral import (
     lowest_eigenvalues,
     mourre_check_free,
     richardson_extrapolate,
-    select_domain_length,
 )

@@ -51,6 +51,7 @@ from .operators import (
     CoefficientField,
     EffectivePotential,
     TruncatedGrid,
+    _require_resolution,
     assemble_free_hamiltonian,  # noqa: F401  (perfbench/tracer.py wraps it here)
     assemble_hamiltonian,
 )
@@ -163,9 +164,16 @@ def default_mourre_windows(thresholds):
     return (nu1 + 0.3 * d1, nu1 + 0.7 * d1, nu2 + 0.4 * d2)
 
 
-def run_mourre_windows(cfg, omega, thresholds):
+def mourre_grid(cfg, omega):
+    """The Mourre check's grid: InputError if it does not tile, ResolutionError if too coarse."""
+    grid = grid_for(omega, cfg.mourre_domain_length, cfg.mourre_spacing)
+    _require_resolution(grid)
+    return grid
+
+
+def run_mourre_windows(cfg, grid, thresholds):
     return mourre_check_free(
-        grid_for(omega, cfg.mourre_domain_length, cfg.mourre_spacing),
+        grid,
         thresholds,
         cfg.mourre_windows or default_mourre_windows(thresholds),
         epsilon_factor=cfg.mourre_epsilon_factor,
@@ -217,6 +225,8 @@ def run_spectrum(cfg: WaveguideConfig, out_dir=".", force=False):
         _write(out_dir, cfg.outputs["report"], text)
         return report, EXIT_GATE
 
+    # a Mourre grid the check cannot use is refused before the ladder, not after
+    grid = mourre_grid(cfg, omega) if cfg.include_mourre else None
     policy = ConvergencePolicy(
         spacings=cfg.spacings,
         domain_length=cfg.domain_length,
@@ -233,7 +243,7 @@ def run_spectrum(cfg: WaveguideConfig, out_dir=".", force=False):
     if cfg.include_mourre:
         # a refused window must not cost the finished ladder its report
         try:
-            report.mourre_windows = tuple(run_mourre_windows(cfg, omega, thresholds))
+            report.mourre_windows = tuple(run_mourre_windows(cfg, grid, thresholds))
         except WindowError as exc:
             report.mourre_error = str(exc)
 
@@ -241,9 +251,7 @@ def run_spectrum(cfg: WaveguideConfig, out_dir=".", force=False):
         {
             "domain_length": result.domain_length,
             "spacings": result.spacings,
-            "unknowns_finest": grid_for(
-                omega, result.domain_length, cfg.spacings[-1]
-            ).n_unknowns,
+            "unknowns_finest": result.levels[-1].unknowns,
         }
     )
     text = render_report(report, cfg.render())
@@ -288,7 +296,7 @@ def run_mourre(cfg: WaveguideConfig, out_dir="."):
     os.makedirs(out_dir, exist_ok=True)
     omega = cfg.cross_section()
     thresholds = cross_section_spectrum(omega, max(cfg.n_thresholds, MOURRE_MIN_THRESHOLDS))
-    windows = run_mourre_windows(cfg, omega, thresholds)
+    windows = run_mourre_windows(cfg, mourre_grid(cfg, omega), thresholds)
     write_mourre_csv(os.path.join(out_dir, cfg.outputs["mourre"]), windows)
     for w in windows:
         print(

@@ -348,6 +348,11 @@ def parse_config(parser, base_dir="."):
     for name in ("n_eigs", "n_thresholds"):
         if getattr(cfg, name) < 1:
             raise ConfigError(f"[numerics] {name} must be at least 1")
+    for name in ("mourre_domain_length", "mourre_spacing", "mourre_epsilon_factor"):
+        if not getattr(cfg, name) > 0:
+            raise ConfigError(f"[numerics] {name} must be positive")
+    if not cfg.mourre_tolerance_factor >= 0:
+        raise ConfigError("[numerics] mourre_tolerance_factor must not be negative")
     if cfg.include_mourre and not cfg.mourre_windows:
         # the default windows sit between the first three distinct thresholds
         nu = cross_section_spectrum(cfg.cross_section(), cfg.n_thresholds).nu

@@ -159,6 +159,8 @@ class TruncatedGrid:
 
 
 def _axis_nodes(half_length, spacing):
+    if not spacing > 0:
+        raise InputError(f"spacing {spacing!r} must be positive")
     n = int(round(2.0 * half_length / spacing))
     if abs(n * spacing - 2.0 * half_length) > 1e-9 * max(1.0, half_length):
         raise InputError(

@@ -6,16 +6,26 @@ a spacing ladder, and Richardson extrapolated assuming the clean
 second-order convergence of the stencil; the fitted order is reported
 and the result flagged when it strays from 2.
 
+One driver makes every (L, spacing) solve of a search, in order.  A
+probe at the coarsest spacing solves at L0, 2 L0, ...  With the domain
+length L given it solves at L/4, L/2 and L, and a state's truncation
+error is the geometric tail of its own last two moves.  Without it, L
+starts at 8 and doubles at most 6 times, until the lowest eigenvalue
+moves less than the truncation tolerance (default 1e-6 nu_1), and that
+last move is every state's truncation error.  The probe's last solve is
+the coarsest refinement level; the ladder then goes on at that L over
+the finer spacings.
+
 Every grid stores s as the slowest index, so A - sigma I is banded, its
 half-bandwidth the number of transverse nodes per slice.  Every ladder
 solve factorizes it once by banded Cholesky (LAPACK dpbtrf) and ARPACK
 solves through that factor.  Ladder solves shift 1e-3 * max(1, |hint|)
-below a hint: nu_1 for the ladder's first solve, the previous level's
+below a hint: nu_1 for the ladder's first solve, the previous solve's
 lowest eigenvalue after it.  The factorization is the certificate:
 Cholesky exists only for a positive definite matrix, so when it succeeds
 no eigenvalue lies at or below sigma and the solve cannot miss one.  A
-shift where it fails is lowered before any solve is made.  Each level
-after the first starts Lanczos from the previous level's eigenvectors:
+shift where it fails is lowered before any solve is made.  Each solve
+after the first starts Lanczos from the previous solve's eigenvectors:
 their sum, prolongated onto the new grid by linear interpolation along
 each tensor axis and taken as zero outside the old box, plus 1e-4 of a
 fixed vector so that no symmetry sector is left without a component.
@@ -71,7 +81,6 @@ __all__ = [
     "LadderLevel",
     "BoundStatesResult",
     "bound_states",
-    "select_domain_length",
     "assemble_commutator",
     "MourreWindow",
     "mourre_check_free",
@@ -366,36 +375,6 @@ class BoundStatesResult:
         return all(st.value < nu1 - st.error for st in self.states)
 
 
-def select_domain_length(assemble, spacing, truncation_tol=None, nu1=None, n_eigs=1):
-    """Double L from 8 until the lowest eigenvalue moves less than the tolerance.
-
-    At most 6 times, to L = 512.  Returns (L, truncation_ladder,
-    eigenvalues at L, LadderLevel at L), where the ladder holds (L, lambda_min) pairs at the probing spacing;
-    the last two are the refinement ladder's coarsest level, so it is
-    never solved twice.  Dirichlet truncation approaches the
-    infinite-tube value monotonically from above, so the moves shrink
-    geometrically once L passes the decay length of the state.  The first
-    probe is hinted at ``nu1``, each doubling at the probe before it and
-    started from that probe's eigenvectors; the tuple's ``carried`` holds
-    those of the last probe, for the refinement ladder.
-    """
-    if truncation_tol is None:
-        if nu1 is None:
-            raise InputError("need truncation_tol or nu1 for its default")
-        truncation_tol = 1e-6 * nu1
-    length = 8.0
-    vals, level, carried = _solve_level(assemble, length, spacing, n_eigs, nu1)
-    ladder = [(length, float(vals[0]))]
-    for _ in range(6):
-        length *= 2.0
-        vals, level, carried = _solve_level(assemble, length, spacing, n_eigs,
-                                            ladder[-1][1], carried)
-        ladder.append((length, float(vals[0])))
-        if abs(ladder[-1][1] - ladder[-2][1]) < truncation_tol:
-            break
-    return _Result((length, tuple(ladder), vals, level), carried=carried)
-
-
 def _interpolation(old, new):
     """Sparse linear interpolation from uniform nodes ``old`` to ``new``, zero off old's span."""
     pos = (new - old[0]) / (old[1] - old[0])
@@ -427,60 +406,75 @@ def _prolongate(carried, grid):
     return full[grid.active()]
 
 
-def _solve_level(assemble, length, spacing, k, below, carried=None):
-    """Eigenvalues of one (L, spacing) operator, its LadderLevel and its carry.
+class _Ladder:
+    """The (L, spacing) solves of one bound-state search, in order.
 
-    ``carried``, a list holding the previous level's ``(grid, sum of unit
-    eigenvectors)``, is emptied and prolongated onto this level's grid as
-    the Lanczos start; the level returns its own for the next.  An
-    operator without a grid is solved cold and carries nothing.
+    ``solve(L, spacing)`` returns the k lowest eigenvalues and LadderLevel
+    of ``assemble(L, spacing)``, hinted at nu_1 or the previous solve's
+    lowest eigenvalue and started from the previous solve's sum of unit
+    eigenvectors, which it carries and frees before the solve.  An operator
+    without a grid is solved cold.
     """
-    op = assemble(length, spacing)
-    grid = getattr(op, "grid", None)
-    start = _prolongate(carried.pop(), grid) if carried and grid is not None else None
-    vals, residuals = solved = lowest_eigenvalues(op, k, below=below, start=start,
-                                                  overwrite_start=True)
-    level = LadderLevel(
-        length=float(length),
-        spacing=float(spacing),
-        unknowns=int(op.shape[0]),
-        nnz=int(getattr(op, "matrix", op).nnz),
-        band=solved.band,
-        shift=solved.shift,
-        solves=solved.solves,
-        max_residual=float(np.max(residuals)),
-    )
-    carry = [] if grid is None else [(grid, solved.vectors.sum(axis=1))]
-    return np.asarray(vals), level, carry
+
+    def __init__(self, assemble, k, below):
+        self.assemble, self.k, self.below = assemble, k, below
+        self.carried = None
+
+    def solve(self, length, spacing):
+        op = self.assemble(length, spacing)
+        grid = getattr(op, "grid", None)
+        start = None
+        if self.carried is not None and grid is not None:
+            start = _prolongate(self.carried, grid)
+        self.carried = None
+        # through the module global, so that a wrapper of it sees every solve
+        vals, residuals = solved = lowest_eigenvalues(
+            op, self.k, below=self.below, start=start, overwrite_start=True
+        )
+        level = LadderLevel(
+            length=float(length),
+            spacing=float(spacing),
+            unknowns=int(op.shape[0]),
+            nnz=int(getattr(op, "matrix", op).nnz),
+            band=solved.band,
+            shift=solved.shift,
+            solves=solved.solves,
+            max_residual=float(np.max(residuals)),
+        )
+        self.below = float(vals[0])
+        if grid is not None:
+            self.carried = (grid, solved.vectors.sum(axis=1))
+        return vals, level
 
 
-def _truncation_estimates(assemble, length, spacing, k, nu1=None):
-    """Per-index truncation error from an L/4, L/2, L geometric probe.
+def _truncation_probe(ladder, spacing, domain_length, tol):
+    """The coarse-spacing probe over L of the module docstring, by both rules.
 
-    Returns (estimates, ladder, eigenvalues at L, LadderLevel at L, carry
-    at L): the last three are the refinement ladder's coarsest level, so
-    it is never solved twice.  The first probe is hinted at ``nu1``, each
-    later one at the probe before it and started from its eigenvectors.
+    Returns (L, ((L, lambda_0), ...), truncation errors, eigenvalues at L,
+    LadderLevel at L): the last two are the coarsest refinement level.
     """
-    lengths = [length / 4.0, length / 2.0, length]
-    probes = []
-    below, carried = nu1, None
-    for ell in lengths:
-        vals, level, carried = _solve_level(assemble, ell, spacing, k, below, carried)
-        probes.append(vals)
-        below = float(vals[0])
-    v0, v1, v2 = probes
-    est = np.empty(k)
-    for j in range(k):
-        m1 = v1[j] - v0[j]
-        m2 = v2[j] - v1[j]
-        if m1 != 0.0 and 0.0 < abs(m2) < abs(m1):
-            q = abs(m2 / m1)
-            est[j] = abs(m2) * q / (1.0 - q)  # geometric tail of the moves
-        else:
-            est[j] = abs(m2)
-    ladder = tuple((float(ell), float(v[0])) for ell, v in zip(lengths, probes))
-    return est, ladder, v2, level, carried
+    given = domain_length is not None
+    length = float(domain_length) / 4.0 if given else 8.0
+    probes = [ladder.solve(length, spacing)]
+    trunc = [(length, ladder.below)]
+    for _ in range(2 if given else 6):
+        length *= 2.0
+        probes.append(ladder.solve(length, spacing))
+        trunc.append((length, ladder.below))
+        if not given and abs(trunc[-1][1] - trunc[-2][1]) < tol:
+            break
+    est = np.full(ladder.k, abs(trunc[-1][1] - trunc[-2][1]))
+    if given:
+        v0, v1, v2 = (v for v, _ in probes)
+        for j in range(ladder.k):
+            m1 = v1[j] - v0[j]
+            m2 = v2[j] - v1[j]
+            if m1 != 0.0 and 0.0 < abs(m2) < abs(m1):
+                q = abs(m2 / m1)
+                est[j] = abs(m2) * q / (1.0 - q)  # geometric tail of the moves
+            else:
+                est[j] = abs(m2)
+    return (length, tuple(trunc), est) + probes[-1]
 
 
 def bound_states(assemble, thresholds, policy=None):
@@ -498,27 +492,16 @@ def bound_states(assemble, thresholds, policy=None):
     if any(h2 >= h1 for h1, h2 in zip(spacings, spacings[1:])):
         raise InputError("policy spacings must strictly decrease")
 
-    if policy.domain_length is None:
-        selected = select_domain_length(
-            assemble, spacings[0], truncation_tol=policy.truncation_tol, nu1=nu1,
-            n_eigs=policy.n_eigs,
-        )
-        length, trunc_ladder, coarsest, level = selected
-        carried = selected.carried
-        trunc_est = np.full(policy.n_eigs, abs(trunc_ladder[-1][1] - trunc_ladder[-2][1]))
-    else:
-        length = float(policy.domain_length)
-        trunc_est, trunc_ladder, coarsest, level, carried = _truncation_estimates(
-            assemble, length, spacings[0], policy.n_eigs, nu1
-        )
+    tol = 1e-6 * nu1 if policy.truncation_tol is None else policy.truncation_tol
+    ladder = _Ladder(assemble, policy.n_eigs, below=nu1)
+    length, trunc_ladder, trunc_est, coarsest, level = _truncation_probe(
+        ladder, spacings[0], policy.domain_length, tol
+    )
     raw, levels = [coarsest], [level]
-
-    below = trunc_ladder[-1][1]          # lambda_0 at (L, spacings[0])
     for h in spacings[1:]:
-        vals, level, carried = _solve_level(assemble, length, h, policy.n_eigs, below, carried)
+        vals, level = ladder.solve(length, h)
         raw.append(vals)
         levels.append(level)
-        below = float(vals[0])
     raw_arr = np.stack(raw)
 
     slack = _MONOTONICITY_SLACK * max(1.0, abs(nu1))

@@ -441,6 +441,42 @@ def test_config_refuses_a_bad_explicit_mourre_window(tmp_path, capsys, window, m
         assert "config error: [numerics] mourre_windows" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "spacing, message",
+    [
+        ("0.0", "config error: [numerics] mourre_spacing must be positive"),
+        ("0.3", "error: spacing 0.3 does not tile the interval of half-length 32.0"),
+        ("0.25", "error: grid too coarse: 7 interior transverse nodes (need at least 8)"),
+    ],
+    ids=["zero", "not-tiling", "too-coarse"],
+)
+def test_spectrum_refuses_a_bad_mourre_grid_before_the_ladder(tmp_path, capsys, monkeypatch,
+                                                                spacing, message):
+    from tubespectra import spectral
+
+    solves = []
+    monkeypatch.setattr(spectral, "lowest_eigenvalues", lambda *a, **k: solves.append(a))
+    text = STRAIGHT.replace("include_mourre = false",
+                            f"include_mourre = true\nmourre_spacing = {spacing}")
+    code = main(["spectrum", "--config", write(tmp_path, text), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1 and err.strip() == message and "Traceback" not in err
+    assert not solves and not (tmp_path / "report.txt").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("mourre_domain_length", "0.0", "must be positive"),
+        ("mourre_epsilon_factor", "-0.05", "must be positive"),
+        ("mourre_tolerance_factor", "-0.01", "must not be negative"),
+    ],
+)
+def test_config_refuses_mourre_controls_out_of_range(key, value, message):
+    with pytest.raises(ConfigError, match=rf"^\[numerics\] {key} {message}$"):
+        load_config_text(STRAIGHT.replace("n_eigs = 3", f"n_eigs = 3\n{key} = {value}"))
+
+
 def test_config_refuses_the_removed_wall_mass_key(tmp_path, capsys):
     # an old report's embedded config still sets it: refuse, do not ignore
     text = MOURRE.replace("n_thresholds = 10", "n_thresholds = 10\nmourre_wall_mass_tol = 0.01")

@@ -6,6 +6,7 @@ from tubespectra import (
     CurvatureProfile,
     EffectivePotential,
     EllipticityError,
+    InputError,
     ResolutionError,
     SurfaceData,
     TruncatedGrid,
@@ -143,6 +144,12 @@ def test_too_coarse_transverse_grid_is_refused():
     grid = TruncatedGrid.interval(4.0, 0.5, 1.0)  # 3 interior u nodes
     with pytest.raises(ResolutionError):
         assemble_free_hamiltonian(grid)
+
+
+@pytest.mark.parametrize("spacing", [0.0, -0.125, 0.3])
+def test_a_spacing_that_cannot_tile_is_refused(spacing):
+    with pytest.raises(InputError, match=f"spacing {spacing!r} "):
+        TruncatedGrid.interval(4.0, spacing, 1.0)
 
 
 def test_free_box_spectrum_converges_to_analytic():

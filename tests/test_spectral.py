@@ -24,7 +24,6 @@ from tubespectra import (
     metric_from_profile,
     mourre_check_free,
     richardson_extrapolate,
-    select_domain_length,
 )
 from tubespectra import spectral
 from tubespectra.cli import hamiltonian_recipe
@@ -403,16 +402,49 @@ def test_non_monotone_ladder_raises_diagnostics_error():
     assert err.value.ladder is not None
 
 
-def test_domain_doubling_rule_stops(strong_recipe):
-    length, ladder, lowest, level = select_domain_length(
-        strong_recipe, 0.125, truncation_tol=1e-4, nu1=NU1
-    )
+def test_domain_doubling_rule_stops(strong_recipe, interval_thresholds):
+    policy = ConvergencePolicy(spacings=(0.125, 0.0625), truncation_tol=1e-4, n_eigs=1)
+    res = bound_states(strong_recipe, interval_thresholds, policy)
+    ladder, length, level = res.truncation_ladder, res.domain_length, res.levels[0]
     assert ladder[0][0] == 8.0 and length >= 16.0
     # the last doubling's solve comes back for reuse as a ladder level
-    assert (level.length, level.spacing, lowest[0]) == (length, 0.125, ladder[-1][1])
+    assert (level.length, level.spacing, res.raw_ladder[0][0]) == (length, 0.125, ladder[-1][1])
     vals = [v for _, v in ladder]
     assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))  # monotone down
-    assert abs(vals[-1] - vals[-2]) < 1e-4
+    moves = [a - b for a, b in zip(vals, vals[1:])]
+    assert moves[-1] < 1e-4 and all(m >= 1e-4 for m in moves[:-1])
+
+
+@pytest.mark.parametrize("domain_length", [8.0, None], ids=["given-length", "selected-length"])
+def test_truncation_error_follows_its_rule(strong_recipe, interval_thresholds, domain_length,
+                                           monkeypatch):
+    solved = []
+
+    def recording(*args, **kwargs):
+        result = lowest_eigenvalues(*args, **kwargs)
+        solved.append(result[0])
+        return result
+
+    monkeypatch.setattr(spectral, "lowest_eigenvalues", recording)
+    policy = ConvergencePolicy(spacings=(0.2, 0.1), domain_length=domain_length, n_eigs=2)
+    res = bound_states(strong_recipe, interval_thresholds, policy)
+    # every probe and level is solved through the module's lowest_eigenvalues
+    assert len(solved) == len(res.truncation_ladder) + 1
+    probes = np.array(solved[:-1])
+    assert tuple(probes[:, 0]) == tuple(v for _, v in res.truncation_ladder)
+    if domain_length is None:
+        # lambda_0's last move, for every index
+        expected = np.full(2, abs(probes[-1, 0] - probes[-2, 0]))
+    else:
+        # per index, the geometric tail of the L/4 -> L/2 -> L moves
+        m1, m2 = probes[1] - probes[0], probes[2] - probes[1]
+        q = np.abs(m2 / m1)
+        shrinking = (m2 != 0.0) & (np.abs(m2) < np.abs(m1))
+        expected = np.where(shrinking, np.abs(m2) * q / (1.0 - q), np.abs(m2))
+    assert res.states
+    for st in res.states:
+        j = list(probes[-1]).index(st.ladder_values[0])
+        assert st.truncation_error == expected[j]
 
 
 # ---------------------------------------------------------------------------

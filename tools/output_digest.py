@@ -7,11 +7,14 @@
 Runs the calls of the perfbench workloads (problem files from
 ``perfbench/workloads.py``) at seeds 0 and 7: the bent-strip and rect-tube
 ``spectrum``, the five screen ``check`` problems and the interval
-``mourre`` table.  Each call is a ``python -m tubespectra.cli``
-subprocess with ``PYTHONPATH=SRC_DIR`` in a fresh directory; a call whose
-problem file an earlier seed already ran is not repeated.  Prints one line
-per call: its exit code and the SHA-256 of its stdout and of each output
-file, ``report.txt`` without its ``generated:`` line.
+``mourre`` table.  One more ``spectrum`` call, printed under seed 0,
+covers the domain-length doubling rule that no workload runs: the
+smoke-scale bent strip without its ``domain_length``.  Each call is a
+``python -m tubespectra.cli`` subprocess with ``PYTHONPATH=SRC_DIR`` in
+a fresh directory; a call whose problem file an earlier seed already ran
+is not repeated.  Prints one line per call: its exit code and the
+SHA-256 of its stdout and of each output file, ``report.txt`` without
+its ``generated:`` line.
 
 Comparing two source trees, say a change and a checkout of its parent,
 is then a diff:
@@ -31,7 +34,7 @@ each numeric cell of its CSV files, such as ``mourre.csv[1].measured``.
 Two trees whose numbers may move by roundoff can then be compared number
 by number under a relative tolerance.
 
-The full run takes about 25 s per tree on a 2-CPU machine.
+The full run takes about 30 s per tree on a 2-CPU machine.
 
 ``--compare OLD NEW --rtol R`` reads two saved ``--values`` outputs and
 pairs their lines in order.  It prints the largest relative move
@@ -59,6 +62,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads  # noqa: E402
 
 SEEDS = (0, 7)
+DOUBLING_RULE = workloads.Call(
+    "bent-strip-doubling", "spectrum",
+    "\n".join(line for line in workloads.bent_strip_ini("smoke").splitlines()
+              if not line.startswith("domain_length")),
+)
 
 
 def _sha(data):
@@ -210,19 +218,19 @@ def main(argv):
         return compare(*args.compare, args.rtol)
     if args.src_dir is None:
         parser.error("need SRC_DIR or --compare OLD NEW")
+    calls = [(seed, call) for seed in SEEDS for name in workloads.NAMES
+             for call in workloads.build(name, seed).calls]
     seen = set()
-    for seed in SEEDS:
-        for name in workloads.NAMES:
-            for call in workloads.build(name, seed).calls:
-                if (call.kind, call.ini) in seen:
-                    continue
-                seen.add((call.kind, call.ini))
-                prefix = f"seed={seed} {call.label} {call.kind}"
-                if args.values:
-                    for line in value_lines(args.src_dir, call):
-                        print(f"{prefix} {line}", flush=True)
-                else:
-                    print(f"{prefix} {digest_call(args.src_dir, call)}", flush=True)
+    for seed, call in calls + [(SEEDS[0], DOUBLING_RULE)]:
+        if (call.kind, call.ini) in seen:
+            continue
+        seen.add((call.kind, call.ini))
+        prefix = f"seed={seed} {call.label} {call.kind}"
+        if args.values:
+            for line in value_lines(args.src_dir, call):
+                print(f"{prefix} {line}", flush=True)
+        else:
+            print(f"{prefix} {digest_call(args.src_dir, call)}", flush=True)
     return 0
 
 
