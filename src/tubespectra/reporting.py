@@ -73,7 +73,7 @@ def render_report(report, resolved_config_text=None, title="tubespectra spectral
             lines.append(
                 f"level[{j}] = L {_fmt(lv.length)}, h {_fmt(lv.spacing)}, "
                 f"n {lv.unknowns}, nnz {lv.nnz}, band {lv.band}, "
-                f"shift {_fmt(lv.shift)}, solves {lv.solves}, "
+                f"core {lv.core}/{lv.slices}, shift {_fmt(lv.shift)}, solves {lv.solves}, "
                 f"max_residual {lv.max_residual:.1e}"
             )
         lines.append(f"report_sound = {report.is_sound()}")

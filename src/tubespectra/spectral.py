@@ -17,19 +17,31 @@ the coarsest refinement level; the ladder then goes on at that L over
 the finer spacings.
 
 Every grid stores s as the slowest index, so A - sigma I is banded, its
-half-bandwidth the number of transverse nodes per slice.  Every ladder
-solve factorizes it once by banded Cholesky (LAPACK dpbtrf) and ARPACK
-solves through that factor.  Ladder solves shift 1e-3 * max(1, |hint|)
-below a hint: nu_1 for the ladder's first solve, the previous solve's
-lowest eigenvalue after it.  The factorization is the certificate:
-Cholesky exists only for a positive definite matrix, so when it succeeds
-no eigenvalue lies at or below sigma and the solve cannot miss one.  A
-shift where it fails is lowered before any solve is made.  Each solve
-after the first starts Lanczos from the previous solve's eigenvectors:
-their sum, prolongated onto the new grid by linear interpolation along
-each tensor axis and taken as zero outside the old box, plus 1e-4 of a
-fixed vector so that no symmetry sector is left without a component.
-Lanczos then converges on its first pass.
+half-bandwidth the number of transverse nodes per slice.  Far from the
+bend A is bitwise the free Kronecker sum T_s x I + I x H_perp: the runs
+of s-slices at each wall whose blocks match the free one-slice block D
+and the coupling -1/ds^2 exactly.  Every ladder solve factorizes
+A - sigma I once and ARPACK solves through that factor.  The factor
+eliminates those straight ends exactly, a discrete transparent boundary
+on the same truncated problem: in the modes of D - sigma I each end is a
+set of uncoupled tridiagonals (LAPACK dpttrf), whose Schur term goes
+onto the neighbouring slice of the curved core, and only the core is
+factored by banded Cholesky (LAPACK dpbtrf).  A matrix with no grid, or
+with no exactly free slice at its walls, is all core.
+
+Ladder solves shift 1e-3 * max(1, |hint|) below a hint: nu_1 for the
+ladder's first solve, the previous solve's lowest eigenvalue after it.
+The factorization is the certificate: Cholesky exists only for a
+positive definite matrix, and A - sigma I is positive definite exactly
+when its free ends and their Schur complement are (Haynsworth inertia
+additivity), so when every factor exists no eigenvalue lies at or below
+sigma and the solve cannot miss one.  A shift where it fails is lowered
+before any solve is made.  Each solve after the first starts Lanczos
+from the previous solve's eigenvectors: their sum, prolongated onto the
+new grid by linear interpolation along each tensor axis and taken as
+zero outside the old box, plus 1e-4 of a fixed vector so that no
+symmetry sector is left without a component.  Lanczos then converges on
+its first pass.
 
 The Mourre check is exact and closed form.  The free Hamiltonian of a
 straight tube separates, H0 = T_s x I + I x H_perp, so its eigenvalues
@@ -110,10 +122,13 @@ def _lower_entries(matrix):
     return low.row - low.col, low.col, low.data, matrix.shape[0]
 
 
-def _scatter_band(entries, sigma=0.0):
-    """Fortran-ordered LAPACK lower band of m - sigma I from m's ``_lower_entries``."""
+def _scatter_band(entries, sigma=0.0, half_width=0):
+    """Fortran-ordered LAPACK lower band of m - sigma I from m's ``_lower_entries``.
+
+    Its half-bandwidth is m's, or ``half_width`` when that is larger.
+    """
     offset, col, data, n = entries
-    band = np.zeros((int(offset.max(initial=0)) + 1, n), order="F")
+    band = np.zeros((max(int(offset.max(initial=0)), half_width) + 1, n), order="F")
     band[offset, col] = data
     band[0] -= sigma
     return band
@@ -124,31 +139,151 @@ def lower_band(matrix):
     return _scatter_band(_lower_entries(matrix))
 
 
-def _factorize(entries, sigma):
-    """Banded Cholesky factor of m - sigma I, or None when there is none.
+def _straight_ends(entries, grid):
+    """Unknowns per s-slice, and the slices at each wall where m is exactly free.
 
-    ``entries`` are m's ``_lower_entries``.  dpbtrf fails when m - sigma I
-    is not positive definite, that is when some eigenvalue of m lies at or
-    below sigma, so its success certifies sigma.  Cholesky needs no
-    pivoting and is backward stable: the factor is exact for a matrix
-    within roundoff of m - sigma I.
+    Returns ``(width, left, right, block)``: ``left`` and ``right`` are the
+    lengths of the runs of slices that start at the left and the right
+    wall and match the free operator bitwise, and ``block`` is the free
+    one-slice block, the free Hamiltonian on the s-nodes -ds, 0, ds as in
+    ``_separable_modes``.  A slice matches when its diagonal block is
+    ``block`` and its couplings to its neighbours are -1/ds^2 times the
+    identity.  The runs leave at least one slice between them.  Without a
+    grid m is one slice of n unknowns, with no free end.
+    """
+    offset, col, data, n = entries
+    if grid is None:
+        return n, 0, 0, None
+    width = int(grid.t_interior.sum())
+    slices = n // width
+    ds = grid.s_spacing
+    one_slice = TruncatedGrid(np.array([-ds, 0.0, ds]), grid.t_axes, grid.t_interior)
+    block = assemble_free_hamiltonian(one_slice).matrix
+    if offset.max(initial=0) > width:
+        return width, 0, 0, block
+    # the free operator's lower band over one slice's columns: the block,
+    # then at offset ``width`` the coupling to the next slice
+    inner = lower_band(block)
+    free = np.zeros((width + 1, width))
+    free[: inner.shape[0]] = inner
+    free[width] = -1.0 / ds**2
+    at, b = np.divmod(col, width)
+    # per slice, how many of its entries are in its block or on its face to
+    # the next slice, and equal to the free operator's
+    face = offset + b >= width
+    equal = data == np.take(free, offset * width + b)
+    counts = np.bincount(4 * at + 2 * face + equal, minlength=4 * slices).reshape(slices, 2, 2)
+    # no entry differs and every nonzero one of the free operator is there
+    ok = (counts[:, 0, 0] == 0) & (counts[:, 0, 1] == np.count_nonzero(inner))
+    free_face = (counts[:, 1, 0] == 0) & (counts[:, 1, 1] == width)
+    ok[:-1] &= free_face[:-1]
+    ok[1:] &= free_face[:-1]
+    left = min(int(np.cumprod(ok).sum()), slices - 1)
+    right = min(int(np.cumprod(ok[::-1]).sum()), slices - 1 - left)
+    return width, left, right, block
+
+
+class _Factor:
+    """m - sigma I factored, its exactly straight ends eliminated in modes.
+
+    Made by :func:`_factorize`.  The ``core`` slices between the free end
+    runs of ``_straight_ends`` (``slices`` in all) hold the banded
+    Cholesky factor ``band`` of their Schur complement.  Each end is
+    ``(unknowns, core slice next to it, end slice next to the core, d, e,
+    column)``: the dpttrf factor ``d, e`` of its tridiagonals in modes and
+    their columns T_t^-1 e_p at that end slice p, mode by mode.
+    """
+
+    def __init__(self, band, span, slices, width, psi=None, coupling=0.0, ends=()):
+        self.band, self.span, self.slices, self.width = band, span, slices, width
+        self.psi, self.coupling, self.ends = psi, coupling, ends
+        self.core = (span[1] - span[0]) // width
+
+    def solve(self, rhs):
+        """(m - sigma I)^-1 rhs, by block elimination of the ends."""
+        from scipy.linalg.lapack import dpbtrs, dpttrs
+
+        psi, c, width = self.psi, self.coupling, self.width
+        lo, hi = self.span
+        core = rhs[lo:hi].copy()
+        modes = []
+        for part, at, last, d, e, _ in self.ends:
+            # mode t's right-hand side is row t: one GEMM and one dpttrs for all modes
+            y = dpttrs(d, e, (psi.T @ rhs[part].reshape(-1, width).T).ravel())[0]
+            y = y.reshape(width, -1)
+            core[at] += c * (psi @ y[:, last])
+            modes.append(y)
+        x = np.empty_like(rhs)
+        x[lo:hi] = core = dpbtrs(self.band, core, lower=1)[0]
+        for (part, at, _, _, _, column), y in zip(self.ends, modes):
+            y += c * column * (psi.T @ core[at])[:, None]
+            np.matmul(y.T, psi.T, out=x[part].reshape(-1, width))
+        return x
+
+
+def _factorize(entries, sigma, grid=None):
+    """m - sigma I factored as a :class:`_Factor`, or None when there is none.
+
+    ``entries`` are m's ``_lower_entries`` and ``grid`` its grid, if any.
+    The free block of ``_straight_ends`` is diagonalized once,
+    D - sigma I = Psi diag(delta_t) Psi^T.  A free run of p slices at a
+    wall is then, in modes, m uncoupled tridiagonals
+    T_t = tridiag(-c, delta_t, -c) of order p, c = 1/ds^2, factored by one
+    dpttrf call; the exact Schur term -c^2 Psi diag((T_t^-1)_pp) Psi^T,
+    p the slice next to the core, goes onto the core slice next to it,
+    and dpbtrf factors the core's band.  Each Cholesky fails exactly
+    when its matrix is not positive definite, and m - sigma I is positive
+    definite exactly when the ends and the core's Schur complement are
+    (Haynsworth inertia additivity).  So a factor exists only when no
+    eigenvalue of m lies at or below sigma: its success certifies sigma.
+    Cholesky needs no pivoting and is backward stable: the factor is
+    exact for a matrix within roundoff of m - sigma I.
     """
     # imported on first use, like eigsh below: scipy.linalg would add
     # about 0.1 s to every import of the package
-    from scipy.linalg.lapack import dpbtrf
+    from scipy.linalg.lapack import dpbtrf, dpttrf, dpttrs
 
-    band = _scatter_band(entries, sigma)
-    factor, info = dpbtrf(band, lower=1, overwrite_ab=1)
-    return factor if info == 0 else None
+    offset, col, data, n = entries
+    width, left, right, block = _straight_ends(entries, grid)
+    lo, hi = left * width, n - right * width
+    keep = (col >= lo) & (col + offset < hi)
+    # a free end's Schur term fills the core slice next to it
+    band = _scatter_band((offset[keep], col[keep] - lo, data[keep], hi - lo), sigma,
+                         width if left or right else 0)
+    psi, c, ends = None, 0.0, []
+    if left or right:
+        lam, psi = np.linalg.eigh(block.toarray())
+        c = 1.0 / grid.s_spacing**2
+        rows, cols = np.tril_indices(width)
+        for count, part, at, last in ((left, slice(0, lo), slice(0, width), -1),
+                                      (right, slice(hi, n), slice(hi - lo - width, hi - lo), 0)):
+            if not count:
+                continue
+            # mode-major: mode t's slices are contiguous and uncoupled from mode t + 1's
+            d = np.repeat(lam - sigma, count)
+            e = np.full(d.size - 1, -c)
+            e[count - 1::count] = 0.0
+            d, e, info = dpttrf(d, e, overwrite_d=1, overwrite_e=1)
+            if info:
+                return None
+            unit = np.zeros((width, count))
+            unit[:, last] = 1.0
+            column = dpttrs(d, e, unit.ravel())[0].reshape(width, count)
+            schur = (c * c) * (psi * column[:, last]) @ psi.T
+            band[rows - cols, at.start + cols] -= schur[rows, cols]
+            ends.append((part, at, last, d, e, column))
+    band, info = dpbtrf(band, lower=1, overwrite_ab=1)
+    if info:
+        return None
+    return _Factor(band, (lo, hi), n // width, width, psi, c, tuple(ends))
 
 
 def _shift_invert(m, k, sigma, factor, v0):
     """The k eigenpairs of m nearest sigma, and the solves ARPACK made.
 
-    ARPACK starts from ``v0`` and applies (m - sigma I)^-1 through the
-    banded Cholesky ``factor``.
+    ARPACK starts from ``v0`` and applies (m - sigma I)^-1 through
+    ``factor``, a :class:`_Factor`.
     """
-    from scipy.linalg.lapack import dpbtrs
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
     solves = 0
@@ -156,7 +291,7 @@ def _shift_invert(m, k, sigma, factor, v0):
     def solve(rhs):
         nonlocal solves
         solves += 1
-        return dpbtrs(factor, rhs, lower=1)[0]
+        return factor.solve(rhs)
 
     opinv = LinearOperator(m.shape, matvec=solve, dtype=float)
     try:
@@ -190,10 +325,13 @@ def lowest_eigenvalues(op, k, below=None, start=None, overwrite_start=False):
     at a shift sigma just under ``below`` -- a hint such as the lowest
     eigenvalue of the previous ladder level -- placed at
     ``below - 1e-3 * max(1, |below|)``, or at -1 without a hint.
-    M - sigma I is factorized once by banded Cholesky and ARPACK solves
-    with that factor.  The factorization certifies the shift before any
-    solve: it exists only when no eigenvalue lies at or below sigma, and
-    then the k eigenvalues nearest sigma are the k lowest.  When it does
+    M - sigma I is factorized once by :func:`_factorize` and ARPACK
+    solves with that factor: for a DiscreteOperator, the exactly free
+    s-slices at its walls are eliminated in transverse modes and the
+    curved core between them is factored by banded Cholesky; any other
+    matrix is all core.  The factorization certifies the shift before
+    any solve: it exists only when no eigenvalue lies at or below sigma,
+    and then the k eigenvalues nearest sigma are the k lowest.  When it does
     not exist, the distance of sigma below the hint is doubled and M
     factorized again.  Only the lower triangle of M is read, so a matrix
     that is not exactly symmetric raises InputError; SolverError when
@@ -208,9 +346,10 @@ def lowest_eigenvalues(op, k, below=None, start=None, overwrite_start=False):
 
     Returns ``(values, residuals)``, residuals ||M v - lambda v|| of the
     unit eigenvectors, as a tuple whose ``shift`` is the certified sigma,
-    ``band`` the half-bandwidth of M, ``solves`` the number of solves
-    ARPACK made with the factor and ``vectors`` the unit eigenvectors,
-    one column per value.
+    ``band`` the half-bandwidth of M, ``core`` and ``slices`` the number
+    of s-slices factored by banded Cholesky and of all s-slices (1 and 1
+    without a grid), ``solves`` the number of solves ARPACK made with the
+    factor and ``vectors`` the unit eigenvectors, one column per value.
     """
     m = op.matrix if isinstance(op, DiscreteOperator) else op
     n = m.shape[0]
@@ -231,7 +370,9 @@ def lowest_eigenvalues(op, k, below=None, start=None, overwrite_start=False):
     step = _SHIFT_OFFSET * max(1.0, abs(anchor))
     sigma = anchor if below is None else anchor - step
     entries = _lower_entries(m)
-    while (factor := _factorize(entries, sigma)) is None:
+    band = int(entries[0].max(initial=0))
+    grid = op.grid if isinstance(op, DiscreteOperator) else None
+    while (factor := _factorize(entries, sigma, grid)) is None:
         sigma -= step
         step *= 2.0
     del entries
@@ -239,8 +380,8 @@ def lowest_eigenvalues(op, k, below=None, start=None, overwrite_start=False):
     order = np.argsort(vals)
     vals, vecs = vals[order], vecs[:, order]
     residuals = np.linalg.norm(m @ vecs - vecs * vals[None, :], axis=0)
-    return _Result((vals, residuals), shift=sigma, band=factor.shape[0] - 1,
-                   solves=solves, vectors=vecs)
+    return _Result((vals, residuals), shift=sigma, band=band, core=factor.core,
+                   slices=factor.slices, solves=solves, vectors=vecs)
 
 
 # ---------------------------------------------------------------------------
@@ -341,13 +482,15 @@ class BoundState:
 
 @dataclass(frozen=True)
 class LadderLevel:
-    """One refinement-ladder eigensolve: size, band, shift, solves, residual."""
+    """One refinement-ladder eigensolve: size, band, core, shift, solves, residual."""
 
     length: float
     spacing: float
     unknowns: int
     nnz: int
     band: int                    # half-bandwidth of the operator
+    core: int                    # s-slices factored by banded Cholesky
+    slices: int                  # s-slices of the grid
     shift: float                 # certified shift-invert sigma
     solves: int                  # ARPACK solves with the shift's factor
     max_residual: float
@@ -437,6 +580,8 @@ class _Ladder:
             unknowns=int(op.shape[0]),
             nnz=int(getattr(op, "matrix", op).nnz),
             band=solved.band,
+            core=solved.core,
+            slices=solved.slices,
             shift=solved.shift,
             solves=solved.solves,
             max_residual=float(np.max(residuals)),

@@ -211,27 +211,30 @@ def test_bent_tube_spectrum_reports_a_bound_state(tmp_path):
     assert "count = 1" in report
     assert "report_sound = True" in report
     levels = re.findall(
-        r"^level\[\d\] = L 32\.0, h (\S+), n \d+, nnz \d+, band (\d+), shift (\S+), "
-        r"solves (\d+), max_residual (\d\.\de-\d\d)$",
+        r"^level\[\d\] = L 32\.0, h (\S+), n \d+, nnz \d+, band (\d+), core (\d+)/(\d+), "
+        r"shift (\S+), solves (\d+), max_residual (\d\.\de-\d\d)$",
         report, flags=re.M,
     )
     assert [h for h, *_ in levels] == ["0.125", "0.0625"]
     # one slice of transverse nodes: 15 at h = 1/8, 31 at h = 1/16
     assert [int(band) for _, band, *_ in levels] == [15, 31]
+    # the bend is factored; the straight ends past it are eliminated in modes
+    assert [int(slices) for _, _, _, slices, *_ in levels] == [511, 1023]
+    assert all(0 < int(core) < int(slices) for _, _, core, slices, *_ in levels)
     assert all(int(solves) > 0 for *_, solves, _ in levels)
     assert all(float(res) < 1e-8 for *_, res in levels)
     # each certified shift sits below every eigenvalue of its level
     ladder = re.search(r"^state\[1\]\.ladder = (.*)$", report, flags=re.M).group(1)
     assert all(float(sig) < float(v)
-               for (_, _, sig, _, _), v in zip(levels, ladder.split(", ")))
+               for (*_, sig, _, _), v in zip(levels, ladder.split(", ")))
     # the finer level starts from the coarser level's eigenvectors: fewer
     # solves than a cold start on the same operator at the same hint
     cfg = load_config_text(BUMP)
     omega = cfg.cross_section()
     recipe = hamiltonian_recipe(build_metric(cfg, cfg.profile(), omega), omega)
     cold = lowest_eigenvalues(recipe(32.0, 0.0625), cfg.n_eigs, below=float(ladder.split(", ")[0]))
-    assert cold.shift == float(levels[1][2])
-    assert int(levels[1][3]) < cold.solves
+    assert cold.shift == float(levels[1][4])
+    assert int(levels[1][5]) < cold.solves
 
 
 def test_warm_started_ladder_matches_cold_solves(tmp_path):

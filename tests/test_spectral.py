@@ -229,6 +229,109 @@ def test_lower_band_holds_each_subdiagonal():
     np.testing.assert_array_equal(spectral.lower_band(twice), band)
 
 
+@pytest.fixture(scope="module")
+def bent_level(bump_metric):
+    """The reference bent strip at L = 16, h = 1/8, and its lower entries."""
+    op = hamiltonian_recipe(bump_metric, CrossSection.interval(1.0))(16.0, 0.125)
+    return op, spectral._lower_entries(op.matrix)
+
+
+@pytest.mark.parametrize("cross_section, length, spacing, sigma", [
+    (None, 16.0, 0.125, 2.45),
+    ("shape = rectangle\nside_x = 1.0\nside_y = 1.0", 8.0, 0.125, 19.0),
+    ("shape = disc\nradius = 1.0", 8.0, 1.0 / 6.0, 5.0),
+], ids=["interval", "rectangle", "disc"])
+def test_the_straight_ends_are_eliminated_exactly(bent_level, cross_section, length, spacing,
+                                                  sigma):
+    if cross_section is None:
+        op, entries = bent_level
+    else:
+        op = _d3_recipe(cross_section)(length, spacing)
+        entries = spectral._lower_entries(op.matrix)
+    width, left, right, _ = spectral._straight_ends(entries, op.grid)
+    s = op.grid.s_nodes[1:-1]
+    assert width == op.grid.t_interior.sum() and left > 0 and right > 0
+    # the bumps are curved to roundoff out to |s| = 6: all of that is core
+    core = np.abs(s) < 6.0
+    assert not core[:left].any() and not core[s.size - right:].any()
+    factor = spectral._factorize(entries, sigma, op.grid)
+    full = spectral._factorize(entries, sigma)
+    assert (factor.core, factor.slices) == (s.size - left - right, s.size)
+    assert (full.core, full.slices) == (1, 1)  # no grid: one slice, all core
+    shifted = op.matrix - sigma * sp.identity(op.shape[0])
+    rhs = np.random.default_rng(11).normal(size=op.shape[0])
+    x, reference = factor.solve(rhs), full.solve(rhs)
+    assert np.linalg.norm(shifted @ x - rhs) < 1e-9 * np.linalg.norm(rhs)
+    assert np.linalg.norm(x - reference) < 1e-9 * np.linalg.norm(reference)
+
+
+def test_a_changed_coupling_or_a_missing_entry_ends_a_free_run():
+    grid = TruncatedGrid.interval(4.0, 0.125, 1.0)
+    m, n_s = int(grid.t_interior.sum()), grid.s_nodes.size - 2
+    a = assemble_free_hamiltonian(grid).matrix.tolil()
+    i, j = 3 * m, 3 * m + 1             # a transverse coupling of slice 3, dropped
+    a[i, j] = a[j, i] = 0.0
+    f = n_s - 5                         # the coupling of slices f and f + 1, changed
+    i, j = (f + 1) * m + 2, f * m + 2
+    a[i, j] = a[j, i] = 1.001 * a[i, j]
+    a = a.tocsr()
+    a.eliminate_zeros()
+    entries = spectral._lower_entries(a)
+    # the runs stop short of slice 3 and of slice f + 1, whose own blocks are free
+    assert spectral._straight_ends(entries, grid)[1:3] == (3, n_s - f - 2)
+    rhs = np.random.default_rng(5).normal(size=a.shape[0])
+    x = spectral._factorize(entries, 1.0, grid).solve(rhs)
+    reference = spectral._factorize(entries, 1.0).solve(rhs)
+    assert np.linalg.norm(x - reference) < 1e-12 * np.linalg.norm(reference)
+
+
+def test_the_factor_certifies_exactly_the_shifts_the_full_band_does(bent_level):
+    op, entries = bent_level
+    (lam0, lam1), residuals = lowest_eigenvalues(op, 2)
+    assert np.all(residuals < 1e-11)
+    near = [lam * (1.0 + t) for lam in (lam0, lam1) for t in (-1e-9, 1e-9)]
+    sigmas = np.r_[np.linspace(lam0 - 0.05, lam1 + 0.05, 21), near]
+    certified = [spectral._factorize(entries, sigma, op.grid) is not None for sigma in sigmas]
+    full_band = [spectral._factorize(entries, sigma) is not None for sigma in sigmas]
+    assert certified == full_band
+    assert certified == list(sigmas < lam0)
+
+
+LADDER = (1.0 / 8.0, 1.0 / 16.0, 1.0 / 32.0)  # test_criterion_1's
+
+
+def test_a_straight_tube_is_free_ends_around_one_core_slice():
+    levels, full_band = [], []
+    for spacing in LADDER:
+        grid = TruncatedGrid.interval(24.0, spacing, 1.0)
+        op = assemble_free_hamiltonian(grid)
+        _, left, right, _ = spectral._straight_ends(spectral._lower_entries(op.matrix), grid)
+        solved = lowest_eigenvalues(op, 1)
+        width = int(grid.t_interior.sum())
+        assert left + right + 1 == solved.slices == grid.s_nodes.size - 2
+        assert solved.core == 1 and solved.band == width
+        levels.append(solved[0][0])
+        full_band.append(lowest_eigenvalues(op.matrix, 1)[0][0])
+    # test_criterion_1's ladder and extrapolant, as the full band gives them
+    np.testing.assert_allclose(levels, full_band, rtol=1e-12)
+    assert richardson_extrapolate(LADDER, levels).extrapolated == pytest.approx(
+        richardson_extrapolate(LADDER, full_band).extrapolated, rel=1e-12)
+
+
+def test_a_power_tail_strip_has_no_free_slice_and_solves_all_core():
+    from tubespectra import power_tail
+
+    profile = CurvatureProfile([power_tail(0.5, 1.0, 2.5)], (-1e4, 1e4))
+    recipe = hamiltonian_recipe(metric_from_profile(profile, 1.0), CrossSection.interval(1.0))
+    op = recipe(8.0, 0.125)
+    _, left, right, _ = spectral._straight_ends(spectral._lower_entries(op.matrix), op.grid)
+    assert left == right == 0
+    solved = lowest_eigenvalues(op, 2)
+    assert solved.core == solved.slices == op.grid.s_nodes.size - 2
+    # all core is the full band: the same solve, bit for bit
+    np.testing.assert_array_equal(solved[0], lowest_eigenvalues(op.matrix, 2)[0])
+
+
 D3_TUBE = """
 [problem]
 kind = euclidean-tube
