@@ -23,9 +23,12 @@ then reflects the slowest-decaying member of the family, which keeps a
 ``pass`` conservative and makes the fitted exponent meaningful for
 power-tail profiles.
 
-Each quantity is evaluated once per check (:func:`sampled_abs`): |f| on
-one set of abscissae (:func:`sample_abscissae`), maxed over the
-transverse probe where f depends on u.  The set has geometric tails on
+Each quantity is evaluated once per check: |f| on one set of abscissae
+(:func:`sample_abscissae`), maxed over the transverse probe where f
+depends on u (:func:`sampled_abs`).  The metric and coefficient checks
+read all their quantities off one metric jet (``TubeMetric.jet``) per
+block of abscissae, and the curvature check off one table of the
+kappa_i^(k) it needs.  The set has geometric tails on
 both sides plus evenly spaced near-field points that cover the hole the
 tails leave around s = 0, where curvature bumps sit.  Every limit, decay
 and bounded entry reads that one array: tail suprema are its suffix
@@ -179,20 +182,33 @@ def sample_abscissae(s_range, cfg=None):
     return s[np.argsort(np.abs(s), kind="stable")]
 
 
-def _on_probe(fn, s, probe):
-    """fn(s_i, u_j) for every abscissa s_i and probe point u_j."""
-    return fn(s[:, None], np.broadcast_to(probe, (s.size,) + probe.shape))
+# abscissae per evaluation over the probe.  It bounds the working set of
+# a jet, and keeps the default gate to 3 blocks: an integrated strip makes
+# one Jacobi sweep per block and stencil offset, 7 per block, and its
+# sweep cache (64 entries) must hold a check's sweeps for the next check
+_BLOCK = 2048
 
 
-def sampled_abs(fn, s, probe=None):
-    """|fn(s)|, or with a probe |fn(s, u)| maxed over the probe points u."""
-    if probe is None:
-        vals = np.abs(np.asarray(fn(s), dtype=float))
-    else:
-        vals = np.max(np.abs(_on_probe(fn, s, probe)), axis=-1)
-    if vals.shape != s.shape:
+def _probe_blocks(s, probe):
+    """(t, u) per block of abscissae: t a row of them, u the probe points down axis 0."""
+    for i in range(0, s.size, _BLOCK):
+        t = s[None, i:i + _BLOCK]
+        yield t, np.broadcast_to(probe[:, None], (len(probe), t.size) + probe.shape[1:])
+
+
+def sampled_abs(fn, s, probe):
+    """Max over the probe of |q(s_i, u)| for each array q of the dict fn(t, u) returns.
+
+    ``fn`` is called once per block of abscissae (:func:`_probe_blocks`)
+    and may return arrays that depend on s alone in the shape of t.
+    Returns ``{name: array over s}``.
+    """
+    parts = [{name: np.max(np.abs(q), axis=0) for name, q in fn(t, u).items()}
+             for t, u in _probe_blocks(s, probe)]
+    sups = {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
+    if any(v.shape != s.shape for v in sups.values()):
         raise InputError("quantity function must be vectorized over s")
-    return vals
+    return sups
 
 
 def tail_sups(vals, s, ladder):
@@ -356,12 +372,6 @@ def decay_entry(identifier, quantities, ladder, s, cfg):
 # curvature-level checks
 
 
-def _max_abs_rows(arr):
-    """max_alpha |arr[..., alpha]| for vector data, |arr| for scalars."""
-    arr = np.asarray(arr, dtype=float)
-    return np.max(np.abs(arr), axis=-1) if arr.ndim > 1 else np.abs(arr)
-
-
 def check_curvature_decay(profile, ladder=None, config=None):
     """Decay hypotheses expressed directly on the curvature generator.
 
@@ -370,50 +380,53 @@ def check_curvature_decay(profile, ladder=None, config=None):
     column stay bounded.  Rate: first/third derivatives of the first
     column, the second column, its second derivative, and the two mixed
     products fit |s|^-(1+theta), together with the first column itself.
+
+    Each kappa_i^(k) these need is evaluated once on the abscissae, and
+    every quantity is read off that table: the first column is
+    (-kappa_1, 0, ...), the sub-block's first column (0, -kappa_2, 0, ...),
+    and a sub-block applied to it is -kappa_2 times that sub-block's
+    second column (kappa_2, 0, -kappa_3, 0, ...).
     """
     cfg = config or CheckerConfig()
     if ladder is None:
         ladder = default_ladder(profile.s_range)
     s = sample_abscissae(profile.s_range, cfg)
     d = profile.dimension
+    table = {}
 
-    def col1(order):
-        return sampled_abs(lambda t: _max_abs_rows(profile.first_column(t, order)), s)
+    def k(i, order):
+        """|kappa_i^(order)| on the abscissae."""
+        if (i, order) not in table:
+            table[i, order] = np.abs(profile.kappa(i, s, order))
+        return table[i, order]
 
-    def col2(order):
-        return sampled_abs(lambda t: _max_abs_rows(profile.sub_block(t, order)[..., :, 0]), s)
+    def second_column(order):
+        """max over its rows of |second column of the sub-block's order-th derivative|."""
+        return k(2, order) if d == 3 else np.maximum(k(2, order), k(3, order))
 
-    def product(order_left, order_right):
-        def fn(t):
-            left = profile.sub_block(t, order_left)
-            right = profile.sub_block(t, order_right)[..., :, 0]
-            return _max_abs_rows(np.einsum("...ij,...j->...i", left, right))
-
-        return sampled_abs(fn, s)
-
-    k1 = col1(0)
+    k1 = k(1, 0)
     entries = [
         limit_entry("curvature-vanishes[k1]", "max|K^1|", k1, ladder, s, cfg),
-        limit_entry("curvature-vanishes[k1'']", "max|d2 K^1|", col1(2), ladder, s, cfg),
+        limit_entry("curvature-vanishes[k1'']", "max|d2 K^1|", k(1, 2), ladder, s, cfg),
     ]
 
-    sub = sampled_abs(lambda t: np.max(np.abs(profile.sub_block(t, 0)), axis=(-2, -1)), s)
+    sub = np.max([np.zeros(s.shape)] + [k(i, 0) for i in range(2, d)], axis=0)
     entries.append(_sup_entry("curvature-bounded[K_sub]", "sup|K_sub|", sub))
     if d >= 3:
-        entries.append(_sup_entry("curvature-bounded[K'^2]", "sup|d K^2|", col2(1)))
+        entries.append(_sup_entry("curvature-bounded[K'^2]", "sup|d K^2|", k(2, 1)))
 
     quantities = {
         "k1": k1,
-        "k1'": col1(1),
-        "k1'''": col1(3),
+        "k1'": k(1, 1),
+        "k1'''": k(1, 3),
     }
     if d >= 3:
         quantities.update(
             {
-                "k2_col": col2(0),
-                "k2_col''": col2(2),
-                "K'K^2": product(1, 0),
-                "KK'^2": product(0, 1),
+                "k2_col": k(2, 0),
+                "k2_col''": k(2, 2),
+                "K'K^2": second_column(1) * k(2, 0),
+                "KK'^2": second_column(0) * k(2, 1),
             }
         )
     agg, subs = decay_entry("curvature-decay-rate", quantities, ladder, s, cfg)
@@ -432,31 +445,27 @@ def check_metric_hypotheses(metric, config=None):
     ladder = default_ladder(metric.s_range)
     s = sample_abscissae(metric.s_range, cfg)
     probe = _u_probe(metric.a, metric.dimension - 1)
-
-    def sup_u(fn):
-        return sampled_abs(fn, s, probe)
-
-    m = metric
-    h_dev = sup_u(lambda t, u: m.h(t, u) - 1.0)
+    fields = ("dh", "h_s", "h_ss", "h_sss", "hu_sq", "hu_sq_s", "lap_u", "lap_u_s")
+    sup = sampled_abs(lambda t, u: metric.jet(t, u, fields), s, probe)
     entries = [
-        limit_entry("metric-approach-flat[h-1]", "sup_u|h-1|", h_dev, ladder, s, cfg),
+        limit_entry("metric-approach-flat[h-1]", "sup_u|h-1|", sup["dh"], ladder, s, cfg),
         limit_entry(
-            "metric-approach-flat[h_ss]", "sup_u|h_,11|", sup_u(m.h_ss), ladder, s, cfg
+            "metric-approach-flat[h_ss]", "sup_u|h_,11|", sup["h_ss"], ladder, s, cfg
         ),
         limit_entry(
             "metric-approach-flat[grad_u^2]", "sup_u|h_,mu h_,mu|",
-            sup_u(m.hu_sq), ladder, s, cfg,
+            sup["hu_sq"], ladder, s, cfg,
         ),
         limit_entry(
-            "metric-approach-flat[lap_u]", "sup_u|h_,mumu|", sup_u(m.lap_u), ladder, s, cfg
+            "metric-approach-flat[lap_u]", "sup_u|h_,mumu|", sup["lap_u"], ladder, s, cfg
         ),
     ]
     quantities = {
-        "h-1": h_dev,
-        "h_s": sup_u(m.h_s),
-        "h_sss": sup_u(m.h_sss),
-        "grad_u^2_s": sup_u(m.hu_sq_s),
-        "lap_u_s": sup_u(m.lap_u_s),
+        "h-1": sup["dh"],
+        "h_s": sup["h_s"],
+        "h_sss": sup["h_sss"],
+        "grad_u^2_s": sup["hu_sq_s"],
+        "lap_u_s": sup["lap_u_s"],
     }
     agg, subs = decay_entry("metric-decay-rate", quantities, ladder, s, cfg)
     entries.append(agg)
@@ -489,6 +498,8 @@ def check_coefficient_assumptions(coeffs, potential, config=None):
     metric = coeffs.metric
     if metric is None:
         raise InputError("a free coefficient field has no s_range to check over")
+    if potential.metric is not metric:
+        raise InputError("the potential and the coefficient field need the same metric")
     ladder = default_ladder(metric.s_range)
     s = sample_abscissae(metric.s_range, cfg)
     probe = _u_probe(metric.a, metric.dimension - 1)
@@ -502,8 +513,19 @@ def check_coefficient_assumptions(coeffs, potential, config=None):
             notes=f"C-={c_lo!r} C+={c_hi!r}",
         )
     ]
-    g_dev = sampled_abs(coeffs.deviation_from_identity, s, probe)
-    g_der = sampled_abs(coeffs.g_ss_s, s, probe)
+
+    def quantities(t, u):
+        jet = metric.jet(t, u)
+        r = potential.reciprocal(jet, t)
+        return {
+            "G-1": coeffs.deviation_on_jet(jet, r),
+            "G11_s": coeffs.g_ss_s_on_jet(jet, r),
+            "V": potential.on_jet(jet, r),
+            "V_s": potential.derivative_s_on_jet(jet, r),
+        }
+
+    sup = sampled_abs(quantities, s, probe)
+    g_dev, g_der, v_abs, v_der = sup["G-1"], sup["G11_s"], sup["V"], sup["V_s"]
     entries.append(limit_entry("G-approach-identity", "sup|G-1|", g_dev, ladder, s, cfg))
     agg, subs = decay_entry(
         "G-s-derivative-decay", {"G11_s": g_der, "G-1": g_dev}, ladder, s, cfg
@@ -512,8 +534,6 @@ def check_coefficient_assumptions(coeffs, potential, config=None):
     entries.extend(subs)
     entries.append(_sup_entry("G-divergence-bounded", "sup|G^1i_,i|", g_der))
 
-    v_abs = sampled_abs(potential, s, probe)
-    v_der = sampled_abs(potential.derivative_s, s, probe)
     entries.append(_sup_entry("V-bounded", "sup|V|", v_abs))
     entries.append(limit_entry("V-approach-zero", "sup|V|", v_abs, ladder, s, cfg))
     agg, subs = decay_entry(

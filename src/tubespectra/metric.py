@@ -22,16 +22,27 @@ in u, with s-derivatives from order-4 finite differences.
 
 Both variants expose the same evaluator interface, vectorized over numpy
 arrays, so the operator assembly downstream never branches on the source.
+Every metric also evaluates a jet: ``jet(s, u, fields)`` returns the
+requested fields at once -- h, its s-derivatives, the transverse
+combinations and ``dh`` = h - 1, taken before the 1 is added so that it
+keeps its relative accuracy where h is within roundoff of 1.  The
+closed-form metrics compute each intermediate (curvature column,
+sub-block, rotation, Jacobi basis) once per jet and keep fields that
+depend on s alone in the shape of s; their per-field evaluators read
+their one field of a jet, so each formula has a single implementation.
+The integrated strip's jet calls its evaluators, which share one Jacobi
+sweep per requested s.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable
 
 import numpy as np
 
-from .assumptions import _on_probe, _u_probe, sample_abscissae
+from .assumptions import _probe_blocks, _u_probe, sample_abscissae
 from .errors import EllipticityError, InputError
 from .frames import RotationField
 from .profiles import CurvatureProfile, ScalarFunction
@@ -51,6 +62,11 @@ __all__ = [
 ]
 
 
+# what a jet can hold: h, h - 1 (before the 1 is added), the s-derivatives
+# of h and the transverse combinations of TubeMetric
+JET_FIELDS = ("h", "dh", "h_s", "h_ss", "h_sss", "hu_sq", "hu_sq_s", "lap_u", "lap_u_s")
+
+
 class TubeMetric:
     """Common evaluator interface for g = diag(h^2, 1, ..., 1).
 
@@ -63,6 +79,7 @@ class TubeMetric:
     ``lap_u_s``  = delta^{mu nu} h_,1 mu nu
 
     together with h and its s-derivatives ``h_s``, ``h_ss``, ``h_sss``.
+    ``jet`` evaluates any of these at once, and ``dh`` = h - 1.
 
     Evaluators are immutable after construction; concurrent evaluation is
     safe.
@@ -90,8 +107,18 @@ class TubeMetric:
             raise InputError(f"transverse point needs {m} components")
         return u
 
-    # Subclasses implement: h, h_s, h_ss, h_sss, hu_sq, hu_sq_s, lap_u,
-    # lap_u_s.
+    # Subclasses implement the evaluators h, h_s, h_ss, h_sss, hu_sq,
+    # hu_sq_s, lap_u, lap_u_s, or the jet (see _ClosedFormMetric).
+
+    def jet(self, s, u, fields=JET_FIELDS):
+        """``{field: array}`` at (s, u) for each of ``fields`` (see ``JET_FIELDS``).
+
+        This one calls the evaluators; ``dh`` is h - 1.
+        """
+        out = {name: getattr(self, name)(s, u) for name in fields if name != "dh"}
+        if "dh" in fields:
+            out["dh"] = (out["h"] if "h" in out else self.h(s, u)) - 1.0
+        return out
 
     @property
     def bounds(self):
@@ -101,7 +128,31 @@ class TubeMetric:
         return self._bounds
 
 
-class EuclideanTubeMetric(TubeMetric):
+def _jet_evaluator(name):
+    def evaluate(self, s, u):
+        val = self.jet(s, u, (name,))[name]
+        shape = np.broadcast_shapes(np.shape(s), self._split_u(u).shape[:-1])
+        return val if val.shape == shape else np.broadcast_to(val, shape).copy()
+
+    evaluate.__name__ = evaluate.__qualname__ = name
+    evaluate.__doc__ = f"{name} at (s, u): its field of the jet, over the points' shape."
+    return evaluate
+
+
+class _ClosedFormMetric(TubeMetric):
+    """A metric that implements the jet; each evaluator reads its one field."""
+
+    h = _jet_evaluator("h")
+    h_s = _jet_evaluator("h_s")
+    h_ss = _jet_evaluator("h_ss")
+    h_sss = _jet_evaluator("h_sss")
+    hu_sq = _jet_evaluator("hu_sq")
+    hu_sq_s = _jet_evaluator("hu_sq_s")
+    lap_u = _jet_evaluator("lap_u")
+    lap_u_s = _jet_evaluator("lap_u_s")
+
+
+class EuclideanTubeMetric(_ClosedFormMetric):
     """Metric of a tube about a curve in R^d, from curvature data.
 
     The rotation samples are interpolated entrywise with cubic splines in
@@ -140,91 +191,87 @@ class EuclideanTubeMetric(TubeMetric):
 
     def _rotation(self, s):
         s = np.asarray(s, dtype=float)
-        m = self.dimension - 1
-        if self._rot is None:
-            return np.ones(s.shape + (1, 1))
         lo, hi = self._rot_range
         if s.size and (s.min() < lo - 1e-12 or s.max() > hi + 1e-12):
             raise InputError("evaluation outside the rotation sample range")
         return self._rot(np.clip(s, lo, hi))
 
-    # -- closed-form coefficient vectors -----------------------------------
-    def _w(self, s, order):
-        """Coefficient vector of u in d^order h/ds^order, shape (..., d-1)."""
+    def jet(self, s, u, fields=JET_FIELDS):
+        """The requested fields; the h-derivatives from the closed forms of the module.
+
+        Each derivative of the first column and of the sub-block, and the
+        rotation, is evaluated once.  The u-contraction of an
+        h-derivative is a plain product in d = 2, where the sub-block
+        vanishes and the rotation is 1.  Rotation orthogonality collapses
+        the transverse combinations to curvature scalars, exactly: they
+        keep the shape of s.
+        """
+        s = np.asarray(s, dtype=float)
+        u = self._split_u(u)
         p = self.profile
-        k0 = p.first_column(s, 0)
-        if order == 0:
-            v = k0
-        elif order == 1:
-            v = p.first_column(s, 1) - _mv(p.sub_block(s, 0), k0)
-        elif order == 2:
-            K0 = p.sub_block(s, 0)
-            k1 = p.first_column(s, 1)
-            v = (
-                p.first_column(s, 2)
-                - _mv(p.sub_block(s, 1), k0)
-                - 2.0 * _mv(K0, k1)
-                + _mv(K0, _mv(K0, k0))
-            )
-        elif order == 3:
-            K0 = p.sub_block(s, 0)
-            K1 = p.sub_block(s, 1)
-            k1 = p.first_column(s, 1)
-            k2 = p.first_column(s, 2)
-            v = (
-                p.first_column(s, 3)
-                - _mv(p.sub_block(s, 2), k0)
-                - 3.0 * _mv(K0, k2)
-                - 3.0 * _mv(K1, k1)
-                + _mv(K1, _mv(K0, k0))
-                + 2.0 * _mv(K0, _mv(K1, k0))
-                + 3.0 * _mv(K0, _mv(K0, k1))
-                - _mv(K0, _mv(K0, _mv(K0, k0)))
-            )
+        k = cache(lambda order: p.first_column(s, order))
+        if self._rot is None:
+            def along(order):
+                return _contract(k(order), u)
         else:
-            raise InputError(f"no closed form beyond third s-derivative (got {order})")
-        return _mv(self._rotation(s), v)
+            K = cache(lambda order: p.sub_block(s, order))
+            rotation = self._rotation(s)
 
-    def _contract(self, s, u, order):
-        u = self._split_u(u)
-        w = self._w(np.asarray(s, dtype=float), order)
-        shape = np.broadcast_shapes(w.shape, u.shape)
-        return np.einsum(
-            "...m,...m->...", np.broadcast_to(w, shape), np.broadcast_to(u, shape)
+            def along(order):
+                return _contract(_mv(rotation, _h_coefficients(order, k, K)), u)
+
+        out = {}
+        if "h" in fields or "dh" in fields:
+            dh = along(0)
+            if "dh" in fields:
+                out["dh"] = dh
+            if "h" in fields:
+                out["h"] = 1.0 + dh
+        for order, name in ((1, "h_s"), (2, "h_ss"), (3, "h_sss")):
+            if name in fields:
+                out[name] = along(order)
+        if "hu_sq" in fields:
+            out["hu_sq"] = k(0)[..., 0] ** 2
+        if "hu_sq_s" in fields:
+            out["hu_sq_s"] = 2.0 * k(0)[..., 0] * k(1)[..., 0]
+        for name in ("lap_u", "lap_u_s"):
+            if name in fields:
+                out[name] = np.zeros(s.shape)
+        return out
+
+
+def _h_coefficients(order, k, K):
+    """Coefficient vector of u in d^order h/ds^order before the rotation, shape (..., d-1).
+
+    ``k(j)`` and ``K(j)`` are the j-th s-derivatives of the first column
+    and of the sub-block.
+    """
+    if order == 0:
+        return k(0)
+    if order == 1:
+        return k(1) - _mv(K(0), k(0))
+    if order == 2:
+        return k(2) - _mv(K(1), k(0)) - 2.0 * _mv(K(0), k(1)) + _mv(K(0), _mv(K(0), k(0)))
+    if order == 3:
+        return (
+            k(3)
+            - _mv(K(2), k(0))
+            - 3.0 * _mv(K(0), k(2))
+            - 3.0 * _mv(K(1), k(1))
+            + _mv(K(1), _mv(K(0), k(0)))
+            + 2.0 * _mv(K(0), _mv(K(1), k(0)))
+            + 3.0 * _mv(K(0), _mv(K(0), k(1)))
+            - _mv(K(0), _mv(K(0), _mv(K(0), k(0))))
         )
+    raise InputError(f"no closed form beyond third s-derivative (got {order})")
 
-    def h(self, s, u):
-        return 1.0 + self._contract(s, u, 0)
 
-    def h_s(self, s, u):
-        return self._contract(s, u, 1)
-
-    def h_ss(self, s, u):
-        return self._contract(s, u, 2)
-
-    def h_sss(self, s, u):
-        return self._contract(s, u, 3)
-
-    # Rotation orthogonality collapses the transverse contractions to
-    # curvature scalars; these identities are exact, no interpolation.
-    def hu_sq(self, s, u):
-        kap = self.profile.kappa(1, s, 0)
-        return self._bcast(kap**2, s, u)
-
-    def hu_sq_s(self, s, u):
-        val = 2.0 * self.profile.kappa(1, s, 0) * self.profile.kappa(1, s, 1)
-        return self._bcast(val, s, u)
-
-    def lap_u(self, s, u):
-        return self._bcast(np.zeros(np.shape(np.asarray(s, dtype=float))), s, u)
-
-    def lap_u_s(self, s, u):
-        return self._bcast(np.zeros(np.shape(np.asarray(s, dtype=float))), s, u)
-
-    def _bcast(self, val, s, u):
-        u = self._split_u(u)
-        shape = np.broadcast_shapes(np.shape(val), u.shape[:-1])
-        return np.broadcast_to(np.asarray(val, dtype=float), shape).copy()
+def _contract(w, u):
+    """sum_mu u^mu w_mu, term by term: a plain product in d = 2."""
+    out = u[..., 0] * w[..., 0]
+    for mu in range(1, u.shape[-1]):
+        out += u[..., mu] * w[..., mu]
+    return out
 
 
 def _mv(mat, vec):
@@ -429,7 +476,7 @@ def _jacobi_basis(K, u):
     return np.ones_like(u), u
 
 
-class ConstantCurvatureStripMetric(TubeMetric):
+class ConstantCurvatureStripMetric(_ClosedFormMetric):
     """Strip metric on a surface of constant Gauss curvature K, in closed form.
 
     h = C_K(u) - kappa(s) S_K(u) with C_K, S_K = cos, sin(sqrt(K) u)/sqrt(K)
@@ -477,36 +524,35 @@ class ConstantCurvatureStripMetric(TubeMetric):
         C, S = _jacobi_basis(self.K, self._split_u(u)[..., 0])
         return s, k, C, S
 
-    def h(self, s, u):
-        _, k, C, S = self._terms(s, u)
-        return C - k * S
+    def jet(self, s, u, fields=JET_FIELDS):
+        """The requested fields from one focal check and one kappa^(n) per order n.
 
-    def _h_deriv(self, s, u, order):
-        s, _, _, S = self._terms(s, u)
-        return -self.kappa(s, order) * S
-
-    def h_s(self, s, u):
-        return self._h_deriv(s, u, 1)
-
-    def h_ss(self, s, u):
-        return self._h_deriv(s, u, 2)
-
-    def h_sss(self, s, u):
-        return self._h_deriv(s, u, 3)
-
-    def hu_sq(self, s, u):
-        _, k, C, S = self._terms(s, u)
-        return (-self.K * S - k * C) ** 2
-
-    def hu_sq_s(self, s, u):
+        ``dh`` = (C_K - 1) - kappa S_K is exact before rounding for K = 0,
+        where C_K = 1; for K != 0, h - 1 tends to C_K - 1, not to 0.
+        """
         s, k, C, S = self._terms(s, u)
-        return -2.0 * (-self.K * S - k * C) * self.kappa(s, 1) * C
-
-    def lap_u(self, s, u):
-        return -self.K * self.h(s, u)
-
-    def lap_u_s(self, s, u):
-        return -self.K * self.h_s(s, u)
+        kappa = cache(lambda order: self.kappa(s, order))
+        out = {}
+        if "h" in fields or "lap_u" in fields:
+            h = C - k * S
+            if "h" in fields:
+                out["h"] = h
+            if "lap_u" in fields:
+                out["lap_u"] = -self.K * h
+        if "dh" in fields:
+            out["dh"] = (C - 1.0) - k * S
+        for order, name in ((1, "h_s"), (2, "h_ss"), (3, "h_sss")):
+            if name in fields:
+                out[name] = -kappa(order) * S
+        if "hu_sq" in fields or "hu_sq_s" in fields:
+            h_u = -self.K * S - k * C
+            if "hu_sq" in fields:
+                out["hu_sq"] = h_u**2
+            if "hu_sq_s" in fields:
+                out["hu_sq_s"] = -2.0 * h_u * kappa(1) * C
+        if "lap_u_s" in fields:
+            out["lap_u_s"] = -self.K * (out["h_s"] if "h_s" in out else -kappa(1) * S)
+        return out
 
 
 def metric_from_frames(profile, rotations, a):
@@ -564,8 +610,9 @@ def ellipticity_bounds(metric):
     if isinstance(metric, ConstantCurvatureStripMetric):
         return _constant_curvature_bounds(metric.K, metric.a, metric.kappa1_sup)
     s, probe = sample_abscissae(metric.s_range), _u_probe(metric.a, metric.dimension - 1)
-    vals = _on_probe(metric.h, s, probe)
-    return EllipticityBounds(float(vals.min()), float(vals.max()))
+    lows, highs = zip(*((v.min(), v.max()) for v in
+                        (metric.h(t, u) for t, u in _probe_blocks(s, probe))))
+    return EllipticityBounds(float(np.min(lows)), float(np.max(highs)))
 
 
 def _constant_curvature_bounds(K, a, k):

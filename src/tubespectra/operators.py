@@ -186,6 +186,8 @@ class CoefficientField:
     """The matrix G = diag(h^-2, 1, ..., 1) and its s-derivative.
 
     ``metric=None`` yields the identity field of the free Hamiltonian.
+    The ``*_on_jet`` forms take a metric jet and r = 1/h, so that one jet
+    serves every quantity the assumption gate reads.
     """
 
     def __init__(self, metric=None):
@@ -193,25 +195,38 @@ class CoefficientField:
 
     def g_ss(self, s, u):
         if self.metric is None:
-            return np.ones(np.broadcast_shapes(np.shape(s), np.shape(np.asarray(u)[..., 0])))
-        return self.metric.h(s, u) ** -2.0
+            return np.ones(_points_shape(s, u))
+        # not (1/h)^2: near h = 1 this is h^-2 correctly rounded, so a slice
+        # whose h rounds to 1 assembles exactly the free operator's entries
+        h = self.metric.jet(s, u, ("h",))["h"]
+        return 1.0 / (h * h)
 
     def g_ss_s(self, s, u):
         """d/ds of G^11 = -2 h_,1 / h^3."""
         if self.metric is None:
-            return np.zeros(np.broadcast_shapes(np.shape(s), np.shape(np.asarray(u)[..., 0])))
-        m = self.metric
-        return -2.0 * m.h_s(s, u) / m.h(s, u) ** 3
+            return np.zeros(_points_shape(s, u))
+        jet = self.metric.jet(s, u, ("h", "h_s"))
+        return self.g_ss_s_on_jet(jet, 1.0 / jet["h"])
 
-    def deviation_from_identity(self, s, u):
-        """Entrywise max |G - 1| = |h^-2 - 1|."""
-        return np.abs(self.g_ss(s, u) - 1.0)
+    @staticmethod
+    def g_ss_s_on_jet(jet, r):
+        """G^11_,1 = -2 h_,1 r^3."""
+        return -2.0 * jet["h_s"] * (r * r * r)
+
+    @staticmethod
+    def deviation_on_jet(jet, r):
+        """Entrywise max |G - 1| = |h^-2 - 1| = |dh (2 + dh)| r^2, dh = h - 1.
+
+        Through dh it does not cancel as h -> 1.
+        """
+        dh = jet["dh"]
+        return np.abs(dh * (2.0 + dh)) * (r * r)
 
     def axis_coefficient(self, axis, s, u):
         """Nodal coefficient of -d_axis c d_axis in the Hamiltonian."""
         if axis == 0:
             return self.g_ss(s, u)
-        return np.ones(np.broadcast_shapes(np.shape(s), np.shape(np.asarray(u)[..., 0])))
+        return np.ones(_points_shape(s, u))
 
     def matrix_bounds(self):
         """(C-, C+) with C- 1 <= G <= C+ 1."""
@@ -221,22 +236,34 @@ class CoefficientField:
         return min(c_plus**-2.0, 1.0), max(c_minus**-2.0, 1.0)
 
 
+def _points_shape(s, u):
+    return np.broadcast_shapes(np.shape(s), np.shape(np.asarray(u)[..., 0]))
+
+
 # the potential is refused where h falls to this floor: it is singular at 0
 _H_FLOOR = 1e-8
+# the jet fields V and V_,1 read
+_V_FIELDS = ("h", "h_s", "h_ss", "hu_sq", "lap_u")
+_V_S_FIELDS = _V_FIELDS + ("h_sss", "hu_sq_s", "lap_u_s")
 
 
 class EffectivePotential:
     """The scalar potential of the unitarily transformed Laplacian.
 
     The four contributions are retained separately for diagnostics; for a
-    straight tube every one of them vanishes identically.
+    straight tube every one of them vanishes identically.  Like
+    :class:`CoefficientField`, the ``*_on_jet`` forms take a metric jet
+    and r = 1/h from :meth:`reciprocal`; they use products of r, no
+    general powers.
     """
 
     def __init__(self, metric):
         self.metric = metric
 
-    def _h_checked(self, s, u):
-        h = self.metric.h(s, u)
+    @staticmethod
+    def reciprocal(jet, s):
+        """r = 1/h from a jet taken at s, refusing h at or below the floor."""
+        h = jet["h"]
         if np.any(h <= _H_FLOOR):
             flat = np.argmin(h)
             s_b = np.broadcast_to(np.asarray(s, dtype=float), h.shape)
@@ -244,42 +271,51 @@ class EffectivePotential:
                 f"h <= {_H_FLOOR:g} at s={s_b.ravel()[flat]:g}: potential singular",
                 where=float(s_b.ravel()[flat]),
             )
-        return h
+        return 1.0 / h
+
+    def _jet(self, s, u, fields):
+        jet = self.metric.jet(s, u, fields)
+        return jet, self.reciprocal(jet, s)
 
     def components(self, s, u):
-        m = self.metric
-        h = self._h_checked(s, u)
+        return self.components_on_jet(*self._jet(s, u, _V_FIELDS))
+
+    @staticmethod
+    def components_on_jet(jet, r):
+        r2 = r * r
+        h1 = jet["h_s"]
         return {
-            "longitudinal_gradient": -1.25 * m.h_s(s, u) ** 2 / h**4,
-            "longitudinal_curvature": 0.5 * m.h_ss(s, u) / h**3,
-            "transverse_gradient": -0.25 * m.hu_sq(s, u) / h**2,
-            "transverse_laplacian": 0.5 * m.lap_u(s, u) / h,
+            "longitudinal_gradient": -1.25 * h1 * h1 * (r2 * r2),
+            "longitudinal_curvature": 0.5 * jet["h_ss"] * (r2 * r),
+            "transverse_gradient": -0.25 * jet["hu_sq"] * r2,
+            "transverse_laplacian": 0.5 * jet["lap_u"] * r,
         }
 
     def __call__(self, s, u):
-        c = self.components(s, u)
-        return (
-            c["longitudinal_gradient"]
-            + c["longitudinal_curvature"]
-            + c["transverse_gradient"]
-            + c["transverse_laplacian"]
-        )
+        return self.on_jet(*self._jet(s, u, _V_FIELDS))
+
+    @classmethod
+    def on_jet(cls, jet, r):
+        return sum(cls.components_on_jet(jet, r).values())
 
     def derivative_s(self, s, u):
         """Closed-form d V / ds."""
-        m = self.metric
-        h = self._h_checked(s, u)
-        h1 = m.h_s(s, u)
-        h11 = m.h_ss(s, u)
+        return self.derivative_s_on_jet(*self._jet(s, u, _V_S_FIELDS))
+
+    @staticmethod
+    def derivative_s_on_jet(jet, r):
+        h1, h11, hu_sq, lap = jet["h_s"], jet["h_ss"], jet["hu_sq"], jet["lap_u"]
+        r2 = r * r
+        r3 = r2 * r
         return (
-            5.0 * h1**3 / h**5
-            - 4.0 * h1 * h11 / h**4
-            + m.h_sss(s, u) / (2.0 * h**3)
+            5.0 * h1 * h1 * h1 * (r3 * r2)
+            - 4.0 * h1 * h11 * (r2 * r2)
+            + 0.5 * jet["h_sss"] * r3
             + 0.5
             * (
-                h1 * m.hu_sq(s, u) / h**3
-                - (h1 * m.lap_u(s, u) + 0.5 * m.hu_sq_s(s, u)) / h**2
-                + m.lap_u_s(s, u) / h
+                h1 * hu_sq * r3
+                - (h1 * lap + 0.5 * jet["hu_sq_s"]) * r2
+                + jet["lap_u_s"] * r
             )
         )
 

@@ -221,11 +221,22 @@ class _Factor:
         return x
 
 
-def _factorize(entries, sigma, grid=None):
+def _free_ends(entries, grid):
+    """``_straight_ends`` of m with its free block diagonalized: (width, left, right, lam, psi).
+
+    Neither depends on the shift, so one call serves every shift tried.
+    """
+    width, left, right, block = _straight_ends(entries, grid)
+    lam, psi = np.linalg.eigh(block.toarray()) if left or right else (None, None)
+    return width, left, right, lam, psi
+
+
+def _factorize(entries, sigma, grid=None, ends=None):
     """m - sigma I factored as a :class:`_Factor`, or None when there is none.
 
-    ``entries`` are m's ``_lower_entries`` and ``grid`` its grid, if any.
-    The free block of ``_straight_ends`` is diagonalized once,
+    ``entries`` are m's ``_lower_entries`` and ``grid`` its grid, if any;
+    ``ends`` is their :func:`_free_ends`, computed here when not given.
+    The free block of ``_straight_ends`` is diagonalized,
     D - sigma I = Psi diag(delta_t) Psi^T.  A free run of p slices at a
     wall is then, in modes, m uncoupled tridiagonals
     T_t = tridiag(-c, delta_t, -c) of order p, c = 1/ds^2, factored by one
@@ -244,15 +255,14 @@ def _factorize(entries, sigma, grid=None):
     from scipy.linalg.lapack import dpbtrf, dpttrf, dpttrs
 
     offset, col, data, n = entries
-    width, left, right, block = _straight_ends(entries, grid)
+    width, left, right, lam, psi = _free_ends(entries, grid) if ends is None else ends
     lo, hi = left * width, n - right * width
     keep = (col >= lo) & (col + offset < hi)
     # a free end's Schur term fills the core slice next to it
     band = _scatter_band((offset[keep], col[keep] - lo, data[keep], hi - lo), sigma,
                          width if left or right else 0)
-    psi, c, ends = None, 0.0, []
+    c, runs = 0.0, []
     if left or right:
-        lam, psi = np.linalg.eigh(block.toarray())
         c = 1.0 / grid.s_spacing**2
         rows, cols = np.tril_indices(width)
         for count, part, at, last in ((left, slice(0, lo), slice(0, width), -1),
@@ -271,11 +281,11 @@ def _factorize(entries, sigma, grid=None):
             column = dpttrs(d, e, unit.ravel())[0].reshape(width, count)
             schur = (c * c) * (psi * column[:, last]) @ psi.T
             band[rows - cols, at.start + cols] -= schur[rows, cols]
-            ends.append((part, at, last, d, e, column))
+            runs.append((part, at, last, d, e, column))
     band, info = dpbtrf(band, lower=1, overwrite_ab=1)
     if info:
         return None
-    return _Factor(band, (lo, hi), n // width, width, psi, c, tuple(ends))
+    return _Factor(band, (lo, hi), n // width, width, psi, c, tuple(runs))
 
 
 def _shift_invert(m, k, sigma, factor, v0):
@@ -372,7 +382,8 @@ def lowest_eigenvalues(op, k, below=None, start=None, overwrite_start=False):
     entries = _lower_entries(m)
     band = int(entries[0].max(initial=0))
     grid = op.grid if isinstance(op, DiscreteOperator) else None
-    while (factor := _factorize(entries, sigma, grid)) is None:
+    ends = _free_ends(entries, grid)
+    while (factor := _factorize(entries, sigma, grid, ends)) is None:
         sigma -= step
         step *= 2.0
     del entries

@@ -30,13 +30,13 @@ def d2_profile(fn, s_max=1e4):
 
 
 def test_tail_suprema_are_non_increasing_by_construction():
-    from tubespectra.assumptions import default_ladder, sample_abscissae, sampled_abs, tail_sups
+    from tubespectra.assumptions import default_ladder, sample_abscissae, tail_sups
 
     prof = d2_profile(power_tail(0.5, 1.0, 1.5))
     s = sample_abscissae(prof.s_range, CheckerConfig())
     ladder = default_ladder(prof.s_range)
     # a wiggly quantity still yields monotone suffix maxima
-    vals = sampled_abs(lambda t: np.abs(np.sin(3 * t)) / (1 + np.abs(t)), s)
+    vals = np.abs(np.sin(3 * s)) / (1 + np.abs(s))
     sups, _ = tail_sups(vals, s, ladder)
     assert np.all(np.diff(sups) <= 0.0)
 
@@ -114,33 +114,57 @@ def test_short_table_decay_is_inconclusive_not_fail():
 
 
 def test_each_gate_quantity_is_evaluated_once(bump_metric, monkeypatch):
+    # the coefficient and metric checks read every quantity off one metric
+    # jet per block of abscissae, each abscissa in exactly one block, and
+    # call no per-quantity evaluator; the curvature check evaluates each
+    # kappa_i^(k) once
+    from collections import Counter
+
     from tubespectra import metric as metric_module
     from tubespectra import operators
+    from tubespectra.assumptions import sample_abscissae
 
-    calls = {}
-
-    def count(cls, name):
-        fn = cls.__dict__[name]
-
-        def counted(*args, **kwargs):
-            calls[name] = calls.get(name, 0) + 1
-            return fn(*args, **kwargs)
-
-        monkeypatch.setattr(cls, name, counted)
-
-    count(operators.EffectivePotential, "__call__")
-    count(operators.CoefficientField, "deviation_from_identity")
-    count(operators.CoefficientField, "g_ss_s")
-    count(metric_module.EuclideanTubeMetric, "h")
-    check_coefficient_assumptions(
-        CoefficientField(bump_metric), EffectivePotential(bump_metric)
+    calls, jets, kappas = [], [], Counter()
+    fields = tuple(name for name in metric_module.JET_FIELDS if name != "dh")
+    evaluators = (
+        (metric_module._ClosedFormMetric, fields),
+        (operators.CoefficientField, ("g_ss", "g_ss_s")),
+        (operators.EffectivePotential, ("__call__", "components", "derivative_s")),
     )
-    assert {k: calls[k] for k in ("__call__", "deviation_from_identity", "g_ss_s")} == {
-        "__call__": 1, "deviation_from_identity": 1, "g_ss_s": 1,
-    }
-    calls.clear()
-    check_metric_hypotheses(bump_metric)
-    assert calls == {"h": 1}
+    for cls, names in evaluators:
+        for name in names:
+            monkeypatch.setattr(cls, name, lambda *args, name=name: calls.append(name))
+    jet = metric_module.EuclideanTubeMetric.jet
+    kappa = CurvatureProfile.kappa
+
+    def counted_jet(self, s, u, *fields):
+        jets.append(np.ravel(s))
+        return jet(self, s, u, *fields)
+
+    def counted_kappa(self, i, s, order=0):
+        kappas[i, order] += 1
+        return kappa(self, i, s, order)
+
+    monkeypatch.setattr(metric_module.EuclideanTubeMetric, "jet", counted_jet)
+    monkeypatch.setattr(CurvatureProfile, "kappa", counted_kappa)
+
+    abscissae = sample_abscissae(bump_metric.s_range)
+    for check in (
+        lambda: check_coefficient_assumptions(
+            CoefficientField(bump_metric), EffectivePotential(bump_metric)
+        ),
+        lambda: check_metric_hypotheses(bump_metric),
+    ):
+        jets.clear()
+        check()
+        assert len(jets) > 1 and np.array_equal(np.concatenate(jets), abscissae)
+    assert calls == []
+
+    kappas.clear()
+    check_curvature_decay(CurvatureProfile(
+        [gaussian_bump(0.4, 1.0), power_tail(0.3, 1.0, 2.0)], (-1e4, 1e4)
+    ))
+    assert kappas == Counter({(1, k): 1 for k in range(4)} | {(2, k): 1 for k in range(3)})
 
 
 def test_free_coefficient_field_is_refused():

@@ -19,6 +19,7 @@ from tubespectra import (
     lowest_eigenvalues,
     metric_from_jacobi,
     metric_from_profile,
+    power_tail,
     richardson_extrapolate,
     tabulated_function,
 )
@@ -83,6 +84,74 @@ def test_potential_derivative_matches_finite_differences(bump_metric):
             ) / (12 * delta)
             errs.append(np.max(np.abs(fd - pot.derivative_s(s, u))))
         assert errs[1] < errs[0] / 8.0  # fourth-order oracle: expect ~16x
+
+
+def _exact_gate_quantities(kappas, u):
+    """|h - 1|, |G - 1|, V and V_,1 of a planar tube in exact rational arithmetic.
+
+    ``kappas`` are the float kappa^(k)(s), k = 0..3, at one s; h = 1 - kappa u.
+    """
+    from fractions import Fraction
+
+    k0, k1, k2, k3 = (Fraction(float(k)) for k in kappas)
+    u = Fraction(float(u))
+    h, h1, h11, h111 = 1 - k0 * u, -k1 * u, -k2 * u, -k3 * u
+    hu_sq, hu_sq_s = k0 * k0, 2 * k0 * k1
+    v = -Fraction(5, 4) * h1**2 / h**4 + h11 / (2 * h**3) - hu_sq / (4 * h**2)
+    v_s = (5 * h1**3 / h**5 - 4 * h1 * h11 / h**4 + h111 / (2 * h**3)
+           + (h1 * hu_sq / h**3 - hu_sq_s / (2 * h**2)) / 2)
+    return abs(h - 1), abs(1 / h**2 - 1), v, v_s
+
+
+@pytest.mark.parametrize(
+    "kappa,s_values",
+    [(power_tail(0.5, 1.0, 2.5), (1e2, 1e3, 1e4)), (gaussian_bump(0.5, 1.0), (15.5, 16.0))],
+    ids=["power-tail", "gaussian-where-h_s-cubed-is-subnormal"],
+)
+def test_gate_tails_match_exact_rational_arithmetic(kappa, s_values):
+    # h - 1 and G - 1 are taken without cancelling against 1, so they keep
+    # their relative accuracy where h is within roundoff of 1; V and V_,1
+    # stay accurate where h_s^3 falls below the normal range
+    from fractions import Fraction
+
+    metric = metric_from_profile(CurvatureProfile([kappa], (-1e4, 1e4)), 1.0)
+    coeffs, pot = CoefficientField(metric), EffectivePotential(metric)
+    u = np.linspace(-1.0, 1.0, 9)
+    for s_value in s_values:
+        s = np.full_like(u, s_value)
+        kappas = [kappa(s_value, k) for k in range(4)]
+        if kappa.label.startswith("gaussian"):
+            h1 = np.abs(kappas[1] * u[u != 0])
+            assert np.all(h1**3 < np.finfo(float).tiny)
+        jet = metric.jet(s, u)
+        computed = (
+            np.abs(jet["dh"]),
+            coeffs.deviation_on_jet(jet, 1.0 / jet["h"]),
+            pot(s, u),
+            pot.derivative_s(s, u),
+        )
+        for j, uj in enumerate(u):
+            exact = _exact_gate_quantities(kappas, uj)
+            for got, ref in zip((c[j] for c in computed), exact):
+                assert abs(Fraction(float(got)) - ref) <= Fraction(1, 10**14) * abs(ref), (
+                    s_value, uj, float(got), float(ref))
+
+
+def test_g11_is_h_to_the_minus_two_rounded_where_h_is_within_roundoff_of_one():
+    # the straight-end elimination compares entries with the free operator
+    # bit for bit, so G^11 there must round exactly like h^-2
+    class FixedH:
+        def __init__(self, h):
+            self.h = h
+
+        def jet(self, s, u, fields):
+            return {"h": self.h}
+
+    eps = np.finfo(float).eps
+    steps = np.arange(1, 4001)
+    h = np.r_[1.0 - 0.5 * eps * steps, 1.0, 1.0 + eps * steps]
+    g = CoefficientField(FixedH(h)).g_ss(np.zeros_like(h), np.zeros_like(h))
+    assert np.array_equal(g, h**-2.0)
 
 
 def test_potential_singularity_is_flagged():

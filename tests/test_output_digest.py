@@ -40,7 +40,7 @@ def test_compare_refuses_outputs_that_list_other_keys_or_exit_codes(tmp_path):
 REPORT = """[bound_states]
 count = 1
 verdict = no bound state detected
-level[1] = L 16.0, h 0.125, n 3825, shift 2.449005424566939, max_residual 1.0e-13
+level[1] = L 16.0, h 0.125, n 3825, band 15, core 97/255, shift 2.449005424566939, max_residual 1.0e-13
 [mourre]
 window[1] = center 4.7, eps 0.11, measured 4.324995217608661, states 2, PASS
 [assumptions.basic]
@@ -63,6 +63,7 @@ def test_values_split_every_numeric_field_into_its_own_key():
     assert output_digest.report_values(REPORT) == [
         "count = 1",
         "level[1].L = 16.0", "level[1].h = 0.125", "level[1].n = 3825",
+        "level[1].band = 15", "level[1].core = 97", "level[1].slices = 255",
         "level[1].shift = 2.449005424566939", "level[1].max_residual = 1.0e-13",
         "window[1].center = 4.7", "window[1].eps = 0.11",
         "window[1].measured = 4.324995217608661", "window[1].states = 2",

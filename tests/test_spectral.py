@@ -285,6 +285,28 @@ def test_a_changed_coupling_or_a_missing_entry_ends_a_free_run():
     assert np.linalg.norm(x - reference) < 1e-12 * np.linalg.norm(reference)
 
 
+def test_a_retried_shift_scans_the_straight_ends_once(bent_level, monkeypatch):
+    # neither the free runs nor the free block's modes depend on the shift
+    op, _ = bent_level
+    lam0 = lowest_eigenvalues(op, 1)[0][0]
+    scans, shifts = [], []
+    straight_ends, factorize = spectral._straight_ends, spectral._factorize
+
+    def counted_scan(*args):
+        scans.append(args)
+        return straight_ends(*args)
+
+    def counted_factorize(*args):
+        shifts.append(args[1])
+        return factorize(*args)
+
+    monkeypatch.setattr(spectral, "_straight_ends", counted_scan)
+    monkeypatch.setattr(spectral, "_factorize", counted_factorize)
+    solved = lowest_eigenvalues(op, 1, below=lam0 + 0.1)
+    assert shifts[0] > lam0 and len(shifts) > 2 and solved.shift == shifts[-1] < lam0
+    assert len(scans) == 1
+
+
 def test_the_factor_certifies_exactly_the_shifts_the_full_band_does(bent_level):
     op, entries = bent_level
     (lam0, lam1), residuals = lowest_eigenvalues(op, 2)

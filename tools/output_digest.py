@@ -29,7 +29,8 @@ number of its outputs, prefixed like the digest line: each numeric
 a comma-separated list of numbers); each numeric field of its other
 report lines as its own key, such as ``window[1].measured`` or
 ``level[2].shift`` from the ``level[j]`` and ``window[j]`` lines and
-``<entry>.notes.sup`` from an assumption entry's ``notes: sup=…``; and
+``<entry>.notes.sup`` from an assumption entry's ``notes: sup=…`` (a
+level line's ``core C/N`` gives ``level[j].core`` and ``level[j].slices``); and
 each numeric cell of its CSV files, such as ``mourre.csv[1].measured``.
 Two trees whose numbers may move by roundoff can then be compared number
 by number under a relative tolerance.
@@ -114,12 +115,17 @@ def _is_numeric(value):
     return True
 
 
+# a ``name a/b`` field of a report line, and the name its b is emitted under
+_RATIOS = {"core": "slices"}
+
+
 def report_values(text):
     """Every number of a report, one ``key = value`` line each.
 
     A numeric ``key = value`` line is kept whole.  A ``key = …`` line with
     comma-separated ``name number`` fields (``level[j]``, ``window[j]``)
-    gives ``key.name = number`` per numeric field, and any other line its
+    gives ``key.name = number`` per numeric field (``core C/N`` gives
+    ``key.core = C`` and ``key.slices = N``), and any other line its
     numeric ``name=number`` tokens as ``entry.name = number``, ``entry``
     being the last bracketed header and ``name`` led by the line's label
     (``notes``, ``fit``) when it has one.
@@ -133,8 +139,11 @@ def report_values(text):
         if sep:
             for field in value.split(", "):
                 name, _, number = field.partition(" ")
-                if number and _is_numeric(number):
-                    out.append(f"{key}.{name} = {number}")
+                pairs = [(name, number)]
+                if name in _RATIOS:
+                    number, _, total = number.partition("/")
+                    pairs = [(name, number), (_RATIOS[name], total)]
+                out.extend(f"{key}.{n} = {x}" for n, x in pairs if x and _is_numeric(x))
             continue
         if line.startswith("["):
             entry = line.split(" ", 1)[0][1:-1]
