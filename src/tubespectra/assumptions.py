@@ -183,9 +183,9 @@ def sample_abscissae(s_range, cfg=None):
 
 
 # abscissae per evaluation over the probe.  It bounds the working set of
-# a jet, and keeps the default gate to 3 blocks: an integrated strip makes
-# one Jacobi sweep per block and stencil offset, 7 per block, and its
-# sweep cache (64 entries) must hold a check's sweeps for the next check
+# a jet, and keeps the default gate to 3 blocks: an integrated strip's jet
+# sweeps the Jacobi equation once per stencil offset, and one sweep of a
+# block holds h and h_u on 513 u-nodes, 2 x 513 x 2,048 doubles (17 MB)
 _BLOCK = 2048
 
 

@@ -341,6 +341,12 @@ def parse_config(parser, base_dir="."):
         mesh_u_points=_get(parser, "outputs", "mesh_u_points", int, 9),
         base_dir=base_dir,
     )
+    omega_dim = cfg.cross_section().dim
+    if omega_dim != dimension - 1:
+        raise ConfigError(
+            f"[cross_section] shape = {shape} is {omega_dim}-dimensional, but dimension = "
+            f"{dimension} needs a {dimension - 1}-dimensional cross-section"
+        )
     if cfg.s_max <= 0:
         raise ConfigError("[numerics] s_max must be positive")
     if cfg.domain_length is not None and cfg.domain_length <= 0:

@@ -132,10 +132,6 @@ class RotationField:
     s_grid: np.ndarray
     matrices: np.ndarray  # (n, d-1, d-1)
 
-    @property
-    def block_size(self):
-        return self.matrices.shape[-1]
-
     def max_orthogonality_defect(self):
         return float(np.max(_orthogonality_defects(self.matrices)))
 

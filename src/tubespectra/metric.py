@@ -20,18 +20,18 @@ form h = C_K(u) - kappa(s) S_K(u), and every s-derivative follows from
 kappa's; a K_g that varies (a table or a callable) is integrated by RK4
 in u, with s-derivatives from order-4 finite differences.
 
-Both variants expose the same evaluator interface, vectorized over numpy
-arrays, so the operator assembly downstream never branches on the source.
-Every metric also evaluates a jet: ``jet(s, u, fields)`` returns the
-requested fields at once -- h, its s-derivatives, the transverse
+Every metric implements one method, ``jet(s, u, fields)``, which returns
+the requested fields at once -- h, its s-derivatives, the transverse
 combinations and ``dh`` = h - 1, taken before the 1 is added so that it
 keeps its relative accuracy where h is within roundoff of 1.  The
-closed-form metrics compute each intermediate (curvature column,
+per-field evaluators of :class:`TubeMetric` read their one field of a
+jet, vectorized over numpy arrays, so each formula has a single
+implementation and the operator assembly never branches on the source.
+The closed-form metrics compute each intermediate (curvature column,
 sub-block, rotation, Jacobi basis) once per jet and keep fields that
-depend on s alone in the shape of s; their per-field evaluators read
-their one field of a jet, so each formula has a single implementation.
-The integrated strip's jet calls its evaluators, which share one Jacobi
-sweep per requested s.
+depend on s alone in the shape of s.  The integrated strip keeps no
+sweep: a jet sweeps once per finite-difference offset its fields reach,
+row-major in (u-node, s), and reads h and h_u off it in one Hermite pass.
 """
 
 from __future__ import annotations
@@ -67,6 +67,17 @@ __all__ = [
 JET_FIELDS = ("h", "dh", "h_s", "h_ss", "h_sss", "hu_sq", "hu_sq_s", "lap_u", "lap_u_s")
 
 
+def _jet_evaluator(name):
+    def evaluate(self, s, u):
+        val = self.jet(s, u, (name,))[name]
+        shape = np.broadcast_shapes(np.shape(s), self._split_u(u).shape[:-1])
+        return val if val.shape == shape else np.broadcast_to(val, shape).copy()
+
+    evaluate.__name__ = evaluate.__qualname__ = name
+    evaluate.__doc__ = f"{name} at (s, u): its field of the jet, over the points' shape."
+    return evaluate
+
+
 class TubeMetric:
     """Common evaluator interface for g = diag(h^2, 1, ..., 1).
 
@@ -79,7 +90,8 @@ class TubeMetric:
     ``lap_u_s``  = delta^{mu nu} h_,1 mu nu
 
     together with h and its s-derivatives ``h_s``, ``h_ss``, ``h_sss``.
-    ``jet`` evaluates any of these at once, and ``dh`` = h - 1.
+    ``jet`` evaluates any of these at once, and ``dh`` = h - 1; a field
+    that depends on s alone may keep the shape of s.
 
     Evaluators are immutable after construction; concurrent evaluation is
     safe.
@@ -107,40 +119,9 @@ class TubeMetric:
             raise InputError(f"transverse point needs {m} components")
         return u
 
-    # Subclasses implement the evaluators h, h_s, h_ss, h_sss, hu_sq,
-    # hu_sq_s, lap_u, lap_u_s, or the jet (see _ClosedFormMetric).
-
     def jet(self, s, u, fields=JET_FIELDS):
-        """``{field: array}`` at (s, u) for each of ``fields`` (see ``JET_FIELDS``).
-
-        This one calls the evaluators; ``dh`` is h - 1.
-        """
-        out = {name: getattr(self, name)(s, u) for name in fields if name != "dh"}
-        if "dh" in fields:
-            out["dh"] = (out["h"] if "h" in out else self.h(s, u)) - 1.0
-        return out
-
-    @property
-    def bounds(self):
-        """Cached ellipticity bounds (c-, c+)."""
-        if self._bounds is None:
-            self._bounds = ellipticity_bounds(self)
-        return self._bounds
-
-
-def _jet_evaluator(name):
-    def evaluate(self, s, u):
-        val = self.jet(s, u, (name,))[name]
-        shape = np.broadcast_shapes(np.shape(s), self._split_u(u).shape[:-1])
-        return val if val.shape == shape else np.broadcast_to(val, shape).copy()
-
-    evaluate.__name__ = evaluate.__qualname__ = name
-    evaluate.__doc__ = f"{name} at (s, u): its field of the jet, over the points' shape."
-    return evaluate
-
-
-class _ClosedFormMetric(TubeMetric):
-    """A metric that implements the jet; each evaluator reads its one field."""
+        """``{field: array}`` at (s, u) for each of ``fields`` (see ``JET_FIELDS``)."""
+        raise NotImplementedError
 
     h = _jet_evaluator("h")
     h_s = _jet_evaluator("h_s")
@@ -151,8 +132,15 @@ class _ClosedFormMetric(TubeMetric):
     lap_u = _jet_evaluator("lap_u")
     lap_u_s = _jet_evaluator("lap_u_s")
 
+    @property
+    def bounds(self):
+        """Cached ellipticity bounds (c-, c+)."""
+        if self._bounds is None:
+            self._bounds = ellipticity_bounds(self)
+        return self._bounds
 
-class EuclideanTubeMetric(_ClosedFormMetric):
+
+class EuclideanTubeMetric(TubeMetric):
     """Metric of a tube about a curve in R^d, from curvature data.
 
     The rotation samples are interpolated entrywise with cubic splines in
@@ -309,17 +297,25 @@ class SurfaceStripMetric(TubeMetric):
 
     h is computed on demand by a vectorized RK4 sweep in u (from the
     centreline outward, both directions, all requested s at once) over an
-    internal u grid of ``_HALF_NODES`` steps per side, and evaluated in
-    between with cubic Hermite interpolation using the stored transverse
-    derivative.  Evaluating at the exact requested s (instead of
-    interpolating stored columns) keeps the s-interpolation error out of
-    the finite-difference s-derivatives, taken with step ``_FD_STEP``;
-    ``s_range`` is the surface's, inset by the 3 steps they reach.
+    internal u grid of ``_HALF_NODES`` steps per side, stored one row per
+    u-node, and evaluated in between by one cubic Hermite pass: h with the
+    swept h_u as its slope, h_u with h_uu = -K h.  Evaluating at the exact
+    requested s (instead of interpolating stored columns) keeps the
+    s-interpolation error out of the finite-difference s-derivatives,
+    taken with step ``_FD_STEP``: a jet sweeps once per stencil offset its
+    fields reach, at most 7 times, and keeps no sweep.  ``s_range`` is the
+    surface's, inset by the 3 steps they reach.
     """
 
     source = "surface-strip"
     _HALF_NODES = 256
     _FD_STEP = 1e-2
+    # order-4 finite differences in s: (offset, weight) per stencil
+    _D1 = ((-2, 1.0 / 12.0), (-1, -8.0 / 12.0), (1, 8.0 / 12.0), (2, -1.0 / 12.0))
+    _D2 = ((-2, -1.0 / 12.0), (-1, 16.0 / 12.0), (0, -30.0 / 12.0),
+           (1, 16.0 / 12.0), (2, -1.0 / 12.0))
+    _D3 = ((-3, 1.0 / 8.0), (-2, -1.0), (-1, 13.0 / 8.0),
+           (1, -13.0 / 8.0), (2, 1.0), (3, -1.0 / 8.0))
 
     def __init__(self, surface: SurfaceData):
         lo, hi = surface.s_range
@@ -328,41 +324,26 @@ class SurfaceStripMetric(TubeMetric):
         self.surface = surface
         self.u_nodes = np.linspace(-self.a, self.a, 2 * self._HALF_NODES + 1)
         self._i0 = self._HALF_NODES
-        self._cache = {}
-
-    # -- Jacobi sweep -------------------------------------------------------
-    _CACHE_LIMIT = 64
-
-    def _sweep_cached(self, s_values):
-        # the pipeline re-requests identical s arrays many times (stencil
-        # offsets, repeated quantities); keying on the raw bytes is exact
-        key = s_values.tobytes()
-        hit = self._cache.get(key)
-        if hit is None:
-            hit = self._sweep(s_values)
-            if len(self._cache) >= self._CACHE_LIMIT:
-                self._cache.pop(next(iter(self._cache)))
-            self._cache[key] = hit
-        return hit
 
     def _sweep(self, s_values):
         """Integrate h'' = -K h in u for every s at once.
 
-        Returns (h, h_u) arrays of shape (len(s_values), len(u_nodes)).
+        Returns (h, h_u) arrays of shape (len(u_nodes), len(s_values)), one
+        row per u-node, so that each RK4 step writes contiguous rows.
         Raises EllipticityError at the first focal point (h <= 0).
         """
         K = self.surface.gauss_curvature
         s = np.asarray(s_values, dtype=float)
         nu = self.u_nodes.size
-        h = np.empty((s.size, nu))
-        hu = np.empty((s.size, nu))
-        h[:, self._i0] = 1.0
-        hu[:, self._i0] = -np.asarray(self.surface.kappa(s), dtype=float)
+        h = np.empty((nu, s.size))
+        hu = np.empty((nu, s.size))
+        h[self._i0] = 1.0
+        hu[self._i0] = -np.asarray(self.surface.kappa(s), dtype=float)
 
         def step(j_from, j_to):
             u0 = self.u_nodes[j_from]
             du = self.u_nodes[j_to] - u0
-            y1, y2 = h[:, j_from], hu[:, j_from]
+            y1, y2 = h[j_from], hu[j_from]
 
             def f(u, a1, a2):
                 return a2, -K(s, np.full_like(s, u)) * a1
@@ -371,9 +352,9 @@ class SurfaceStripMetric(TubeMetric):
             k2a, k2b = f(u0 + du / 2, y1 + du / 2 * k1a, y2 + du / 2 * k1b)
             k3a, k3b = f(u0 + du / 2, y1 + du / 2 * k2a, y2 + du / 2 * k2b)
             k4a, k4b = f(u0 + du, y1 + du * k3a, y2 + du * k3b)
-            h[:, j_to] = y1 + du / 6 * (k1a + 2 * k2a + 2 * k3a + k4a)
-            hu[:, j_to] = y2 + du / 6 * (k1b + 2 * k2b + 2 * k3b + k4b)
-            bad = h[:, j_to] <= 0.0
+            h[j_to] = y1 + du / 6 * (k1a + 2 * k2a + 2 * k3a + k4a)
+            hu[j_to] = y2 + du / 6 * (k1b + 2 * k2b + 2 * k3b + k4b)
+            bad = h[j_to] <= 0.0
             if bad.any():
                 i = int(np.argmax(bad))
                 raise EllipticityError(
@@ -388,78 +369,74 @@ class SurfaceStripMetric(TubeMetric):
             step(j, j - 1)
         return h, hu
 
-    def _columns(self, s, u, want="h"):
-        """Evaluate h or h_u at broadcast (s, u) points via Hermite cells."""
+    def _columns(self, s, u):
+        """(h, h_u) at broadcast (s, u) points from one sweep and one Hermite pass."""
         u = self._split_u(u)[..., 0]
-        s = np.asarray(s, dtype=float)
-        s_b, u_b = np.broadcast_arrays(s, u)
-        flat_s = s_b.ravel()
-        flat_u = u_b.ravel()
+        s_b, u_b = np.broadcast_arrays(np.asarray(s, dtype=float), u)
+        flat_s, flat_u = s_b.ravel(), u_b.ravel()
         if flat_u.size and (flat_u.min() < self.u_nodes[0] - 1e-12
                             or flat_u.max() > self.u_nodes[-1] + 1e-12):
             raise InputError("transverse coordinate outside the strip")
 
-        uniq, inv = np.unique(flat_s, return_inverse=True)
-        h_cols, hu_cols = self._sweep_cached(uniq)
+        uniq, rows = np.unique(flat_s, return_inverse=True)
+        h_nodes, hu_nodes = self._sweep(uniq)
 
         j = np.clip(np.searchsorted(self.u_nodes, flat_u) - 1, 0, self.u_nodes.size - 2)
         du = self.u_nodes[j + 1] - self.u_nodes[j]
         t = (flat_u - self.u_nodes[j]) / du
-        rows = inv
-        if want == "h":
-            y0, y1 = h_cols[rows, j], h_cols[rows, j + 1]
-            d0, d1 = hu_cols[rows, j], hu_cols[rows, j + 1]
-        else:  # h_u, using h_uu = -K h as the Hermite slope
-            Kfun = self.surface.gauss_curvature
-            y0, y1 = hu_cols[rows, j], hu_cols[rows, j + 1]
-            d0 = -Kfun(flat_s, self.u_nodes[j]) * h_cols[rows, j]
-            d1 = -Kfun(flat_s, self.u_nodes[j + 1]) * h_cols[rows, j + 1]
         t2, t3 = t * t, t * t * t
-        val = ((2 * t3 - 3 * t2 + 1) * y0 + (t3 - 2 * t2 + t) * du * d0
-               + (-2 * t3 + 3 * t2) * y1 + (t3 - t2) * du * d1)
-        return val.reshape(s_b.shape)
+        w0, w1 = 2 * t3 - 3 * t2 + 1, (t3 - 2 * t2 + t) * du
+        w2, w3 = -2 * t3 + 3 * t2, (t3 - t2) * du
+        h0, h1 = h_nodes[j, rows], h_nodes[j + 1, rows]
+        hu0, hu1 = hu_nodes[j, rows], hu_nodes[j + 1, rows]
+        K = self.surface.gauss_curvature
+        h = w0 * h0 + w1 * hu0 + w2 * h1 + w3 * hu1
+        h_u = (w0 * hu0 + w1 * (-K(flat_s, self.u_nodes[j]) * h0)
+               + w2 * hu1 + w3 * (-K(flat_s, self.u_nodes[j + 1]) * h1))
+        return h.reshape(s_b.shape), h_u.reshape(s_b.shape)
 
-    def h(self, s, u):
-        return self._columns(s, u, "h")
+    def jet(self, s, u, fields=JET_FIELDS):
+        """The requested fields from (h, h_u) at each stencil offset they reach.
 
-    # -- order-4 finite differences in s ------------------------------------
-    _D1 = ((-2, 1.0 / 12.0), (-1, -8.0 / 12.0), (1, 8.0 / 12.0), (2, -1.0 / 12.0))
-    _D2 = ((-2, -1.0 / 12.0), (-1, 16.0 / 12.0), (0, -30.0 / 12.0),
-           (1, 16.0 / 12.0), (2, -1.0 / 12.0))
-    _D3 = ((-3, 1.0 / 8.0), (-2, -1.0), (-1, 13.0 / 8.0),
-           (1, -13.0 / 8.0), (2, 1.0), (3, -1.0 / 8.0))
-
-    def _fd(self, fn, stencil, power, s, u):
+        ``_columns`` runs once per offset k, at s + k ``_FD_STEP``: only
+        k = 0 for h, ``dh``, ``hu_sq`` and ``lap_u`` = -K h, all 7 for
+        ``h_sss``.  The s-derivatives are the stencils' sums over those
+        columns; ``hu_sq_s`` differentiates h_u and ``lap_u_s`` -K h.
+        """
         s = np.asarray(s, dtype=float)
-        acc = 0.0
-        for off, c in stencil:
-            acc = acc + c * fn(s + off * self._FD_STEP, u)
-        return acc / self._FD_STEP**power
-
-    def h_s(self, s, u):
-        return self._fd(self.h, self._D1, 1, s, u)
-
-    def h_ss(self, s, u):
-        return self._fd(self.h, self._D2, 2, s, u)
-
-    def h_sss(self, s, u):
-        return self._fd(self.h, self._D3, 3, s, u)
-
-    def hu_sq(self, s, u):
-        return self._columns(s, u, "hu") ** 2
-
-    def hu_sq_s(self, s, u):
-        hu = self._columns(s, u, "hu")
-        hus = self._fd(lambda a, b: self._columns(a, b, "hu"), self._D1, 1, s, u)
-        return 2.0 * hu * hus
-
-    def lap_u(self, s, u):
-        s_arr = np.asarray(s, dtype=float)
         uu = self._split_u(u)[..., 0]
-        return -self.surface.gauss_curvature(s_arr, uu) * self.h(s, u)
+        K = self.surface.gauss_curvature
+        step = self._FD_STEP
+        at = cache(lambda k: s + k * step if k else s)
+        columns = cache(lambda k: self._columns(at(k), u))
 
-    def lap_u_s(self, s, u):
-        return self._fd(self.lap_u, self._D1, 1, s, u)
+        def h(k):
+            return columns(k)[0]
+
+        def h_u(k):
+            return columns(k)[1]
+
+        def lap_u(k):
+            return -K(at(k), uu) * h(k)
+
+        def fd(stencil, power, fn):
+            acc = 0.0
+            for k, c in stencil:
+                acc = acc + c * fn(k)
+            return acc / step**power
+
+        evaluate = {
+            "h": lambda: h(0),
+            "dh": lambda: h(0) - 1.0,
+            "h_s": lambda: fd(self._D1, 1, h),
+            "h_ss": lambda: fd(self._D2, 2, h),
+            "h_sss": lambda: fd(self._D3, 3, h),
+            "hu_sq": lambda: h_u(0) ** 2,
+            "hu_sq_s": lambda: 2.0 * h_u(0) * fd(self._D1, 1, h_u),
+            "lap_u": lambda: lap_u(0),
+            "lap_u_s": lambda: fd(self._D1, 1, lap_u),
+        }
+        return {name: evaluate[name]() for name in fields}
 
 
 def _jacobi_basis(K, u):
@@ -476,7 +453,7 @@ def _jacobi_basis(K, u):
     return np.ones_like(u), u
 
 
-class ConstantCurvatureStripMetric(_ClosedFormMetric):
+class ConstantCurvatureStripMetric(TubeMetric):
     """Strip metric on a surface of constant Gauss curvature K, in closed form.
 
     h = C_K(u) - kappa(s) S_K(u) with C_K, S_K = cos, sin(sqrt(K) u)/sqrt(K)
@@ -600,9 +577,8 @@ def ellipticity_bounds(metric):
     C_K -+ sup|kappa| |S_K|, from the ends u = 0, a and the interior
     extrema in closed form; exact when kappa attains its sup, else
     conservative, like the tubes.  Other strips: min and max of h over
-    the assumption gate's abscissae times its transverse probe, so the
-    Jacobi sweep is shared with the gate's metric checks and raises at
-    any focal node.
+    the assumption gate's abscissae times its transverse probe, where
+    the Jacobi sweep raises at any focal node.
     """
     if isinstance(metric, EuclideanTubeMetric):
         prod = metric.a * metric.kappa1_sup
@@ -634,7 +610,7 @@ def _constant_curvature_bounds(K, a, k):
 
 
 def export_metric_csv(metric, path, s_values, u_values):
-    """Debug snapshot of (s, u, h, h_s, h_ss) on a tensor grid."""
+    """Debug snapshot of (s, u, h, h_s, h_ss) on a tensor grid, from one jet over it."""
     import csv
 
     s_values = np.asarray(s_values, dtype=float)
@@ -642,18 +618,15 @@ def export_metric_csv(metric, path, s_values, u_values):
     if u_values.ndim == 1:
         u_values = u_values[:, None]
     m = u_values.shape[1]
+    fields = ("h", "h_s", "h_ss")
+    jet = metric.jet(s_values[:, None], u_values[None], fields)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["s"] + [f"u{mu}" for mu in range(2, m + 2)] + ["h", "h_1", "h_11"])
-        for s in s_values:
-            for u in u_values:
-                sb = np.asarray(s)
+        for i, s in enumerate(s_values):
+            for k, u in enumerate(u_values):
                 writer.writerow(
                     [repr(float(s))]
                     + [repr(float(x)) for x in u]
-                    + [
-                        repr(float(metric.h(sb, u))),
-                        repr(float(metric.h_s(sb, u))),
-                        repr(float(metric.h_ss(sb, u))),
-                    ]
+                    + [repr(float(jet[name][i, k])) for name in fields]
                 )

@@ -139,17 +139,24 @@ def lower_band(matrix):
     return _scatter_band(_lower_entries(matrix))
 
 
+def _free_slice(grid):
+    """The free Hamiltonian of one s-slice of ``grid``: on the s-nodes -ds, 0, ds."""
+    ds = grid.s_spacing
+    one_slice = TruncatedGrid(np.array([-ds, 0.0, ds]), grid.t_axes, grid.t_interior)
+    return assemble_free_hamiltonian(one_slice).matrix
+
+
 def _straight_ends(entries, grid):
     """Unknowns per s-slice, and the slices at each wall where m is exactly free.
 
     Returns ``(width, left, right, block)``: ``left`` and ``right`` are the
     lengths of the runs of slices that start at the left and the right
     wall and match the free operator bitwise, and ``block`` is the free
-    one-slice block, the free Hamiltonian on the s-nodes -ds, 0, ds as in
-    ``_separable_modes``.  A slice matches when its diagonal block is
-    ``block`` and its couplings to its neighbours are -1/ds^2 times the
-    identity.  The runs leave at least one slice between them.  Without a
-    grid m is one slice of n unknowns, with no free end.
+    one-slice block of ``_free_slice``.  A slice matches when its
+    diagonal block is ``block`` and its couplings to its neighbours are
+    -1/ds^2 times the identity.  The runs leave at least one slice
+    between them.  Without a grid m is one slice of n unknowns, with no
+    free end.
     """
     offset, col, data, n = entries
     if grid is None:
@@ -157,8 +164,7 @@ def _straight_ends(entries, grid):
     width = int(grid.t_interior.sum())
     slices = n // width
     ds = grid.s_spacing
-    one_slice = TruncatedGrid(np.array([-ds, 0.0, ds]), grid.t_axes, grid.t_interior)
-    block = assemble_free_hamiltonian(one_slice).matrix
+    block = _free_slice(grid)
     if offset.max(initial=0) > width:
         return width, 0, 0, block
     # the free operator's lower band over one slice's columns: the block,
@@ -783,8 +789,7 @@ def _separable_modes(grid):
     """
     ds = grid.s_spacing
     n_s = grid.s_nodes.size - 2
-    one_slice = TruncatedGrid(np.array([-ds, 0.0, ds]), grid.t_axes, grid.t_interior)
-    block = assemble_free_hamiltonian(one_slice).matrix.toarray()
+    block = _free_slice(grid).toarray()
     nu = np.linalg.eigvalsh(block - (2.0 / ds**2) * np.eye(block.shape[0]))
     j = np.arange(1, n_s + 1)
     mu = (4.0 / ds**2) * np.sin(j * np.pi / (2.0 * (n_s + 1))) ** 2

@@ -127,7 +127,7 @@ def test_each_gate_quantity_is_evaluated_once(bump_metric, monkeypatch):
     calls, jets, kappas = [], [], Counter()
     fields = tuple(name for name in metric_module.JET_FIELDS if name != "dh")
     evaluators = (
-        (metric_module._ClosedFormMetric, fields),
+        (metric_module.TubeMetric, fields),
         (operators.CoefficientField, ("g_ss", "g_ss_s")),
         (operators.EffectivePotential, ("__call__", "components", "derivative_s")),
     )

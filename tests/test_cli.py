@@ -480,6 +480,29 @@ def test_config_refuses_mourre_controls_out_of_range(key, value, message):
         load_config_text(STRAIGHT.replace("n_eigs = 3", f"n_eigs = 3\n{key} = {value}"))
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (STRAIGHT.replace("shape = interval\nhalf_width = 1.0", "shape = disc\nradius = 0.5"),
+         "shape = disc is 2-dimensional, but dimension = 2 needs a 1-dimensional"),
+        (HELIX.replace("shape = disc\nradius = 0.5", "shape = interval\nhalf_width = 0.5"),
+         "shape = interval is 1-dimensional, but dimension = 3 needs a 2-dimensional"),
+        (HELIX.replace("dimension = 3", "dimension = 4")
+         .replace("[cross_section]", "[curvature3]\nfamily = constant\nvalue = 0.1\n\n"
+                  "[cross_section]")
+         .replace("shape = disc\nradius = 0.5", "shape = rectangle\nside_x = 1.0\nside_y = 1.0"),
+         "shape = rectangle is 2-dimensional, but dimension = 4 needs a 3-dimensional"),
+        (FLAT_STRIP.replace("shape = interval\nhalf_width = 1.0", "shape = disc\nradius = 0.5"),
+         "shape = disc is 2-dimensional, but dimension = 2 needs a 1-dimensional"),
+    ],
+    ids=["disc-in-d2", "interval-in-d3", "rectangle-in-d4", "disc-strip"],
+)
+def test_config_refuses_a_cross_section_of_the_wrong_dimension(text, message):
+    # no gate check sees the cross-section's dimension: refuse it on loading
+    with pytest.raises(ConfigError, match=rf"^\[cross_section\] {message} cross-section$"):
+        load_config_text(text)
+
+
 def test_config_refuses_the_removed_wall_mass_key(tmp_path, capsys):
     # an old report's embedded config still sets it: refuse, do not ignore
     text = MOURRE.replace("n_thresholds = 10", "n_thresholds = 10\nmourre_wall_mass_tol = 0.01")

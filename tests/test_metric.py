@@ -2,13 +2,16 @@ import numpy as np
 import pytest
 
 from tubespectra import (
+    CheckerConfig,
     ConstantCurvatureStripMetric,
     CurvatureProfile,
     EllipticityError,
+    EuclideanTubeMetric,
     InputError,
     SurfaceData,
     SurfaceStripMetric,
     constant_function,
+    check_metric_hypotheses,
     ellipticity_bounds,
     gaussian_bump,
     integrate_tang_rotation,
@@ -228,6 +231,50 @@ def test_constant_curvature_needs_kappa_derivatives():
         metric_from_jacobi(SurfaceData(0.0, lambda s: 0.0 * s, 1.0, (-5.0, 5.0)))
 
 
+def varying_surface():
+    """K = 0.3 e^(-s^2) (1 + u/2) under kappa = 0.5 e^(-s^2): the sweep, not a closed form."""
+    def K(s, u):
+        return 0.3 * np.exp(-np.asarray(s) ** 2) * (1.0 + np.asarray(u) / 2.0)
+
+    return SurfaceData(K, gaussian_bump(0.5, 1.0), 1.0, (-300.0, 300.0))
+
+
+def test_a_strip_jet_sweeps_once_per_stencil_offset(monkeypatch):
+    metric = metric_from_jacobi(varying_surface())
+    sweeps = []
+    sweep = SurfaceStripMetric._sweep
+
+    def counted(self, s_values):
+        sweeps.append(s_values[0])
+        return sweep(self, s_values)
+
+    monkeypatch.setattr(SurfaceStripMetric, "_sweep", counted)
+    s = np.linspace(-3.0, 3.0, 2048)[None, :]
+    u = np.broadcast_to(np.linspace(-1.0, 1.0, 9)[:, None], (9, 2048))
+    metric.jet(s, u)
+    # the order-4 stencils reach s + k 1e-2 for k = -3 .. 3
+    assert np.allclose(np.sort(sweeps), -3.0 + 1e-2 * np.arange(-3, 4), rtol=0, atol=1e-12)
+    sweeps.clear()
+    metric.jet(s, u, ("h",))
+    assert sweeps == [-3.0]
+
+
+def test_the_integrated_strip_keeps_no_sweep_after_the_gate():
+    import tracemalloc
+
+    metric = metric_from_jacobi(varying_surface())
+    cfg = CheckerConfig(tail_samples=256, linear_samples=257)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        check_metric_hypotheses(metric, cfg)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # one block of 769 abscissae: each of its 7 sweeps holds 6.3 MB
+    assert retained < 1e6
+
+
 # ---------------------------------------------------------------------------
 # ellipticity bounds
 
@@ -279,3 +326,25 @@ def test_metric_csv_export(tmp_path, bump_metric):
     lines = path.read_text().strip().split("\n")
     assert lines[0].split(",") == ["s", "u2", "h", "h_1", "h_11"]
     assert len(lines) == 1 + 9
+
+
+def test_metric_csv_export_takes_one_jet_over_the_grid(tmp_path, bump_metric, monkeypatch):
+    jets = []
+    jet = EuclideanTubeMetric.jet
+
+    def counted(self, s, u, fields):
+        jets.append(fields)
+        return jet(self, s, u, fields)
+
+    monkeypatch.setattr(EuclideanTubeMetric, "jet", counted)
+    s, u = np.linspace(-2.0, 2.0, 5), np.linspace(-0.5, 0.5, 3)
+    path = tmp_path / "metric.csv"
+    export_metric_csv(bump_metric, path, s, u)
+    assert jets == [("h", "h_s", "h_ss")]
+    # the per-point evaluators give every cell, to the last digit
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    assert rows == [
+        [repr(float(x)) for x in (a, b, bump_metric.h(a, [b]), bump_metric.h_s(a, [b]),
+                                  bump_metric.h_ss(a, [b]))]
+        for a in s for b in u
+    ]

@@ -7,9 +7,11 @@
 Runs the calls of the perfbench workloads (problem files from
 ``perfbench/workloads.py``) at seeds 0 and 7: the bent-strip and rect-tube
 ``spectrum``, the five screen ``check`` problems and the interval
-``mourre`` table.  One more ``spectrum`` call, printed under seed 0,
-covers the domain-length doubling rule that no workload runs: the
-smoke-scale bent strip without its ``domain_length``.  Each call is a
+``mourre`` table.  Three more calls, printed under seed 0, cover what no
+workload runs: a ``spectrum`` call on the smoke-scale bent strip without
+its ``domain_length`` (the domain-length doubling rule), and an
+``export`` call on each of the bent-strip and rect-tube problem files
+(``mesh.txt`` and ``mesh_metric.csv``).  Each call is a
 ``python -m tubespectra.cli`` subprocess with ``PYTHONPATH=SRC_DIR`` in
 a fresh directory; a call whose problem file an earlier seed already ran
 is not repeated.  Prints one line per call: its exit code and the
@@ -35,7 +37,7 @@ each numeric cell of its CSV files, such as ``mourre.csv[1].measured``.
 Two trees whose numbers may move by roundoff can then be compared number
 by number under a relative tolerance.
 
-The full run takes about 30 s per tree on a 2-CPU machine.
+The full run takes about 20 s per tree on a 1-CPU VM.
 
 ``--compare OLD NEW --rtol R`` reads two saved ``--values`` outputs and
 pairs their lines in order.  It prints the largest relative move
@@ -68,6 +70,8 @@ DOUBLING_RULE = workloads.Call(
     "\n".join(line for line in workloads.bent_strip_ini("smoke").splitlines()
               if not line.startswith("domain_length")),
 )
+EXPORTS = [workloads.Call("bent-strip", "export", workloads.bent_strip_ini()),
+           workloads.Call("rect-tube", "export", workloads.rect_tube_ini())]
 
 
 def _sha(data):
@@ -230,7 +234,7 @@ def main(argv):
     calls = [(seed, call) for seed in SEEDS for name in workloads.NAMES
              for call in workloads.build(name, seed).calls]
     seen = set()
-    for seed, call in calls + [(SEEDS[0], DOUBLING_RULE)]:
+    for seed, call in calls + [(SEEDS[0], c) for c in [DOUBLING_RULE] + EXPORTS]:
         if (call.kind, call.ini) in seen:
             continue
         seen.add((call.kind, call.ini))
