@@ -116,10 +116,19 @@ def _start_vector(n):
 
 
 def _lower_entries(matrix):
-    """Band rows, columns and values of a sparse matrix's lower triangle, and its order."""
-    low = sp.tril(matrix, format="coo")
-    low.sum_duplicates()
-    return low.row - low.col, low.col, low.data, matrix.shape[0]
+    """Band rows, columns and values of a sparse matrix's lower triangle, and its order.
+
+    The entries are read row by row from the canonical CSR form, which an
+    assembled operator already has; any other input is converted or copied
+    first, so the caller's matrix is never modified.
+    """
+    m = sp.csr_matrix(matrix)
+    if not m.has_canonical_format:
+        m = m.copy()
+        m.sum_duplicates()
+    row = np.repeat(np.arange(m.shape[0], dtype=m.indices.dtype), np.diff(m.indptr))
+    low = row >= m.indices
+    return row[low] - m.indices[low], m.indices[low], m.data[low], m.shape[0]
 
 
 def _scatter_band(entries, sigma=0.0, half_width=0):

@@ -229,6 +229,21 @@ def test_lower_band_holds_each_subdiagonal():
     np.testing.assert_array_equal(spectral.lower_band(twice), band)
 
 
+def test_a_non_canonical_csr_gives_its_canonical_band_and_is_left_as_it_was():
+    # row 1 holds (1, 1) twice, and rows 0 and 2 list their columns out of order
+    m = sp.csr_matrix((np.array([1.0, 4.0, 2.0, 1.0, 0.5, 1.0, 3.0, 1.0]),
+                       np.array([1, 0, 1, 0, 1, 2, 2, 1]), np.array([0, 2, 6, 8])), shape=(3, 3))
+    before = [m.data.copy(), m.indices.copy(), m.indptr.copy()]
+    canonical = m.copy()
+    canonical.sum_duplicates()
+    assert not m.has_canonical_format and canonical.has_canonical_format
+    band = spectral.lower_band(m)
+    np.testing.assert_array_equal(band, spectral.lower_band(canonical))
+    np.testing.assert_array_equal(band, [[4.0, 2.5, 3.0], [1.0, 1.0, 0.0]])
+    for array, old in zip((m.data, m.indices, m.indptr), before):
+        np.testing.assert_array_equal(array, old)
+
+
 @pytest.fixture(scope="module")
 def bent_level(bump_metric):
     """The reference bent strip at L = 16, h = 1/8, and its lower entries."""

@@ -7,11 +7,14 @@
 Runs the calls of the perfbench workloads (problem files from
 ``perfbench/workloads.py``) at seeds 0 and 7: the bent-strip and rect-tube
 ``spectrum``, the five screen ``check`` problems and the interval
-``mourre`` table.  Three more calls, printed under seed 0, cover what no
+``mourre`` table.  Four more calls, printed under seed 0, cover what no
 workload runs: a ``spectrum`` call on the smoke-scale bent strip without
-its ``domain_length`` (the domain-length doubling rule), and an
-``export`` call on each of the bent-strip and rect-tube problem files
-(``mesh.txt`` and ``mesh_metric.csv``).  Each call is a
+its ``domain_length`` (the domain-length doubling rule), an ``export``
+call on each of the bent-strip and rect-tube problem files (``mesh.txt``
+and ``mesh_metric.csv``), and a ``check`` call on the README's ``ini``
+block, which sets every ``[numerics]`` and ``[outputs]`` key but
+``truncation_tol`` and ``mourre_windows``, so that the resolved config
+its report embeds has nearly every key.  Each call is a
 ``python -m tubespectra.cli`` subprocess with ``PYTHONPATH=SRC_DIR`` in
 a fresh directory; a call whose problem file an earlier seed already ran
 is not repeated.  Prints one line per call: its exit code and the
@@ -56,6 +59,7 @@ import hashlib
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -72,6 +76,9 @@ DOUBLING_RULE = workloads.Call(
 )
 EXPORTS = [workloads.Call("bent-strip", "export", workloads.bent_strip_ini()),
            workloads.Call("rect-tube", "export", workloads.rect_tube_ini())]
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+README_CHECK = workloads.Call("readme", "check",
+                              re.search(r"```ini\n(.*?)```", README, flags=re.S).group(1))
 
 
 def _sha(data):
@@ -234,7 +241,7 @@ def main(argv):
     calls = [(seed, call) for seed in SEEDS for name in workloads.NAMES
              for call in workloads.build(name, seed).calls]
     seen = set()
-    for seed, call in calls + [(SEEDS[0], c) for c in [DOUBLING_RULE] + EXPORTS]:
+    for seed, call in calls + [(SEEDS[0], c) for c in [DOUBLING_RULE, *EXPORTS, README_CHECK]]:
         if (call.kind, call.ini) in seen:
             continue
         seen.add((call.kind, call.ini))
