@@ -17,7 +17,8 @@ keys: constant, gaussian-bump, power-tail, and table, a file of s kappa
 rows), ``_SHAPES`` (each cross-section's constructor and keys), and
 ``_NUMERICS`` and ``_OUTPUTS`` (key, converter, default).  One converter
 refuses nan and inf for every float key; a key's range check sits in its
-converter.  A file the grammar names is relative to the problem file's
+converter.  A key or section the grammar does not read is refused, but
+``[surface]`` is allowed on a tube, which ignores it.  A file the grammar names is relative to the problem file's
 directory, and must exist when the problem file is loaded.
 """
 
@@ -245,7 +246,16 @@ def _get(parser, section, option, conv, default=...):
         raise ConfigError(f"[{section}] {option} = {raw!r}: {exc}") from None
 
 
+def _only(parser, section, keys):
+    """Refuse a key of ``section`` that the grammar does not read there."""
+    if parser.has_section(section):
+        for key in parser.options(section):
+            if key not in keys:
+                raise ConfigError(f"[{section}] unknown key {key!r}")
+
+
 def _section(parser, section, table):
+    _only(parser, section, [key for key, _, _ in table])
     return {key: _get(parser, section, key, conv, default) for key, conv, default in table}
 
 
@@ -286,16 +296,19 @@ def parse_config(parser, base_dir="."):
         raise ConfigError("[problem] surface strips are two-dimensional")
     if dimension < 2:
         raise ConfigError("[problem] dimension must be >= 2")
+    _only(parser, "problem", ("kind", "dimension"))
 
+    curved = [_curvature_section(i)
+              for i in range(dimension - 1 if kind == "euclidean-tube" else 1)]
     curvatures = []
-    for i in range(dimension - 1 if kind == "euclidean-tube" else 1):
-        sect = _curvature_section(i)
+    for sect in curved:
         if not parser.has_section(sect):
             raise ConfigError(f"missing [{sect}] section")
         family = _get(parser, sect, "family", str)
         if family not in _FAMILIES:
             raise ConfigError(f"[{sect}] unknown family {family!r}")
         builder, keys = _FAMILIES[family]
+        _only(parser, sect, ("family", *keys))
         conv = _finite if builder else exists
         curvatures.append(CurvatureSpec(family, {
             key: _get(parser, sect, key, conv, default) for key, default in keys.items()}))
@@ -303,9 +316,11 @@ def parse_config(parser, base_dir="."):
     shape = _get(parser, "cross_section", "shape", str)
     if shape not in _SHAPES:
         raise ConfigError(f"[cross_section] unknown shape {shape!r}")
+    _only(parser, "cross_section", ("shape", *_SHAPES[shape][1]))
     cs_params = {key: _get(parser, "cross_section", key, _positive) for key in _SHAPES[shape][1]}
 
     surface_curvature = 0.0
+    _only(parser, "surface", ("file", "curvature"))
     if kind == "surface-strip":
         if parser.has_option("surface", "file"):
             surface_curvature = ("table", _get(parser, "surface", "file", exists))
@@ -318,6 +333,10 @@ def parse_config(parser, base_dir="."):
     numerics = _section(parser, "numerics", _NUMERICS)
     mesh = _section(parser, "outputs", _OUTPUTS)
     files = {key: mesh.pop(key) for key, _, _ in _FILES}
+    # [surface] is read for strips only, and allowed on a tube
+    for sect in parser.sections():
+        if sect not in ("problem", *curved, "cross_section", "surface", "numerics", "outputs"):
+            raise ConfigError(f"unknown section [{sect}]")
     cfg = WaveguideConfig(kind=kind, dimension=dimension, curvatures=tuple(curvatures),
                           cross_section_shape=shape, cross_section_params=cs_params,
                           surface_curvature=surface_curvature, outputs=files,

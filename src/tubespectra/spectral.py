@@ -29,6 +29,25 @@ onto the neighbouring slice of the curved core, and only the core is
 factored by banded Cholesky (LAPACK dpbtrf).  A matrix with no grid, or
 with no exactly free slice at its walls, is all core.
 
+Lanczos runs only on the unknowns that carry the eigenvectors: the
+core's, and in each end each transverse mode's slices next to the core.
+Let Lambda be the midpoint of nu_1(h) and the next distinct transverse
+threshold of the grid.  Below Lambda a mode t with nu_t(h) > Lambda is
+evanescent in a free end: an eigenvector's mode-t part shrinks away from
+the core by at least r_t per slice, r_t + 1/r_t = 2 + ds^2 (nu_t(h) -
+Lambda), so its chain is cut after the J_t slices next to the core that
+bring r_t^J_t below 1e-18; every other mode's chain is kept whole.  Each
+chain is ordered from the wall to the core, so its trailing J_t pivots
+are exactly the factor of its Schur complement onto the slices kept, and
+Lanczos applies exactly the compression of (A - sigma I)^-1 onto them.
+Its Ritz values then lie at or above the eigenvalues (Cauchy
+interlacing), so when the k-th lies below Lambda every wanted
+eigenvector's cut part is below 1e-18 of its size at the core, and the
+values are exact to roundoff; otherwise, or when no more than k unknowns
+are kept, the solve is made again with every chain whole.  Eigenvectors
+return to the grid with nothing beyond the cuts, and every residual is
+taken on the whole operator.
+
 Ladder solves shift 1e-3 * max(1, |hint|) below a hint: nu_1 for the
 ladder's first solve, the previous solve's lowest eigenvalue after it.
 The factorization is the certificate: Cholesky exists only for a
@@ -107,6 +126,9 @@ _SHIFT_OFFSET = 1e-3
 # weight of the fixed start vector added to a warm start, so that every
 # symmetry sector has a component to grow from
 _SYMMETRY_BREAKER = 1e-4
+# an evanescent mode's chain in a free end is cut for Lanczos where its decay
+# since the core falls below this, far below roundoff
+_CUT = 1e-18
 
 
 def _start_vector(n):
@@ -198,55 +220,116 @@ def _straight_ends(entries, grid):
     return width, left, right, block
 
 
+@dataclass(frozen=True)
+class _End:
+    """One free end of a :class:`_Factor`, its mode chains cut for Lanczos."""
+
+    unknowns: slice              # the end's unknowns on the grid
+    at: slice                    # the core slice next to it, among the core's unknowns
+    reverse: bool                # its chains run from the wall against the grid's s order
+    index: np.ndarray            # K's slices among the slices of the mode-major chains
+    kept: np.ndarray             # slices kept per mode, the last one next to the core
+    d: np.ndarray                # trailing dpttrf pivots of each chain, and
+    e: np.ndarray                # their off-diagonal, 0 between modes
+    column: np.ndarray           # that factor's inverse's columns at the core
+
+
 class _Factor:
     """m - sigma I factored, its exactly straight ends eliminated in modes.
 
     Made by :func:`_factorize`.  The ``core`` slices between the free end
     runs of ``_straight_ends`` (``slices`` in all) hold the banded
-    Cholesky factor ``band`` of their Schur complement.  Each end is
-    ``(unknowns, core slice next to it, end slice next to the core, d, e,
-    column)``: the dpttrf factor ``d, e`` of its tridiagonals in modes and
-    their columns T_t^-1 e_p at that end slice p, mode by mode.
+    Cholesky factor ``band`` of their Schur complement.  The factor acts
+    on K, its ``size`` unknowns: the core's nodes, then for each
+    :class:`_End` each transverse mode's ``kept`` slices next to the core,
+    mode by mode.  A mode's chain runs from the wall to the core, so
+    dpttrf eliminates its far slices first, and the trailing pivots
+    ``d, e`` are exactly the factor of the chain's Schur complement onto
+    the slices kept: ``solve`` applies [(m - sigma I)^-1]_KK, the
+    compression of the inverse onto K.  With every chain whole, K is all
+    of m's unknowns, the ends' in modes.
     """
 
     def __init__(self, band, span, slices, width, psi=None, coupling=0.0, ends=()):
         self.band, self.span, self.slices, self.width = band, span, slices, width
         self.psi, self.coupling, self.ends = psi, coupling, ends
         self.core = (span[1] - span[0]) // width
+        bounds = np.cumsum([0, span[1] - span[0]] + [end.index.size for end in ends])
+        self.parts = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+        self.size = int(bounds[-1])
 
     def solve(self, rhs):
-        """(m - sigma I)^-1 rhs, by block elimination of the ends."""
+        """[(m - sigma I)^-1]_KK rhs, by block elimination of the ends."""
         from scipy.linalg.lapack import dpbtrs, dpttrs
 
-        psi, c, width = self.psi, self.coupling, self.width
-        lo, hi = self.span
-        core = rhs[lo:hi].copy()
+        psi, c = self.psi, self.coupling
+        core = rhs[self.parts[0]].copy()
         modes = []
-        for part, at, last, d, e, _ in self.ends:
-            # mode t's right-hand side is row t: one GEMM and one dpttrs for all modes
-            y = dpttrs(d, e, (psi.T @ rhs[part].reshape(-1, width).T).ravel())[0]
-            y = y.reshape(width, -1)
-            core[at] += c * (psi @ y[:, last])
+        for end, part in zip(self.ends, self.parts[1:]):
+            y = dpttrs(end.d, end.e, rhs[part])[0]
+            core[end.at] += c * (psi @ y[np.cumsum(end.kept) - 1])
             modes.append(y)
         x = np.empty_like(rhs)
-        x[lo:hi] = core = dpbtrs(self.band, core, lower=1)[0]
-        for (part, at, _, _, _, column), y in zip(self.ends, modes):
-            y += c * column * (psi.T @ core[at])[:, None]
-            np.matmul(y.T, psi.T, out=x[part].reshape(-1, width))
+        x[self.parts[0]] = core = dpbtrs(self.band, core, lower=1)[0]
+        for end, part, y in zip(self.ends, self.parts[1:], modes):
+            x[part] = y + c * end.column * np.repeat(psi.T @ core[end.at], end.kept)
+        return x
+
+    def restrict(self, v):
+        """A vector on m's unknowns as one on K: its core, and each end in modes, cut."""
+        parts = [v[slice(*self.span)]]
+        for end in self.ends:
+            nodal = v[end.unknowns].reshape(-1, self.width)
+            nodal = nodal[::-1] if end.reverse else nodal
+            parts.append((self.psi.T @ nodal.T).ravel()[end.index])
+        return np.concatenate(parts)
+
+    def extend(self, y):
+        """Vectors on K, one per column, on m's unknowns, zero beyond each cut."""
+        lo, hi = self.span
+        x = np.empty((self.slices * self.width,) + y.shape[1:])
+        x[lo:hi] = y[self.parts[0]]
+        for end, part in zip(self.ends, self.parts[1:]):
+            count = (end.unknowns.stop - end.unknowns.start) // self.width
+            modes = np.zeros((self.width * count,) + y.shape[1:])
+            modes[end.index] = y[part]
+            nodal = (self.psi @ modes.reshape(self.width, -1)).reshape(self.width, count, -1)
+            nodal = nodal[:, ::-1] if end.reverse else nodal
+            x[end.unknowns] = nodal.transpose(1, 0, 2).reshape(x[end.unknowns].shape)
         return x
 
 
 def _free_ends(entries, grid):
-    """``_straight_ends`` of m with its free block diagonalized: (width, left, right, lam, psi).
+    """``_straight_ends`` of m, its free block diagonalized, and where its modes may be cut.
 
-    Neither depends on the shift, so one call serves every shift tried.
+    Returns ``(width, left, right, lam, psi, reach, limit)``: D = Psi
+    diag(lam) Psi^T for the free block D, whose modes have the transverse
+    thresholds nu_t(h) = lam_t - 2/ds^2, and ``limit`` the midpoint
+    Lambda of nu_1(h) and the next distinct threshold (inf when there is
+    none).  Below Lambda a mode t with nu_t(h) > Lambda is evanescent in
+    a free run: an eigenvector's mode-t content shrinks away from the core
+    by at least r_t per slice, r_t + 1/r_t = 2 + ds^2 (nu_t(h) - Lambda),
+    and ``reach[t]`` is the least J with r_t^J <= _CUT; for every other
+    mode it is inf.  None of this depends on the shift, so one call
+    serves every shift tried.
     """
     width, left, right, block = _straight_ends(entries, grid)
-    lam, psi = np.linalg.eigh(block.toarray()) if left or right else (None, None)
-    return width, left, right, lam, psi
+    if not (left or right):
+        return width, left, right, None, None, None, np.inf
+    lam, psi = np.linalg.eigh(block.toarray())
+    c = 1.0 / grid.s_spacing**2
+    nu = lam - 2.0 * c
+    # a threshold within roundoff of nu_1 is nu_1 again, not the next one
+    above = nu[nu - nu[0] > 1e-9 * max(1.0, abs(nu[0]))]
+    limit = 0.5 * (nu[0] + above[0]) if above.size else np.inf
+    reach = np.full(width, np.inf)
+    cut = nu > limit
+    a = (lam[cut] - limit) / c
+    reach[cut] = np.ceil(np.log(_CUT) / np.log(2.0 / (a + np.sqrt(a * a - 4.0))))
+    return width, left, right, lam, psi, reach, limit
 
 
-def _factorize(entries, sigma, grid=None, ends=None):
+def _factorize(entries, sigma, grid=None, ends=None, cut=True):
     """m - sigma I factored as a :class:`_Factor`, or None when there is none.
 
     ``entries`` are m's ``_lower_entries`` and ``grid`` its grid, if any;
@@ -254,23 +337,25 @@ def _factorize(entries, sigma, grid=None, ends=None):
     The free block of ``_straight_ends`` is diagonalized,
     D - sigma I = Psi diag(delta_t) Psi^T.  A free run of p slices at a
     wall is then, in modes, m uncoupled tridiagonals
-    T_t = tridiag(-c, delta_t, -c) of order p, c = 1/ds^2, factored by one
-    dpttrf call; the exact Schur term -c^2 Psi diag((T_t^-1)_pp) Psi^T,
-    p the slice next to the core, goes onto the core slice next to it,
-    and dpbtrf factors the core's band.  Each Cholesky fails exactly
-    when its matrix is not positive definite, and m - sigma I is positive
-    definite exactly when the ends and the core's Schur complement are
-    (Haynsworth inertia additivity).  So a factor exists only when no
-    eigenvalue of m lies at or below sigma: its success certifies sigma.
-    Cholesky needs no pivoting and is backward stable: the factor is
-    exact for a matrix within roundoff of m - sigma I.
+    T_t = tridiag(-c, delta_t, -c) of order p, c = 1/ds^2, each ordered
+    from the wall to the core and all factored by one dpttrf call; the
+    exact Schur term -c^2 Psi diag((T_t^-1)_pp) Psi^T, p the slice next
+    to the core, goes onto the core slice next to it, and dpbtrf factors
+    the core's band.  Each Cholesky fails exactly when its matrix is not
+    positive definite, and m - sigma I is positive definite exactly when
+    the ends and the core's Schur complement are (Haynsworth inertia
+    additivity).  So a factor exists only when no eigenvalue of m lies at
+    or below sigma: its success certifies sigma.  Cholesky needs no
+    pivoting and is backward stable: the factor is exact for a matrix
+    within roundoff of m - sigma I.  The factor keeps min(p, reach_t)
+    slices of mode t's chain, or with ``cut`` false the whole chain.
     """
     # imported on first use, like eigsh below: scipy.linalg would add
     # about 0.1 s to every import of the package
     from scipy.linalg.lapack import dpbtrf, dpttrf, dpttrs
 
     offset, col, data, n = entries
-    width, left, right, lam, psi = _free_ends(entries, grid) if ends is None else ends
+    width, left, right, lam, psi, reach, _ = _free_ends(entries, grid) if ends is None else ends
     lo, hi = left * width, n - right * width
     keep = (col >= lo) & (col + offset < hi)
     # a free end's Schur term fills the core slice next to it
@@ -280,8 +365,9 @@ def _factorize(entries, sigma, grid=None, ends=None):
     if left or right:
         c = 1.0 / grid.s_spacing**2
         rows, cols = np.tril_indices(width)
-        for count, part, at, last in ((left, slice(0, lo), slice(0, width), -1),
-                                      (right, slice(hi, n), slice(hi - lo - width, hi - lo), 0)):
+        for count, part, at, reverse in ((left, slice(0, lo), slice(0, width), False),
+                                         (right, slice(hi, n), slice(hi - lo - width, hi - lo),
+                                          True)):
             if not count:
                 continue
             # mode-major: mode t's slices are contiguous and uncoupled from mode t + 1's
@@ -291,12 +377,17 @@ def _factorize(entries, sigma, grid=None, ends=None):
             d, e, info = dpttrf(d, e, overwrite_d=1, overwrite_e=1)
             if info:
                 return None
-            unit = np.zeros((width, count))
-            unit[:, last] = 1.0
-            column = dpttrs(d, e, unit.ravel())[0].reshape(width, count)
-            schur = (c * c) * (psi * column[:, last]) @ psi.T
+            kept = np.minimum(reach, count).astype(int) if cut else np.full(width, count)
+            ends_at = np.cumsum(kept)
+            index = np.arange(ends_at[-1]) + np.repeat(np.arange(width) * count + count - ends_at,
+                                                       kept)
+            d, e = d[index], e[index[:-1]]
+            unit = np.zeros(d.size)
+            unit[ends_at - 1] = 1.0
+            column = dpttrs(d, e, unit)[0]
+            schur = (c * c) * (psi * column[ends_at - 1]) @ psi.T
             band[rows - cols, at.start + cols] -= schur[rows, cols]
-            runs.append((part, at, last, d, e, column))
+            runs.append(_End(part, at, reverse, index, kept, d, e, column))
     band, info = dpbtrf(band, lower=1, overwrite_ab=1)
     if info:
         return None
@@ -306,8 +397,9 @@ def _factorize(entries, sigma, grid=None, ends=None):
 def _shift_invert(m, k, sigma, factor, v0):
     """The k eigenpairs of m nearest sigma, and the solves ARPACK made.
 
-    ARPACK starts from ``v0`` and applies (m - sigma I)^-1 through
-    ``factor``, a :class:`_Factor`.
+    ARPACK runs on the factor's K, from ``v0`` restricted to it, and
+    applies [(m - sigma I)^-1]_KK through ``factor``, a :class:`_Factor`;
+    the eigenvectors are returned on m's unknowns.
     """
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
@@ -318,20 +410,21 @@ def _shift_invert(m, k, sigma, factor, v0):
         solves += 1
         return factor.solve(rhs)
 
-    opinv = LinearOperator(m.shape, matvec=solve, dtype=float)
+    opinv = LinearOperator((factor.size, factor.size), matvec=solve, dtype=float)
     try:
-        vals, vecs = eigsh(m, k=k, sigma=sigma, which="LM", OPinv=opinv, tol=0.0, v0=v0)
+        vals, vecs = eigsh(opinv, k=k, sigma=sigma, which="LM", OPinv=opinv, tol=0.0,
+                           v0=factor.restrict(v0))
     except ArpackNoConvergence as exc:
         got = np.asarray(exc.eigenvalues)
         best = None
         if got.size and exc.eigenvectors is not None and exc.eigenvectors.size:
-            v = exc.eigenvectors[:, 0]
+            v = factor.extend(exc.eigenvectors[:, 0])
             best = float(np.linalg.norm(m @ v - got[0] * v))
         raise SolverError(
             f"eigensolver did not converge for k={k} (got {got.size})",
             best_residual=best,
         ) from exc
-    return vals, vecs, solves
+    return vals, factor.extend(vecs), solves
 
 
 class _Result(tuple):
@@ -358,9 +451,12 @@ def lowest_eigenvalues(op, k, below=None, start=None, overwrite_start=False):
     any solve: it exists only when no eigenvalue lies at or below sigma,
     and then the k eigenvalues nearest sigma are the k lowest.  When it does
     not exist, the distance of sigma below the hint is doubled and M
-    factorized again.  Only the lower triangle of M is read, so a matrix
-    that is not exactly symmetric raises InputError; SolverError when
-    ARPACK did not converge.
+    factorized again.  ARPACK runs on the factor's K, the core and each
+    end's modes cut where they have decayed below roundoff (module
+    docstring); when the k-th Ritz value reaches the cut limit, or K
+    holds no more than k unknowns, it runs again with every chain whole.
+    Only the lower triangle of M is read, so a matrix that is not exactly
+    symmetric raises InputError; SolverError when ARPACK did not converge.
 
     Lanczos starts from a fixed vector, or from ``start`` -- a guess at
     the wanted eigenvectors, such as the previous ladder level's carried
@@ -374,7 +470,8 @@ def lowest_eigenvalues(op, k, below=None, start=None, overwrite_start=False):
     ``band`` the half-bandwidth of M, ``core`` and ``slices`` the number
     of s-slices factored by banded Cholesky and of all s-slices (1 and 1
     without a grid), ``solves`` the number of solves ARPACK made with the
-    factor and ``vectors`` the unit eigenvectors, one column per value.
+    factor, ``lanczos`` the number of unknowns it ran on, and ``vectors``
+    the unit eigenvectors on M's unknowns, one column per value.
     """
     m = op.matrix if isinstance(op, DiscreteOperator) else op
     n = m.shape[0]
@@ -402,12 +499,20 @@ def lowest_eigenvalues(op, k, below=None, start=None, overwrite_start=False):
         sigma -= step
         step *= 2.0
     del entries
-    vals, vecs, solves = _shift_invert(m, k, sigma, factor, v0)
+    solves = 0
+    if factor.size > k:
+        vals, vecs, solves = _shift_invert(m, k, sigma, factor, v0)
+    if factor.size < n and (factor.size <= k or vals.max() >= ends[-1]):
+        # a Ritz value at or above the cut limit Lambda: an eigenvector may
+        # reach past a cut, so solve again with every chain whole
+        factor = _factorize(_lower_entries(m), sigma, grid, ends, cut=False)
+        vals, vecs, more = _shift_invert(m, k, sigma, factor, v0)
+        solves += more
     order = np.argsort(vals)
     vals, vecs = vals[order], vecs[:, order]
     residuals = np.linalg.norm(m @ vecs - vecs * vals[None, :], axis=0)
     return _Result((vals, residuals), shift=sigma, band=band, core=factor.core,
-                   slices=factor.slices, solves=solves, vectors=vecs)
+                   slices=factor.slices, solves=solves, lanczos=factor.size, vectors=vecs)
 
 
 # ---------------------------------------------------------------------------

@@ -329,6 +329,38 @@ def test_check_loads_no_sampler_module(tmp_path):
     subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=300)
 
 
+def test_loading_the_benchmark_problem_files_imports_no_heavy_scipy_module(tmp_path):
+    # the interpreter, the imports and load_config are every run's set-up: a
+    # scipy subpackage they import costs each process tenths of a second
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import tubespectra
+
+    src = os.path.dirname(os.path.dirname(tubespectra.__file__))
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    heavy = ("scipy.linalg", "scipy.sparse.linalg", "scipy.interpolate", "scipy.optimize",
+             "scipy.special", "scipy.integrate", "scipy.stats")
+    code = (
+        "import sys\n"
+        "from tubespectra import cli, config\n"
+        f"sys.path.insert(0, {str(perfbench)!r})\n"
+        "import workloads\n"
+        "for name, ini in (('bent', workloads.bent_strip_ini()),\n"
+        "                  ('rect', workloads.rect_tube_ini())):\n"
+        f"    path = {str(tmp_path)!r} + '/' + name + '.ini'\n"
+        "    with open(path, 'w') as fh:\n"
+        "        fh.write(ini)\n"
+        "    config.load_config(path)\n"
+        f"loaded = [name for name in {heavy!r} if name in sys.modules]\n"
+        "assert not loaded, loaded\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=300)
+
+
 def test_curvature_bound_breach_exits_1_with_the_product(tmp_path, capsys):
     text = BENT_STRIP.replace("kappa0 = 0.5\nsigma = 1.0", "kappa0 = 1.2\nsigma = 0.25")
     code = main(["check", "--config", write(tmp_path, text), "--out", str(tmp_path)])

@@ -201,6 +201,16 @@ def test_non_finite_and_out_of_range_numbers_are_refused_on_loading(tmp_path, ca
     assert capsys.readouterr().err.startswith("config error: [")
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("n_eigs = 3", "n_eigs = 3\nspacing = 0.05", r"^\[numerics\] unknown key 'spacing'$"),
+    ("[numerics]", "[numeric]", r"^unknown section \[numeric\]$"),
+], ids=["misspelt-key", "misspelt-section"])
+def test_a_key_or_section_the_grammar_does_not_read_is_refused(old, new, message):
+    # either typo would drop what the file sets and run with the defaults
+    with pytest.raises(ConfigError, match=message):
+        load_config_text(BASE.replace(old, new))
+
+
 def test_a_missing_surface_table_is_refused_on_loading(tmp_path, capsys):
     path = _problem_file(tmp_path, "surface-strip", 2, [BUMP], INTERVAL, "file = missing.txt")
     with pytest.raises(ConfigError, match=r"^\[surface\] file 'missing\.txt' does not exist$"):

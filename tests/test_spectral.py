@@ -253,8 +253,8 @@ def bent_level(bump_metric):
 
 @pytest.mark.parametrize("cross_section, length, spacing, sigma", [
     (None, 16.0, 0.125, 2.45),
-    ("shape = rectangle\nside_x = 1.0\nside_y = 1.0", 8.0, 0.125, 19.0),
-    ("shape = disc\nradius = 1.0", 8.0, 1.0 / 6.0, 5.0),
+    ("shape = rectangle\nside_x = 1.0\nside_y = 1.0", 16.0, 0.125, 19.0),
+    ("shape = disc\nradius = 1.0", 16.0, 1.0 / 6.0, 5.0),
 ], ids=["interval", "rectangle", "disc"])
 def test_the_straight_ends_are_eliminated_exactly(bent_level, cross_section, length, spacing,
                                                   sigma):
@@ -270,14 +270,22 @@ def test_the_straight_ends_are_eliminated_exactly(bent_level, cross_section, len
     core = np.abs(s) < 6.0
     assert not core[:left].any() and not core[s.size - right:].any()
     factor = spectral._factorize(entries, sigma, op.grid)
+    whole = spectral._factorize(entries, sigma, op.grid, cut=False)
     full = spectral._factorize(entries, sigma)
     assert (factor.core, factor.slices) == (s.size - left - right, s.size)
     assert (full.core, full.slices) == (1, 1)  # no grid: one slice, all core
+    assert whole.size == full.size == op.shape[0] > factor.size
+    # with every chain whole, K is every unknown: the solve is (m - sigma I)^-1
     shifted = op.matrix - sigma * sp.identity(op.shape[0])
-    rhs = np.random.default_rng(11).normal(size=op.shape[0])
-    x, reference = factor.solve(rhs), full.solve(rhs)
+    rng = np.random.default_rng(11)
+    rhs = rng.normal(size=op.shape[0])
+    x, reference = whole.extend(whole.solve(whole.restrict(rhs))), full.solve(rhs)
     assert np.linalg.norm(shifted @ x - rhs) < 1e-9 * np.linalg.norm(rhs)
     assert np.linalg.norm(x - reference) < 1e-9 * np.linalg.norm(reference)
+    # cut, it is [(m - sigma I)^-1]_KK: the whole band's solve of y zero-extended, on K
+    y = rng.normal(size=factor.size)
+    reference = factor.restrict(full.solve(factor.extend(y)))
+    assert np.linalg.norm(factor.solve(y) - reference) < 1e-12 * np.linalg.norm(reference)
 
 
 def test_a_changed_coupling_or_a_missing_entry_ends_a_free_run():
@@ -294,10 +302,10 @@ def test_a_changed_coupling_or_a_missing_entry_ends_a_free_run():
     entries = spectral._lower_entries(a)
     # the runs stop short of slice 3 and of slice f + 1, whose own blocks are free
     assert spectral._straight_ends(entries, grid)[1:3] == (3, n_s - f - 2)
-    rhs = np.random.default_rng(5).normal(size=a.shape[0])
-    x = spectral._factorize(entries, 1.0, grid).solve(rhs)
-    reference = spectral._factorize(entries, 1.0).solve(rhs)
-    assert np.linalg.norm(x - reference) < 1e-12 * np.linalg.norm(reference)
+    factor = spectral._factorize(entries, 1.0, grid)
+    y = np.random.default_rng(5).normal(size=factor.size)
+    reference = factor.restrict(spectral._factorize(entries, 1.0).solve(factor.extend(y)))
+    assert np.linalg.norm(factor.solve(y) - reference) < 1e-12 * np.linalg.norm(reference)
 
 
 def test_a_retried_shift_scans_the_straight_ends_once(bent_level, monkeypatch):
@@ -332,6 +340,67 @@ def test_the_factor_certifies_exactly_the_shifts_the_full_band_does(bent_level):
     full_band = [spectral._factorize(entries, sigma) is not None for sigma in sigmas]
     assert certified == full_band
     assert certified == list(sigmas < lam0)
+
+
+def _whole_chains(monkeypatch):
+    # the same solve with no mode chain cut: K is every unknown
+    factorize = spectral._factorize
+
+    def whole(entries, sigma, grid=None, ends=None, cut=True):
+        return factorize(entries, sigma, grid, ends, cut=False)
+
+    monkeypatch.setattr(spectral, "_factorize", whole)
+
+
+@pytest.mark.parametrize("cross_section, length, spacing, k", [
+    (None, 16.0, 1.0 / 16.0, 6),
+    ("shape = rectangle\nside_x = 1.0\nside_y = 1.0", 16.0, 0.125, 4),
+], ids=["interval", "rectangle"])
+def test_lanczos_on_the_cut_ends_gives_the_whole_chain_values(bump_metric, monkeypatch,
+                                                             cross_section, length, spacing, k):
+    if cross_section is None:
+        op = hamiltonian_recipe(bump_metric, CrossSection.interval(1.0))(length, spacing)
+    else:
+        op = _d3_recipe(cross_section)(length, spacing)
+    cut = lowest_eigenvalues(op, k)
+    assert cut.lanczos < op.shape[0]
+    _whole_chains(monkeypatch)
+    whole = lowest_eigenvalues(op, k)
+    assert whole.lanczos == op.shape[0]
+    np.testing.assert_allclose(cut[0], whole[0], rtol=1e-13)
+
+
+def test_a_ritz_value_past_the_cut_limit_solves_again_with_whole_chains(bump_metric,
+                                                                        monkeypatch):
+    op = hamiltonian_recipe(bump_metric, CrossSection.interval(1.0))(8.0, 1.0 / 16.0)
+    entries = spectral._lower_entries(op.matrix)
+    ends = spectral._free_ends(entries, op.grid)
+    sizes = []
+    shift_invert = spectral._shift_invert
+
+    def counted(m, k, sigma, factor, v0):
+        sizes.append(factor.size)
+        return shift_invert(m, k, sigma, factor, v0)
+
+    monkeypatch.setattr(spectral, "_shift_invert", counted)
+    solved = lowest_eigenvalues(op, 12)
+    # the 12th eigenvalue lies above the limit, and the cut solve's Ritz value at or above it
+    assert solved[0][-1] > ends[-1]
+    assert sizes == [spectral._factorize(entries, solved.shift, op.grid, ends).size, op.shape[0]]
+    assert sizes[0] < solved.lanczos == op.shape[0]
+    _whole_chains(monkeypatch)
+    np.testing.assert_array_equal(solved[0], lowest_eigenvalues(op, 12)[0])
+
+
+def test_the_residuals_are_those_of_the_whole_box_operator(bent_level):
+    op, _ = bent_level
+    solved = lowest_eigenvalues(op, 4)
+    vals, residuals = solved
+    assert solved.lanczos < op.shape[0] and solved.vectors.shape == (op.shape[0], 4)
+    np.testing.assert_allclose(np.linalg.norm(solved.vectors, axis=0), 1.0, rtol=1e-14)
+    recomputed = np.linalg.norm(op.matrix @ solved.vectors - solved.vectors * vals, axis=0)
+    np.testing.assert_array_equal(residuals, recomputed)
+    assert np.all(residuals < 1e-11)
 
 
 LADDER = (1.0 / 8.0, 1.0 / 16.0, 1.0 / 32.0)  # test_criterion_1's
