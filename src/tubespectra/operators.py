@@ -13,6 +13,15 @@ every face gets the arithmetic mean of the two nodal coefficient values,
 so the assembled matrix is exactly symmetric and equals the discrete
 quadratic form  sum_faces c_f (v_i - v_j)^2 / dx^2 + sum_nodes V v^2, which
 makes Dirichlet domain monotonicity in L exact at fixed spacing.
+
+Far from the bend every coefficient is 1 and V is 0 to the last bit, and
+the s-slices there have exactly the free operator's rows.  Assembly
+computes each face and diagonal value on the whole grid, with the
+stencil's own arithmetic, and an s-slice whose values all equal the free
+operator's gets the free slice's CSR rows, tiled: its values repeated,
+its columns shifted by the slice width.  Only the other slices go
+through the stencil, and the matrix is the one the stencil alone would
+give, bit for bit.
 """
 
 from __future__ import annotations
@@ -331,37 +340,117 @@ def _axis_pair_slices(shape, axis):
     return tuple(lo), tuple(hi)
 
 
-def _assemble_divergence_form(grid, coefficient_arrays):
-    """Matrix of sum_k (-d_k c_k d_k) with face-averaged coefficients.
+def _around_inner(ndim, axis, faces=slice(None)):
+    """Index of the ``faces`` along ``axis`` of a face array, on the inner nodes across it."""
+    index = [slice(1, -1)] * ndim
+    index[axis] = faces
+    return tuple(index)
+
+
+def _faces(spacings, coefficient_arrays, t_interior):
+    """Face values c_f / dx^2 along each axis of a full tensor, and the diagonal on its unknowns.
+
+    A face gets the mean of its two nodal coefficients; a node's diagonal
+    is (up + down) per axis, the axes summed in order.  The diagonal has
+    one row per interior s-slice.
+    """
+    faces, diag = [], 0.0
+    for axis, c_nodes in enumerate(coefficient_arrays):
+        lo, hi = _axis_pair_slices(c_nodes.shape, axis)
+        cf = c_nodes[lo] + c_nodes[hi]
+        cf *= 0.5
+        cf /= spacings[axis] ** 2
+        faces.append(cf)
+        diag = diag + (cf[_around_inner(cf.ndim, axis, slice(1, None))]
+                       + cf[_around_inner(cf.ndim, axis, slice(None, -1))])
+    return faces, diag[:, t_interior[(slice(1, -1),) * t_interior.ndim]]
+
+
+def _stencil_rows(t_interior, faces, diag, first, stop):
+    """CSR rows of the interior s-slices first .. stop - 1, from :func:`_faces`.
+
+    A row lists its neighbours below, itself and its neighbours above, in
+    column order; a neighbour that is no unknown, or a value that is zero,
+    gives no entry.  Returns the data, the column indices and the entries
+    per row.
+    """
+    width, count = diag.shape[1], stop - first
+    at = np.nonzero(t_interior)              # each unknown's transverse node, in order
+    order = np.full(t_interior.shape, -1)
+    order[at] = np.arange(width)
+    across = -faces[0][first:stop + 1][:, t_interior]
+    everywhere = np.ones(width, dtype=bool)
+    # per neighbour: its values on the slices' unknowns, column offset and presence
+    below = [(across[:-1], np.full(width, -width), everywhere)]
+    above = [(across[1:], np.full(width, width), everywhere)]
+    for axis in range(1, len(faces)):
+        f = -faces[axis][first + 1:stop + 1].reshape(count, -1)
+        for nodes, face, side in ((-1, -1, below), (1, 0, above)):
+            near = order[at[:axis - 1] + (at[axis - 1] + nodes,) + at[axis:]]
+            on = at[:axis - 1] + (at[axis - 1] + face,) + at[axis:]
+            side.append((f[:, np.ravel_multi_index(on, faces[axis].shape[1:])],
+                         near - np.arange(width), near >= 0))
+    entries = below + [(diag[first:stop], np.zeros(width, dtype=int), everywhere)] + above[::-1]
+    values = np.stack([v for v, _, _ in entries], axis=2)
+    keep = np.stack([k for _, _, k in entries], axis=1) & (values != 0)
+    keep[0, :, 0] &= first > 0               # no slice below the first
+    keep[-1, :, -1] &= stop < diag.shape[0]  # nor above the last
+    columns = (np.arange(first * width, stop * width).reshape(count, width, 1)
+               + np.stack([o for _, o, _ in entries], axis=1))
+    return values[keep], columns[keep], keep.sum(axis=2).ravel()
+
+
+def _assemble_divergence_form(grid, coefficient_arrays, diagonal=None):
+    """Matrix of sum_k (-d_k c_k d_k), plus ``diagonal`` on the unknowns.
 
     ``coefficient_arrays[k]`` holds the nodal values of c_k on the full
-    tensor grid.  Returns the CSR matrix, exactly symmetric by
-    construction.
+    tensor grid, and every face gets the mean of its two nodal values, so
+    the matrix is exactly symmetric.  It is returned in canonical CSR form
+    with no zero entry.  An s-slice between two others whose diagonal and
+    faces equal the free operator's (every c_k = 1, no diagonal) bit for
+    bit gets the free slice's rows, tiled: only the other slices go
+    through the stencil.  The faces compared are those that touch a node
+    inside the bounding box of the cross-section.
     """
-    idx, act = grid.row_index()
-    n = grid.n_unknowns
-    shape = grid.full_shape
-    spac = grid.spacings
-    diag_full = np.zeros(shape)
-    rows, cols, vals = [], [], []
-    for axis, c_nodes in enumerate(coefficient_arrays):
-        lo, hi = _axis_pair_slices(shape, axis)
-        cf = 0.5 * (c_nodes[lo] + c_nodes[hi]) / spac[axis] ** 2
-        # diagonal picks up every face adjacent to an active node
-        tmp = np.zeros(shape)
-        tmp[lo] += cf
-        tmp[hi] += cf
-        diag_full += tmp
-        both = act[lo] & act[hi]
-        rows.append(idx[lo][both])
-        cols.append(idx[hi][both])
-        vals.append(-cf[both])
-    m = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    )
-    m = m + m.T + sp.diags(diag_full[act])
-    return m.tocsr()
+    t_interior = grid.t_interior
+    faces, diag = _faces(grid.spacings, coefficient_arrays, t_interior)
+    slices, width = diag.shape
+    if diagonal is not None:
+        diag = diag + diagonal.reshape(slices, width)
+    # the free operator on three interior s-slices: its middle one's rows are tiled
+    free_faces, free_diag = _faces(grid.spacings,
+                                   [np.ones((5,) + t_interior.shape)] * len(faces), t_interior)
+    rows = _stencil_rows(t_interior, free_faces, free_diag, 1, 2)
+    tiled = np.all(diag == free_diag[1], axis=1)
+    for axis, (cf, free) in enumerate(zip(faces, free_faces)):
+        inner = _around_inner(cf.ndim, axis)
+        same = (cf[inner] == free[inner][1:2]).reshape(cf[inner].shape[0], -1).all(axis=1)
+        tiled &= same[:-1] & same[1:] if axis == 0 else same
+    tiled[[0, -1]] = False                   # a wall slice has one s-coupling
+    bounds = np.r_[0, np.flatnonzero(np.diff(tiled)) + 1, slices]
+    runs = [(first, stop, None if tiled[first] else
+             _stencil_rows(t_interior, faces, diag, first, stop))
+            for first, stop in zip(bounds[:-1], bounds[1:])]
+    ends = np.cumsum([0] + [(stop - first) * rows[0].size if part is None else part[0].size
+                            for first, stop, part in runs])
+    n = slices * width
+    index = np.int32 if max(n, ends[-1]) <= np.iinfo(np.int32).max else np.int64
+    data, indices = np.empty(ends[-1]), np.empty(ends[-1], dtype=index)
+    indptr = np.zeros(n + 1, dtype=index)
+    for (first, stop, part), a, b in zip(runs, ends[:-1], ends[1:]):
+        counts = indptr[1 + first * width:1 + stop * width]
+        if part is None:
+            shape = (stop - first, -1)
+            data[a:b].reshape(shape)[...] = rows[0]
+            starts = width * np.arange(first - 1, stop - 1, dtype=index)[:, None]
+            np.add(rows[1].astype(index), starts, out=indices[a:b].reshape(shape))
+            counts.reshape(shape)[...] = rows[2]
+        else:
+            data[a:b], indices[a:b], counts[...] = part
+    np.cumsum(indptr, out=indptr)
+    m = sp.csr_matrix((data, indices, indptr), shape=(n, n))
+    m.has_canonical_format = True
+    return m
 
 
 def _require_resolution(grid):
@@ -378,11 +467,12 @@ def assemble_hamiltonian(coeffs, potential, grid, tag="H"):
     S, U = grid.node_coordinates()
     arrays = [np.ascontiguousarray(coeffs.axis_coefficient(k, S, U))
               for k in range(1 + grid.transverse_dim)]
-    m = _assemble_divergence_form(grid, arrays)
+    diagonal = None
     if potential is not None:
         s_i, u_i = grid.interior_coordinates()
-        m = m + sp.diags(np.asarray(potential(s_i, u_i), dtype=float))
-    return DiscreteOperator(matrix=m.tocsr(), grid=grid, tag=tag)
+        diagonal = np.asarray(potential(s_i, u_i), dtype=float)
+    return DiscreteOperator(matrix=_assemble_divergence_form(grid, arrays, diagonal),
+                            grid=grid, tag=tag)
 
 
 def assemble_free_hamiltonian(grid):

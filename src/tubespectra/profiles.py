@@ -206,8 +206,12 @@ def tabulated_function(s_samples, values, max_order=3, label="table"):
 
         return _eval
 
-    fn = ScalarFunction([make_eval(sp) for sp in splines], label=label,
-                        sup_abs=np.max(np.abs(values)))
+    # the spline can overshoot its samples: its sup is over them and over
+    # its critical points between them (nan follows a constant piece)
+    critical = splines[0].derivative().roots()
+    critical = critical[np.isfinite(critical)]
+    sup = max(np.max(np.abs(values)), np.max(np.abs(splines[0](critical)), initial=0.0))
+    fn = ScalarFunction([make_eval(sp) for sp in splines], label=label, sup_abs=sup)
     fn.sample_grid = s_samples
     return fn
 
@@ -285,8 +289,9 @@ class CurvatureProfile:
         The supremum kappa_1 declares (``ScalarFunction.sup_abs``) when it
         has one: |kappa0| for gaussian bumps and power tails (an upper
         bound when s_range misses the peak at 0), |value| for constants,
-        the largest sample for tables (their spline may overshoot it
-        between samples).  Otherwise the maximum of |kappa_1| on the
+        and for tables the largest |kappa_1| over the samples and the
+        spline's critical points between them, where it may overshoot
+        them.  Otherwise the maximum of |kappa_1| on the
         assumption gate's abscissae (``assumptions.sample_abscissae``),
         which can miss a peak narrower than their spacing there.
         """

@@ -19,15 +19,20 @@ the finer spacings.
 Every grid stores s as the slowest index, so A - sigma I is banded, its
 half-bandwidth the number of transverse nodes per slice.  Far from the
 bend A is bitwise the free Kronecker sum T_s x I + I x H_perp: the runs
-of s-slices at each wall whose blocks match the free one-slice block D
-and the coupling -1/ds^2 exactly.  Every ladder solve factorizes
-A - sigma I once and ARPACK solves through that factor.  The factor
-eliminates those straight ends exactly, a discrete transparent boundary
-on the same truncated problem: in the modes of D - sigma I each end is a
-set of uncoupled tridiagonals (LAPACK dpttrf), whose Schur term goes
-onto the neighbouring slice of the curved core, and only the core is
-factored by banded Cholesky (LAPACK dpbtrf).  A matrix with no grid, or
-with no exactly free slice at its walls, is all core.
+of s-slices at each wall whose rows are the free operator's, its
+one-slice block D and the coupling -1/ds^2.  Each slice's rows are one
+contiguous segment of A's CSR arrays, so the runs are found by comparing
+those segments with the free operator's rows, shifted.  Every ladder
+solve factorizes A - sigma I once and ARPACK solves through that factor.
+The factor eliminates those straight ends exactly, a discrete
+transparent boundary on the same truncated problem: in the modes of
+D - sigma I each end is a set of uncoupled tridiagonals (LAPACK dpttrf),
+whose Schur term goes onto the neighbouring slice of the curved core,
+and only the core is factored by banded Cholesky (LAPACK dpbtrf), from
+the lower triangle of the core's own rows and columns: only the
+symmetry check, that scan and the residuals read the whole matrix.  A
+matrix with no grid, or with no exactly free slice at its walls, is all
+core.
 
 Lanczos runs only on the unknowns that carry the eigenvectors: the
 core's, and in each end each transverse mode's slices next to the core.
@@ -148,9 +153,9 @@ def _lower_entries(matrix):
     if not m.has_canonical_format:
         m = m.copy()
         m.sum_duplicates()
-    row = np.repeat(np.arange(m.shape[0], dtype=m.indices.dtype), np.diff(m.indptr))
-    low = row >= m.indices
-    return row[low] - m.indices[low], m.indices[low], m.data[low], m.shape[0]
+    offset = np.repeat(np.arange(m.shape[0], dtype=m.indices.dtype), np.diff(m.indptr)) - m.indices
+    low = np.flatnonzero(offset >= 0)
+    return offset[low], m.indices[low], m.data[low], m.shape[0]
 
 
 def _scatter_band(entries, sigma=0.0, half_width=0):
@@ -170,54 +175,71 @@ def lower_band(matrix):
     return _scatter_band(_lower_entries(matrix))
 
 
-def _free_slice(grid):
-    """The free Hamiltonian of one s-slice of ``grid``: on the s-nodes -ds, 0, ds."""
-    ds = grid.s_spacing
-    one_slice = TruncatedGrid(np.array([-ds, 0.0, ds]), grid.t_axes, grid.t_interior)
-    return assemble_free_hamiltonian(one_slice).matrix
+def _free_slices(grid, count=1):
+    """The free Hamiltonian on ``count`` s-slices of ``grid``'s cross-section and s-spacing."""
+    s_nodes = grid.s_spacing * (np.arange(count + 2) - 0.5 * (count + 1))
+    return assemble_free_hamiltonian(TruncatedGrid(s_nodes, grid.t_axes, grid.t_interior)).matrix
 
 
-def _straight_ends(entries, grid):
+def _slice_rows(m, width, j):
+    """The rows of s-slice j of a CSR m: data, columns from the slice's first unknown, pointers."""
+    a, b = m.indptr[j * width], m.indptr[(j + 1) * width]
+    return m.data[a:b], m.indices[a:b] - j * width, m.indptr[j * width:(j + 1) * width + 1] - a
+
+
+def _slices_match(m, width, first, stop, rows):
+    """Whether each s-slice first .. stop - 1 of m holds exactly ``rows``, shifted to it.
+
+    ``rows`` are :func:`_slice_rows`, and every slice in the range holds
+    as many entries, so the slices' segments of m's CSR arrays are
+    compared with them in one pass.
+    """
+    data, columns, pointers = rows
+    count = stop - first
+    a = m.indptr[first * width]
+    segment = slice(a, a + count * data.size)
+    starts = m.indptr[first * width:stop * width].reshape(count, width)
+    shift = width * np.arange(first, stop, dtype=m.indices.dtype)[:, None]
+    return (np.all(m.data[segment].reshape(count, -1) == data, axis=1)
+            & np.all(m.indices[segment].reshape(count, -1) - shift == columns, axis=1)
+            & np.all(starts - starts[:, :1] == pointers[:-1], axis=1))
+
+
+def _straight_ends(m, grid):
     """Unknowns per s-slice, and the slices at each wall where m is exactly free.
 
     Returns ``(width, left, right, block)``: ``left`` and ``right`` are the
     lengths of the runs of slices that start at the left and the right
     wall and match the free operator bitwise, and ``block`` is the free
-    one-slice block of ``_free_slice``.  A slice matches when its
-    diagonal block is ``block`` and its couplings to its neighbours are
-    -1/ds^2 times the identity.  The runs leave at least one slice
+    one-slice block.  A slice matches when its CSR rows are those of the
+    free operator on three slices (:func:`_free_slices`), shifted to it:
+    the first's at the left wall, the last's at the right wall and the
+    middle one's elsewhere.  A run ends at the first slice that holds
+    another number of entries, and the slices up to it are compared, one
+    contiguous CSR segment each.  The runs leave at least one slice
     between them.  Without a grid m is one slice of n unknowns, with no
     free end.
     """
-    offset, col, data, n = entries
+    n = m.shape[0]
     if grid is None:
         return n, 0, 0, None
     width = int(grid.t_interior.sum())
     slices = n // width
-    ds = grid.s_spacing
-    block = _free_slice(grid)
-    if offset.max(initial=0) > width:
-        return width, 0, 0, block
-    # the free operator's lower band over one slice's columns: the block,
-    # then at offset ``width`` the coupling to the next slice
-    inner = lower_band(block)
-    free = np.zeros((width + 1, width))
-    free[: inner.shape[0]] = inner
-    free[width] = -1.0 / ds**2
-    at, b = np.divmod(col, width)
-    # per slice, how many of its entries are in its block or on its face to
-    # the next slice, and equal to the free operator's
-    face = offset + b >= width
-    equal = data == np.take(free, offset * width + b)
-    counts = np.bincount(4 * at + 2 * face + equal, minlength=4 * slices).reshape(slices, 2, 2)
-    # no entry differs and every nonzero one of the free operator is there
-    ok = (counts[:, 0, 0] == 0) & (counts[:, 0, 1] == np.count_nonzero(inner))
-    free_face = (counts[:, 1, 0] == 0) & (counts[:, 1, 1] == width)
-    ok[:-1] &= free_face[:-1]
-    ok[1:] &= free_face[:-1]
+    free = _free_slices(grid, 3)
+    wall, middle, far_wall = (_slice_rows(free, width, j) for j in range(3))
+    m = sp.csr_matrix(m)
+    count = np.diff(m.indptr[::width])
+    inner = count[1:-1] == middle[0].size
+    a = 1 + int(np.cumprod(inner).sum())
+    b = slices - 1 - int(np.cumprod(inner[::-1]).sum())
+    ok = np.zeros(slices, dtype=bool)
+    for first, stop, rows in ((0, 1, wall), (1, a, middle), (max(a, b), slices - 1, middle),
+                              (slices - 1, slices, far_wall)):
+        if first < stop and np.all(count[first:stop] == rows[0].size):
+            ok[first:stop] = _slices_match(m, width, first, stop, rows)
     left = min(int(np.cumprod(ok).sum()), slices - 1)
     right = min(int(np.cumprod(ok[::-1]).sum()), slices - 1 - left)
-    return width, left, right, block
+    return width, left, right, free[width:2 * width, width:2 * width]
 
 
 @dataclass(frozen=True)
@@ -299,7 +321,7 @@ class _Factor:
         return x
 
 
-def _free_ends(entries, grid):
+def _free_ends(m, grid):
     """``_straight_ends`` of m, its free block diagonalized, and where its modes may be cut.
 
     Returns ``(width, left, right, lam, psi, reach, limit)``: D = Psi
@@ -313,7 +335,7 @@ def _free_ends(entries, grid):
     mode it is inf.  None of this depends on the shift, so one call
     serves every shift tried.
     """
-    width, left, right, block = _straight_ends(entries, grid)
+    width, left, right, block = _straight_ends(m, grid)
     if not (left or right):
         return width, left, right, None, None, None, np.inf
     lam, psi = np.linalg.eigh(block.toarray())
@@ -329,12 +351,24 @@ def _free_ends(entries, grid):
     return width, left, right, lam, psi, reach, limit
 
 
-def _factorize(entries, sigma, grid=None, ends=None, cut=True):
+def _core_entries(m, ends):
+    """``_lower_entries`` of m's core, the rows and columns between the free ends of ``ends``.
+
+    Only the core's rows are read.
+    """
+    width, left, right = ends[:3]
+    if not (left or right):
+        return _lower_entries(m)
+    lo, hi = left * width, m.shape[0] - right * width
+    return _lower_entries(sp.csr_matrix(m)[lo:hi, lo:hi])
+
+
+def _factorize(core, sigma, grid=None, ends=None, cut=True):
     """m - sigma I factored as a :class:`_Factor`, or None when there is none.
 
-    ``entries`` are m's ``_lower_entries`` and ``grid`` its grid, if any;
-    ``ends`` is their :func:`_free_ends`, computed here when not given.
-    The free block of ``_straight_ends`` is diagonalized,
+    ``core`` is m's :func:`_core_entries`, ``grid`` its grid and
+    ``ends`` its :func:`_free_ends`; without them m is all core.  The
+    free block of ``_straight_ends`` is diagonalized,
     D - sigma I = Psi diag(delta_t) Psi^T.  A free run of p slices at a
     wall is then, in modes, m uncoupled tridiagonals
     T_t = tridiag(-c, delta_t, -c) of order p, c = 1/ds^2, each ordered
@@ -354,13 +388,12 @@ def _factorize(entries, sigma, grid=None, ends=None, cut=True):
     # about 0.1 s to every import of the package
     from scipy.linalg.lapack import dpbtrf, dpttrf, dpttrs
 
-    offset, col, data, n = entries
-    width, left, right, lam, psi, reach, _ = _free_ends(entries, grid) if ends is None else ends
-    lo, hi = left * width, n - right * width
-    keep = (col >= lo) & (col + offset < hi)
+    width, left, right, lam, psi, reach, _ = ends or (core[3], 0, 0, None, None, None, None)
+    lo = left * width
+    hi = lo + core[3]
+    n = hi + right * width
     # a free end's Schur term fills the core slice next to it
-    band = _scatter_band((offset[keep], col[keep] - lo, data[keep], hi - lo), sigma,
-                         width if left or right else 0)
+    band = _scatter_band(core, sigma, width if left or right else 0)
     c, runs = 0.0, []
     if left or right:
         c = 1.0 / grid.s_spacing**2
@@ -446,8 +479,8 @@ def lowest_eigenvalues(op, k, below=None, start=None, overwrite_start=False):
     M - sigma I is factorized once by :func:`_factorize` and ARPACK
     solves with that factor: for a DiscreteOperator, the exactly free
     s-slices at its walls are eliminated in transverse modes and the
-    curved core between them is factored by banded Cholesky; any other
-    matrix is all core.  The factorization certifies the shift before
+    curved core between them is factored by banded Cholesky, from the
+    core's rows alone; any other matrix is all core.  The factorization certifies the shift before
     any solve: it exists only when no eigenvalue lies at or below sigma,
     and then the k eigenvalues nearest sigma are the k lowest.  When it does
     not exist, the distance of sigma below the hint is doubled and M
@@ -491,21 +524,23 @@ def lowest_eigenvalues(op, k, below=None, start=None, overwrite_start=False):
     anchor = -1.0 if below is None else float(below)
     step = _SHIFT_OFFSET * max(1.0, abs(anchor))
     sigma = anchor if below is None else anchor - step
-    entries = _lower_entries(m)
-    band = int(entries[0].max(initial=0))
     grid = op.grid if isinstance(op, DiscreteOperator) else None
-    ends = _free_ends(entries, grid)
-    while (factor := _factorize(entries, sigma, grid, ends)) is None:
+    ends = _free_ends(m, grid)
+    core = _core_entries(m, ends)
+    width, left, right = ends[:3]
+    # a free end's rows are the free operator's: they reach one slice away, no further
+    band = max(int(core[0].max(initial=0)), width if left or right else 0)
+    while (factor := _factorize(core, sigma, grid, ends)) is None:
         sigma -= step
         step *= 2.0
-    del entries
+    del core
     solves = 0
     if factor.size > k:
         vals, vecs, solves = _shift_invert(m, k, sigma, factor, v0)
     if factor.size < n and (factor.size <= k or vals.max() >= ends[-1]):
         # a Ritz value at or above the cut limit Lambda: an eigenvector may
         # reach past a cut, so solve again with every chain whole
-        factor = _factorize(_lower_entries(m), sigma, grid, ends, cut=False)
+        factor = _factorize(_core_entries(m, ends), sigma, grid, ends, cut=False)
         vals, vecs, more = _shift_invert(m, k, sigma, factor, v0)
         solves += more
     order = np.argsort(vals)
@@ -903,7 +938,7 @@ def _separable_modes(grid):
     """
     ds = grid.s_spacing
     n_s = grid.s_nodes.size - 2
-    block = _free_slice(grid).toarray()
+    block = _free_slices(grid).toarray()
     nu = np.linalg.eigvalsh(block - (2.0 / ds**2) * np.eye(block.shape[0]))
     j = np.arange(1, n_s + 1)
     mu = (4.0 / ds**2) * np.sin(j * np.pi / (2.0 * (n_s + 1))) ** 2

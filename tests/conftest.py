@@ -29,6 +29,50 @@ def straight_profile():
     return CurvatureProfile([constant_function(0.0)], (-1e4, 1e4))
 
 
+D3_TUBE = """
+[problem]
+kind = euclidean-tube
+dimension = 3
+
+[curvature]
+family = gaussian-bump
+kappa0 = 0.5
+sigma = 1.0
+
+[curvature2]
+family = gaussian-bump
+kappa0 = 0.3
+sigma = 1.0
+
+[cross_section]
+{cross_section}
+
+[numerics]
+s_max = 100.0
+"""
+
+@pytest.fixture(scope="session")
+def d3_tube():
+    """The metric and cross-section of a d = 3 tube with two bumps, by cross-section text."""
+    from tubespectra.cli import build_metric
+    from tubespectra.config import load_config_text
+
+    def tube(cross_section):
+        cfg = load_config_text(D3_TUBE.format(cross_section=cross_section))
+        omega = cfg.cross_section()
+        return build_metric(cfg, cfg.profile(), omega), omega
+
+    return tube
+
+
+@pytest.fixture(scope="session")
+def d3_recipe(d3_tube):
+    """The (L, spacing) -> Hamiltonian recipe of :func:`d3_tube`."""
+    from tubespectra.cli import hamiltonian_recipe
+
+    return lambda cross_section: hamiltonian_recipe(*d3_tube(cross_section))
+
+
 @pytest.fixture(scope="session")
 def interval_omega():
     return CrossSection.interval(1.0)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from tubespectra import (
     CoefficientField,
@@ -10,6 +11,7 @@ from tubespectra import (
     ResolutionError,
     SurfaceData,
     TruncatedGrid,
+    assemble_commutator,
     assemble_free_hamiltonian,
     assemble_hamiltonian,
     assemble_weighted_form_hamiltonian,
@@ -23,6 +25,8 @@ from tubespectra import (
     richardson_extrapolate,
     tabulated_function,
 )
+from tubespectra import operators, spectral
+from tubespectra.cli import grid_for
 
 NU1 = np.pi**2 / 4.0
 
@@ -274,6 +278,137 @@ def test_weighted_form_matches_flat_operator(bump_metric):
         ext[name] = richardson_extrapolate(spacings, vals)
     tol = 3.0 * max(ext["flat"].error_estimate, ext["weighted"].error_estimate)
     assert abs(ext["flat"].extrapolated - ext["weighted"].extrapolated) <= tol
+
+
+# ---------------------------------------------------------------------------
+# assembly against the coordinate-format reference
+
+
+def reference_divergence_form(grid, coefficient_arrays):
+    """The coordinate-format assembly: the upper faces, then m + m.T + diag."""
+    idx, act = grid.row_index()
+    n, shape, spac = grid.n_unknowns, grid.full_shape, grid.spacings
+    diag_full = np.zeros(shape)
+    rows, cols, vals = [], [], []
+    for axis, c_nodes in enumerate(coefficient_arrays):
+        lo, hi = operators._axis_pair_slices(shape, axis)
+        cf = 0.5 * (c_nodes[lo] + c_nodes[hi]) / spac[axis] ** 2
+        tmp = np.zeros(shape)
+        tmp[lo] += cf
+        tmp[hi] += cf
+        diag_full += tmp
+        both = act[lo] & act[hi]
+        rows.append(idx[lo][both])
+        cols.append(idx[hi][both])
+        vals.append(-cf[both])
+    m = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(n, n))
+    return (m + m.T + sp.diags(diag_full[act])).tocsr()
+
+
+def reference_hamiltonian(coeffs, potential, grid):
+    S, U = grid.node_coordinates()
+    m = reference_divergence_form(
+        grid, [coeffs.axis_coefficient(k, S, U) for k in range(1 + grid.transverse_dim)])
+    if potential is not None:
+        m = m + sp.diags(potential(*grid.interior_coordinates()))
+    return m.tocsr()
+
+
+def assert_same_csr(m, reference):
+    for name in ("indptr", "indices"):
+        got, want = getattr(m, name), getattr(reference, name)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+    assert m.data.tobytes() == reference.data.tobytes()
+    assert m.has_canonical_format
+
+
+@pytest.mark.parametrize("bent", [False, True], ids=["free", "bent"])
+@pytest.mark.parametrize("cross_section", [
+    None, "shape = rectangle\nside_x = 1.0\nside_y = 1.0", "shape = disc\nradius = 1.0",
+], ids=["interval", "rectangle", "disc"])
+def test_the_assembly_is_the_coordinate_format_one_bit_for_bit(bump_metric, d3_tube,
+                                                               cross_section, bent):
+    if cross_section is None:
+        metric, grid = bump_metric, TruncatedGrid.interval(8.0, 0.125, 1.0)
+    else:
+        metric, omega = d3_tube(cross_section)
+        grid = grid_for(omega, 8.0, 0.25)
+    if not bent:
+        metric = None
+    coeffs = CoefficientField(metric)
+    potential = None if metric is None else EffectivePotential(metric)
+    op = assemble_hamiltonian(coeffs, potential, grid)
+    assert_same_csr(op.matrix, reference_hamiltonian(coeffs, potential, grid))
+    # the ends are free: they were tiled from the free slice
+    assert spectral._straight_ends(op.matrix, grid)[1] > 0
+
+
+def test_the_weighted_form_and_the_commutator_are_the_reference_bit_for_bit(bump_metric):
+    # the weighted form's transverse coefficients are h, not 1
+    grid = TruncatedGrid.interval(8.0, 0.125, 1.0)
+    S, U = grid.node_coordinates()
+    h_nodes = bump_metric.h(S, U)
+    k = reference_divergence_form(grid, [1.0 / h_nodes, h_nodes])
+    d_half = sp.diags(h_nodes[grid.active()] ** -0.5)
+    m = (d_half @ k @ d_half).tocsr()
+    weighted = (0.5 * (m + m.T)).tocsr()
+    m = assemble_weighted_form_hamiltonian(bump_metric, grid).matrix
+    for name in ("indptr", "indices", "data"):
+        np.testing.assert_array_equal(getattr(m, name), getattr(weighted, name))
+    # the commutator's middle term is zero in the ends, and dropped there
+    coeffs, pot = CoefficientField(bump_metric), EffectivePotential(bump_metric)
+    s_i, u_i = grid.interior_coordinates()
+    commutator = (2.0 * reference_divergence_form(grid, [coeffs.g_ss(S, U)])
+                  - reference_divergence_form(grid, [S * coeffs.g_ss_s(S, U)])
+                  - sp.diags(s_i * pot.derivative_s(s_i, u_i))).tocsr()
+    m = assemble_commutator(coeffs, pot, grid).matrix
+    for name in ("indptr", "indices", "data"):
+        np.testing.assert_array_equal(getattr(m, name), getattr(commutator, name))
+    assert m.nnz < assemble_hamiltonian(coeffs, pot, grid).matrix.nnz
+
+
+def test_a_diagonal_entry_the_potential_cancels_is_dropped():
+    grid = TruncatedGrid.interval(4.0, 0.125, 1.0)
+    free = reference_hamiltonian(CoefficientField(None), None, grid)
+    j = 5 * int(grid.t_interior.sum()) + 3          # in slice 5, a free end
+    s_i, u_i = grid.interior_coordinates()
+    at = np.array([s_i[j], u_i[j, 0]])
+
+    def cancelling(s, u):
+        return -free[j, j] * np.all(np.column_stack([s, u]) == at, axis=1)
+
+    op = assemble_hamiltonian(CoefficientField(None), cancelling, grid)
+    reference = reference_hamiltonian(CoefficientField(None), cancelling, grid)
+    assert_same_csr(op.matrix, reference)
+    assert op.matrix.nnz == free.nnz - 1
+    assert j not in op.matrix.indices[op.matrix.indptr[j]:op.matrix.indptr[j + 1]]
+
+
+@pytest.mark.parametrize("ulps, stenciled", [(1, False), (2, True)])
+def test_an_end_slice_is_tiled_only_where_its_values_are_free_bit_for_bit(monkeypatch, ulps,
+                                                                          stenciled):
+    # one ulp more of G^11 at one node rounds away in the face mean
+    # (1 + 2^-52 + 1 rounds to 2), two ulps are one ulp of its faces
+    grid = TruncatedGrid.interval(4.0, 0.125, 1.0)
+    g = np.ones(grid.full_shape)
+    j = 9                                           # an interior slice of the left end
+    g[j + 1, 5] = 1.0 + ulps * np.finfo(float).eps
+    arrays = [g, np.ones(grid.full_shape)]
+    slices, runs = grid.s_nodes.size - 2, []
+    stencil = operators._stencil_rows
+
+    def recorded(t_interior, faces, diag, first, stop):
+        if diag.shape[0] == slices:             # not the free slice's own rows
+            runs.append((first, stop))
+        return stencil(t_interior, faces, diag, first, stop)
+
+    monkeypatch.setattr(operators, "_stencil_rows", recorded)
+    m = operators._assemble_divergence_form(grid, arrays)
+    assert_same_csr(m, reference_divergence_form(grid, arrays))
+    through_stencil = {i for first, stop in runs for i in range(first, stop)}
+    assert through_stencil == ({0, slices - 1} | ({j - 1, j, j + 1} if stenciled else set()))
 
 
 # ---------------------------------------------------------------------------

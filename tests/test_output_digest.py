@@ -10,12 +10,12 @@ seed=0 rect-tube spectrum count = 4
 """
 
 
-def _compare(tmp_path, new, rtol):
-    (tmp_path / "old.txt").write_text(OLD)
+def _compare(tmp_path, new, rtol, old=OLD, atol=None):
+    (tmp_path / "old.txt").write_text(old)
     (tmp_path / "new.txt").write_text(new)
     return subprocess.run(
         [sys.executable, str(TOOL), "--compare", str(tmp_path / "old.txt"),
-         str(tmp_path / "new.txt"), "--rtol", rtol],
+         str(tmp_path / "new.txt"), "--rtol", rtol] + (["--atol", atol] if atol else []),
         capture_output=True, text=True,
     )
 
@@ -35,6 +35,28 @@ def test_compare_refuses_outputs_that_list_other_keys_or_exit_codes(tmp_path):
     assert _compare(tmp_path, OLD.replace("exit=0", "exit=1"), "1").returncode == 1
     assert _compare(tmp_path, OLD.replace("19.5, 0.0", "19.5"), "1").returncode == 1
     assert _compare(tmp_path, OLD + OLD.splitlines()[1] + "\n", "1").returncode == 1
+
+
+# two keys that are differences of ladder values, moved by a few-ulp move of those values
+DIFFERENCES = """seed=0 bent-strip spectrum state[1].fitted_order = {order}
+seed=0 bent-strip spectrum spectrum.csv[4].error = {error}
+"""
+BEFORE = DIFFERENCES.format(order="1.9982857333294244", error="1.4777560688752e-4")
+AFTER = DIFFERENCES.format(order="1.9982857333269457", error="1.4777560689088e-4")
+
+
+def test_compare_lets_a_number_move_by_atol_whatever_its_relative_move(tmp_path):
+    # relative moves 1.2e-12 and 2.3e-11, absolute 2.5e-12 and 3.4e-15
+    assert _compare(tmp_path, AFTER, "1e-13", old=BEFORE).returncode == 1
+    within = _compare(tmp_path, AFTER, "1e-13", old=BEFORE, atol="1e-11")
+    assert within.returncode == 0
+    lines = within.stdout.splitlines()
+    assert [line.split()[0] for line in lines[:2]] == ["1.24e-12", "2.27e-11"]
+    assert lines[-1] == "2 lines, largest relative move 2.27e-11 (rtol 1e-13, atol 1e-11)"
+    # fitted_order moved by more than 1e-12, the error bar by less
+    assert _compare(tmp_path, AFTER, "1e-13", old=BEFORE, atol="1e-12").returncode == 1
+    assert _compare(tmp_path, AFTER, "1e-11", old=BEFORE, atol="1e-12").returncode == 0
+    assert _compare(tmp_path, AFTER, "0", old=BEFORE, atol="3e-12").returncode == 0
 
 
 REPORT = """[bound_states]

@@ -3,9 +3,11 @@ import pytest
 
 from tubespectra import (
     CurvatureProfile,
+    EllipticityError,
     InputError,
     constant_function,
     gaussian_bump,
+    metric_from_profile,
     power_tail,
     tabulated_function,
 )
@@ -118,10 +120,33 @@ def test_kappa1_sup_of_the_families_is_exact(fn, sup):
     assert CurvatureProfile([fn], (-1e4, 1e4)).kappa1_sup() == sup
 
 
-def test_kappa1_sup_of_a_table_is_its_largest_sample():
+def _fine_max_abs(fn, lo, hi):
+    """max |fn| on a grid of step (hi - lo) 1e-5, refined as finely again at its argmax."""
+    x = np.linspace(lo, hi, 100_001)
+    at = x[np.argmax(np.abs(fn(x)))]
+    x = np.linspace(max(lo, at - 2e-5 * (hi - lo)), min(hi, at + 2e-5 * (hi - lo)), 100_001)
+    return np.max(np.abs(fn(x)))
+
+
+def test_kappa1_sup_of_a_table_is_its_spline_maximum():
+    # the peak at 0.05 lies between two samples, and so does the spline's
     s = np.linspace(-5.0, 5.0, 101)
     fn = tabulated_function(s, -0.6 * np.exp(-((s - 0.05) ** 2)))
-    assert CurvatureProfile([fn], (s[0], s[-1])).kappa1_sup() == np.max(np.abs(fn(s)))
+    sup = CurvatureProfile([fn], (s[0], s[-1])).kappa1_sup()
+    assert sup > np.max(np.abs(fn(s)))
+    assert sup == pytest.approx(_fine_max_abs(fn, s[0], s[-1]), rel=1e-12, abs=0.0)
+
+
+def test_a_table_whose_spline_overshoots_the_curvature_bound_is_refused():
+    # every sample keeps a sup|kappa_1| = 0.95 < 1, but the spline through the
+    # two samples at 0.95 rises above 1: h = 1 - kappa u falls below 0 there
+    s = np.linspace(-2.0, 2.0, 41)
+    fn = tabulated_function(s, np.where((s > -0.01) & (s < 0.11), 0.95, 0.0))
+    assert np.max(np.abs(fn(s))) < 1.0 < _fine_max_abs(fn, s[0], s[-1])
+    profile = CurvatureProfile([fn], (s[0], s[-1]))
+    assert profile.kappa1_sup() == pytest.approx(_fine_max_abs(fn, s[0], s[-1]), rel=1e-12)
+    with pytest.raises(EllipticityError, match="a \\* sup\\|kappa_1\\|"):
+        metric_from_profile(profile, 1.0)
 
 
 def test_frenet_matrix_is_skew_and_bidiagonal():

@@ -246,9 +246,23 @@ def test_a_non_canonical_csr_gives_its_canonical_band_and_is_left_as_it_was():
 
 @pytest.fixture(scope="module")
 def bent_level(bump_metric):
-    """The reference bent strip at L = 16, h = 1/8, and its lower entries."""
-    op = hamiltonian_recipe(bump_metric, CrossSection.interval(1.0))(16.0, 0.125)
-    return op, spectral._lower_entries(op.matrix)
+    """The reference bent strip at L = 16, h = 1/8."""
+    return hamiltonian_recipe(bump_metric, CrossSection.interval(1.0))(16.0, 0.125)
+
+
+def _factors(m, grid, sigma, cut=True):
+    """m - sigma I factored with its free ends eliminated, and factored all core."""
+    ends = spectral._free_ends(m, grid)
+    factor = spectral._factorize(spectral._core_entries(m, ends), sigma, grid, ends, cut=cut)
+    return factor, spectral._factorize(spectral._lower_entries(m), sigma)
+
+
+def _assert_solves_on_k(factor, full, seed):
+    # the cut factor applies [(m - sigma I)^-1]_KK: the whole band's solve of
+    # y zero-extended, on K
+    y = np.random.default_rng(seed).normal(size=factor.size)
+    reference = factor.restrict(full.solve(factor.extend(y)))
+    assert np.linalg.norm(factor.solve(y) - reference) < 1e-12 * np.linalg.norm(reference)
 
 
 @pytest.mark.parametrize("cross_section, length, spacing, sigma", [
@@ -256,36 +270,27 @@ def bent_level(bump_metric):
     ("shape = rectangle\nside_x = 1.0\nside_y = 1.0", 16.0, 0.125, 19.0),
     ("shape = disc\nradius = 1.0", 16.0, 1.0 / 6.0, 5.0),
 ], ids=["interval", "rectangle", "disc"])
-def test_the_straight_ends_are_eliminated_exactly(bent_level, cross_section, length, spacing,
-                                                  sigma):
-    if cross_section is None:
-        op, entries = bent_level
-    else:
-        op = _d3_recipe(cross_section)(length, spacing)
-        entries = spectral._lower_entries(op.matrix)
-    width, left, right, _ = spectral._straight_ends(entries, op.grid)
+def test_the_straight_ends_are_eliminated_exactly(bent_level, d3_recipe, cross_section, length,
+                                                  spacing, sigma):
+    op = bent_level if cross_section is None else d3_recipe(cross_section)(length, spacing)
+    width, left, right, _ = spectral._straight_ends(op.matrix, op.grid)
     s = op.grid.s_nodes[1:-1]
     assert width == op.grid.t_interior.sum() and left > 0 and right > 0
     # the bumps are curved to roundoff out to |s| = 6: all of that is core
     core = np.abs(s) < 6.0
     assert not core[:left].any() and not core[s.size - right:].any()
-    factor = spectral._factorize(entries, sigma, op.grid)
-    whole = spectral._factorize(entries, sigma, op.grid, cut=False)
-    full = spectral._factorize(entries, sigma)
+    factor, full = _factors(op.matrix, op.grid, sigma)
+    whole, _ = _factors(op.matrix, op.grid, sigma, cut=False)
     assert (factor.core, factor.slices) == (s.size - left - right, s.size)
     assert (full.core, full.slices) == (1, 1)  # no grid: one slice, all core
     assert whole.size == full.size == op.shape[0] > factor.size
     # with every chain whole, K is every unknown: the solve is (m - sigma I)^-1
     shifted = op.matrix - sigma * sp.identity(op.shape[0])
-    rng = np.random.default_rng(11)
-    rhs = rng.normal(size=op.shape[0])
+    rhs = np.random.default_rng(11).normal(size=op.shape[0])
     x, reference = whole.extend(whole.solve(whole.restrict(rhs))), full.solve(rhs)
     assert np.linalg.norm(shifted @ x - rhs) < 1e-9 * np.linalg.norm(rhs)
     assert np.linalg.norm(x - reference) < 1e-9 * np.linalg.norm(reference)
-    # cut, it is [(m - sigma I)^-1]_KK: the whole band's solve of y zero-extended, on K
-    y = rng.normal(size=factor.size)
-    reference = factor.restrict(full.solve(factor.extend(y)))
-    assert np.linalg.norm(factor.solve(y) - reference) < 1e-12 * np.linalg.norm(reference)
+    _assert_solves_on_k(factor, full, 12)
 
 
 def test_a_changed_coupling_or_a_missing_entry_ends_a_free_run():
@@ -299,18 +304,34 @@ def test_a_changed_coupling_or_a_missing_entry_ends_a_free_run():
     a[i, j] = a[j, i] = 1.001 * a[i, j]
     a = a.tocsr()
     a.eliminate_zeros()
-    entries = spectral._lower_entries(a)
     # the runs stop short of slice 3 and of slice f + 1, whose own blocks are free
-    assert spectral._straight_ends(entries, grid)[1:3] == (3, n_s - f - 2)
-    factor = spectral._factorize(entries, 1.0, grid)
-    y = np.random.default_rng(5).normal(size=factor.size)
-    reference = factor.restrict(spectral._factorize(entries, 1.0).solve(factor.extend(y)))
-    assert np.linalg.norm(factor.solve(y) - reference) < 1e-12 * np.linalg.norm(reference)
+    assert spectral._straight_ends(a, grid)[1:3] == (3, n_s - f - 2)
+    _assert_solves_on_k(*_factors(a, grid, 1.0), 5)
+
+
+def _one_node(s, u, at):
+    """1 at the node ``at`` = (s, u...), 0 at every other."""
+    return np.where(np.all(np.column_stack([s, u]) == at, axis=1), 1.0, 0.0)
+
+
+@pytest.mark.parametrize("grid, node, runs", [
+    # a disc node next to the rim, in slice 3: the left run stops short of it
+    (TruncatedGrid.disc(2.0, 0.25, 1.0), (-1.0, -0.75, 0.25), (3, 11)),
+    # a wall slice has one s-coupling: perturbed, it ends its run at once, and
+    # every other slice is the other wall's run
+    (TruncatedGrid.interval(4.0, 0.125, 1.0), (-3.875, 0.5), (0, 62)),
+    (TruncatedGrid.interval(4.0, 0.125, 1.0), (3.875, -0.5), (62, 0)),
+], ids=["disc-node", "left-wall", "right-wall"])
+def test_one_perturbed_node_ends_a_free_run(grid, node, runs):
+    op = assemble_hamiltonian(CoefficientField(None),
+                              lambda s, u: 1e-3 * _one_node(s, u, node), grid)
+    assert spectral._straight_ends(op.matrix, grid)[1:3] == runs
+    _assert_solves_on_k(*_factors(op.matrix, grid, 1.0), 6)
 
 
 def test_a_retried_shift_scans_the_straight_ends_once(bent_level, monkeypatch):
     # neither the free runs nor the free block's modes depend on the shift
-    op, _ = bent_level
+    op = bent_level
     lam0 = lowest_eigenvalues(op, 1)[0][0]
     scans, shifts = [], []
     straight_ends, factorize = spectral._straight_ends, spectral._factorize
@@ -327,27 +348,53 @@ def test_a_retried_shift_scans_the_straight_ends_once(bent_level, monkeypatch):
     monkeypatch.setattr(spectral, "_factorize", counted_factorize)
     solved = lowest_eigenvalues(op, 1, below=lam0 + 0.1)
     assert shifts[0] > lam0 and len(shifts) > 2 and solved.shift == shifts[-1] < lam0
-    assert len(scans) == 1
+    assert len(scans) == 1 and scans[0][0] is op.matrix
 
 
 def test_the_factor_certifies_exactly_the_shifts_the_full_band_does(bent_level):
-    op, entries = bent_level
+    op = bent_level
     (lam0, lam1), residuals = lowest_eigenvalues(op, 2)
     assert np.all(residuals < 1e-11)
     near = [lam * (1.0 + t) for lam in (lam0, lam1) for t in (-1e-9, 1e-9)]
     sigmas = np.r_[np.linspace(lam0 - 0.05, lam1 + 0.05, 21), near]
-    certified = [spectral._factorize(entries, sigma, op.grid) is not None for sigma in sigmas]
-    full_band = [spectral._factorize(entries, sigma) is not None for sigma in sigmas]
-    assert certified == full_band
+    factors = [_factors(op.matrix, op.grid, sigma) for sigma in sigmas]
+    certified = [factor is not None for factor, _ in factors]
+    assert certified == [full is not None for _, full in factors]
     assert certified == list(sigmas < lam0)
+
+
+@pytest.mark.parametrize("case", ["bent", "straight"])
+def test_the_factor_reads_only_the_core_rows(bent_level, monkeypatch, case):
+    # the whole matrix is read once for its symmetry and once for the free
+    # ends; the factor gets the lower entries of the core's rows and columns
+    op = bent_level
+    if case == "straight":  # its core is one slice
+        op = assemble_free_hamiltonian(TruncatedGrid.interval(24.0, 0.125, 1.0))
+    read, factored = [], []
+    lower_entries, factorize = spectral._lower_entries, spectral._factorize
+    monkeypatch.setattr(spectral, "_lower_entries",
+                        lambda m: read.append(m.shape) or lower_entries(m))
+    monkeypatch.setattr(spectral, "_factorize", lambda core, *args, **kw:
+                        factored.append(core) or factorize(core, *args, **kw))
+    solved = lowest_eigenvalues(op, 2)
+    width, left, right, _ = spectral._straight_ends(op.matrix, op.grid)
+    assert left and right == (case == "bent") * left and solved.core < solved.slices
+    lo, hi = left * width, op.shape[0] - right * width
+    core = op.matrix[lo:hi, lo:hi]
+    assert read == [core.shape] and factored
+    for entries in factored:
+        assert entries[3] == core.shape[0]
+        np.testing.assert_array_equal(spectral._scatter_band(entries), spectral.lower_band(core))
+    # the level's band is still the whole operator's
+    assert solved.band == spectral.lower_band(op.matrix).shape[0] - 1 == width
 
 
 def _whole_chains(monkeypatch):
     # the same solve with no mode chain cut: K is every unknown
     factorize = spectral._factorize
 
-    def whole(entries, sigma, grid=None, ends=None, cut=True):
-        return factorize(entries, sigma, grid, ends, cut=False)
+    def whole(core, sigma, grid=None, ends=None, cut=True):
+        return factorize(core, sigma, grid, ends, cut=False)
 
     monkeypatch.setattr(spectral, "_factorize", whole)
 
@@ -356,12 +403,12 @@ def _whole_chains(monkeypatch):
     (None, 16.0, 1.0 / 16.0, 6),
     ("shape = rectangle\nside_x = 1.0\nside_y = 1.0", 16.0, 0.125, 4),
 ], ids=["interval", "rectangle"])
-def test_lanczos_on_the_cut_ends_gives_the_whole_chain_values(bump_metric, monkeypatch,
+def test_lanczos_on_the_cut_ends_gives_the_whole_chain_values(bump_metric, d3_recipe, monkeypatch,
                                                              cross_section, length, spacing, k):
     if cross_section is None:
         op = hamiltonian_recipe(bump_metric, CrossSection.interval(1.0))(length, spacing)
     else:
-        op = _d3_recipe(cross_section)(length, spacing)
+        op = d3_recipe(cross_section)(length, spacing)
     cut = lowest_eigenvalues(op, k)
     assert cut.lanczos < op.shape[0]
     _whole_chains(monkeypatch)
@@ -373,27 +420,33 @@ def test_lanczos_on_the_cut_ends_gives_the_whole_chain_values(bump_metric, monke
 def test_a_ritz_value_past_the_cut_limit_solves_again_with_whole_chains(bump_metric,
                                                                         monkeypatch):
     op = hamiltonian_recipe(bump_metric, CrossSection.interval(1.0))(8.0, 1.0 / 16.0)
-    entries = spectral._lower_entries(op.matrix)
-    ends = spectral._free_ends(entries, op.grid)
-    sizes = []
-    shift_invert = spectral._shift_invert
+    ends = spectral._free_ends(op.matrix, op.grid)
+    core = spectral._core_entries(op.matrix, ends)
+    sizes, factored = [], []
+    shift_invert, factorize = spectral._shift_invert, spectral._factorize
 
     def counted(m, k, sigma, factor, v0):
         sizes.append(factor.size)
         return shift_invert(m, k, sigma, factor, v0)
 
     monkeypatch.setattr(spectral, "_shift_invert", counted)
+    monkeypatch.setattr(spectral, "_factorize",
+                        lambda entries, *args, **kw: factored.append(entries[3])
+                        or factorize(entries, *args, **kw))
     solved = lowest_eigenvalues(op, 12)
     # the 12th eigenvalue lies above the limit, and the cut solve's Ritz value at or above it
     assert solved[0][-1] > ends[-1]
-    assert sizes == [spectral._factorize(entries, solved.shift, op.grid, ends).size, op.shape[0]]
+    assert sizes == [factorize(core, solved.shift, op.grid, ends).size, op.shape[0]]
     assert sizes[0] < solved.lanczos == op.shape[0]
+    # the whole-chain retry, too, factors the core's entries only
+    assert factored[-2:] == [core[3]] * 2 and core[3] < op.shape[0]
+    monkeypatch.setattr(spectral, "_factorize", factorize)
     _whole_chains(monkeypatch)
     np.testing.assert_array_equal(solved[0], lowest_eigenvalues(op, 12)[0])
 
 
 def test_the_residuals_are_those_of_the_whole_box_operator(bent_level):
-    op, _ = bent_level
+    op = bent_level
     solved = lowest_eigenvalues(op, 4)
     vals, residuals = solved
     assert solved.lanczos < op.shape[0] and solved.vectors.shape == (op.shape[0], 4)
@@ -411,7 +464,7 @@ def test_a_straight_tube_is_free_ends_around_one_core_slice():
     for spacing in LADDER:
         grid = TruncatedGrid.interval(24.0, spacing, 1.0)
         op = assemble_free_hamiltonian(grid)
-        _, left, right, _ = spectral._straight_ends(spectral._lower_entries(op.matrix), grid)
+        _, left, right, _ = spectral._straight_ends(op.matrix, grid)
         solved = lowest_eigenvalues(op, 1)
         width = int(grid.t_interior.sum())
         assert left + right + 1 == solved.slices == grid.s_nodes.size - 2
@@ -430,44 +483,12 @@ def test_a_power_tail_strip_has_no_free_slice_and_solves_all_core():
     profile = CurvatureProfile([power_tail(0.5, 1.0, 2.5)], (-1e4, 1e4))
     recipe = hamiltonian_recipe(metric_from_profile(profile, 1.0), CrossSection.interval(1.0))
     op = recipe(8.0, 0.125)
-    _, left, right, _ = spectral._straight_ends(spectral._lower_entries(op.matrix), op.grid)
+    _, left, right, _ = spectral._straight_ends(op.matrix, op.grid)
     assert left == right == 0
     solved = lowest_eigenvalues(op, 2)
     assert solved.core == solved.slices == op.grid.s_nodes.size - 2
     # all core is the full band: the same solve, bit for bit
     np.testing.assert_array_equal(solved[0], lowest_eigenvalues(op.matrix, 2)[0])
-
-
-D3_TUBE = """
-[problem]
-kind = euclidean-tube
-dimension = 3
-
-[curvature]
-family = gaussian-bump
-kappa0 = 0.5
-sigma = 1.0
-
-[curvature2]
-family = gaussian-bump
-kappa0 = 0.3
-sigma = 1.0
-
-[cross_section]
-{cross_section}
-
-[numerics]
-s_max = 100.0
-"""
-
-
-def _d3_recipe(cross_section):
-    from tubespectra.cli import build_metric
-    from tubespectra.config import load_config_text
-
-    cfg = load_config_text(D3_TUBE.format(cross_section=cross_section))
-    omega = cfg.cross_section()
-    return hamiltonian_recipe(build_metric(cfg, cfg.profile(), omega), omega)
 
 
 @pytest.mark.parametrize("cross_section, length, spacing", [
@@ -476,10 +497,10 @@ def _d3_recipe(cross_section):
     ("shape = disc\nradius = 1.0", 1.5, 1.0 / 6.0),
 ], ids=["interval", "rectangle", "disc"])
 def test_assembled_operators_are_symmetric_with_one_slice_of_bandwidth(
-        strong_recipe, cross_section, length, spacing):
+        strong_recipe, d3_recipe, cross_section, length, spacing):
     # s is the slowest index, so the banded factor sees a half-bandwidth of
     # one transverse slice
-    recipe = strong_recipe if cross_section is None else _d3_recipe(cross_section)
+    recipe = strong_recipe if cross_section is None else d3_recipe(cross_section)
     op = recipe(length, spacing)
     m = op.matrix.tocoo()
     assert (op.matrix != op.matrix.T).nnz == 0

@@ -2,7 +2,7 @@
 """Digest every output of the benchmark's pipeline calls, for byte-identity checks.
 
     python3 tools/output_digest.py [--values] SRC_DIR > digest.txt
-    python3 tools/output_digest.py --compare OLD NEW --rtol R
+    python3 tools/output_digest.py --compare OLD NEW --rtol R [--atol A]
 
 Runs the calls of the perfbench workloads (problem files from
 ``perfbench/workloads.py``) at seeds 0 and 7: the bent-strip and rect-tube
@@ -42,15 +42,19 @@ by number under a relative tolerance.
 
 The full run takes about 20 s per tree on a 1-CPU VM.
 
-``--compare OLD NEW --rtol R`` reads two saved ``--values`` outputs and
-pairs their lines in order.  It prints the largest relative move
-|new - old| / max(|old|, |new|) of every key whose numbers moved, then
-the largest move of all, and exits 1 when that exceeds R or when the two
-outputs do not list the same keys and exit codes:
+``--compare OLD NEW --rtol R [--atol A]`` reads two saved ``--values``
+outputs and pairs their lines in order.  It prints the largest relative
+move |new - old| / max(|old|, |new|) of every key whose numbers moved,
+then the largest move of all.  It exits 1 when a number moved by more
+than max(A, R max(|old|, |new|)) (A defaults to 0), or when the two
+outputs do not list the same keys and exit codes.  A key that is a
+difference of nearly equal values, such as a fitted order or an error
+bar, amplifies a roundoff move of those values; A lets such a key move
+by roundoff in absolute terms:
 
     python3 tools/output_digest.py --values ../parent/src > old.txt
     python3 tools/output_digest.py --values src > new.txt
-    python3 tools/output_digest.py --compare old.txt new.txt --rtol 1e-13
+    python3 tools/output_digest.py --compare old.txt new.txt --rtol 1e-13 --atol 1e-11
 """
 
 import argparse
@@ -203,13 +207,22 @@ def _relative_move(old, new):
     return abs(new - old) / max(abs(old), abs(new))
 
 
-def compare(old_path, new_path, rtol):
-    """Print the moves between two ``--values`` outputs; 1 when one exceeds ``rtol``."""
+def _within(old, new, rtol, atol):
+    """|new - old| <= max(atol, rtol max(|old|, |new|)), NaN matching NaN."""
+    move = _relative_move(old, new)
+    return move <= rtol or (math.isfinite(move) and abs(new - old) <= atol)
+
+
+def compare(old_path, new_path, rtol, atol=0.0):
+    """Print the moves between two ``--values`` outputs; 1 when one exceeds its tolerance.
+
+    A number passes when it moved by at most max(atol, rtol max(|old|, |new|)).
+    """
     old, new = _parse_values(old_path), _parse_values(new_path)
     if len(old) != len(new):
         print(f"{len(old)} lines in {old_path}, {len(new)} in {new_path}")
         return 1
-    worst = 0.0
+    worst, failed = 0.0, False
     for (key, before), (new_key, after) in zip(old, new):
         if key != new_key or len(before) != len(after):
             print(f"line {key!r} became {new_key!r} with {len(after)} numbers")
@@ -218,8 +231,10 @@ def compare(old_path, new_path, rtol):
         if move:
             print(f"{move:.3g} {key}")
         worst = max(worst, move)
-    print(f"{len(old)} lines, largest relative move {worst:.3g} (rtol {rtol:g})")
-    return int(worst > rtol)
+        failed |= not all(_within(a, b, rtol, atol) for a, b in zip(before, after))
+    floor = f", atol {atol:g}" if atol else ""
+    print(f"{len(old)} lines, largest relative move {worst:.3g} (rtol {rtol:g}{floor})")
+    return int(failed)
 
 
 def main(argv):
@@ -233,9 +248,12 @@ def main(argv):
                         help="compare two saved --values outputs")
     parser.add_argument("--rtol", type=float, default=0.0,
                         help="largest relative move --compare accepts (default 0)")
+    parser.add_argument("--atol", type=float, default=0.0,
+                        help="absolute move --compare accepts whatever the relative one "
+                             "(default 0)")
     args = parser.parse_args(argv[1:])
     if args.compare:
-        return compare(*args.compare, args.rtol)
+        return compare(*args.compare, args.rtol, args.atol)
     if args.src_dir is None:
         parser.error("need SRC_DIR or --compare OLD NEW")
     calls = [(seed, call) for seed in SEEDS for name in workloads.NAMES
