@@ -15,13 +15,17 @@ quadratic form  sum_faces c_f (v_i - v_j)^2 / dx^2 + sum_nodes V v^2, which
 makes Dirichlet domain monotonicity in L exact at fixed spacing.
 
 Far from the bend every coefficient is 1 and V is 0 to the last bit, and
-the s-slices there have exactly the free operator's rows.  Assembly
-computes each face and diagonal value on the whole grid, with the
-stencil's own arithmetic, and an s-slice whose values all equal the free
-operator's gets the free slice's CSR rows, tiled: its values repeated,
-its columns shifted by the slice width.  Only the other slices go
-through the stencil, and the matrix is the one the stencil alone would
-give, bit for bit.
+the s-slices there have exactly the free operator's rows.  Assembly is
+the one place that decides which slices those are.  It computes each
+face and diagonal value on the whole grid, with the stencil's own
+arithmetic, and a slice is free when every value its rows read equals
+the free operator's: its diagonal, and each face that touches one of its
+unknowns.  A free slice between two others gets the free slice's CSR
+rows, tiled: its values repeated, its columns shifted by the slice
+width.  Only the other slices go through the stencil, and the matrix is
+the one the stencil alone would give, bit for bit.  The Hamiltonian's
+operator carries the runs of free slices at its walls, which the solver
+eliminates exactly.
 """
 
 from __future__ import annotations
@@ -162,9 +166,11 @@ class TruncatedGrid:
         return S, U
 
     def interior_coordinates(self):
-        S, U = self.node_coordinates()
-        act = self.active()
-        return S[act], U[act]
+        """(S, U) at the unknowns, in row order: each interior slice's active nodes."""
+        at = np.nonzero(self.t_interior)
+        U = np.stack([ax[i] for ax, i in zip(self.t_axes, at)], axis=-1)
+        slices = self.s_nodes.size - 2
+        return np.repeat(self.s_nodes[1:-1], at[0].size), np.tile(U, (slices, 1))
 
 
 def _axis_nodes(half_length, spacing):
@@ -178,13 +184,21 @@ def _axis_nodes(half_length, spacing):
     return -half_length + spacing * np.arange(n + 1)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DiscreteOperator:
-    """Sparse real matrix on the interior nodes of a truncated grid."""
+    """Sparse real matrix on the interior nodes of a truncated grid.
+
+    ``free_ends`` are the numbers of s-slices at the left and at the right
+    wall whose rows are exactly the free operator's, with at least one
+    slice between the two runs; the solver eliminates them exactly.  Only
+    :func:`assemble_hamiltonian` sets them.  The default (0, 0) claims no
+    free slice, and is always safe: the whole matrix is then the core.
+    """
 
     matrix: sp.spmatrix
     grid: TruncatedGrid
     tag: str
+    free_ends: tuple = (0, 0)
 
     @property
     def shape(self):
@@ -340,7 +354,7 @@ def _axis_pair_slices(shape, axis):
     return tuple(lo), tuple(hi)
 
 
-def _around_inner(ndim, axis, faces=slice(None)):
+def _around_inner(ndim, axis, faces):
     """Index of the ``faces`` along ``axis`` of a face array, on the inner nodes across it."""
     index = [slice(1, -1)] * ndim
     index[axis] = faces
@@ -401,16 +415,18 @@ def _stencil_rows(t_interior, faces, diag, first, stop):
 
 
 def _assemble_divergence_form(grid, coefficient_arrays, diagonal=None):
-    """Matrix of sum_k (-d_k c_k d_k), plus ``diagonal`` on the unknowns.
+    """Matrix of sum_k (-d_k c_k d_k), plus ``diagonal`` on the unknowns, and its free ends.
 
     ``coefficient_arrays[k]`` holds the nodal values of c_k on the full
     tensor grid, and every face gets the mean of its two nodal values, so
     the matrix is exactly symmetric.  It is returned in canonical CSR form
-    with no zero entry.  An s-slice between two others whose diagonal and
-    faces equal the free operator's (every c_k = 1, no diagonal) bit for
-    bit gets the free slice's rows, tiled: only the other slices go
-    through the stencil.  The faces compared are those that touch a node
-    inside the bounding box of the cross-section.
+    with no zero entry.  An s-slice is free when the values its rows read,
+    its diagonal and every face that touches one of its unknowns, equal
+    the free operator's (every c_k = 1, no diagonal) bit for bit.  A free
+    slice between two others gets the free slice's rows, tiled: only the
+    other slices go through the stencil.  The free ends are the numbers
+    of free slices from the left and from the right wall, leaving at
+    least one slice between them.
     """
     t_interior = grid.t_interior
     faces, diag = _faces(grid.spacings, coefficient_arrays, t_interior)
@@ -421,11 +437,16 @@ def _assemble_divergence_form(grid, coefficient_arrays, diagonal=None):
     free_faces, free_diag = _faces(grid.spacings,
                                    [np.ones((5,) + t_interior.shape)] * len(faces), t_interior)
     rows = _stencil_rows(t_interior, free_faces, free_diag, 1, 2)
-    tiled = np.all(diag == free_diag[1], axis=1)
-    for axis, (cf, free) in enumerate(zip(faces, free_faces)):
-        inner = _around_inner(cf.ndim, axis)
-        same = (cf[inner] == free[inner][1:2]).reshape(cf[inner].shape[0], -1).all(axis=1)
-        tiled &= same[:-1] & same[1:] if axis == 0 else same
+    free = np.all(diag == free_diag[1], axis=1)
+    across = np.all(faces[0][:, t_interior] == free_faces[0].flat[0], axis=1)
+    free &= across[:-1] & across[1:]
+    for axis in range(1, len(faces)):
+        lo, hi = _axis_pair_slices(t_interior.shape, axis - 1)
+        touching = t_interior[lo] | t_interior[hi]
+        free &= np.all(faces[axis][1:-1, touching] == free_faces[axis].flat[0], axis=1)
+    left = min(int(np.cumprod(free).sum()), slices - 1)
+    right = min(int(np.cumprod(free[::-1]).sum()), slices - 1 - left)
+    tiled = free.copy()
     tiled[[0, -1]] = False                   # a wall slice has one s-coupling
     bounds = np.r_[0, np.flatnonzero(np.diff(tiled)) + 1, slices]
     runs = [(first, stop, None if tiled[first] else
@@ -450,7 +471,7 @@ def _assemble_divergence_form(grid, coefficient_arrays, diagonal=None):
     np.cumsum(indptr, out=indptr)
     m = sp.csr_matrix((data, indices, indptr), shape=(n, n))
     m.has_canonical_format = True
-    return m
+    return m, (left, right)
 
 
 def _require_resolution(grid):
@@ -471,8 +492,8 @@ def assemble_hamiltonian(coeffs, potential, grid, tag="H"):
     if potential is not None:
         s_i, u_i = grid.interior_coordinates()
         diagonal = np.asarray(potential(s_i, u_i), dtype=float)
-    return DiscreteOperator(matrix=_assemble_divergence_form(grid, arrays, diagonal),
-                            grid=grid, tag=tag)
+    m, free_ends = _assemble_divergence_form(grid, arrays, diagonal)
+    return DiscreteOperator(matrix=m, grid=grid, tag=tag, free_ends=free_ends)
 
 
 def assemble_free_hamiltonian(grid):
@@ -493,7 +514,7 @@ def assemble_weighted_form_hamiltonian(metric, grid):
     S, U = grid.node_coordinates()
     h_nodes = np.ascontiguousarray(metric.h(S, U))
     arrays = [1.0 / h_nodes] + [h_nodes] * grid.transverse_dim
-    k = _assemble_divergence_form(grid, arrays)
+    k, _ = _assemble_divergence_form(grid, arrays)
     act = grid.active()
     d_half = sp.diags(h_nodes[act] ** -0.5)
     m = (d_half @ k @ d_half).tocsr()

@@ -20,19 +20,18 @@ Every grid stores s as the slowest index, so A - sigma I is banded, its
 half-bandwidth the number of transverse nodes per slice.  Far from the
 bend A is bitwise the free Kronecker sum T_s x I + I x H_perp: the runs
 of s-slices at each wall whose rows are the free operator's, its
-one-slice block D and the coupling -1/ds^2.  Each slice's rows are one
-contiguous segment of A's CSR arrays, so the runs are found by comparing
-those segments with the free operator's rows, shifted.  Every ladder
-solve factorizes A - sigma I once and ARPACK solves through that factor.
-The factor eliminates those straight ends exactly, a discrete
-transparent boundary on the same truncated problem: in the modes of
-D - sigma I each end is a set of uncoupled tridiagonals (LAPACK dpttrf),
-whose Schur term goes onto the neighbouring slice of the curved core,
-and only the core is factored by banded Cholesky (LAPACK dpbtrf), from
-the lower triangle of the core's own rows and columns: only the
-symmetry check, that scan and the residuals read the whole matrix.  A
-matrix with no grid, or with no exactly free slice at its walls, is all
-core.
+one-slice block D and the coupling -1/ds^2.  The assembly decides which
+slices those are, and the operator carries the two runs as its
+``free_ends``.  Every ladder solve factorizes A - sigma I once and
+ARPACK solves through that factor.  The factor eliminates those straight
+ends exactly, a discrete transparent boundary on the same truncated
+problem: in the modes of D - sigma I each end is a set of uncoupled
+tridiagonals (LAPACK dpttrf), whose Schur term goes onto the
+neighbouring slice of the curved core, and only the core is factored by
+banded Cholesky (LAPACK dpbtrf), from the lower triangle of the core's
+own rows and columns: only the symmetry check and the residuals read the
+whole matrix.  A matrix with no grid, or an operator with no free end,
+is all core.
 
 Lanczos runs only on the unknowns that carry the eigenvectors: the
 core's, and in each end each transverse mode's slices next to the core.
@@ -175,71 +174,10 @@ def lower_band(matrix):
     return _scatter_band(_lower_entries(matrix))
 
 
-def _free_slices(grid, count=1):
-    """The free Hamiltonian on ``count`` s-slices of ``grid``'s cross-section and s-spacing."""
-    s_nodes = grid.s_spacing * (np.arange(count + 2) - 0.5 * (count + 1))
+def _free_slices(grid):
+    """The free Hamiltonian on one s-slice of ``grid``'s cross-section and s-spacing."""
+    s_nodes = grid.s_spacing * (np.arange(3) - 1.0)
     return assemble_free_hamiltonian(TruncatedGrid(s_nodes, grid.t_axes, grid.t_interior)).matrix
-
-
-def _slice_rows(m, width, j):
-    """The rows of s-slice j of a CSR m: data, columns from the slice's first unknown, pointers."""
-    a, b = m.indptr[j * width], m.indptr[(j + 1) * width]
-    return m.data[a:b], m.indices[a:b] - j * width, m.indptr[j * width:(j + 1) * width + 1] - a
-
-
-def _slices_match(m, width, first, stop, rows):
-    """Whether each s-slice first .. stop - 1 of m holds exactly ``rows``, shifted to it.
-
-    ``rows`` are :func:`_slice_rows`, and every slice in the range holds
-    as many entries, so the slices' segments of m's CSR arrays are
-    compared with them in one pass.
-    """
-    data, columns, pointers = rows
-    count = stop - first
-    a = m.indptr[first * width]
-    segment = slice(a, a + count * data.size)
-    starts = m.indptr[first * width:stop * width].reshape(count, width)
-    shift = width * np.arange(first, stop, dtype=m.indices.dtype)[:, None]
-    return (np.all(m.data[segment].reshape(count, -1) == data, axis=1)
-            & np.all(m.indices[segment].reshape(count, -1) - shift == columns, axis=1)
-            & np.all(starts - starts[:, :1] == pointers[:-1], axis=1))
-
-
-def _straight_ends(m, grid):
-    """Unknowns per s-slice, and the slices at each wall where m is exactly free.
-
-    Returns ``(width, left, right, block)``: ``left`` and ``right`` are the
-    lengths of the runs of slices that start at the left and the right
-    wall and match the free operator bitwise, and ``block`` is the free
-    one-slice block.  A slice matches when its CSR rows are those of the
-    free operator on three slices (:func:`_free_slices`), shifted to it:
-    the first's at the left wall, the last's at the right wall and the
-    middle one's elsewhere.  A run ends at the first slice that holds
-    another number of entries, and the slices up to it are compared, one
-    contiguous CSR segment each.  The runs leave at least one slice
-    between them.  Without a grid m is one slice of n unknowns, with no
-    free end.
-    """
-    n = m.shape[0]
-    if grid is None:
-        return n, 0, 0, None
-    width = int(grid.t_interior.sum())
-    slices = n // width
-    free = _free_slices(grid, 3)
-    wall, middle, far_wall = (_slice_rows(free, width, j) for j in range(3))
-    m = sp.csr_matrix(m)
-    count = np.diff(m.indptr[::width])
-    inner = count[1:-1] == middle[0].size
-    a = 1 + int(np.cumprod(inner).sum())
-    b = slices - 1 - int(np.cumprod(inner[::-1]).sum())
-    ok = np.zeros(slices, dtype=bool)
-    for first, stop, rows in ((0, 1, wall), (1, a, middle), (max(a, b), slices - 1, middle),
-                              (slices - 1, slices, far_wall)):
-        if first < stop and np.all(count[first:stop] == rows[0].size):
-            ok[first:stop] = _slices_match(m, width, first, stop, rows)
-    left = min(int(np.cumprod(ok).sum()), slices - 1)
-    right = min(int(np.cumprod(ok[::-1]).sum()), slices - 1 - left)
-    return width, left, right, free[width:2 * width, width:2 * width]
 
 
 @dataclass(frozen=True)
@@ -260,7 +198,7 @@ class _Factor:
     """m - sigma I factored, its exactly straight ends eliminated in modes.
 
     Made by :func:`_factorize`.  The ``core`` slices between the free end
-    runs of ``_straight_ends`` (``slices`` in all) hold the banded
+    runs of :func:`_free_ends` (``slices`` in all) hold the banded
     Cholesky factor ``band`` of their Schur complement.  The factor acts
     on K, its ``size`` unknowns: the core's nodes, then for each
     :class:`_End` each transverse mode's ``kept`` slices next to the core,
@@ -321,11 +259,15 @@ class _Factor:
         return x
 
 
-def _free_ends(m, grid):
-    """``_straight_ends`` of m, its free block diagonalized, and where its modes may be cut.
+def _free_ends(op):
+    """The free ends of op, their block diagonalized, and where its modes may be cut.
 
-    Returns ``(width, left, right, lam, psi, reach, limit)``: D = Psi
-    diag(lam) Psi^T for the free block D, whose modes have the transverse
+    Returns ``(width, left, right, lam, psi, reach, limit)``: ``width``
+    unknowns per s-slice, and ``left`` and ``right`` the operator's
+    ``free_ends``, the runs of slices at each wall whose rows are exactly
+    the free operator's.  A matrix with no grid is one slice of all its
+    unknowns, with no free end.  D = Psi diag(lam) Psi^T for the free
+    one-slice block D (:func:`_free_slices`), whose modes have the transverse
     thresholds nu_t(h) = lam_t - 2/ds^2, and ``limit`` the midpoint
     Lambda of nu_1(h) and the next distinct threshold (inf when there is
     none).  Below Lambda a mode t with nu_t(h) > Lambda is evanescent in
@@ -335,10 +277,13 @@ def _free_ends(m, grid):
     mode it is inf.  None of this depends on the shift, so one call
     serves every shift tried.
     """
-    width, left, right, block = _straight_ends(m, grid)
+    if not isinstance(op, DiscreteOperator):
+        return op.shape[0], 0, 0, None, None, None, np.inf
+    grid, (left, right) = op.grid, op.free_ends
+    width = int(grid.t_interior.sum())
     if not (left or right):
         return width, left, right, None, None, None, np.inf
-    lam, psi = np.linalg.eigh(block.toarray())
+    lam, psi = np.linalg.eigh(_free_slices(grid).toarray())
     c = 1.0 / grid.s_spacing**2
     nu = lam - 2.0 * c
     # a threshold within roundoff of nu_1 is nu_1 again, not the next one
@@ -368,8 +313,8 @@ def _factorize(core, sigma, grid=None, ends=None, cut=True):
 
     ``core`` is m's :func:`_core_entries`, ``grid`` its grid and
     ``ends`` its :func:`_free_ends`; without them m is all core.  The
-    free block of ``_straight_ends`` is diagonalized,
-    D - sigma I = Psi diag(delta_t) Psi^T.  A free run of p slices at a
+    free one-slice block is diagonalized, D - sigma I = Psi diag(delta_t)
+    Psi^T.  A free run of p slices at a
     wall is then, in modes, m uncoupled tridiagonals
     T_t = tridiag(-c, delta_t, -c) of order p, c = 1/ds^2, each ordered
     from the wall to the core and all factored by one dpttrf call; the
@@ -477,14 +422,16 @@ def lowest_eigenvalues(op, k, below=None, start=None, overwrite_start=False):
     eigenvalue of the previous ladder level -- placed at
     ``below - 1e-3 * max(1, |below|)``, or at -1 without a hint.
     M - sigma I is factorized once by :func:`_factorize` and ARPACK
-    solves with that factor: for a DiscreteOperator, the exactly free
-    s-slices at its walls are eliminated in transverse modes and the
-    curved core between them is factored by banded Cholesky, from the
-    core's rows alone; any other matrix is all core.  The factorization certifies the shift before
-    any solve: it exists only when no eigenvalue lies at or below sigma,
-    and then the k eigenvalues nearest sigma are the k lowest.  When it does
-    not exist, the distance of sigma below the hint is doubled and M
-    factorized again.  ARPACK runs on the factor's K, the core and each
+    solves with that factor: the ``free_ends`` of a DiscreteOperator,
+    its exactly free s-slices at each wall, are eliminated in transverse
+    modes and the curved core between them is factored by banded
+    Cholesky, from the core's rows alone.  An operator whose
+    ``free_ends`` are (0, 0), and a matrix with no grid, are all core.
+    The factorization certifies the shift before any solve: it exists
+    only when no eigenvalue lies at or below sigma, and then the k
+    eigenvalues nearest sigma are the k lowest.  When it does not exist,
+    the distance of sigma below the hint is doubled and M factorized
+    again.  ARPACK runs on the factor's K, the core and each
     end's modes cut where they have decayed below roundoff (module
     docstring); when the k-th Ritz value reaches the cut limit, or K
     holds no more than k unknowns, it runs again with every chain whole.
@@ -525,7 +472,7 @@ def lowest_eigenvalues(op, k, below=None, start=None, overwrite_start=False):
     step = _SHIFT_OFFSET * max(1.0, abs(anchor))
     sigma = anchor if below is None else anchor - step
     grid = op.grid if isinstance(op, DiscreteOperator) else None
-    ends = _free_ends(m, grid)
+    ends = _free_ends(op)
     core = _core_entries(m, ends)
     width, left, right = ends[:3]
     # a free end's rows are the free operator's: they reach one slice away, no further
@@ -869,10 +816,10 @@ def assemble_commutator(coeffs, potential, grid):
     """
     S, U = grid.node_coordinates()
     g_nodes = np.ascontiguousarray(coeffs.axis_coefficient(0, S, U))
-    kinetic = _assemble_divergence_form(grid, [g_nodes])
+    kinetic, _ = _assemble_divergence_form(grid, [g_nodes])
 
     q_g1 = np.ascontiguousarray(S * coeffs.g_ss_s(S, U))
-    middle = _assemble_divergence_form(grid, [q_g1])
+    middle, _ = _assemble_divergence_form(grid, [q_g1])
 
     m = 2.0 * kinetic - middle
     if potential is not None:

@@ -25,7 +25,7 @@ from tubespectra import (
     richardson_extrapolate,
     tabulated_function,
 )
-from tubespectra import operators, spectral
+from tubespectra import operators
 from tubespectra.cli import grid_for
 
 NU1 = np.pi**2 / 4.0
@@ -213,6 +213,19 @@ def test_disc_grid_assembles_and_is_symmetric():
     assert 4.0 < vals[0] < 8.0
 
 
+@pytest.mark.parametrize("grid", [
+    TruncatedGrid.interval(64.0, 1.0 / 32.0, 1.0),
+    TruncatedGrid.box(16.0, 1.0 / 16.0, (0.5, 0.5)),
+    TruncatedGrid.disc(16.0, 1.0 / 8.0, 1.0),
+], ids=["interval", "box", "disc"])
+def test_the_interior_coordinates_are_the_node_coordinates_at_the_unknowns(grid):
+    S, U = grid.node_coordinates()
+    act = grid.active()
+    for got, want in zip(grid.interior_coordinates(), (S[act], U[act])):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
+
+
 def test_too_coarse_transverse_grid_is_refused():
     grid = TruncatedGrid.interval(4.0, 0.5, 1.0)  # 3 interior u nodes
     with pytest.raises(ResolutionError):
@@ -342,7 +355,7 @@ def test_the_assembly_is_the_coordinate_format_one_bit_for_bit(bump_metric, d3_t
     op = assemble_hamiltonian(coeffs, potential, grid)
     assert_same_csr(op.matrix, reference_hamiltonian(coeffs, potential, grid))
     # the ends are free: they were tiled from the free slice
-    assert spectral._straight_ends(op.matrix, grid)[1] > 0
+    assert op.free_ends[0] > 0
 
 
 def test_the_weighted_form_and_the_commutator_are_the_reference_bit_for_bit(bump_metric):
@@ -405,10 +418,13 @@ def test_an_end_slice_is_tiled_only_where_its_values_are_free_bit_for_bit(monkey
         return stencil(t_interior, faces, diag, first, stop)
 
     monkeypatch.setattr(operators, "_stencil_rows", recorded)
-    m = operators._assemble_divergence_form(grid, arrays)
+    m, free_ends = operators._assemble_divergence_form(grid, arrays)
     assert_same_csr(m, reference_divergence_form(grid, arrays))
     through_stencil = {i for first, stop in runs for i in range(first, stop)}
     assert through_stencil == ({0, slices - 1} | ({j - 1, j, j + 1} if stenciled else set()))
+    # the runs stop short of the stenciled slices; with none, the left run
+    # is every slice but the last
+    assert free_ends == ((j - 1, slices - j - 2) if stenciled else (slices - 1, 0))
 
 
 # ---------------------------------------------------------------------------

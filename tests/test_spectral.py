@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -8,6 +10,7 @@ from tubespectra import (
     CrossSection,
     CurvatureProfile,
     DiagnosticsError,
+    DiscreteOperator,
     EffectivePotential,
     InputError,
     SpectralReport,
@@ -25,7 +28,7 @@ from tubespectra import (
     mourre_check_free,
     richardson_extrapolate,
 )
-from tubespectra import spectral
+from tubespectra import operators, spectral
 from tubespectra.cli import hamiltonian_recipe
 from dilation import assemble_dilation, commutator_form_comparison
 
@@ -250,11 +253,12 @@ def bent_level(bump_metric):
     return hamiltonian_recipe(bump_metric, CrossSection.interval(1.0))(16.0, 0.125)
 
 
-def _factors(m, grid, sigma, cut=True):
-    """m - sigma I factored with its free ends eliminated, and factored all core."""
-    ends = spectral._free_ends(m, grid)
-    factor = spectral._factorize(spectral._core_entries(m, ends), sigma, grid, ends, cut=cut)
-    return factor, spectral._factorize(spectral._lower_entries(m), sigma)
+def _factors(op, sigma, cut=True):
+    """op - sigma I factored with its free ends eliminated, and factored all core."""
+    ends = spectral._free_ends(op)
+    factor = spectral._factorize(spectral._core_entries(op.matrix, ends), sigma, op.grid, ends,
+                                 cut=cut)
+    return factor, spectral._factorize(spectral._lower_entries(op.matrix), sigma)
 
 
 def _assert_solves_on_k(factor, full, seed):
@@ -273,14 +277,14 @@ def _assert_solves_on_k(factor, full, seed):
 def test_the_straight_ends_are_eliminated_exactly(bent_level, d3_recipe, cross_section, length,
                                                   spacing, sigma):
     op = bent_level if cross_section is None else d3_recipe(cross_section)(length, spacing)
-    width, left, right, _ = spectral._straight_ends(op.matrix, op.grid)
+    left, right = op.free_ends
     s = op.grid.s_nodes[1:-1]
-    assert width == op.grid.t_interior.sum() and left > 0 and right > 0
+    assert left > 0 and right > 0
     # the bumps are curved to roundoff out to |s| = 6: all of that is core
     core = np.abs(s) < 6.0
     assert not core[:left].any() and not core[s.size - right:].any()
-    factor, full = _factors(op.matrix, op.grid, sigma)
-    whole, _ = _factors(op.matrix, op.grid, sigma, cut=False)
+    factor, full = _factors(op, sigma)
+    whole, _ = _factors(op, sigma, cut=False)
     assert (factor.core, factor.slices) == (s.size - left - right, s.size)
     assert (full.core, full.slices) == (1, 1)  # no grid: one slice, all core
     assert whole.size == full.size == op.shape[0] > factor.size
@@ -296,17 +300,15 @@ def test_the_straight_ends_are_eliminated_exactly(bent_level, d3_recipe, cross_s
 def test_a_changed_coupling_or_a_missing_entry_ends_a_free_run():
     grid = TruncatedGrid.interval(4.0, 0.125, 1.0)
     m, n_s = int(grid.t_interior.sum()), grid.s_nodes.size - 2
-    a = assemble_free_hamiltonian(grid).matrix.tolil()
-    i, j = 3 * m, 3 * m + 1             # a transverse coupling of slice 3, dropped
-    a[i, j] = a[j, i] = 0.0
-    f = n_s - 5                         # the coupling of slices f and f + 1, changed
-    i, j = (f + 1) * m + 2, f * m + 2
-    a[i, j] = a[j, i] = 1.001 * a[i, j]
-    a = a.tocsr()
-    a.eliminate_zeros()
-    # the runs stop short of slice 3 and of slice f + 1, whose own blocks are free
-    assert spectral._straight_ends(a, grid)[1:3] == (3, n_s - f - 2)
-    _assert_solves_on_k(*_factors(a, grid, 1.0), 5)
+    g, c = np.ones(grid.full_shape), np.ones(grid.full_shape)
+    c[4, 1] = c[4, 2] = 0.0             # slice 3's transverse face between its unknowns 0 and 1
+    f = n_s - 5                         # G^11 at slice f's unknown 2, changed: its two s-faces
+    g[f + 1, 3] = 1.001
+    a, runs = operators._assemble_divergence_form(grid, [g, c])
+    assert 3 * m + 1 not in a[3 * m].indices       # the zero face's entry is missing
+    # the runs stop short of slice 3 and of slice f + 1, coupled to slice f by a changed face
+    assert runs == (3, n_s - f - 2)
+    _assert_solves_on_k(*_factors(DiscreteOperator(a, grid, "H", runs), 1.0), 5)
 
 
 def _one_node(s, u, at):
@@ -325,30 +327,70 @@ def _one_node(s, u, at):
 def test_one_perturbed_node_ends_a_free_run(grid, node, runs):
     op = assemble_hamiltonian(CoefficientField(None),
                               lambda s, u: 1e-3 * _one_node(s, u, node), grid)
-    assert spectral._straight_ends(op.matrix, grid)[1:3] == runs
-    _assert_solves_on_k(*_factors(op.matrix, grid, 1.0), 6)
+    assert op.free_ends == runs
+    _assert_solves_on_k(*_factors(op, 1.0), 6)
 
 
-def test_a_retried_shift_scans_the_straight_ends_once(bent_level, monkeypatch):
-    # neither the free runs nor the free block's modes depend on the shift
+@pytest.mark.parametrize("case", ["interval", "rectangle", "disc", "disc-node"])
+def test_the_free_ends_are_the_wall_runs_of_slices_with_the_free_rows(bent_level, d3_recipe,
+                                                                       case):
+    if case == "interval":
+        op = bent_level
+    elif case == "rectangle":
+        op = d3_recipe("shape = rectangle\nside_x = 1.0\nside_y = 1.0")(16.0, 0.125)
+    elif case == "disc":
+        op = d3_recipe("shape = disc\nradius = 1.0")(16.0, 1.0 / 6.0)
+    else:
+        op = assemble_hamiltonian(CoefficientField(None),
+                                  lambda s, u: 1e-3 * _one_node(s, u, (-1.0, -0.75, 0.25)),
+                                  TruncatedGrid.disc(2.0, 0.25, 1.0))
+    # a slice is free when its CSR rows are the free operator's on the same
+    # grid, bit for bit: the free slice's rows shifted to it (a wall's at a wall)
+    free = assemble_free_hamiltonian(op.grid).matrix
+    width = int(op.grid.t_interior.sum())
+    last = op.shape[0] // width - 1
+
+    def is_free(j):
+        rows = slice(j * width, (j + 1) * width)
+        return not (op.matrix[rows] != free[rows]).nnz
+
+    left, right = op.free_ends
+    assert all(map(is_free, range(left))) and not is_free(left)
+    assert all(is_free(last - j) for j in range(right)) and not is_free(last - right)
+
+
+def test_an_operator_built_by_hand_and_a_raw_matrix_solve_all_core(bent_level):
+    op = bent_level
+    by_hand = DiscreteOperator(op.matrix, op.grid, "by hand")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        by_hand.free_ends = op.free_ends
+    assembled, hand, raw = (lowest_eigenvalues(a, 3) for a in (op, by_hand, op.matrix))
+    assert assembled.core < assembled.slices == hand.core == hand.slices
+    assert (raw.core, raw.slices) == (1, 1)
+    for solved in (hand, raw):
+        np.testing.assert_allclose(solved[0], assembled[0], rtol=1e-12)
+
+
+def test_a_retried_shift_diagonalizes_the_free_block_once(bent_level, monkeypatch):
+    # the free block's modes do not depend on the shift
     op = bent_level
     lam0 = lowest_eigenvalues(op, 1)[0][0]
-    scans, shifts = [], []
-    straight_ends, factorize = spectral._straight_ends, spectral._factorize
+    blocks, shifts = [], []
+    free_slices, factorize = spectral._free_slices, spectral._factorize
 
-    def counted_scan(*args):
-        scans.append(args)
-        return straight_ends(*args)
+    def counted_block(grid):
+        blocks.append(grid)
+        return free_slices(grid)
 
     def counted_factorize(*args):
         shifts.append(args[1])
         return factorize(*args)
 
-    monkeypatch.setattr(spectral, "_straight_ends", counted_scan)
+    monkeypatch.setattr(spectral, "_free_slices", counted_block)
     monkeypatch.setattr(spectral, "_factorize", counted_factorize)
     solved = lowest_eigenvalues(op, 1, below=lam0 + 0.1)
     assert shifts[0] > lam0 and len(shifts) > 2 and solved.shift == shifts[-1] < lam0
-    assert len(scans) == 1 and scans[0][0] is op.matrix
+    assert blocks == [op.grid]
 
 
 def test_the_factor_certifies_exactly_the_shifts_the_full_band_does(bent_level):
@@ -357,7 +399,7 @@ def test_the_factor_certifies_exactly_the_shifts_the_full_band_does(bent_level):
     assert np.all(residuals < 1e-11)
     near = [lam * (1.0 + t) for lam in (lam0, lam1) for t in (-1e-9, 1e-9)]
     sigmas = np.r_[np.linspace(lam0 - 0.05, lam1 + 0.05, 21), near]
-    factors = [_factors(op.matrix, op.grid, sigma) for sigma in sigmas]
+    factors = [_factors(op, sigma) for sigma in sigmas]
     certified = [factor is not None for factor, _ in factors]
     assert certified == [full is not None for _, full in factors]
     assert certified == list(sigmas < lam0)
@@ -365,8 +407,8 @@ def test_the_factor_certifies_exactly_the_shifts_the_full_band_does(bent_level):
 
 @pytest.mark.parametrize("case", ["bent", "straight"])
 def test_the_factor_reads_only_the_core_rows(bent_level, monkeypatch, case):
-    # the whole matrix is read once for its symmetry and once for the free
-    # ends; the factor gets the lower entries of the core's rows and columns
+    # the whole matrix is read for its symmetry; the factor gets the lower
+    # entries of the core's rows and columns
     op = bent_level
     if case == "straight":  # its core is one slice
         op = assemble_free_hamiltonian(TruncatedGrid.interval(24.0, 0.125, 1.0))
@@ -377,7 +419,7 @@ def test_the_factor_reads_only_the_core_rows(bent_level, monkeypatch, case):
     monkeypatch.setattr(spectral, "_factorize", lambda core, *args, **kw:
                         factored.append(core) or factorize(core, *args, **kw))
     solved = lowest_eigenvalues(op, 2)
-    width, left, right, _ = spectral._straight_ends(op.matrix, op.grid)
+    (left, right), width = op.free_ends, int(op.grid.t_interior.sum())
     assert left and right == (case == "bent") * left and solved.core < solved.slices
     lo, hi = left * width, op.shape[0] - right * width
     core = op.matrix[lo:hi, lo:hi]
@@ -420,7 +462,7 @@ def test_lanczos_on_the_cut_ends_gives_the_whole_chain_values(bump_metric, d3_re
 def test_a_ritz_value_past_the_cut_limit_solves_again_with_whole_chains(bump_metric,
                                                                         monkeypatch):
     op = hamiltonian_recipe(bump_metric, CrossSection.interval(1.0))(8.0, 1.0 / 16.0)
-    ends = spectral._free_ends(op.matrix, op.grid)
+    ends = spectral._free_ends(op)
     core = spectral._core_entries(op.matrix, ends)
     sizes, factored = [], []
     shift_invert, factorize = spectral._shift_invert, spectral._factorize
@@ -464,7 +506,7 @@ def test_a_straight_tube_is_free_ends_around_one_core_slice():
     for spacing in LADDER:
         grid = TruncatedGrid.interval(24.0, spacing, 1.0)
         op = assemble_free_hamiltonian(grid)
-        _, left, right, _ = spectral._straight_ends(op.matrix, grid)
+        left, right = op.free_ends
         solved = lowest_eigenvalues(op, 1)
         width = int(grid.t_interior.sum())
         assert left + right + 1 == solved.slices == grid.s_nodes.size - 2
@@ -483,8 +525,7 @@ def test_a_power_tail_strip_has_no_free_slice_and_solves_all_core():
     profile = CurvatureProfile([power_tail(0.5, 1.0, 2.5)], (-1e4, 1e4))
     recipe = hamiltonian_recipe(metric_from_profile(profile, 1.0), CrossSection.interval(1.0))
     op = recipe(8.0, 0.125)
-    _, left, right, _ = spectral._straight_ends(op.matrix, op.grid)
-    assert left == right == 0
+    assert op.free_ends == (0, 0)
     solved = lowest_eigenvalues(op, 2)
     assert solved.core == solved.slices == op.grid.s_nodes.size - 2
     # all core is the full band: the same solve, bit for bit

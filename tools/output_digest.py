@@ -7,14 +7,16 @@
 Runs the calls of the perfbench workloads (problem files from
 ``perfbench/workloads.py``) at seeds 0 and 7: the bent-strip and rect-tube
 ``spectrum``, the five screen ``check`` problems and the interval
-``mourre`` table.  Four more calls, printed under seed 0, cover what no
+``mourre`` table.  Five more calls, printed under seed 0, cover what no
 workload runs: a ``spectrum`` call on the smoke-scale bent strip without
-its ``domain_length`` (the domain-length doubling rule), an ``export``
-call on each of the bent-strip and rect-tube problem files (``mesh.txt``
-and ``mesh_metric.csv``), and a ``check`` call on the README's ``ini``
-block, which sets every ``[numerics]`` and ``[outputs]`` key but
-``truncation_tol`` and ``mourre_windows``, so that the resolved config
-its report embeds has nearly every key.  Each call is a
+its ``domain_length`` (the domain-length doubling rule), a ``spectrum``
+call on the smoke-scale rect-tube with a unit-disc cross-section (the
+only ladder on a cross-section that does not fill its grid's bounding
+box), an ``export`` call on each of the bent-strip and rect-tube problem
+files (``mesh.txt`` and ``mesh_metric.csv``), and a ``check`` call on
+the README's ``ini`` block, which sets every ``[numerics]`` and
+``[outputs]`` key but ``truncation_tol`` and ``mourre_windows``, so that
+the resolved config its report embeds has nearly every key.  Each call is a
 ``python -m tubespectra.cli`` subprocess with ``PYTHONPATH=SRC_DIR`` in
 a fresh directory; a call whose problem file an earlier seed already ran
 is not repeated.  Prints one line per call: its exit code and the
@@ -77,6 +79,11 @@ DOUBLING_RULE = workloads.Call(
     "bent-strip-doubling", "spectrum",
     "\n".join(line for line in workloads.bent_strip_ini("smoke").splitlines()
               if not line.startswith("domain_length")),
+)
+DISC = workloads.Call(
+    "disc-tube", "spectrum",
+    workloads.rect_tube_ini("smoke").replace("shape = rectangle\nside_x = 1.0\nside_y = 1.0",
+                                             "shape = disc\nradius = 1.0"),
 )
 EXPORTS = [workloads.Call("bent-strip", "export", workloads.bent_strip_ini()),
            workloads.Call("rect-tube", "export", workloads.rect_tube_ini())]
@@ -259,7 +266,8 @@ def main(argv):
     calls = [(seed, call) for seed in SEEDS for name in workloads.NAMES
              for call in workloads.build(name, seed).calls]
     seen = set()
-    for seed, call in calls + [(SEEDS[0], c) for c in [DOUBLING_RULE, *EXPORTS, README_CHECK]]:
+    extra = [DOUBLING_RULE, DISC, *EXPORTS, README_CHECK]
+    for seed, call in calls + [(SEEDS[0], c) for c in extra]:
         if (call.kind, call.ini) in seen:
             continue
         seen.add((call.kind, call.ini))
