@@ -60,10 +60,9 @@ from .metric import (
     metric_from_profile,
 )
 from .operators import (
-    CoefficientField,
     DiscreteOperator,
-    EffectivePotential,
     TruncatedGrid,
+    assemble_commutator,
     assemble_free_hamiltonian,
     assemble_hamiltonian,
     assemble_weighted_form_hamiltonian,
@@ -80,7 +79,6 @@ from .spectral import (
     ConvergencePolicy,
     MourreWindow,
     SpectralReport,
-    assemble_commutator,
     bound_states,
     lowest_eigenvalues,
     mourre_check_free,

@@ -27,7 +27,9 @@ Each quantity is evaluated once per check: |f| on one set of abscissae
 (:func:`sample_abscissae`), maxed over the transverse probe where f
 depends on u (:func:`sampled_abs`).  The metric and coefficient checks
 read all their quantities off one metric jet (``TubeMetric.jet``) per
-block of abscissae, and the curvature check off one table of the
+block of abscissae, taken on the block's axes (the abscissae as a row,
+the probe down the columns) so that a field of s alone is taken once
+per abscissa, and the curvature check off one table of the
 kappa_i^(k) it needs.  The set has geometric tails on
 both sides plus evenly spaced near-field points that cover the hole the
 tails leave around s = 0, where curvature bumps sit.  Every limit, decay
@@ -477,7 +479,7 @@ def check_metric_hypotheses(metric, config=None):
 # coefficient-level checks
 
 
-def check_coefficient_assumptions(coeffs, potential, config=None):
+def check_coefficient_assumptions(metric, config=None):
     """Verify the operator-level decay hypotheses on G and V numerically.
 
     Items checked, each over a ladder of tail radii R (sup over |s| > R,
@@ -492,19 +494,21 @@ def check_coefficient_assumptions(coeffs, potential, config=None):
 
     Including the undifferentiated quantity in each decay fit is a
     deliberate strengthening: it makes the fitted theta reflect the
-    slowest-decaying member and keeps the verdict conservative.
+    slowest-decaying member and keeps the verdict conservative.  G and V
+    are the functions of a metric jet that the assembly uses.
     """
+    from .operators import g11_s, g_deviation, potential, potential_s, reciprocal
+
     cfg = config or CheckerConfig()
-    metric = coeffs.metric
     if metric is None:
-        raise InputError("a free coefficient field has no s_range to check over")
-    if potential.metric is not metric:
-        raise InputError("the potential and the coefficient field need the same metric")
+        raise InputError("the free operator has no s_range to check over")
     ladder = default_ladder(metric.s_range)
     s = sample_abscissae(metric.s_range, cfg)
     probe = _u_probe(metric.a, metric.dimension - 1)
 
-    c_lo, c_hi = coeffs.matrix_bounds()
+    # C- 1 <= G <= C+ 1 from c- <= h <= c+
+    c_minus, c_plus = metric.bounds
+    c_lo, c_hi = min(c_plus**-2.0, 1.0), max(c_minus**-2.0, 1.0)
     entries = [
         bounded_entry(
             "G-bounds",
@@ -516,12 +520,12 @@ def check_coefficient_assumptions(coeffs, potential, config=None):
 
     def quantities(t, u):
         jet = metric.jet(t, u)
-        r = potential.reciprocal(jet, t)
+        r = reciprocal(jet, t)
         return {
-            "G-1": coeffs.deviation_on_jet(jet, r),
-            "G11_s": coeffs.g_ss_s_on_jet(jet, r),
-            "V": potential.on_jet(jet, r),
-            "V_s": potential.derivative_s_on_jet(jet, r),
+            "G-1": g_deviation(jet, r),
+            "G11_s": g11_s(jet, r),
+            "V": potential(jet, r),
+            "V_s": potential_s(jet, r),
         }
 
     sup = sampled_abs(quantities, s, probe)

@@ -48,10 +48,9 @@ from .metric import (
     metric_from_profile,
 )
 from .operators import (
-    CoefficientField,
-    EffectivePotential,
     TruncatedGrid,
     _require_resolution,
+    assemble_commutator,  # noqa: F401  (perfbench/tracer.py wraps it here)
     assemble_free_hamiltonian,  # noqa: F401  (perfbench/tracer.py wraps it here)
     assemble_hamiltonian,
 )
@@ -63,7 +62,6 @@ from .reporting import (
 from .spectral import (
     ConvergencePolicy,
     SpectralReport,
-    assemble_commutator,  # noqa: F401  (perfbench/tracer.py wraps it here)
     bound_states,
     mourre_check_free,  # perfbench/tracer.py wraps it here
 )
@@ -92,7 +90,7 @@ def s_window(profile, half_width):
 
 
 def build_metric(cfg: WaveguideConfig, profile, omega):
-    """Metric evaluators for either problem kind."""
+    """The metric of either problem kind."""
     if cfg.kind == "euclidean-tube":
         if cfg.dimension == 2:
             return metric_from_profile(profile, omega.a)
@@ -111,11 +109,8 @@ def build_metric(cfg: WaveguideConfig, profile, omega):
 
 def hamiltonian_recipe(metric, omega):
     """(L, spacing) -> assembled Hamiltonian, for the convergence ladder."""
-    coeffs = CoefficientField(metric)
-    potential = EffectivePotential(metric)
-
     def assemble(length, spacing):
-        return assemble_hamiltonian(coeffs, potential, grid_for(omega, length, spacing))
+        return assemble_hamiltonian(metric, grid_for(omega, length, spacing))
 
     return assemble
 
@@ -147,9 +142,7 @@ def assumption_gate(cfg, profile, omega, metric):
         reports["curvature-decay"] = check_curvature_decay(profile)
     else:
         reports["metric-decay"] = check_metric_hypotheses(metric)
-    coeffs = CoefficientField(metric)
-    potential = EffectivePotential(metric)
-    reports["coefficients"] = check_coefficient_assumptions(coeffs, potential)
+    reports["coefficients"] = check_coefficient_assumptions(metric)
     return reports
 
 

@@ -76,11 +76,20 @@ def _checked(convert, holds, rule):
 
 
 def _load_table(base_dir, name, columns, need):
-    """The samples of table file ``name`` and its path; ``need`` says what it lacks."""
+    """The samples of table file ``name`` and its path; ``need`` says what it lacks.
+
+    A file numpy cannot read as numbers, or that holds nan or inf, is a
+    ConfigError naming it.
+    """
     path = os.path.join(base_dir, name)   # as parse_config resolves it
-    data = np.loadtxt(path)
+    try:
+        data = np.loadtxt(path)
+    except ValueError as exc:
+        raise ConfigError(f"table {path!r} is not a table of numbers: {exc}") from None
     if data.ndim != 2 or data.shape[1] < columns:
         raise ConfigError(need.format(path))
+    if not np.all(np.isfinite(data)):
+        raise ConfigError(f"table {path!r} holds a value that is not a finite number")
     return data, path
 
 
@@ -123,7 +132,8 @@ _NUMERICS = (
 # the output file names (WaveguideConfig.outputs), then the mesh sample counts
 _FILES = (("report", str, "report.txt"), ("spectrum", str, "spectrum.csv"),
           ("mesh", str, "mesh.txt"), ("mourre", str, "mourre.csv"))
-_OUTPUTS = _FILES + (("mesh_s_points", int, 201), ("mesh_u_points", int, 9))
+_OUTPUTS = _FILES + (("mesh_s_points", _checked(int, lambda n: n >= 2, "must be at least 2"), 201),
+                     ("mesh_u_points", _count, 9))
 
 
 def _curvature_section(i):

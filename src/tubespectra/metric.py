@@ -23,15 +23,19 @@ in u, with s-derivatives from order-4 finite differences.
 Every metric implements one method, ``jet(s, u, fields)``, which returns
 the requested fields at once -- h, its s-derivatives, the transverse
 combinations and ``dh`` = h - 1, taken before the 1 is added so that it
-keeps its relative accuracy where h is within roundoff of 1.  The
-per-field evaluators of :class:`TubeMetric` read their one field of a
-jet, vectorized over numpy arrays, so each formula has a single
-implementation and the operator assembly never branches on the source.
+keeps its relative accuracy where h is within roundoff of 1.  It is the
+only evaluator, vectorized over numpy arrays, so each formula has a
+single implementation and no consumer branches on the source.  Every
+consumer takes one jet over the axes of its points: an assembly and
+``export_metric_csv`` on the s-values as a column and the transverse
+nodes as a row, the assumption gate and ``ellipticity_bounds`` on a
+block of abscissae as a row and the transverse probe down the columns.
 The closed-form metrics compute each intermediate (curvature column,
 sub-block, rotation, Jacobi basis) once per jet and keep fields that
-depend on s alone in the shape of s.  The integrated strip keeps no
-sweep: a jet sweeps once per finite-difference offset its fields reach,
-row-major in (u-node, s), and reads h and h_u off it in one Hermite pass.
+depend on s alone in the shape of s, so they are evaluated once per
+s-value.  The integrated strip keeps no sweep: a jet sweeps once per
+finite-difference offset its fields reach, row-major in (u-node, s), and
+reads h and h_u off it in one Hermite pass.
 """
 
 from __future__ import annotations
@@ -67,22 +71,11 @@ __all__ = [
 JET_FIELDS = ("h", "dh", "h_s", "h_ss", "h_sss", "hu_sq", "hu_sq_s", "lap_u", "lap_u_s")
 
 
-def _jet_evaluator(name):
-    def evaluate(self, s, u):
-        val = self.jet(s, u, (name,))[name]
-        shape = np.broadcast_shapes(np.shape(s), self._split_u(u).shape[:-1])
-        return val if val.shape == shape else np.broadcast_to(val, shape).copy()
-
-    evaluate.__name__ = evaluate.__qualname__ = name
-    evaluate.__doc__ = f"{name} at (s, u): its field of the jet, over the points' shape."
-    return evaluate
-
-
 class TubeMetric:
-    """Common evaluator interface for g = diag(h^2, 1, ..., 1).
+    """The jet interface of g = diag(h^2, 1, ..., 1).
 
-    Scalar combinations rather than raw partials are exposed because they
-    are what the effective potential consumes:
+    Scalar combinations rather than raw partials are jet fields because
+    they are what the effective potential consumes:
 
     ``hu_sq``    = delta^{mu nu} h_,mu h_,nu
     ``lap_u``    = delta^{mu nu} h_,mu nu
@@ -93,7 +86,7 @@ class TubeMetric:
     ``jet`` evaluates any of these at once, and ``dh`` = h - 1; a field
     that depends on s alone may keep the shape of s.
 
-    Evaluators are immutable after construction; concurrent evaluation is
+    Metrics are immutable after construction; concurrent evaluation is
     safe.
     """
 
@@ -122,15 +115,6 @@ class TubeMetric:
     def jet(self, s, u, fields=JET_FIELDS):
         """``{field: array}`` at (s, u) for each of ``fields`` (see ``JET_FIELDS``)."""
         raise NotImplementedError
-
-    h = _jet_evaluator("h")
-    h_s = _jet_evaluator("h_s")
-    h_ss = _jet_evaluator("h_ss")
-    h_sss = _jet_evaluator("h_sss")
-    hu_sq = _jet_evaluator("hu_sq")
-    hu_sq_s = _jet_evaluator("hu_sq_s")
-    lap_u = _jet_evaluator("lap_u")
-    lap_u_s = _jet_evaluator("lap_u_s")
 
     @property
     def bounds(self):
@@ -587,7 +571,7 @@ def ellipticity_bounds(metric):
         return _constant_curvature_bounds(metric.K, metric.a, metric.kappa1_sup)
     s, probe = sample_abscissae(metric.s_range), _u_probe(metric.a, metric.dimension - 1)
     lows, highs = zip(*((v.min(), v.max()) for v in
-                        (metric.h(t, u) for t, u in _probe_blocks(s, probe))))
+                        (metric.jet(t, u, ("h",))["h"] for t, u in _probe_blocks(s, probe))))
     return EllipticityBounds(float(np.min(lows)), float(np.max(highs)))
 
 

@@ -14,6 +14,21 @@ so the assembled matrix is exactly symmetric and equals the discrete
 quadratic form  sum_faces c_f (v_i - v_j)^2 / dx^2 + sum_nodes V v^2, which
 makes Dirichlet domain monotonicity in L exact at fixed spacing.
 
+The commutator with the axial dilation A = (q p + p q)/2 is assembled
+from its closed form
+
+    i[H, A] = -d_j G^1j d_1 - d_1 G^1j d_j + d_i q G^ij_,1 d_j - q V_,1,
+
+which for the diagonal fields produced by tubes collapses to three axial
+terms.
+
+G^11, V and the commutator's G^11_,1 and V_,1 are functions of a metric
+jet and r = 1/h (``reciprocal``, which refuses h at the floor where V is
+singular).  Every assembly takes one jet, on the grid's axes: the s-nodes
+as a column and the transverse nodes as a row, so that a field that
+depends on s alone (a curvature column, the sub-block, the rotation) is
+evaluated once per s-node, not once per node.
+
 Far from the bend every coefficient is 1 and V is 0 to the last bit, and
 the s-slices there have exactly the free operator's rows.  Assembly is
 the one place that decides which slices those are.  It computes each
@@ -40,11 +55,17 @@ from .errors import EllipticityError, InputError, ResolutionError
 __all__ = [
     "TruncatedGrid",
     "DiscreteOperator",
-    "EffectivePotential",
-    "CoefficientField",
+    "reciprocal",
+    "g11",
+    "g11_s",
+    "g_deviation",
+    "potential_components",
+    "potential",
+    "potential_s",
     "assemble_hamiltonian",
     "assemble_free_hamiltonian",
     "assemble_weighted_form_hamiltonian",
+    "assemble_commutator",
 ]
 
 
@@ -150,27 +171,12 @@ class TruncatedGrid:
         idx[act] = np.arange(act.sum())
         return idx, act
 
-    def node_coordinates(self):
-        """(S, U) arrays over the full tensor; U has a trailing axis of
-        length d-1."""
-        shape = self.full_shape
-        S = self.s_nodes.reshape((-1,) + (1,) * self.transverse_dim)
-        S = np.broadcast_to(S, shape)
-        comps = []
-        for k, ax in enumerate(self.t_axes):
-            form = [1] * self.transverse_dim
-            form[k] = -1
-            comps.append(np.broadcast_to(ax.reshape(form), self.t_interior.shape))
-        U = np.stack(np.broadcast_arrays(*comps), axis=-1) if comps else None
-        U = np.broadcast_to(U, shape + (self.transverse_dim,))
-        return S, U
+    def transverse_nodes(self):
+        """Every transverse node, shape ``t_interior.shape + (d-1,)``.
 
-    def interior_coordinates(self):
-        """(S, U) at the unknowns, in row order: each interior slice's active nodes."""
-        at = np.nonzero(self.t_interior)
-        U = np.stack([ax[i] for ax, i in zip(self.t_axes, at)], axis=-1)
-        slices = self.s_nodes.size - 2
-        return np.repeat(self.s_nodes[1:-1], at[0].size), np.tile(U, (slices, 1))
+        Indexed by ``t_interior`` it gives the active nodes in row order.
+        """
+        return np.stack(np.meshgrid(*self.t_axes, indexing="ij"), axis=-1)
 
 
 def _axis_nodes(half_length, spacing):
@@ -205,64 +211,6 @@ class DiscreteOperator:
         return self.matrix.shape
 
 
-class CoefficientField:
-    """The matrix G = diag(h^-2, 1, ..., 1) and its s-derivative.
-
-    ``metric=None`` yields the identity field of the free Hamiltonian.
-    The ``*_on_jet`` forms take a metric jet and r = 1/h, so that one jet
-    serves every quantity the assumption gate reads.
-    """
-
-    def __init__(self, metric=None):
-        self.metric = metric
-
-    def g_ss(self, s, u):
-        if self.metric is None:
-            return np.ones(_points_shape(s, u))
-        # not (1/h)^2: near h = 1 this is h^-2 correctly rounded, so a slice
-        # whose h rounds to 1 assembles exactly the free operator's entries
-        h = self.metric.jet(s, u, ("h",))["h"]
-        return 1.0 / (h * h)
-
-    def g_ss_s(self, s, u):
-        """d/ds of G^11 = -2 h_,1 / h^3."""
-        if self.metric is None:
-            return np.zeros(_points_shape(s, u))
-        jet = self.metric.jet(s, u, ("h", "h_s"))
-        return self.g_ss_s_on_jet(jet, 1.0 / jet["h"])
-
-    @staticmethod
-    def g_ss_s_on_jet(jet, r):
-        """G^11_,1 = -2 h_,1 r^3."""
-        return -2.0 * jet["h_s"] * (r * r * r)
-
-    @staticmethod
-    def deviation_on_jet(jet, r):
-        """Entrywise max |G - 1| = |h^-2 - 1| = |dh (2 + dh)| r^2, dh = h - 1.
-
-        Through dh it does not cancel as h -> 1.
-        """
-        dh = jet["dh"]
-        return np.abs(dh * (2.0 + dh)) * (r * r)
-
-    def axis_coefficient(self, axis, s, u):
-        """Nodal coefficient of -d_axis c d_axis in the Hamiltonian."""
-        if axis == 0:
-            return self.g_ss(s, u)
-        return np.ones(_points_shape(s, u))
-
-    def matrix_bounds(self):
-        """(C-, C+) with C- 1 <= G <= C+ 1."""
-        if self.metric is None:
-            return 1.0, 1.0
-        c_minus, c_plus = self.metric.bounds
-        return min(c_plus**-2.0, 1.0), max(c_minus**-2.0, 1.0)
-
-
-def _points_shape(s, u):
-    return np.broadcast_shapes(np.shape(s), np.shape(np.asarray(u)[..., 0]))
-
-
 # the potential is refused where h falls to this floor: it is singular at 0
 _H_FLOOR = 1e-8
 # the jet fields V and V_,1 read
@@ -270,77 +218,77 @@ _V_FIELDS = ("h", "h_s", "h_ss", "hu_sq", "lap_u")
 _V_S_FIELDS = _V_FIELDS + ("h_sss", "hu_sq_s", "lap_u_s")
 
 
-class EffectivePotential:
-    """The scalar potential of the unitarily transformed Laplacian.
+# G = diag(h^-2, 1, ..., 1) and the potential V, from a metric jet and
+# r = 1/h from reciprocal: products of r, no general powers
 
-    The four contributions are retained separately for diagnostics; for a
-    straight tube every one of them vanishes identically.  Like
-    :class:`CoefficientField`, the ``*_on_jet`` forms take a metric jet
-    and r = 1/h from :meth:`reciprocal`; they use products of r, no
-    general powers.
-    """
-
-    def __init__(self, metric):
-        self.metric = metric
-
-    @staticmethod
-    def reciprocal(jet, s):
-        """r = 1/h from a jet taken at s, refusing h at or below the floor."""
-        h = jet["h"]
-        if np.any(h <= _H_FLOOR):
-            flat = np.argmin(h)
-            s_b = np.broadcast_to(np.asarray(s, dtype=float), h.shape)
-            raise EllipticityError(
-                f"h <= {_H_FLOOR:g} at s={s_b.ravel()[flat]:g}: potential singular",
-                where=float(s_b.ravel()[flat]),
-            )
-        return 1.0 / h
-
-    def _jet(self, s, u, fields):
-        jet = self.metric.jet(s, u, fields)
-        return jet, self.reciprocal(jet, s)
-
-    def components(self, s, u):
-        return self.components_on_jet(*self._jet(s, u, _V_FIELDS))
-
-    @staticmethod
-    def components_on_jet(jet, r):
-        r2 = r * r
-        h1 = jet["h_s"]
-        return {
-            "longitudinal_gradient": -1.25 * h1 * h1 * (r2 * r2),
-            "longitudinal_curvature": 0.5 * jet["h_ss"] * (r2 * r),
-            "transverse_gradient": -0.25 * jet["hu_sq"] * r2,
-            "transverse_laplacian": 0.5 * jet["lap_u"] * r,
-        }
-
-    def __call__(self, s, u):
-        return self.on_jet(*self._jet(s, u, _V_FIELDS))
-
-    @classmethod
-    def on_jet(cls, jet, r):
-        return sum(cls.components_on_jet(jet, r).values())
-
-    def derivative_s(self, s, u):
-        """Closed-form d V / ds."""
-        return self.derivative_s_on_jet(*self._jet(s, u, _V_S_FIELDS))
-
-    @staticmethod
-    def derivative_s_on_jet(jet, r):
-        h1, h11, hu_sq, lap = jet["h_s"], jet["h_ss"], jet["hu_sq"], jet["lap_u"]
-        r2 = r * r
-        r3 = r2 * r
-        return (
-            5.0 * h1 * h1 * h1 * (r3 * r2)
-            - 4.0 * h1 * h11 * (r2 * r2)
-            + 0.5 * jet["h_sss"] * r3
-            + 0.5
-            * (
-                h1 * hu_sq * r3
-                - (h1 * lap + 0.5 * jet["hu_sq_s"]) * r2
-                + jet["lap_u_s"] * r
-            )
+def reciprocal(jet, s):
+    """r = 1/h from a jet taken at s, refusing h at or below the floor."""
+    h = jet["h"]
+    if np.any(h <= _H_FLOOR):
+        flat = np.argmin(h)
+        s_b = np.broadcast_to(np.asarray(s, dtype=float), h.shape)
+        raise EllipticityError(
+            f"h <= {_H_FLOOR:g} at s={s_b.ravel()[flat]:g}: potential singular",
+            where=float(s_b.ravel()[flat]),
         )
+    return 1.0 / h
+
+
+def g11(jet):
+    """G^11 = h^-2."""
+    # not (1/h)^2: near h = 1 this is h^-2 correctly rounded, so a slice
+    # whose h rounds to 1 assembles exactly the free operator's entries
+    h = jet["h"]
+    return 1.0 / (h * h)
+
+
+def g11_s(jet, r):
+    """G^11_,1 = -2 h_,1 r^3."""
+    return -2.0 * jet["h_s"] * (r * r * r)
+
+
+def g_deviation(jet, r):
+    """Entrywise max |G - 1| = |h^-2 - 1| = |dh (2 + dh)| r^2, dh = h - 1.
+
+    Through dh it does not cancel as h -> 1.
+    """
+    dh = jet["dh"]
+    return np.abs(dh * (2.0 + dh)) * (r * r)
+
+
+def potential_components(jet, r):
+    """The four terms of V, kept apart for diagnostics; each vanishes on a straight tube."""
+    r2 = r * r
+    h1 = jet["h_s"]
+    return {
+        "longitudinal_gradient": -1.25 * h1 * h1 * (r2 * r2),
+        "longitudinal_curvature": 0.5 * jet["h_ss"] * (r2 * r),
+        "transverse_gradient": -0.25 * jet["hu_sq"] * r2,
+        "transverse_laplacian": 0.5 * jet["lap_u"] * r,
+    }
+
+
+def potential(jet, r):
+    """The effective potential V of the module docstring."""
+    return sum(potential_components(jet, r).values())
+
+
+def potential_s(jet, r):
+    """Closed-form d V / ds."""
+    h1, h11, hu_sq, lap = jet["h_s"], jet["h_ss"], jet["hu_sq"], jet["lap_u"]
+    r2 = r * r
+    r3 = r2 * r
+    return (
+        5.0 * h1 * h1 * h1 * (r3 * r2)
+        - 4.0 * h1 * h11 * (r2 * r2)
+        + 0.5 * jet["h_sss"] * r3
+        + 0.5
+        * (
+            h1 * hu_sq * r3
+            - (h1 * lap + 0.5 * jet["hu_sq_s"]) * r2
+            + jet["lap_u_s"] * r
+        )
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -482,23 +430,49 @@ def _require_resolution(grid):
         )
 
 
-def assemble_hamiltonian(coeffs, potential, grid, tag="H"):
-    """Assemble -d_i G^ij d_j + V on the truncated grid."""
+def _axis_jet(metric, grid, fields):
+    """The s-nodes as a column, and ``metric``'s jet on them x the active transverse nodes.
+
+    A field is an array over (s-node, active transverse node), or over
+    the s-nodes alone, as a column, if it depends on s alone.
+    """
+    s = grid.s_nodes[:, None]
+    return s, metric.jet(s, grid.transverse_nodes()[grid.t_interior][None], fields)
+
+
+def _on_nodes(grid, values, fill):
+    """``values`` over (s-node, active transverse node) on the full tensor, ``fill`` elsewhere."""
+    out = np.full(grid.full_shape, fill)
+    out[:, grid.t_interior] = values
+    return out
+
+
+def _interior(jet):
+    """A jet's fields on the interior s-slices, where the unknowns are."""
+    return {name: values[1:-1] for name, values in jet.items()}
+
+
+def assemble_hamiltonian(metric, grid, tag="H"):
+    """Assemble -d_i G^ij d_j + V on the truncated grid; ``metric=None`` is the free operator.
+
+    G^11 and V come from one jet of ``metric`` on the grid's axes.  Only
+    G^11 at the active transverse nodes is read, so it is taken there.
+    """
     _require_resolution(grid)
-    S, U = grid.node_coordinates()
-    arrays = [np.ascontiguousarray(coeffs.axis_coefficient(k, S, U))
-              for k in range(1 + grid.transverse_dim)]
+    arrays = [np.ones(grid.full_shape)] * (1 + grid.transverse_dim)
     diagonal = None
-    if potential is not None:
-        s_i, u_i = grid.interior_coordinates()
-        diagonal = np.asarray(potential(s_i, u_i), dtype=float)
+    if metric is not None:
+        s, jet = _axis_jet(metric, grid, _V_FIELDS)
+        arrays[0] = _on_nodes(grid, g11(jet), 1.0)
+        inner = _interior(jet)
+        diagonal = potential(inner, reciprocal(inner, s[1:-1]))
     m, free_ends = _assemble_divergence_form(grid, arrays, diagonal)
     return DiscreteOperator(matrix=m, grid=grid, tag=tag, free_ends=free_ends)
 
 
 def assemble_free_hamiltonian(grid):
     """The Dirichlet Laplacian on the straight tube: G = 1, V = 0."""
-    return assemble_hamiltonian(CoefficientField(None), None, grid, tag="H0")
+    return assemble_hamiltonian(None, grid, tag="H0")
 
 
 def assemble_weighted_form_hamiltonian(metric, grid):
@@ -508,11 +482,12 @@ def assemble_weighted_form_hamiltonian(metric, grid):
     and the diagonal mass h is folded in symmetrically, which realises the
     rescaling psi -> h^(1/2) psi at the discrete level.  Its eigenvalues
     must agree with the flat-measure operator's up to discretization
-    error.
+    error.  The transverse faces read h on the boundary ring too, so its
+    one jet is taken at every transverse node.
     """
     _require_resolution(grid)
-    S, U = grid.node_coordinates()
-    h_nodes = np.ascontiguousarray(metric.h(S, U))
+    s = grid.s_nodes.reshape((-1,) + (1,) * grid.transverse_dim)
+    h_nodes = metric.jet(s, grid.transverse_nodes()[None], ("h",))["h"]
     arrays = [1.0 / h_nodes] + [h_nodes] * grid.transverse_dim
     k, _ = _assemble_divergence_form(grid, arrays)
     act = grid.active()
@@ -521,3 +496,27 @@ def assemble_weighted_form_hamiltonian(metric, grid):
     # symmetrize away the last-bit roundoff of the triple product
     m = 0.5 * (m + m.T)
     return DiscreteOperator(matrix=m.tocsr(), grid=grid, tag="weighted-form")
+
+
+def assemble_commutator(metric, grid):
+    """Closed-form i[H, A] for diagonal coefficient fields; ``metric=None`` is the free one.
+
+    Three surviving terms: twice the axial kinetic part, the axial part
+    weighted by q G^11_,1, and the multiplication by -q V_,1, all from
+    one jet of ``metric`` on the grid's axes.  Assembled with the same
+    face-averaged stencil as the Hamiltonian, hence exactly symmetric.
+    """
+    g_nodes, q_g1, q_v_s = np.ones(grid.full_shape), np.zeros(grid.full_shape), None
+    if metric is not None:
+        s, jet = _axis_jet(metric, grid, _V_S_FIELDS)
+        inner = _interior(jet)
+        q_v_s = s[1:-1] * potential_s(inner, reciprocal(inner, s[1:-1]))
+        g_nodes = _on_nodes(grid, g11(jet), 1.0)
+        q_g1 = _on_nodes(grid, s * g11_s(jet, 1.0 / jet["h"]), 0.0)
+    kinetic, _ = _assemble_divergence_form(grid, [g_nodes])
+    middle, _ = _assemble_divergence_form(grid, [q_g1])
+
+    m = 2.0 * kinetic - middle
+    if q_v_s is not None:
+        m = m - sp.diags(q_v_s.ravel())
+    return DiscreteOperator(matrix=m.tocsr(), grid=grid, tag="commutator")

@@ -75,13 +75,6 @@ i[H0, A] = 2 T_s x I, diagonal on the modes phi_j x psi_t, so compressed
 to a window's spectral projector it is diag(2 mu_j) and the projected
 lower bound is 2 min mu_j over the sums inside the window.  No vector is
 built.
-
-For curved tubes the commutator is assembled from its closed form
-
-    i[H, A] = -d_j G^1j d_1 - d_1 G^1j d_j + d_i q G^ij_,1 d_j - q V_,1,
-
-which for the diagonal fields produced by tubes collapses to three axial
-terms.
 """
 
 from __future__ import annotations
@@ -102,7 +95,6 @@ from .errors import (
 from .operators import (
     DiscreteOperator,
     TruncatedGrid,
-    _assemble_divergence_form,
     assemble_free_hamiltonian,
 )
 
@@ -116,7 +108,6 @@ __all__ = [
     "LadderLevel",
     "BoundStatesResult",
     "bound_states",
-    "assemble_commutator",
     "MourreWindow",
     "mourre_check_free",
     "SpectralReport",
@@ -804,29 +795,7 @@ def bound_states(assemble, thresholds, policy=None):
 
 
 # ---------------------------------------------------------------------------
-# commutator and Mourre estimate
-
-def assemble_commutator(coeffs, potential, grid):
-    """Closed-form i[H, A] for diagonal coefficient fields.
-
-    Three surviving terms: twice the axial kinetic part, the axial part
-    weighted by q G^11_,1, and the multiplication by -q V_,1.  Assembled
-    with the same face-averaged stencil as the Hamiltonian, hence exactly
-    symmetric.
-    """
-    S, U = grid.node_coordinates()
-    g_nodes = np.ascontiguousarray(coeffs.axis_coefficient(0, S, U))
-    kinetic, _ = _assemble_divergence_form(grid, [g_nodes])
-
-    q_g1 = np.ascontiguousarray(S * coeffs.g_ss_s(S, U))
-    middle, _ = _assemble_divergence_form(grid, [q_g1])
-
-    m = 2.0 * kinetic - middle
-    if potential is not None:
-        s_i, u_i = grid.interior_coordinates()
-        m = m - sp.diags(s_i * np.asarray(potential.derivative_s(s_i, u_i), dtype=float))
-    return DiscreteOperator(matrix=m.tocsr(), grid=grid, tag="commutator")
-
+# Mourre estimate
 
 @dataclass(frozen=True)
 class MourreWindow:

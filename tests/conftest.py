@@ -13,6 +13,25 @@ from tubespectra import (
 NU1 = np.pi**2 / 4.0
 
 
+def jet_field(metric, name, s, u):
+    """One field of ``metric``'s jet at (s, u)."""
+    return metric.jet(s, u, (name,))[name]
+
+
+def node_coordinates(grid):
+    """(S, U) broadcast over the full node tensor; U has a trailing axis of length d-1."""
+    S = grid.s_nodes.reshape((-1,) + (1,) * grid.transverse_dim)
+    S = np.broadcast_to(S, grid.full_shape)
+    U = np.broadcast_to(grid.transverse_nodes(), grid.full_shape + (grid.transverse_dim,))
+    return S, U
+
+
+def unknown_coordinates(grid):
+    """(S, U) at the unknowns, in row order."""
+    act = grid.active()
+    return tuple(x[act] for x in node_coordinates(grid))
+
+
 @pytest.fixture(scope="session")
 def bump_profile():
     """The reference bent strip: kappa(s) = 0.5 exp(-s^2), d = 2."""

@@ -27,7 +27,7 @@ def assemble_dilation(grid):
     both = act[lo] & act[hi]
     rows = idx[lo][both]
     cols = idx[hi][both]
-    S_nodes, _ = grid.node_coordinates()
+    S_nodes = np.broadcast_to(grid.s_nodes.reshape((-1,) + (1,) * grid.transverse_dim), shape)
     s_sum = (S_nodes[lo] + S_nodes[hi])[both]
     vals = -s_sum / (4.0 * ds)
     n = grid.n_unknowns

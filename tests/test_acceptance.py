@@ -14,11 +14,9 @@ import pytest
 
 from tubespectra import (
     CheckerConfig,
-    CoefficientField,
     ConvergencePolicy,
     CrossSection,
     CurvatureProfile,
-    EffectivePotential,
     SpectralReport,
     SurfaceData,
     TruncatedGrid,
@@ -42,7 +40,7 @@ from tubespectra import (
     rho_of_lambda,
 )
 from tubespectra.cli import hamiltonian_recipe
-from conftest import random_smooth_profile
+from conftest import jet_field, random_smooth_profile, unknown_coordinates
 from dilation import assemble_dilation, commutator_form_comparison
 
 NU1 = np.pi**2 / 4.0
@@ -168,7 +166,7 @@ def test_criterion_5_flat_strip_equivalence(bent_strip):
     s = np.linspace(-5.0, 5.0, 41)
     u = np.linspace(-1.0, 1.0, 37)
     S, U = np.meshgrid(s, u, indexing="ij")
-    h_err = float(np.max(np.abs(strip_metric.h(S, U) - (1.0 - kappa(S) * U))))
+    h_err = float(np.max(np.abs(jet_field(strip_metric, "h", S, U) - (1.0 - kappa(S) * U))))
     assert h_err < 1e-10
 
     result = bound_states(
@@ -212,16 +210,14 @@ def test_criterion_6_mourre_estimate_for_the_free_hamiltonian(bent_strip):
 
 def test_criterion_7_commutator_formula_vs_direct(bent_strip):
     rng = np.random.default_rng(2024)
-    coeffs = CoefficientField(bent_strip.metric)
-    potential = EffectivePotential(bent_strip.metric)
     mean_rel = []
     max_rel = []
     for spacing in LADDER:
         grid = TruncatedGrid.interval(8.0, spacing, 1.0)
-        h_op = assemble_hamiltonian(coeffs, potential, grid)
-        c_op = assemble_commutator(coeffs, potential, grid)
+        h_op = assemble_hamiltonian(bent_strip.metric, grid)
+        c_op = assemble_commutator(bent_strip.metric, grid)
         a_op = assemble_dilation(grid)
-        s_i, u_i = grid.interior_coordinates()
+        s_i, u_i = unknown_coordinates(grid)
         # C-infinity bump supported on |s| <= 7: at least 8 nodes off every wall
         bump = np.where(
             np.abs(s_i) < 7.0,

@@ -3,9 +3,7 @@ import pytest
 
 from tubespectra import (
     CheckerConfig,
-    CoefficientField,
     CurvatureProfile,
-    EffectivePotential,
     EllipticityError,
     InputError,
     SurfaceData,
@@ -115,25 +113,14 @@ def test_short_table_decay_is_inconclusive_not_fail():
 
 def test_each_gate_quantity_is_evaluated_once(bump_metric, monkeypatch):
     # the coefficient and metric checks read every quantity off one metric
-    # jet per block of abscissae, each abscissa in exactly one block, and
-    # call no per-quantity evaluator; the curvature check evaluates each
-    # kappa_i^(k) once
+    # jet per block of abscissae, each abscissa in exactly one block; the
+    # curvature check evaluates each kappa_i^(k) once
     from collections import Counter
 
     from tubespectra import metric as metric_module
-    from tubespectra import operators
     from tubespectra.assumptions import sample_abscissae
 
-    calls, jets, kappas = [], [], Counter()
-    fields = tuple(name for name in metric_module.JET_FIELDS if name != "dh")
-    evaluators = (
-        (metric_module.TubeMetric, fields),
-        (operators.CoefficientField, ("g_ss", "g_ss_s")),
-        (operators.EffectivePotential, ("__call__", "components", "derivative_s")),
-    )
-    for cls, names in evaluators:
-        for name in names:
-            monkeypatch.setattr(cls, name, lambda *args, name=name: calls.append(name))
+    jets, kappas = [], Counter()
     jet = metric_module.EuclideanTubeMetric.jet
     kappa = CurvatureProfile.kappa
 
@@ -150,15 +137,12 @@ def test_each_gate_quantity_is_evaluated_once(bump_metric, monkeypatch):
 
     abscissae = sample_abscissae(bump_metric.s_range)
     for check in (
-        lambda: check_coefficient_assumptions(
-            CoefficientField(bump_metric), EffectivePotential(bump_metric)
-        ),
+        lambda: check_coefficient_assumptions(bump_metric),
         lambda: check_metric_hypotheses(bump_metric),
     ):
         jets.clear()
         check()
         assert len(jets) > 1 and np.array_equal(np.concatenate(jets), abscissae)
-    assert calls == []
 
     kappas.clear()
     check_curvature_decay(CurvatureProfile(
@@ -169,7 +153,7 @@ def test_each_gate_quantity_is_evaluated_once(bump_metric, monkeypatch):
 
 def test_free_coefficient_field_is_refused():
     with pytest.raises(InputError):
-        check_coefficient_assumptions(CoefficientField(None), None)
+        check_coefficient_assumptions(None)
 
 
 def test_reports_are_deterministic(bump_profile):

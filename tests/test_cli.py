@@ -9,6 +9,7 @@ from tubespectra.cli import build_metric, hamiltonian_recipe, main
 from tubespectra.config import load_config, load_config_text
 from tubespectra.errors import ConfigError
 from tubespectra.reporting import extract_embedded_config, strip_generated_line
+from conftest import jet_field
 
 STRAIGHT = """
 [problem]
@@ -803,4 +804,5 @@ def test_d3_metric_resolves_the_rotation_across_the_curvature_bump():
     fine = metric_from_frames(profile, rotation, omega.a)
     s = np.array([-1.0, 1.0])
     u = np.full((2, 2), 0.5)
-    assert np.allclose(metric.h(s, u), fine.h(s, u), rtol=0.0, atol=1e-6)
+    assert np.allclose(jet_field(metric, "h", s, u), jet_field(fine, "h", s, u),
+                       rtol=0.0, atol=1e-6)

@@ -226,3 +226,40 @@ def test_a_problem_file_the_locale_cannot_decode_is_a_config_error(tmp_path, cap
     path.write_bytes(b"[problem]\nkind = euclidean-tube \xff\n")
     code = main(["check", "--config", str(path), "--out", str(tmp_path)])
     assert code == 1 and capsys.readouterr().err.startswith("config error: ")
+
+
+@pytest.mark.parametrize("label, table, row", [
+    ("table-interval", "kappa.txt", "1.0 abc"),
+    ("table-interval", "kappa.txt", "1.0 nan"),
+    ("strip-K-table", "K.txt", "1.0 0.0 abc"),
+    ("strip-K-table", "K.txt", "1.0 0.0 nan"),
+], ids=["curvature-unparsable", "curvature-nan", "surface-unparsable", "surface-nan"])
+def test_a_table_that_is_not_finite_numbers_is_a_config_error(tmp_path, capsys, label, table,
+                                                              row):
+    path = _problem_file(tmp_path, *PROBLEMS[label])
+    with open(tmp_path / table, "a") as fh:
+        fh.write(row + "\n")
+    cfg = load_config(path)
+    build = cfg.profile if table == "kappa.txt" else cfg.gauss_curvature_fn
+    with pytest.raises(ConfigError, match=rf"^table '.*{table}' "):
+        build()
+    code = main(["check", "--config", path, "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1 and err.startswith("error: table ") and table in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("mesh_s_points", "-1", "must be at least 2"),
+    ("mesh_s_points", "1", "must be at least 2"),
+    ("mesh_u_points", "0", "must be at least 1"),
+], ids=["s-negative", "s-one", "u-zero"])
+def test_mesh_counts_are_checked_on_loading(tmp_path, capsys, key, value, message):
+    text = BASE + f"\n[outputs]\n{key} = {value}\n"
+    with pytest.raises(ConfigError, match=rf"^\[outputs\] {key} {message}$"):
+        load_config_text(text)
+    (tmp_path / "problem.ini").write_text(text)
+    code = main(["export", "--config", str(tmp_path / "problem.ini"), "--out", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"config error: [outputs] {key} ")
+    assert not (tmp_path / "mesh.txt").exists()

@@ -20,7 +20,7 @@ from tubespectra import (
     metric_from_profile,
 )
 from tubespectra.metric import export_metric_csv
-from conftest import random_smooth_profile
+from conftest import jet_field, random_smooth_profile
 
 
 def test_planar_metric_is_one_minus_kappa_u(bump_profile, bump_metric):
@@ -28,21 +28,21 @@ def test_planar_metric_is_one_minus_kappa_u(bump_profile, bump_metric):
     u = np.linspace(-0.9, 0.9, 7)
     S, U = np.meshgrid(s, u, indexing="ij")
     kap = bump_profile.kappa(1, S)
-    assert np.allclose(bump_metric.h(S, U), 1.0 - kap * U, atol=1e-15)
-    assert np.allclose(bump_metric.h_s(S, U), -bump_profile.kappa(1, S, 1) * U, atol=1e-15)
-    assert np.allclose(bump_metric.h_ss(S, U), -bump_profile.kappa(1, S, 2) * U, atol=1e-15)
-    assert np.allclose(bump_metric.h_sss(S, U), -bump_profile.kappa(1, S, 3) * U, atol=1e-15)
-    assert np.allclose(bump_metric.hu_sq(S, U), kap**2, atol=1e-15)
-    assert np.allclose(bump_metric.lap_u(S, U), 0.0)
+    jet = bump_metric.jet(S, U)
+    assert np.allclose(jet["h"], 1.0 - kap * U, atol=1e-15)
+    for order, name in ((1, "h_s"), (2, "h_ss"), (3, "h_sss")):
+        assert np.allclose(jet[name], -bump_profile.kappa(1, S, order) * U, atol=1e-15)
+    assert np.allclose(jet["hu_sq"], kap**2, atol=1e-15)
+    assert np.allclose(jet["lap_u"], 0.0)
 
 
 def test_straight_tube_metric_is_identically_one(straight_profile):
     m = metric_from_profile(straight_profile, 1.0)
     s = np.linspace(-5, 5, 11)
     u = np.full_like(s, 0.3)
-    assert np.all(m.h(s, u) == 1.0)
-    for fn in (m.h_s, m.h_ss, m.h_sss, m.hu_sq, m.hu_sq_s, m.lap_u, m.lap_u_s):
-        assert np.all(fn(s, u) == 0.0)
+    assert np.all(jet_field(m, "h", s, u) == 1.0)
+    for name in ("h_s", "h_ss", "h_sss", "hu_sq", "hu_sq_s", "lap_u", "lap_u_s"):
+        assert np.all(jet_field(m, name, s, u) == 0.0)
 
 
 @pytest.mark.parametrize("tau_kind", ["constant", "varying"])
@@ -72,7 +72,7 @@ def test_spatial_metric_matches_rotation_angle_formula(tau_kind):
     expected = 1.0 - kappa0 * (
         u[0] * np.cos(alpha_of(s)) + u[1] * np.sin(alpha_of(s))
     )
-    got = metric.h(s, np.broadcast_to(u, s.shape + (2,)))
+    got = jet_field(metric, "h", s, np.broadcast_to(u, s.shape + (2,)))
     assert np.allclose(got, expected, atol=1e-8)
 
 
@@ -90,22 +90,24 @@ def test_closed_form_s_derivatives_match_finite_differences(seed):
     u = rng.uniform(-0.4, 0.4, size=(9, d - 1))
     delta = 1e-2
 
-    def fd1(f):
-        return (f(s - 2 * delta, u) - 8 * f(s - delta, u)
-                + 8 * f(s + delta, u) - f(s + 2 * delta, u)) / (12 * delta)
+    def fd1(name):
+        def f(s):
+            return jet_field(metric, name, s, u)
 
-    assert np.allclose(metric.h_s(s, u), fd1(metric.h), atol=5e-8)
-    assert np.allclose(metric.h_ss(s, u), fd1(metric.h_s), atol=5e-8)
-    assert np.allclose(metric.h_sss(s, u), fd1(metric.h_ss), atol=5e-7)
-    assert np.allclose(metric.hu_sq_s(s, u), fd1(metric.hu_sq), atol=5e-8)
+        return (f(s - 2 * delta) - 8 * f(s - delta)
+                + 8 * f(s + delta) - f(s + 2 * delta)) / (12 * delta)
+
+    for name, of, tol in (("h_s", "h", 5e-8), ("h_ss", "h_s", 5e-8), ("h_sss", "h_ss", 5e-7),
+                          ("hu_sq_s", "hu_sq", 5e-8)):
+        assert np.allclose(jet_field(metric, name, s, u), fd1(of), atol=tol)
 
 
 def test_affine_in_u_is_exact(bump_metric):
     s = np.linspace(-2, 2, 5)
     u = np.linspace(0.1, 0.9, 5)
     for lam in (0.0, 0.25, 0.5, 1.0):
-        lhs = bump_metric.h(s, lam * u) - 1.0
-        rhs = lam * (bump_metric.h(s, u) - 1.0)
+        lhs = jet_field(bump_metric, "h", s, lam * u) - 1.0
+        rhs = lam * (jet_field(bump_metric, "h", s, u) - 1.0)
         assert np.allclose(lhs, rhs, rtol=0, atol=1e-15)
 
 
@@ -145,21 +147,21 @@ def test_flat_strip_reproduces_affine_metric():
     s = np.linspace(-4, 4, 23)
     u = np.linspace(-1, 1, 29)  # includes off-node values
     S, U = np.meshgrid(s, u, indexing="ij")
-    assert np.max(np.abs(metric.h(S, U) - (1.0 - kap(S) * U))) < 1e-10
+    assert np.max(np.abs(jet_field(metric, "h", S, U) - (1.0 - kap(S) * U))) < 1e-10
 
 
 def test_positively_curved_strip_gives_cosine():
     metric = metric_from_jacobi(const_surface(1.0))
     s = np.zeros(17)
     u = np.linspace(-1, 1, 17)
-    assert np.max(np.abs(metric.h(s, u) - np.cos(u))) < 1e-8
+    assert np.max(np.abs(jet_field(metric, "h", s, u) - np.cos(u))) < 1e-8
 
 
 def test_negatively_curved_strip_gives_cosh():
     metric = metric_from_jacobi(const_surface(-1.0))
     s = np.zeros(17)
     u = np.linspace(-1, 1, 17)
-    assert np.max(np.abs(metric.h(s, u) - np.cosh(u))) < 1e-8
+    assert np.max(np.abs(jet_field(metric, "h", s, u) - np.cosh(u))) < 1e-8
 
 
 def test_jacobi_superposition_in_the_initial_slope():
@@ -172,9 +174,9 @@ def test_jacobi_superposition_in_the_initial_slope():
     s = np.linspace(-3, 3, 9)
     u = np.linspace(-0.9, 0.9, 11)
     S, U = np.meshgrid(s, u, indexing="ij")
-    h_plus = metrics[0].h(S, U)
-    h_minus = metrics[1].h(S, U)
-    h_zero = metrics[2].h(S, U)
+    h_plus = jet_field(metrics[0], "h", S, U)
+    h_minus = jet_field(metrics[1], "h", S, U)
+    h_zero = jet_field(metrics[2], "h", S, U)
     assert np.max(np.abs(h_plus + h_minus - 2.0 * h_zero)) < 1e-9
 
 
@@ -184,18 +186,18 @@ def test_flat_strip_s_derivatives_match_curvature_closed_form():
     s = np.linspace(-3, 3, 13)
     u = np.linspace(-0.8, 0.8, 7)
     S, U = np.meshgrid(s, u, indexing="ij")
-    assert np.allclose(metric.h_s(S, U), -kap(S, 1) * U, atol=1e-8)
-    assert np.allclose(metric.h_ss(S, U), -kap(S, 2) * U, atol=1e-7)
-    assert np.allclose(metric.h_sss(S, U), -kap(S, 3) * U, atol=1e-6)
-    assert np.allclose(metric.hu_sq(S, U), kap(S) ** 2, atol=1e-9)
-    assert np.allclose(metric.lap_u(S, U), 0.0, atol=1e-12)
+    assert np.allclose(jet_field(metric, "h_s", S, U), -kap(S, 1) * U, atol=1e-8)
+    assert np.allclose(jet_field(metric, "h_ss", S, U), -kap(S, 2) * U, atol=1e-7)
+    assert np.allclose(jet_field(metric, "h_sss", S, U), -kap(S, 3) * U, atol=1e-6)
+    assert np.allclose(jet_field(metric, "hu_sq", S, U), kap(S) ** 2, atol=1e-9)
+    assert np.allclose(jet_field(metric, "lap_u", S, U), 0.0, atol=1e-12)
 
 
 def test_focal_point_inside_strip_is_an_ellipticity_error():
     surf = const_surface(1.0, a=2.0)  # cos(u) vanishes at pi/2 < 2
     metric = metric_from_jacobi(surf)
     with pytest.raises(EllipticityError):
-        metric.h(np.zeros(3), np.array([0.0, 1.0, 1.9]))
+        jet_field(metric, "h", np.zeros(3), np.array([0.0, 1.0, 1.9]))
 
 
 @pytest.mark.parametrize("K", [-1.0, 0.0, 0.5])
@@ -213,14 +215,14 @@ def test_constant_curvature_closed_form_matches_the_jacobi_sweep(K):
     for name, tol in (("h", 1e-9), ("hu_sq", 1e-9), ("lap_u", 1e-9), ("h_s", 5e-8),
                       ("hu_sq_s", 5e-8), ("lap_u_s", 5e-8), ("h_ss", 5e-8),
                       ("h_sss", 1e-6)):
-        err = np.max(np.abs(getattr(closed, name)(S, U) - getattr(swept, name)(S, U)))
+        err = np.max(np.abs(jet_field(closed, name, S, U) - jet_field(swept, name, S, U)))
         assert err <= tol, (name, err)
 
 
 def test_constant_curvature_focal_point_is_located_exactly():
     metric = metric_from_jacobi(SurfaceData(3.0, gaussian_bump(-0.5, 1.0), 1.0, (-20.0, 20.0)))
     with pytest.raises(EllipticityError, match="focal point") as err:
-        metric.h(np.linspace(-1, 1, 5), np.zeros(5))
+        jet_field(metric, "h", np.linspace(-1, 1, 5), np.zeros(5))
     # kappa(0) = -0.5 < 0 puts the focal point on the u < 0 side
     w = np.sqrt(3.0)
     assert err.value.where == pytest.approx((0.0, -np.arctan2(w, 0.5) / w), abs=1e-15)
@@ -316,7 +318,7 @@ def test_constant_curvature_strip_bounds_are_exact(K, kappa0):
     metric = metric_from_jacobi(SurfaceData(K, gaussian_bump(kappa0, 1.0), 1.0, (-1e4, 1e4)))
     b = ellipticity_bounds(metric)
     # h(0, u) over |u| <= a runs through C_K -+ sup|kappa| |S_K| on both sides
-    h = metric.h(np.zeros(1), np.linspace(-1.0, 1.0, 200001))
+    h = jet_field(metric, "h", np.zeros(1), np.linspace(-1.0, 1.0, 200001))
     assert (b.c_minus, b.c_plus) == pytest.approx((h.min(), h.max()), abs=1e-10)
 
 
@@ -341,10 +343,10 @@ def test_metric_csv_export_takes_one_jet_over_the_grid(tmp_path, bump_metric, mo
     path = tmp_path / "metric.csv"
     export_metric_csv(bump_metric, path, s, u)
     assert jets == [("h", "h_s", "h_ss")]
-    # the per-point evaluators give every cell, to the last digit
+    # a jet at each point gives every cell, to the last digit
     rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
     assert rows == [
-        [repr(float(x)) for x in (a, b, bump_metric.h(a, [b]), bump_metric.h_s(a, [b]),
-                                  bump_metric.h_ss(a, [b]))]
+        [repr(float(x)) for x in (a, b, *(jet_field(bump_metric, name, a, [b])
+                                          for name in ("h", "h_s", "h_ss")))]
         for a in s for b in u
     ]

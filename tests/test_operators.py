@@ -3,9 +3,8 @@ import pytest
 import scipy.sparse as sp
 
 from tubespectra import (
-    CoefficientField,
     CurvatureProfile,
-    EffectivePotential,
+    DiscreteOperator,
     EllipticityError,
     InputError,
     ResolutionError,
@@ -27,13 +26,29 @@ from tubespectra import (
 )
 from tubespectra import operators
 from tubespectra.cli import grid_for
+from tubespectra.operators import (
+    g11,
+    g11_s,
+    g_deviation,
+    potential,
+    potential_components,
+    potential_s,
+    reciprocal,
+)
+from conftest import node_coordinates
 
 NU1 = np.pi**2 / 4.0
 
 
 def curved_operator(metric, length, spacing):
     grid = TruncatedGrid.interval(length, spacing, metric.a)
-    return assemble_hamiltonian(CoefficientField(metric), EffectivePotential(metric), grid)
+    return assemble_hamiltonian(metric, grid)
+
+
+def potential_at(metric, s, u, derivative=False):
+    """V, or V_,1, at (s, u) from one jet."""
+    jet = metric.jet(s, u)
+    return (potential_s if derivative else potential)(jet, reciprocal(jet, s))
 
 
 # ---------------------------------------------------------------------------
@@ -42,21 +57,20 @@ def curved_operator(metric, length, spacing):
 
 def test_potential_vanishes_for_straight_tube(straight_profile):
     metric = metric_from_profile(straight_profile, 1.0)
-    pot = EffectivePotential(metric)
     s = np.linspace(-5, 5, 11)
     u = np.linspace(-0.9, 0.9, 11)
-    assert np.all(pot(s, u) == 0.0)
-    assert np.all(pot.derivative_s(s, u) == 0.0)
+    assert np.all(potential_at(metric, s, u) == 0.0)
+    assert np.all(potential_at(metric, s, u, derivative=True) == 0.0)
 
 
 def test_potential_on_axis_for_constant_curvature():
     prof = CurvatureProfile([constant_function(0.6)], (-10, 10))
     metric = metric_from_profile(prof, 1.0)
-    pot = EffectivePotential(metric)
     s = np.linspace(-3, 3, 7)
-    val = pot(s, np.zeros_like(s))
+    val = potential_at(metric, s, np.zeros_like(s))
     assert np.allclose(val, -(0.6**2) / 4.0, rtol=1e-14)
-    comps = pot.components(s, np.zeros_like(s))
+    jet = metric.jet(s, np.zeros_like(s))
+    comps = potential_components(jet, 1.0 / jet["h"])
     assert np.allclose(comps["transverse_gradient"], -(0.6**2) / 4.0)
     for name in ("longitudinal_gradient", "longitudinal_curvature", "transverse_laplacian"):
         assert np.allclose(comps[name], 0.0)
@@ -75,7 +89,9 @@ def curved_strip_metric():
 def test_potential_derivative_matches_finite_differences(bump_metric):
     # the strip takes its cross term from hu_sq_s by finite differences
     for metric in (bump_metric, curved_strip_metric()):
-        pot = EffectivePotential(metric)
+        def pot(s, u):
+            return potential_at(metric, s, u)
+
         s = np.linspace(-2.5, 2.5, 11)
         u = np.full_like(s, 0.37)
         errs = []
@@ -86,7 +102,7 @@ def test_potential_derivative_matches_finite_differences(bump_metric):
                 + 8 * pot(s + delta, u)
                 - pot(s + 2 * delta, u)
             ) / (12 * delta)
-            errs.append(np.max(np.abs(fd - pot.derivative_s(s, u))))
+            errs.append(np.max(np.abs(fd - potential_at(metric, s, u, derivative=True))))
         assert errs[1] < errs[0] / 8.0  # fourth-order oracle: expect ~16x
 
 
@@ -119,7 +135,6 @@ def test_gate_tails_match_exact_rational_arithmetic(kappa, s_values):
     from fractions import Fraction
 
     metric = metric_from_profile(CurvatureProfile([kappa], (-1e4, 1e4)), 1.0)
-    coeffs, pot = CoefficientField(metric), EffectivePotential(metric)
     u = np.linspace(-1.0, 1.0, 9)
     for s_value in s_values:
         s = np.full_like(u, s_value)
@@ -128,12 +143,9 @@ def test_gate_tails_match_exact_rational_arithmetic(kappa, s_values):
             h1 = np.abs(kappas[1] * u[u != 0])
             assert np.all(h1**3 < np.finfo(float).tiny)
         jet = metric.jet(s, u)
-        computed = (
-            np.abs(jet["dh"]),
-            coeffs.deviation_on_jet(jet, 1.0 / jet["h"]),
-            pot(s, u),
-            pot.derivative_s(s, u),
-        )
+        r = reciprocal(jet, s)
+        computed = (np.abs(jet["dh"]), g_deviation(jet, r), potential(jet, r),
+                    potential_s(jet, r))
         for j, uj in enumerate(u):
             exact = _exact_gate_quantities(kappas, uj)
             for got, ref in zip((c[j] for c in computed), exact):
@@ -144,27 +156,19 @@ def test_gate_tails_match_exact_rational_arithmetic(kappa, s_values):
 def test_g11_is_h_to_the_minus_two_rounded_where_h_is_within_roundoff_of_one():
     # the straight-end elimination compares entries with the free operator
     # bit for bit, so G^11 there must round exactly like h^-2
-    class FixedH:
-        def __init__(self, h):
-            self.h = h
-
-        def jet(self, s, u, fields):
-            return {"h": self.h}
-
     eps = np.finfo(float).eps
     steps = np.arange(1, 4001)
     h = np.r_[1.0 - 0.5 * eps * steps, 1.0, 1.0 + eps * steps]
-    g = CoefficientField(FixedH(h)).g_ss(np.zeros_like(h), np.zeros_like(h))
-    assert np.array_equal(g, h**-2.0)
+    assert np.array_equal(g11({"h": h}), h**-2.0)
 
 
 def test_potential_singularity_is_flagged():
     # h = 1 - kappa u falls to 1e-9 at u = a, under the 1e-8 floor
     prof = CurvatureProfile([constant_function(1.0 - 1e-9)], (-10, 10))
     metric = metric_from_profile(prof, 1.0)
-    pot = EffectivePotential(metric)
+    s = np.zeros(3)
     with pytest.raises(EllipticityError):
-        pot(np.zeros(3), np.array([0.0, 0.5, 1.0]))
+        reciprocal(metric.jet(s, np.array([0.0, 0.5, 1.0]), ("h",)), s)
 
 
 # ---------------------------------------------------------------------------
@@ -218,12 +222,19 @@ def test_disc_grid_assembles_and_is_symmetric():
     TruncatedGrid.box(16.0, 1.0 / 16.0, (0.5, 0.5)),
     TruncatedGrid.disc(16.0, 1.0 / 8.0, 1.0),
 ], ids=["interval", "box", "disc"])
-def test_the_interior_coordinates_are_the_node_coordinates_at_the_unknowns(grid):
-    S, U = grid.node_coordinates()
-    act = grid.active()
-    for got, want in zip(grid.interior_coordinates(), (S[act], U[act])):
-        assert got.dtype == want.dtype and got.shape == want.shape
-        np.testing.assert_array_equal(got, want)
+def test_the_active_transverse_nodes_are_each_slices_unknowns(grid):
+    nodes = grid.transverse_nodes()
+    assert nodes.shape == grid.t_interior.shape + (grid.transverse_dim,)
+    for k, ax in enumerate(grid.t_axes):
+        form = [1] * grid.transverse_dim
+        form[k] = -1
+        np.testing.assert_array_equal(nodes[..., k],
+                                      np.broadcast_to(ax.reshape(form), grid.t_interior.shape))
+    idx, _ = grid.row_index()
+    width = int(grid.t_interior.sum())
+    for j in (1, grid.s_nodes.size - 2):        # the first and the last interior slice
+        np.testing.assert_array_equal(idx[j][grid.t_interior],
+                                      (j - 1) * width + np.arange(width))
 
 
 def test_too_coarse_transverse_grid_is_refused():
@@ -253,12 +264,10 @@ def test_free_box_spectrum_converges_to_analytic():
 
 def test_gauge_shift_moves_eigenvalues_exactly(bump_metric):
     grid = TruncatedGrid.interval(6.0, 0.125, 1.0)
-    coeffs = CoefficientField(bump_metric)
-    pot = EffectivePotential(bump_metric)
-    base = assemble_hamiltonian(coeffs, pot, grid)
-    shifted = assemble_hamiltonian(
-        coeffs, lambda s, u: pot(s, u) + 0.7, grid, tag="H+c"
-    )
+    base = assemble_hamiltonian(bump_metric, grid)
+    # no free end: a shifted slice no longer has the free operator's rows
+    shifted = DiscreteOperator(base.matrix + 0.7 * sp.identity(base.shape[0], format="csr"),
+                               grid, "H+c")
     v0, _ = lowest_eigenvalues(base, 3)
     v1, _ = lowest_eigenvalues(shifted, 3)
     assert np.allclose(v1 - v0, 0.7, atol=1e-10)
@@ -319,13 +328,32 @@ def reference_divergence_form(grid, coefficient_arrays):
     return (m + m.T + sp.diags(diag_full[act])).tocsr()
 
 
-def reference_hamiltonian(coeffs, potential, grid):
-    S, U = grid.node_coordinates()
-    m = reference_divergence_form(
-        grid, [coeffs.axis_coefficient(k, S, U) for k in range(1 + grid.transverse_dim)])
-    if potential is not None:
-        m = m + sp.diags(potential(*grid.interior_coordinates()))
-    return m.tocsr()
+def reference_hamiltonian(metric, grid):
+    """The coordinate-format Hamiltonian: G^11 and V from one jet at every node."""
+    arrays = [np.ones(grid.full_shape)] * (1 + grid.transverse_dim)
+    if metric is None:
+        return reference_divergence_form(grid, arrays)
+    S, U = node_coordinates(grid)
+    jet = metric.jet(S, U, operators._V_FIELDS)
+    arrays[0] = g11(jet)
+    v = potential(jet, reciprocal(jet, S))
+    return (reference_divergence_form(grid, arrays) + sp.diags(v[grid.active()])).tocsr()
+
+
+def reference_weighted_form_and_commutator(metric, grid):
+    """The coordinate-format weighted form and commutator, from one jet at every node."""
+    S, U = node_coordinates(grid)
+    act = grid.active()
+    jet = metric.jet(S, U, operators._V_S_FIELDS)
+    h = jet["h"]
+    k = reference_divergence_form(grid, [1.0 / h] + [h] * grid.transverse_dim)
+    d_half = sp.diags(h[act] ** -0.5)
+    m = (d_half @ k @ d_half).tocsr()
+    r = reciprocal(jet, S)
+    commutator = (2.0 * reference_divergence_form(grid, [g11(jet)])
+                  - reference_divergence_form(grid, [S * g11_s(jet, r)])
+                  - sp.diags(S[act] * potential_s(jet, r)[act]))
+    return (0.5 * (m + m.T)).tocsr(), commutator.tocsr()
 
 
 def assert_same_csr(m, reference):
@@ -337,66 +365,90 @@ def assert_same_csr(m, reference):
     assert m.has_canonical_format
 
 
-@pytest.mark.parametrize("bent", [False, True], ids=["free", "bent"])
-@pytest.mark.parametrize("cross_section", [
-    None, "shape = rectangle\nside_x = 1.0\nside_y = 1.0", "shape = disc\nradius = 1.0",
-], ids=["interval", "rectangle", "disc"])
+D3_SHAPES = {"rectangle": "shape = rectangle\nside_x = 1.0\nside_y = 1.0",
+             "disc": "shape = disc\nradius = 1.0"}
+
+
+def _case(case, bump_metric, d3_tube):
+    """(metric, grid) of a named case: a cross-section, or a strip on the interval."""
+    interval = TruncatedGrid.interval(8.0, 0.125, 1.0)
+    if case == "power-tail":
+        return metric_from_profile(CurvatureProfile([power_tail(0.4, 1.0, 2.5)],
+                                                    (-1e4, 1e4)), 1.0), interval
+    if case == "strip-K":
+        return metric_from_jacobi(SurfaceData(0.3, gaussian_bump(0.4, 1.0), 1.0,
+                                              (-1e4, 1e4))), interval
+    if case == "integrated-strip":
+        return curved_strip_metric(), interval
+    if case == "interval":
+        return bump_metric, interval
+    metric, omega = d3_tube(D3_SHAPES[case])
+    return metric, grid_for(omega, 8.0, 0.25)
+
+
+@pytest.mark.parametrize("case, bent, free", [
+    ("interval", False, True), ("interval", True, True),
+    ("rectangle", False, True), ("rectangle", True, True),
+    ("disc", False, True), ("disc", True, True),
+    # h - 1 decays as a power, tends to C_K - 1 != 0, or is swept: no free slice
+    ("power-tail", True, False), ("strip-K", True, False), ("integrated-strip", True, False),
+], ids=["interval-free", "interval-bent", "rectangle-free", "rectangle-bent", "disc-free",
+        "disc-bent", "power-tail", "strip-K", "integrated-strip"])
 def test_the_assembly_is_the_coordinate_format_one_bit_for_bit(bump_metric, d3_tube,
-                                                               cross_section, bent):
-    if cross_section is None:
-        metric, grid = bump_metric, TruncatedGrid.interval(8.0, 0.125, 1.0)
-    else:
-        metric, omega = d3_tube(cross_section)
-        grid = grid_for(omega, 8.0, 0.25)
+                                                               case, bent, free):
+    metric, grid = _case(case, bump_metric, d3_tube)
     if not bent:
         metric = None
-    coeffs = CoefficientField(metric)
-    potential = None if metric is None else EffectivePotential(metric)
-    op = assemble_hamiltonian(coeffs, potential, grid)
-    assert_same_csr(op.matrix, reference_hamiltonian(coeffs, potential, grid))
-    # the ends are free: they were tiled from the free slice
-    assert op.free_ends[0] > 0
+    op = assemble_hamiltonian(metric, grid)
+    assert_same_csr(op.matrix, reference_hamiltonian(metric, grid))
+    # free ends were tiled from the free slice
+    assert (op.free_ends[0] > 0) == free
 
 
-def test_the_weighted_form_and_the_commutator_are_the_reference_bit_for_bit(bump_metric):
-    # the weighted form's transverse coefficients are h, not 1
-    grid = TruncatedGrid.interval(8.0, 0.125, 1.0)
-    S, U = grid.node_coordinates()
-    h_nodes = bump_metric.h(S, U)
-    k = reference_divergence_form(grid, [1.0 / h_nodes, h_nodes])
-    d_half = sp.diags(h_nodes[grid.active()] ** -0.5)
-    m = (d_half @ k @ d_half).tocsr()
-    weighted = (0.5 * (m + m.T)).tocsr()
-    m = assemble_weighted_form_hamiltonian(bump_metric, grid).matrix
-    for name in ("indptr", "indices", "data"):
-        np.testing.assert_array_equal(getattr(m, name), getattr(weighted, name))
-    # the commutator's middle term is zero in the ends, and dropped there
-    coeffs, pot = CoefficientField(bump_metric), EffectivePotential(bump_metric)
-    s_i, u_i = grid.interior_coordinates()
-    commutator = (2.0 * reference_divergence_form(grid, [coeffs.g_ss(S, U)])
-                  - reference_divergence_form(grid, [S * coeffs.g_ss_s(S, U)])
-                  - sp.diags(s_i * pot.derivative_s(s_i, u_i))).tocsr()
-    m = assemble_commutator(coeffs, pot, grid).matrix
-    for name in ("indptr", "indices", "data"):
-        np.testing.assert_array_equal(getattr(m, name), getattr(commutator, name))
-    assert m.nnz < assemble_hamiltonian(coeffs, pot, grid).matrix.nnz
+def test_the_weighted_form_and_the_commutator_are_the_reference_bit_for_bit(bump_metric, d3_tube):
+    for case in ("interval", "rectangle", "disc"):
+        # the weighted form's transverse coefficients are h, not 1
+        metric, grid = _case(case, bump_metric, d3_tube)
+        weighted, commutator = reference_weighted_form_and_commutator(metric, grid)
+        m = assemble_weighted_form_hamiltonian(metric, grid).matrix
+        for name in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(m, name), getattr(weighted, name))
+        # the commutator's middle term is zero in the ends, and dropped there
+        m = assemble_commutator(metric, grid).matrix
+        for name in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(m, name), getattr(commutator, name))
+        assert m.nnz < assemble_hamiltonian(metric, grid).matrix.nnz
+
+
+@pytest.mark.parametrize("case", ["interval", "rectangle"])
+def test_a_field_of_s_alone_is_taken_once_per_s_node(bump_metric, d3_tube, monkeypatch, case):
+    # the curvature column depends on s alone: one jet on the grid's axes
+    # evaluates it on the s-nodes, not on every node
+    metric, grid = _case(case, bump_metric, d3_tube)
+    points = []
+    first_column = CurvatureProfile.first_column
+
+    def counted(self, s, order=0):
+        points.append(np.size(s))
+        return first_column(self, s, order)
+
+    monkeypatch.setattr(CurvatureProfile, "first_column", counted)
+    assemble_hamiltonian(metric, grid)
+    # h, h_s and h_ss read one order each; hu_sq reuses the first
+    assert points == [grid.s_nodes.size] * 3
 
 
 def test_a_diagonal_entry_the_potential_cancels_is_dropped():
     grid = TruncatedGrid.interval(4.0, 0.125, 1.0)
-    free = reference_hamiltonian(CoefficientField(None), None, grid)
+    arrays = [np.ones(grid.full_shape)] * 2
+    free = reference_divergence_form(grid, arrays)
     j = 5 * int(grid.t_interior.sum()) + 3          # in slice 5, a free end
-    s_i, u_i = grid.interior_coordinates()
-    at = np.array([s_i[j], u_i[j, 0]])
-
-    def cancelling(s, u):
-        return -free[j, j] * np.all(np.column_stack([s, u]) == at, axis=1)
-
-    op = assemble_hamiltonian(CoefficientField(None), cancelling, grid)
-    reference = reference_hamiltonian(CoefficientField(None), cancelling, grid)
-    assert_same_csr(op.matrix, reference)
-    assert op.matrix.nnz == free.nnz - 1
-    assert j not in op.matrix.indices[op.matrix.indptr[j]:op.matrix.indptr[j + 1]]
+    diagonal = np.zeros(grid.n_unknowns)
+    diagonal[j] = -free[j, j]
+    m, _ = operators._assemble_divergence_form(grid, arrays, diagonal)
+    assert_same_csr(m, (free + sp.diags(diagonal)).tocsr())
+    assert m.nnz == free.nnz - 1
+    assert j not in m.indices[m.indptr[j]:m.indptr[j + 1]]
 
 
 @pytest.mark.parametrize("ulps, stenciled", [(1, False), (2, True)])
@@ -433,9 +485,7 @@ def test_an_end_slice_is_tiled_only_where_its_values_are_free_bit_for_bit(monkey
 
 def test_straight_tube_coefficients_pass_trivially(straight_profile):
     metric = metric_from_profile(straight_profile, 1.0)
-    report = check_coefficient_assumptions(
-        CoefficientField(metric), EffectivePotential(metric)
-    )
+    report = check_coefficient_assumptions(metric)
     assert report.overall == "pass"
     assert "identically zero" in report.entry("G-approach-identity").notes
     assert "identically zero" in report.entry("V-s-derivative-decay[V]").notes
@@ -444,9 +494,7 @@ def test_straight_tube_coefficients_pass_trivially(straight_profile):
 def test_inverse_square_curvature_passes_with_capped_theta():
     prof = CurvatureProfile([__import__("tubespectra").power_tail(0.4, 1.0, 2.0)], (-1e4, 1e4))
     metric = metric_from_profile(prof, 1.0)
-    report = check_coefficient_assumptions(
-        CoefficientField(metric), EffectivePotential(metric)
-    )
+    report = check_coefficient_assumptions(metric)
     assert report.overall == "pass"
     v_entry = report.entry("V-s-derivative-decay")
     assert v_entry.verdict == "pass"
@@ -460,9 +508,7 @@ def test_log_decay_curvature_fails_the_rate_fit():
     kappa = 0.5 / np.log(np.e + np.sqrt(1.0 + s**2))
     prof = CurvatureProfile([tabulated_function(s, kappa)], (s[0], s[-1]))
     metric = metric_from_profile(prof, 1.0)
-    report = check_coefficient_assumptions(
-        CoefficientField(metric), EffectivePotential(metric)
-    )
+    report = check_coefficient_assumptions(metric)
     # V still tends to zero ...
     assert report.entry("V-approach-zero").verdict in ("pass", "inconclusive")
     # ... but no power rate fits the logarithmic tail

@@ -5,13 +5,11 @@ import pytest
 import scipy.sparse as sp
 
 from tubespectra import (
-    CoefficientField,
     ConvergencePolicy,
     CrossSection,
     CurvatureProfile,
     DiagnosticsError,
     DiscreteOperator,
-    EffectivePotential,
     InputError,
     SpectralReport,
     ThresholdSet,
@@ -30,6 +28,7 @@ from tubespectra import (
 )
 from tubespectra import operators, spectral
 from tubespectra.cli import hamiltonian_recipe
+from conftest import unknown_coordinates
 from dilation import assemble_dilation, commutator_form_comparison
 
 NU1 = np.pi**2 / 4.0
@@ -187,13 +186,13 @@ def test_a_warm_start_cannot_hide_a_symmetry_sector():
 
 def test_prolongation_carries_a_level_onto_both_ladder_steps():
     coarse = TruncatedGrid.interval(2.0, 0.25, 1.0)
-    s_i, u_i = coarse.interior_coordinates()
+    s_i, u_i = unknown_coordinates(coarse)
     values = (4.0 - s_i**2) * (1.0 - u_i[:, 0] ** 2)
     # h -> h/2 at the same L: old nodes keep their values, new ones between
     # them take the mean of their neighbours
     fine = TruncatedGrid.interval(2.0, 0.125, 1.0)
     carried = spectral._prolongate((coarse, values), fine)
-    s_f, u_f = fine.interior_coordinates()
+    s_f, u_f = unknown_coordinates(fine)
     on_old = np.isclose(np.mod(s_f, 0.25), 0.0) & np.isclose(np.mod(u_f[:, 0], 0.25), 0.0)
     np.testing.assert_allclose(carried[on_old], values, rtol=1e-14)
     exact = (4.0 - s_f**2) * (1.0 - u_f[:, 0] ** 2)
@@ -202,7 +201,7 @@ def test_prolongation_carries_a_level_onto_both_ladder_steps():
     # L -> 2L at the same h: the old box is copied, zero outside it
     long = TruncatedGrid.interval(4.0, 0.25, 1.0)
     carried = spectral._prolongate((coarse, values), long)
-    s_l, _ = long.interior_coordinates()
+    s_l, _ = unknown_coordinates(long)
     inside = np.abs(s_l) < 2.0
     np.testing.assert_array_equal(carried[inside], values)
     assert not np.any(carried[~inside])
@@ -311,9 +310,13 @@ def test_a_changed_coupling_or_a_missing_entry_ends_a_free_run():
     _assert_solves_on_k(*_factors(DiscreteOperator(a, grid, "H", runs), 1.0), 5)
 
 
-def _one_node(s, u, at):
-    """1 at the node ``at`` = (s, u...), 0 at every other."""
-    return np.where(np.all(np.column_stack([s, u]) == at, axis=1), 1.0, 0.0)
+def _one_node_operator(grid, at):
+    """The free operator plus 1e-3 at the node ``at`` = (s, u...), with the runs assembly finds."""
+    s, u = unknown_coordinates(grid)
+    diagonal = np.where(np.all(np.column_stack([s, u]) == at, axis=1), 1e-3, 0.0)
+    m, runs = operators._assemble_divergence_form(
+        grid, [np.ones(grid.full_shape)] * (1 + grid.transverse_dim), diagonal)
+    return DiscreteOperator(m, grid, "H", runs)
 
 
 @pytest.mark.parametrize("grid, node, runs", [
@@ -325,8 +328,7 @@ def _one_node(s, u, at):
     (TruncatedGrid.interval(4.0, 0.125, 1.0), (3.875, -0.5), (62, 0)),
 ], ids=["disc-node", "left-wall", "right-wall"])
 def test_one_perturbed_node_ends_a_free_run(grid, node, runs):
-    op = assemble_hamiltonian(CoefficientField(None),
-                              lambda s, u: 1e-3 * _one_node(s, u, node), grid)
+    op = _one_node_operator(grid, node)
     assert op.free_ends == runs
     _assert_solves_on_k(*_factors(op, 1.0), 6)
 
@@ -341,9 +343,7 @@ def test_the_free_ends_are_the_wall_runs_of_slices_with_the_free_rows(bent_level
     elif case == "disc":
         op = d3_recipe("shape = disc\nradius = 1.0")(16.0, 1.0 / 6.0)
     else:
-        op = assemble_hamiltonian(CoefficientField(None),
-                                  lambda s, u: 1e-3 * _one_node(s, u, (-1.0, -0.75, 0.25)),
-                                  TruncatedGrid.disc(2.0, 0.25, 1.0))
+        op = _one_node_operator(TruncatedGrid.disc(2.0, 0.25, 1.0), (-1.0, -0.75, 0.25))
     # a slice is free when its CSR rows are the free operator's on the same
     # grid, bit for bit: the free slice's rows shifted to it (a wall's at a wall)
     free = assemble_free_hamiltonian(op.grid).matrix
@@ -642,12 +642,8 @@ def test_reflected_curvature_gives_the_identical_matrix(bump_metric, bump_profil
     )
     neg_metric = metric_from_profile(neg, 1.0)
     grid = TruncatedGrid.interval(6.0, 0.125, 1.0)
-    h_pos = assemble_hamiltonian(
-        CoefficientField(bump_metric), EffectivePotential(bump_metric), grid
-    )
-    h_neg = assemble_hamiltonian(
-        CoefficientField(neg_metric), EffectivePotential(neg_metric), grid
-    )
+    h_pos = assemble_hamiltonian(bump_metric, grid)
+    h_neg = assemble_hamiltonian(neg_metric, grid)
     # relabel u -> -u: reverse the transverse index within each s block
     ns = grid.s_nodes.size - 2
     nu = int(grid.t_interior.sum())
@@ -741,7 +737,7 @@ def test_dilation_on_a_constant_vector_gives_half():
 def test_dilation_symbol_on_a_plane_wave_packet():
     grid = TruncatedGrid.interval(16.0, 1.0 / 32.0, 1.0)
     s_gen = assemble_dilation(grid).matrix
-    s_i, u_i = grid.interior_coordinates()
+    s_i, u_i = unknown_coordinates(grid)
     k = 2.0
     envelope = np.exp(-((s_i / 4.0) ** 2)) * np.cos(np.pi * u_i[..., 0] / 2.0)
     v = envelope * np.exp(1j * k * s_i)
@@ -771,7 +767,7 @@ def test_free_commutator_is_twice_the_axial_kinetic_part(grid):
     m = int(grid.t_interior.sum())
     t_s = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n_s, n_s)) / grid.s_spacing**2
     axial = sp.kron(t_s, sp.identity(m))
-    c_free = assemble_commutator(CoefficientField(None), None, grid)
+    c_free = assemble_commutator(None, grid)
     assert abs(c_free.matrix - 2.0 * axial).max() == 0.0
 
     h0 = assemble_free_hamiltonian(grid).matrix
@@ -790,12 +786,10 @@ def test_commutator_formula_against_direct_matrix_commutator(bump_metric):
     rel = {}
     for spacing in (0.125, 0.0625):
         grid = TruncatedGrid.interval(8.0, spacing, 1.0)
-        coeffs = CoefficientField(bump_metric)
-        pot = EffectivePotential(bump_metric)
-        h_op = assemble_hamiltonian(coeffs, pot, grid)
-        c_op = assemble_commutator(coeffs, pot, grid)
+        h_op = assemble_hamiltonian(bump_metric, grid)
+        c_op = assemble_commutator(bump_metric, grid)
         a_op = assemble_dilation(grid)
-        s_i, u_i = grid.interior_coordinates()
+        s_i, u_i = unknown_coordinates(grid)
         bump = np.where(
             np.abs(s_i) < 7.0, np.exp(-1.0 / np.maximum(1e-12, 1 - (s_i / 7.0) ** 2)), 0.0
         )
@@ -813,11 +807,9 @@ def test_commutator_formula_against_direct_matrix_commutator(bump_metric):
 
 def test_curved_commutator_approaches_the_free_one_far_out(bump_metric):
     grid = TruncatedGrid.interval(24.0, 0.125, 1.0)
-    coeffs = CoefficientField(bump_metric)
-    pot = EffectivePotential(bump_metric)
-    c_curved = assemble_commutator(coeffs, pot, grid)
-    c_free = assemble_commutator(CoefficientField(None), None, grid)
-    s_i, u_i = grid.interior_coordinates()
+    c_curved = assemble_commutator(bump_metric, grid)
+    c_free = assemble_commutator(None, grid)
+    s_i, u_i = unknown_coordinates(grid)
     mode = np.cos(np.pi * u_i[..., 0] / 2.0)
     for centre in (16.0, -16.0):  # far beyond the bump, coefficients ~ flat
         v = np.exp(-((s_i - centre) ** 2)) * np.cos(2.0 * s_i) * mode
@@ -845,7 +837,7 @@ def test_commutator_requires_third_derivatives():
     metric = metric_from_profile(prof, 1.0)
     grid = TruncatedGrid.interval(4.0, 0.125, 1.0)
     with pytest.raises(InputError):
-        assemble_commutator(CoefficientField(metric), EffectivePotential(metric), grid)
+        assemble_commutator(metric, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -971,7 +963,7 @@ def test_mourre_default_windows_hold_every_state():
 ], ids=["interval", "rectangle", "disc"])
 def test_mourre_separable_pairs_match_the_dense_oracle(grid, omega, lam, eps):
     h0 = assemble_free_hamiltonian(grid)
-    c0 = assemble_commutator(CoefficientField(None), None, grid)
+    c0 = assemble_commutator(None, grid)
     th = cross_section_spectrum(omega, 6)
     assert h0.shape[0] <= 2000
     (win,) = mourre_check_free(grid, th, [(lam, eps)])

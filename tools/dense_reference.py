@@ -22,10 +22,7 @@ import time
 import scipy.linalg as la
 
 from tubespectra import (
-    CoefficientField,
-    CrossSection,
     CurvatureProfile,
-    EffectivePotential,
     TruncatedGrid,
     assemble_hamiltonian,
     gaussian_bump,
@@ -37,13 +34,11 @@ from tubespectra.spectral import lower_band
 def main():
     profile = CurvatureProfile([gaussian_bump(0.5, 1.0)], (-1e4, 1e4))
     metric = metric_from_profile(profile, 1.0)
-    coeffs = CoefficientField(metric)
-    potential = EffectivePotential(metric)
 
     values = {}
     for inv in (6, 8):
         grid = TruncatedGrid.interval(64.0, 1.0 / inv, 1.0)
-        op = assemble_hamiltonian(coeffs, potential, grid)
+        op = assemble_hamiltonian(metric, grid)
         t0 = time.time()
         w = la.eig_banded(lower_band(op.matrix), lower=True, eigvals_only=True,
                           select="i", select_range=(0, 2))

@@ -7,13 +7,17 @@
 Runs the calls of the perfbench workloads (problem files from
 ``perfbench/workloads.py``) at seeds 0 and 7: the bent-strip and rect-tube
 ``spectrum``, the five screen ``check`` problems and the interval
-``mourre`` table.  Five more calls, printed under seed 0, cover what no
+``mourre`` table.  Six more calls, printed under seed 0, cover what no
 workload runs: a ``spectrum`` call on the smoke-scale bent strip without
 its ``domain_length`` (the domain-length doubling rule), a ``spectrum``
 call on the smoke-scale rect-tube with a unit-disc cross-section (the
 only ladder on a cross-section that does not fill its grid's bounding
-box), an ``export`` call on each of the bent-strip and rect-tube problem
-files (``mesh.txt`` and ``mesh_metric.csv``), and a ``check`` call on
+box), a ``spectrum`` call on the smoke-scale bent strip drawn on a flat
+surface (``[surface] curvature = 0.0``, the only ladder on a strip
+metric: a strip of Gauss curvature K != 0 fails its gate by design, as
+its h - 1 tends to C_K - 1, not to 0), an ``export`` call on each of
+the bent-strip and rect-tube problem files (``mesh.txt`` and
+``mesh_metric.csv``), and a ``check`` call on
 the README's ``ini`` block, which sets every ``[numerics]`` and
 ``[outputs]`` key but ``truncation_tol`` and ``mourre_windows``, so that
 the resolved config its report embeds has nearly every key.  Each call is a
@@ -84,6 +88,12 @@ DISC = workloads.Call(
     "disc-tube", "spectrum",
     workloads.rect_tube_ini("smoke").replace("shape = rectangle\nside_x = 1.0\nside_y = 1.0",
                                              "shape = disc\nradius = 1.0"),
+)
+STRIP = workloads.Call(
+    "flat-strip", "spectrum",
+    workloads.bent_strip_ini("smoke", mourre=False).replace("kind = euclidean-tube",
+                                                            "kind = surface-strip")
+    + "\n[surface]\ncurvature = 0.0\n",
 )
 EXPORTS = [workloads.Call("bent-strip", "export", workloads.bent_strip_ini()),
            workloads.Call("rect-tube", "export", workloads.rect_tube_ini())]
@@ -266,7 +276,7 @@ def main(argv):
     calls = [(seed, call) for seed in SEEDS for name in workloads.NAMES
              for call in workloads.build(name, seed).calls]
     seen = set()
-    extra = [DOUBLING_RULE, DISC, *EXPORTS, README_CHECK]
+    extra = [DOUBLING_RULE, DISC, STRIP, *EXPORTS, README_CHECK]
     for seed, call in calls + [(SEEDS[0], c) for c in extra]:
         if (call.kind, call.ini) in seen:
             continue
