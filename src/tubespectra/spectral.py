@@ -28,10 +28,23 @@ ends exactly, a discrete transparent boundary on the same truncated
 problem: in the modes of D - sigma I each end is a set of uncoupled
 tridiagonals (LAPACK dpttrf), whose Schur term goes onto the
 neighbouring slice of the curved core, and only the core is factored by
-banded Cholesky (LAPACK dpbtrf), from the lower triangle of the core's
-own rows and columns: only the symmetry check and the residuals read the
-whole matrix.  A matrix with no grid, or an operator with no free end,
-is all core.
+banded Cholesky, from the lower triangle of the core's own rows and
+columns: only the symmetry check and the residuals read the whole
+matrix.  A matrix with no grid, or an operator with no free end, is all
+core.  The core, of half-bandwidth kd, is split at a middle block of kd
+rows, one s-slice: a top half with the left end, and a bottom half with
+the right end, stored in reverse so that both eliminate toward the
+middle.  Each half is scattered from the core's entries into its own
+band and factored by dpbtrf; the middle block then takes its Schur
+complement S = C - F_T^T F_T - F_U^T F_U, F = L_last^-1 G from each
+half's trailing factor block and its coupling G, and dpotrf factors S.
+A solve sweeps each half forward (dtbsv, after its end's dpttrs), solves
+with S, and sweeps each half back.  The two halves run at the same time,
+one on a worker thread, through LAPACK and BLAS called by ctypes, which
+releases the GIL, or in turn when one CPU is usable: the arithmetic is
+the same either way, bit for bit.  A core band of fewer than 500,000
+entries, where the hand-offs would cost more than they save, is split at
+its last slice instead, so that its bottom half is empty.
 
 Lanczos runs only on the unknowns that carry the eigenvectors: the
 core's, and in each end each transverse mode's slices next to the core.
@@ -56,9 +69,12 @@ Ladder solves shift 1e-3 * max(1, |hint|) below a hint: nu_1 for the
 ladder's first solve, the previous solve's lowest eigenvalue after it.
 The factorization is the certificate: Cholesky exists only for a
 positive definite matrix, and A - sigma I is positive definite exactly
-when its free ends and their Schur complement are (Haynsworth inertia
-additivity), so when every factor exists no eigenvalue lies at or below
-sigma and the solve cannot miss one.  A shift where it fails is lowered
+when its free ends and their Schur complement onto the core are, and
+that complement exactly when its two halves and the middle block's
+Schur complement S are (Haynsworth inertia additivity, Linear Algebra
+Appl. 1 (1968) 73).  So when every factor exists (the ends' and the
+core's three Cholesky pieces) no eigenvalue lies at or below sigma and
+the solve cannot miss one.  A shift where it fails is lowered
 before any solve is made.  Each solve after the first starts Lanczos
 from the previous solve's eigenvectors: their sum, prolongated onto the
 new grid by linear interpolation along each tensor axis and taken as
@@ -132,37 +148,67 @@ def _start_vector(n):
     return v / np.linalg.norm(v)
 
 
-def _lower_entries(matrix):
-    """Band rows, columns and values of a sparse matrix's lower triangle, and its order.
+def _canonical(matrix):
+    """A sparse matrix in canonical CSR form, which an assembled operator already has.
 
-    The entries are read row by row from the canonical CSR form, which an
-    assembled operator already has; any other input is converted or copied
-    first, so the caller's matrix is never modified.
+    Any other input is converted, or copied and summed, so the caller's
+    matrix is never modified.
     """
     m = sp.csr_matrix(matrix)
     if not m.has_canonical_format:
         m = m.copy()
         m.sum_duplicates()
+    return m
+
+
+def _lower_entries(matrix):
+    """Band rows, columns and values of a sparse matrix's lower triangle, and its order.
+
+    The entries are read row by row from the :func:`_canonical` form.
+    """
+    m = _canonical(matrix)
     offset = np.repeat(np.arange(m.shape[0], dtype=m.indices.dtype), np.diff(m.indptr)) - m.indices
     low = np.flatnonzero(offset >= 0)
-    return offset[low], m.indices[low], m.data[low], m.shape[0]
+    # intp index arrays, which numpy indexes with as they are, with no
+    # converted copy (in the worker thread, it would stay in its arena)
+    return (offset[low].astype(np.intp), m.indices[low].astype(np.intp), m.data[low],
+            m.shape[0])
 
 
-def _scatter_band(entries, sigma=0.0, half_width=0):
-    """Fortran-ordered LAPACK lower band of m - sigma I from m's ``_lower_entries``.
+def _exactly_symmetric(matrix):
+    """Whether a sparse matrix equals its transpose, entry for entry.
 
-    Its half-bandwidth is m's, or ``half_width`` when that is larger.
+    The arrays of its :func:`_canonical` form and of its transpose's are
+    compared, with no sparse merge.  A stored zero counts as absent and a
+    NaN equals nothing, as in ``(m != m.T).nnz == 0``.
+    """
+    m = _canonical(matrix)
+    t = m.T.tocsr()
+    if all(map(np.array_equal, (m.indptr, m.indices, m.data), (t.indptr, t.indices, t.data))):
+        return True
+    if m.data.all():
+        return False
+    m = m.copy()  # stored zeros: compare again without them
+    m.eliminate_zeros()
+    return _exactly_symmetric(m)
+
+
+def _scatter_band(band, entries, sigma=0.0, reverse=False):
+    """``band``, a zero LAPACK lower band, made that of m - sigma I from m's ``_lower_entries``.
+
+    With ``reverse`` it is the band of m with its rows and columns in reverse.
     """
     offset, col, data, n = entries
-    band = np.zeros((max(int(offset.max(initial=0)), half_width) + 1, n), order="F")
-    band[offset, col] = data
+    band[offset, n - 1 - col - offset if reverse else col] = data
     band[0] -= sigma
     return band
 
 
 def lower_band(matrix):
     """Fortran-ordered LAPACK lower band of a symmetric sparse matrix's lower triangle."""
-    return _scatter_band(_lower_entries(matrix))
+    entries = _lower_entries(matrix)
+    return _scatter_band(np.zeros((int(entries[0].max(initial=0)) + 1, entries[3]), order="F"),
+                         entries)
 
 
 def _free_slices(grid):
@@ -171,59 +217,142 @@ def _free_slices(grid):
     return assemble_free_hamiltonian(TruncatedGrid(s_nodes, grid.t_axes, grid.t_interior)).matrix
 
 
+# a core band of at least this many entries, (kd + 1) times its order, is
+# split at its middle slice, and its halves run on two threads when two CPUs
+# are usable; a smaller one is split at its last slice, its bottom half
+# empty: the two hand-offs a solve makes would cost more than the second
+# thread saves, and a shift that fails is found as early as without a split
+_SPLIT_BAND = 500_000
+
+
+# ---------------------------------------------------------------------------
+# the factor
+
+
 @dataclass(frozen=True)
 class _End:
     """One free end of a :class:`_Factor`, its mode chains cut for Lanczos."""
 
     unknowns: slice              # the end's unknowns on the grid
-    at: slice                    # the core slice next to it, among the core's unknowns
+    part: slice                  # and on K
     reverse: bool                # its chains run from the wall against the grid's s order
     index: np.ndarray            # K's slices among the slices of the mode-major chains
     kept: np.ndarray             # slices kept per mode, the last one next to the core
+    last: np.ndarray             # that last one's index among the kept slices
     d: np.ndarray                # trailing dpttrf pivots of each chain, and
     e: np.ndarray                # their off-diagonal, 0 between modes
     column: np.ndarray           # that factor's inverse's columns at the core
+
+
+class _Half:
+    """One half of a split core factor, its rows ordered toward the middle slice.
+
+    ``rows`` are the half's core rows, in reverse for the bottom half.
+    ``band`` holds the banded Cholesky factor L of their block, ``f`` =
+    L_last^-1 G, L_last the trailing block of L and G the coupling of its
+    rows to the middle slice.  ``end`` is the free end beyond the half, or
+    None: in its modes it is eliminated onto the half's first slice, or onto
+    the middle slice when the half has no row.  A solve works in place on
+    a vector x on K, the half's rows and its end's part of it.
+    """
+
+    def __init__(self, rows, reverse, band, f, end, psi, coupling):
+        from . import _lapack as lapack
+
+        self.rows, self.reverse, self.band, self.f = rows, reverse, band, f
+        self.end, self.psi, self.coupling = end, psi, coupling
+        self.sweep, self.rowless = lapack.tbsv(band, reverse), rows.stop == rows.start
+        k = f.shape[0]
+        # the rows coupled to the middle slice, in the half's order
+        self.linked = (slice(rows.start + k - 1, rows.start - 1, -1) if reverse
+                       else slice(rows.stop - k, rows.stop))
+        if end is not None:
+            width = psi.shape[0]
+            self.chains, self.scaled = lapack.pttrs(end.d, end.e), coupling * end.column
+            # the core slice next to the end, in the core's order
+            self.next = (slice(rows.stop - width, rows.stop) if reverse
+                         else slice(rows.start, rows.start + width))
+
+    def at(self, kd):
+        """The slice of the kd-row middle block next to the end of a half with no row."""
+        width = self.psi.shape[0]
+        return slice(kd - width, kd) if self.reverse else slice(0, width)
+
+    def forward(self, x, address):
+        """The forward sweep of the half's rows and end of x, whose data is at ``address``.
+
+        Returns the end's term for the middle slice when the half has no
+        row, else None.
+        """
+        term = None
+        if self.end is not None:
+            self.chains(address + 8 * self.end.part.start)
+            term = self.coupling * (self.psi @ x[self.end.part][self.end.last])
+            if not self.rowless:
+                x[self.next] += term
+                term = None
+        self.sweep(address + 8 * self.rows.start, b"N")
+        return term
+
+    def backward(self, x, address, middle):
+        """The backward sweep of the half's rows and end of x, given the middle slice's."""
+        x[self.linked] -= self.f @ middle
+        self.sweep(address + 8 * self.rows.start, b"T")
+        if self.end is not None:
+            at = middle[self.at(middle.size)] if self.rowless else x[self.next]
+            x[self.end.part] += self.scaled * np.repeat(self.psi.T @ at, self.end.kept)
 
 
 class _Factor:
     """m - sigma I factored, its exactly straight ends eliminated in modes.
 
     Made by :func:`_factorize`.  The ``core`` slices between the free end
-    runs of :func:`_free_ends` (``slices`` in all) hold the banded
-    Cholesky factor ``band`` of their Schur complement.  The factor acts
-    on K, its ``size`` unknowns: the core's nodes, then for each
-    :class:`_End` each transverse mode's ``kept`` slices next to the core,
-    mode by mode.  A mode's chain runs from the wall to the core, so
-    dpttrf eliminates its far slices first, and the trailing pivots
-    ``d, e`` are exactly the factor of the chain's Schur complement onto
-    the slices kept: ``solve`` applies [(m - sigma I)^-1]_KK, the
-    compression of the inverse onto K.  With every chain whole, K is all
-    of m's unknowns, the ends' in modes.
+    runs of :func:`_free_ends` (``slices`` in all) are split at a middle
+    block of kd rows, one s-slice, into two :class:`_Half`: the top half
+    with the left free end, the bottom half with the right one (empty when
+    the core is split at its last slice).  ``s`` is
+    the dense Cholesky factor of the middle block's Schur complement S = C
+    - F_T^T F_T - F_U^T F_U.  The factor acts on K, its ``size`` unknowns:
+    the core's nodes, then for each :class:`_End` each transverse mode's
+    ``kept`` slices next to the core, mode by mode.  A mode's chain runs
+    from the wall to the core, so dpttrf eliminates its far slices first,
+    and the trailing pivots ``d, e`` are exactly the factor of the chain's
+    Schur complement onto the slices kept: ``solve`` applies
+    [(m - sigma I)^-1]_KK, the compression of the inverse onto K.  With
+    every chain whole, K is all of m's unknowns, the ends' in modes.
+    ``threaded`` runs the two halves at once.
     """
 
-    def __init__(self, band, span, slices, width, psi=None, coupling=0.0, ends=()):
-        self.band, self.span, self.slices, self.width = band, span, slices, width
-        self.psi, self.coupling, self.ends = psi, coupling, ends
+    def __init__(self, halves, middle, s, span, slices, width, psi=None, ends=(),
+                 threaded=False):
+        from scipy.linalg.lapack import dpotrs
+
+        self.halves, self.middle, self.s, self.threaded = halves, middle, s, threaded
+        self.potrs = dpotrs
+        self.span, self.slices, self.width, self.psi, self.ends = span, slices, width, psi, ends
         self.core = (span[1] - span[0]) // width
-        bounds = np.cumsum([0, span[1] - span[0]] + [end.index.size for end in ends])
-        self.parts = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
-        self.size = int(bounds[-1])
+        self.size = span[1] - span[0] + sum(end.index.size for end in ends)
 
     def solve(self, rhs):
-        """[(m - sigma I)^-1]_KK rhs, by block elimination of the ends."""
-        from scipy.linalg.lapack import dpbtrs, dpttrs
+        """[(m - sigma I)^-1]_KK rhs: each half forward, the middle slice, each half back."""
+        from . import _lapack as lapack
 
-        psi, c = self.psi, self.coupling
-        core = rhs[self.parts[0]].copy()
-        modes = []
-        for end, part in zip(self.ends, self.parts[1:]):
-            y = dpttrs(end.d, end.e, rhs[part])[0]
-            core[end.at] += c * (psi @ y[np.cumsum(end.kept) - 1])
-            modes.append(y)
-        x = np.empty_like(rhs)
-        x[self.parts[0]] = core = dpbtrs(self.band, core, lower=1)[0]
-        for end, part, y in zip(self.ends, self.parts[1:], modes):
-            x[part] = y + c * end.column * np.repeat(psi.T @ core[end.at], end.kept)
+        if rhs.shape != (self.size,):
+            raise ValueError(f"right-hand side of shape {rhs.shape} for {self.size} unknowns")
+        # each piece works in place on its part of one copy
+        x = np.array(rhs, dtype=float)
+        address = lapack.address(x)
+        top, bottom = self.halves
+        terms = lapack.pair(lambda: top.forward(x, address), lambda: bottom.forward(x, address),
+                            self.threaded)
+        middle = x[self.middle]
+        for half, term in zip(self.halves, terms):
+            middle -= half.f.T @ x[half.linked]
+            if term is not None:  # the end of a half with no row
+                middle[half.at(middle.size)] += term
+        x[self.middle] = middle = self.potrs(self.s, middle, lower=1)[0]
+        lapack.pair(lambda: top.backward(x, address, middle),
+                    lambda: bottom.backward(x, address, middle), self.threaded)
         return x
 
     def restrict(self, v):
@@ -239,11 +368,11 @@ class _Factor:
         """Vectors on K, one per column, on m's unknowns, zero beyond each cut."""
         lo, hi = self.span
         x = np.empty((self.slices * self.width,) + y.shape[1:])
-        x[lo:hi] = y[self.parts[0]]
-        for end, part in zip(self.ends, self.parts[1:]):
+        x[lo:hi] = y[:hi - lo]
+        for end in self.ends:
             count = (end.unknowns.stop - end.unknowns.start) // self.width
             modes = np.zeros((self.width * count,) + y.shape[1:])
-            modes[end.index] = y[part]
+            modes[end.index] = y[end.part]
             nodal = (self.psi @ modes.reshape(self.width, -1)).reshape(self.width, count, -1)
             nodal = nodal[:, ::-1] if end.reverse else nodal
             x[end.unknowns] = nodal.transpose(1, 0, 2).reshape(x[end.unknowns].shape)
@@ -305,62 +434,137 @@ def _factorize(core, sigma, grid=None, ends=None, cut=True):
     ``core`` is m's :func:`_core_entries`, ``grid`` its grid and
     ``ends`` its :func:`_free_ends`; without them m is all core.  The
     free one-slice block is diagonalized, D - sigma I = Psi diag(delta_t)
-    Psi^T.  A free run of p slices at a
-    wall is then, in modes, m uncoupled tridiagonals
-    T_t = tridiag(-c, delta_t, -c) of order p, c = 1/ds^2, each ordered
-    from the wall to the core and all factored by one dpttrf call; the
-    exact Schur term -c^2 Psi diag((T_t^-1)_pp) Psi^T, p the slice next
-    to the core, goes onto the core slice next to it, and dpbtrf factors
-    the core's band.  Each Cholesky fails exactly when its matrix is not
-    positive definite, and m - sigma I is positive definite exactly when
-    the ends and the core's Schur complement are (Haynsworth inertia
-    additivity).  So a factor exists only when no eigenvalue of m lies at
-    or below sigma: its success certifies sigma.  Cholesky needs no
-    pivoting and is backward stable: the factor is exact for a matrix
+    Psi^T.  A free run of p slices at a wall is then, in modes, m
+    uncoupled tridiagonals T_t = tridiag(-c, delta_t, -c) of order p,
+    c = 1/ds^2, each ordered from the wall to the core and all factored
+    by one dpttrf call; the exact Schur term -c^2 Psi diag((T_t^-1)_pp)
+    Psi^T, p the slice next to the core, goes onto the core slice next to
+    it.  The core's band, of half-bandwidth kd, is split at a middle block
+    of kd rows (one s-slice) into a top half, with the left end, and a
+    bottom half, with the right end, stored in reverse so that both
+    eliminate toward the middle.  Each is scattered from ``core`` into its
+    own band and factored by dpbtrf, at the same time on two threads when
+    two CPUs are usable, and dpotrf factors the middle block's Schur
+    complement.  A band smaller than ``_SPLIT_BAND`` is split at its last
+    slice instead, its bottom half empty, and runs on one thread.  Each
+    Cholesky fails exactly when its matrix is not positive definite, and
+    m - sigma I is positive definite exactly when the ends, both halves
+    and the middle block's Schur complement are (Haynsworth inertia
+    additivity, twice).  So a factor exists only when no eigenvalue of m
+    lies at or below sigma: its success certifies sigma.  Cholesky needs
+    no pivoting and is backward stable: the factor is exact for a matrix
     within roundoff of m - sigma I.  The factor keeps min(p, reach_t)
     slices of mode t's chain, or with ``cut`` false the whole chain.
     """
     # imported on first use, like eigsh below: scipy.linalg would add
     # about 0.1 s to every import of the package
-    from scipy.linalg.lapack import dpbtrf, dpttrf, dpttrs
+    from scipy.linalg.lapack import dpotrf
+
+    from . import _lapack as lapack
 
     width, left, right, lam, psi, reach, _ = ends or (core[3], 0, 0, None, None, None, None)
-    lo = left * width
-    hi = lo + core[3]
-    n = hi + right * width
+    offset, col, data, n = core
     # a free end's Schur term fills the core slice next to it
-    band = _scatter_band(core, sigma, width if left or right else 0)
-    c, runs = 0.0, []
-    if left or right:
-        c = 1.0 / grid.s_spacing**2
-        rows, cols = np.tril_indices(width)
-        for count, part, at, reverse in ((left, slice(0, lo), slice(0, width), False),
-                                         (right, slice(hi, n), slice(hi - lo - width, hi - lo),
-                                          True)):
-            if not count:
-                continue
-            # mode-major: mode t's slices are contiguous and uncoupled from mode t + 1's
-            d = np.repeat(lam - sigma, count)
-            e = np.full(d.size - 1, -c)
-            e[count - 1::count] = 0.0
-            d, e, info = dpttrf(d, e, overwrite_d=1, overwrite_e=1)
-            if info:
-                return None
-            kept = np.minimum(reach, count).astype(int) if cut else np.full(width, count)
-            ends_at = np.cumsum(kept)
-            index = np.arange(ends_at[-1]) + np.repeat(np.arange(width) * count + count - ends_at,
-                                                       kept)
-            d, e = d[index], e[index[:-1]]
-            unit = np.zeros(d.size)
-            unit[ends_at - 1] = 1.0
-            column = dpttrs(d, e, unit)[0]
-            schur = (c * c) * (psi * column[ends_at - 1]) @ psi.T
-            band[rows - cols, at.start + cols] -= schur[rows, cols]
-            runs.append(_End(part, at, reverse, index, kept, d, e, column))
-    band, info = dpbtrf(band, lower=1, overwrite_ab=1)
+    kd = max(int(offset.max(initial=0)), width if left or right else 0, 1)
+    split = (kd + 1) * n >= _SPLIT_BAND
+    a = kd * (n // kd // 2) if split else n - kd   # the middle block's rows are a ... b - 1
+    b = a + kd
+    threaded = split and lapack.usable_cpus() > 1
+    rows = col + offset
+    p, q = np.searchsorted(rows, [a, b])
+    c = 1.0 / grid.s_spacing**2 if left or right else 0.0
+    i, j = np.tril_indices(width) if left or right else (None, None)
+
+    def end_of(count, first, part, reverse):
+        """A free end eliminated in modes, and its Schur term's lower triangle, or None."""
+        kept = np.minimum(reach, count).astype(int) if cut else np.full(width, count)
+        # mode-major: mode t's slices are contiguous and uncoupled from mode t + 1's
+        d = np.repeat(lam - sigma, count)
+        e = np.full(d.size - 1, -c)
+        e[count - 1::count] = 0.0
+        if lapack.pttrf(d, e):
+            return None
+        ends_at = np.cumsum(kept)
+        index = np.arange(ends_at[-1]) + np.repeat(np.arange(width) * count + count - ends_at,
+                                                   kept)
+        d, e = d[index], e[index[:-1]]
+        column = np.zeros(d.size)
+        column[ends_at - 1] = 1.0
+        lapack.pttrs(d, e)(lapack.address(column))
+        schur = (c * c) * (psi * column[ends_at - 1]) @ psi.T
+        return (_End(slice(first, first + count * width), slice(part, part + index.size),
+                     reverse, index, kept, ends_at - 1, d, e, column), schur[i, j])
+
+    # the ends first, on this thread: their chains are the largest arrays a
+    # half would allocate, and a worker thread's allocations stay in its own
+    # malloc arena, which raised the peak RSS
+    eliminated, part = [], n
+    for count, first, reverse in ((left, 0, False), (right, left * width + n, True)):
+        if not count:
+            eliminated.append((None, None))
+            continue
+        done = end_of(count, first, part, reverse)
+        if done is None:
+            return None
+        eliminated.append(done)
+        part += done[0].index.size
+
+    def scatter(band, f, entries, links, schur, reverse):
+        """One half's band, its end's Schur term on its first slice, and its coupling G in f."""
+        _scatter_band(band, entries, sigma, reverse)
+        if schur is not None:
+            band[i - j, width - 1 - i if reverse else j] -= schur
+        f[links[0], links[1]] = links[2]
+
+    def factor(band, f):
+        """The half's band factored and f made L_last^-1 G, in place; False when it fails."""
+        if lapack.pbtrf(band):
+            return False
+        lapack.tbtrs(band[:, band.shape[1] - f.shape[0]:], f)
+        return True
+
+    # both halves' bands in one allocation, and every array the worker
+    # thread writes, made on this thread for the same reason
+    bands = np.zeros((kd + 1, n - kd), order="F")
+    f_t, f_u = (np.zeros((min(kd, size), kd), order="F") for size in (a, n - b))
+    (end_t, schur_t), (end_u, schur_u) = eliminated
+    # the middle rows' entries in the top half's columns are its coupling G,
+    # on the top half's last min(kd, a) rows
+    middle = slice(p, q)
+    linked = col[middle] < a
+    scatter(bands[:, :a], f_t, (offset[:p], col[:p], data[:p], a),
+            (col[middle][linked] - a + min(kd, a), rows[middle][linked] - a, data[middle][linked]),
+            schur_t if a else None, False)
+
+    def bottom():
+        # its entries, and its coupling G on its first min(kd, n - b) rows, in reverse
+        inside = col[q:] >= b
+        scatter(bands[:, a:], f_u,
+                (offset[q:][inside], col[q:][inside] - b, data[q:][inside], n - b),
+                (min(kd, n - b) - 1 - rows[q:][~inside] + b, col[q:][~inside] - a,
+                 data[q:][~inside]), schur_u if n > b else None, True)
+        return factor(bands[:, a:], f_u)
+
+    # the worker only factors the top half, in place
+    if not all(lapack.pair(bottom, lambda: factor(bands[:, :a], f_t), threaded)):
+        return None
+    top = _Half(slice(0, a), False, bands[:, :a], f_t, end_t, psi, c)
+    bottom = _Half(slice(b, n), True, bands[:, a:], f_u, end_u, psi, c)
+    s = np.zeros((kd, kd), order="F")
+    s[rows[middle][~linked] - a, col[middle][~linked] - a] = data[middle][~linked]
+    s[np.diag_indices(kd)] -= sigma
+    for h, schur in ((top, schur_t), (bottom, schur_u)):
+        s -= h.f.T @ h.f
+        if h.end is not None and h.rowless:
+            at = h.at(kd)
+            s[at, at][i, j] -= schur
+    s, info = dpotrf(s, lower=1, overwrite_a=1)
     if info:
         return None
-    return _Factor(band, (lo, hi), n // width, width, psi, c, tuple(runs))
+    lo = left * width
+    return _Factor((top, bottom), slice(a, b), s, (lo, lo + n),
+                   (lo + n + right * width) // width, width, psi,
+                   tuple(end for end in (end_t, end_u) if end is not None), threaded)
 
 
 def _shift_invert(m, k, sigma, factor, v0):
@@ -448,7 +652,7 @@ def lowest_eigenvalues(op, k, below=None, start=None, overwrite_start=False):
     n = m.shape[0]
     if k < 1 or k >= n:
         raise InputError(f"need 1 <= k < matrix dimension (k={k}, n={n})")
-    if (m != m.T).nnz:
+    if not _exactly_symmetric(m):
         raise InputError("matrix is not exactly symmetric")
     v0 = _start_vector(n)
     if start is not None:
@@ -481,11 +685,13 @@ def lowest_eigenvalues(op, k, below=None, start=None, overwrite_start=False):
         factor = _factorize(_core_entries(m, ends), sigma, grid, ends, cut=False)
         vals, vecs, more = _shift_invert(m, k, sigma, factor, v0)
         solves += more
+    sizes = dict(core=factor.core, slices=factor.slices, lanczos=factor.size)
+    del factor  # the largest array alive: freed before the residuals' temporaries
     order = np.argsort(vals)
     vals, vecs = vals[order], vecs[:, order]
     residuals = np.linalg.norm(m @ vecs - vecs * vals[None, :], axis=0)
-    return _Result((vals, residuals), shift=sigma, band=band, core=factor.core,
-                   slices=factor.slices, solves=solves, lanczos=factor.size, vectors=vecs)
+    return _Result((vals, residuals), shift=sigma, band=band, solves=solves, vectors=vecs,
+                   **sizes)
 
 
 # ---------------------------------------------------------------------------

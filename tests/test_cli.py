@@ -362,6 +362,31 @@ def test_loading_the_benchmark_problem_files_imports_no_heavy_scipy_module(tmp_p
     subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=300)
 
 
+def test_importing_the_cli_binds_no_lapack_and_starts_no_thread():
+    # set-up is the interpreter and the imports: the LAPACK binding and the
+    # solver's worker thread wait for the first factorization that needs them
+    import os
+    import subprocess
+    import sys
+
+    import tubespectra
+
+    src = os.path.dirname(os.path.dirname(tubespectra.__file__))
+    code = (
+        "import sys, threading\n"
+        "import tubespectra.cli\n"
+        "from tubespectra import spectral\n"
+        "assert 'scipy.linalg' not in sys.modules and 'tubespectra._lapack' not in sys.modules\n"
+        "assert threading.active_count() == 1\n"
+        "import scipy.sparse as sp\n"
+        "spectral.lowest_eigenvalues(sp.diags([1.0, 2.0, 3.0, 4.0]), 1)\n"
+        "assert 'tubespectra._lapack' in sys.modules\n"
+        "assert threading.active_count() == 1  # too small a band for the worker\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=300)
+
+
 def test_curvature_bound_breach_exits_1_with_the_product(tmp_path, capsys):
     text = BENT_STRIP.replace("kappa0 = 0.5\nsigma = 1.0", "kappa0 = 1.2\nsigma = 0.25")
     code = main(["check", "--config", write(tmp_path, text), "--out", str(tmp_path)])

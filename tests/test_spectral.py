@@ -26,7 +26,7 @@ from tubespectra import (
     mourre_check_free,
     richardson_extrapolate,
 )
-from tubespectra import operators, spectral
+from tubespectra import _lapack, operators, spectral
 from tubespectra.cli import hamiltonian_recipe
 from conftest import unknown_coordinates
 from dilation import assemble_dilation, commutator_form_comparison
@@ -213,6 +213,55 @@ def test_a_matrix_that_is_not_exactly_symmetric_is_refused():
     m[2, 3] = 1e-3 * (1.0 + 2.0**-40)
     with pytest.raises(InputError, match="not exactly symmetric"):
         lowest_eigenvalues(m.tocsr(), 2)
+
+
+def _symmetry_cases():
+    rng = np.random.default_rng(23)
+    a = sp.random(40, 40, density=0.15, random_state=rng)
+    a = (a + a.T + sp.identity(40)).tocsr()
+    # each entry stored as two halves, the rows' columns in reverse order
+    coo = a.tocoo()
+    order = np.lexsort((-coo.col, coo.row))
+    row, col, half = coo.row[order], coo.col[order], coo.data[order] / 2.0
+    twice = sp.csr_matrix((np.repeat(half, 2), np.repeat(col, 2),
+                           np.r_[0, np.cumsum(2 * np.bincount(row, minlength=40))]), shape=a.shape)
+    nan = a.tolil()
+    nan[3, 5] = nan[5, 3] = np.nan
+    ulp = a.tolil()
+    ulp[7, 2], ulp[2, 7] = 1.0, np.nextafter(1.0, 2.0)
+    # a stored zero at (4, 9), its mirror (9, 4) not stored or stored nonzero
+    base = a.tolil()
+    base[4, 9] = base[9, 4] = 0.0
+    base = base.tocoo()
+
+    def stored(rows, cols, values):
+        return sp.csr_matrix((np.r_[base.data, values], (np.r_[base.row, rows],
+                                                          np.r_[base.col, cols])), shape=a.shape)
+
+    zero, mirrored = stored([4], [9], [0.0]), stored([4, 9], [9, 4], [0.0, 1.0])
+    return {"canonical": (a, True), "duplicates-unsorted": (twice, True),
+            "nan": (nan.tocsr(), False), "one-ulp": (ulp.tocsr(), False),
+            "stored-zero": (zero, True), "stored-zero-mirror-nonzero": (mirrored, False)}
+
+
+@pytest.mark.parametrize("case", ["canonical", "duplicates-unsorted", "nan", "one-ulp",
+                                  "stored-zero", "stored-zero-mirror-nonzero"])
+def test_the_symmetry_check_gives_the_sparse_merge_verdict(case):
+    m, symmetric = _symmetry_cases()[case]
+    if case == "duplicates-unsorted":
+        assert not m.has_canonical_format
+    if case.startswith("stored-zero"):
+        assert m[4, 9] == 0.0 and (m.data == 0.0).sum() == 1
+    before = [m.data.copy(), m.indices.copy(), m.indptr.copy()]
+    assert spectral._exactly_symmetric(m) is symmetric
+    assert (not (m != m.T).nnz) is symmetric  # the merge this check replaces
+    for array, old in zip((m.data, m.indices, m.indptr), before):
+        np.testing.assert_array_equal(array, old)
+
+
+def test_an_assembled_operator_stores_no_zero(bent_level):
+    # a stored zero sends the symmetry check to a second pass without it
+    assert bent_level.matrix.data.all() and bent_level.matrix.has_canonical_format
 
 
 def test_lower_band_holds_each_subdiagonal():
@@ -426,7 +475,8 @@ def test_the_factor_reads_only_the_core_rows(bent_level, monkeypatch, case):
     assert read == [core.shape] and factored
     for entries in factored:
         assert entries[3] == core.shape[0]
-        np.testing.assert_array_equal(spectral._scatter_band(entries), spectral.lower_band(core))
+        for array, expected in zip(entries, spectral._lower_entries(core)):
+            np.testing.assert_array_equal(array, expected)
     # the level's band is still the whole operator's
     assert solved.band == spectral.lower_band(op.matrix).shape[0] - 1 == width
 
@@ -547,6 +597,202 @@ def test_assembled_operators_are_symmetric_with_one_slice_of_bandwidth(
     assert (op.matrix != op.matrix.T).nnz == 0
     assert np.max(m.row - m.col) == op.grid.t_interior.sum()
     assert spectral.lower_band(op.matrix).shape[0] - 1 == op.grid.t_interior.sum()
+
+
+# ---------------------------------------------------------------------------
+# the split core factor
+
+
+def _banded(n, kd, seed, diagonal=None):
+    """A random symmetric band matrix of half-bandwidth kd, diagonally dominant unless given."""
+    rng = np.random.default_rng(seed)
+    offsets = [rng.normal(size=n - j) for j in range(1, kd + 1)]
+    d = 2.0 * kd + 1.0 + rng.random(n) if diagonal is None else diagonal
+    return sp.diags([d] + offsets + offsets, [0] + list(range(1, kd + 1))
+                    + [-j for j in range(1, kd + 1)], format="csr")
+
+
+def _core_sized(slices):
+    """The straight interval tube, a node perturbed, runs claimed around ``slices`` core slices."""
+    op = _one_node_operator(TruncatedGrid.interval(4.0, 0.125, 1.0), (0.0, 0.25))
+    left, right = op.free_ends
+    assert left + right + 1 == op.grid.s_nodes.size - 2  # the perturbed slice alone
+    runs = left - (slices - 1) // 2, right - slices // 2
+    return DiscreteOperator(op.matrix, op.grid, "H", runs)
+
+
+@pytest.mark.parametrize("split", ["middle", "last"])
+@pytest.mark.parametrize("case", ["bent", "rectangle", "bare-band", "core-1", "core-2", "core-3"])
+def test_the_split_factor_solves_as_a_dense_solve(bent_level, d3_recipe, monkeypatch, case,
+                                                  split):
+    # a core band below _SPLIT_BAND is split at its last slice
+    monkeypatch.setattr(spectral, "_SPLIT_BAND", 0 if split == "middle" else np.inf)
+    if case == "bent":
+        op = bent_level
+        assert all(op.free_ends)
+    elif case == "rectangle":
+        op = d3_recipe("shape = rectangle\nside_x = 1.0\nside_y = 1.0")(2.0, 0.125)
+    elif case == "bare-band":
+        op = _banded(301, 7, 5)
+    else:
+        op = _core_sized(int(case[-1]))
+    sigma = 1.0
+    if isinstance(op, DiscreteOperator):
+        ends = spectral._free_ends(op)
+        factor = spectral._factorize(spectral._core_entries(op.matrix, ends), sigma, op.grid,
+                                     ends, cut=False)
+        m = op.matrix
+    else:
+        factor, m = spectral._factorize(spectral._lower_entries(op), sigma), op
+    top, bottom = factor.halves
+    rows = [h.rows.stop - h.rows.start for h in factor.halves]
+    width = factor.width if isinstance(op, DiscreteOperator) else 7
+    assert factor.middle.stop - factor.middle.start == width
+    size = factor.span[1] - factor.span[0]
+    a = width * (size // width // 2) if split == "middle" else size - width
+    assert rows == [a, size - a - width]
+    if case.startswith("core"):
+        # a core too short to split has an empty half, the same code around it
+        assert factor.core == int(case[-1]) and top.end is not None and bottom.end is not None
+        if split == "middle":
+            assert rows == {"core-1": [0, 0], "core-2": [width, 0],
+                            "core-3": [width, width]}[case]
+    assert not factor.threaded or split == "middle"
+    dense = m.toarray() - sigma * np.eye(m.shape[0])
+    rhs = np.random.default_rng(7).normal(size=m.shape[0])
+    reference = np.linalg.solve(dense, rhs)
+    x = factor.extend(factor.solve(factor.restrict(rhs)))
+    assert np.linalg.norm(x - reference) <= 1e-12 * np.linalg.norm(reference)
+
+
+@pytest.mark.parametrize("row, piece", [(10, "top"), (90, "bottom"), (51, "middle")])
+def test_a_shift_that_fails_fails_in_the_piece_it_falls_in(monkeypatch, row, piece):
+    # kd = 2 and 101 rows: the top half is rows 0-49, the middle 50-51 and
+    # the bottom half, stored in reverse, rows 52-100
+    d = np.full(101, 6.0)
+    d[row] = -10.0
+    m = _banded(101, 2, 3, diagonal=d)
+    monkeypatch.setattr(spectral, "_SPLIT_BAND", 0)
+    factored = []
+    pbtrf = _lapack.pbtrf
+    monkeypatch.setattr(_lapack, "pbtrf",
+                        lambda band: factored.append((band.shape[1], info := pbtrf(band))) or info)
+    assert spectral._factorize(spectral._lower_entries(m), 0.0) is None
+    failed = {n: info for n, info in factored}
+    assert failed == {"top": {50: 11, 49: 0}, "bottom": {50: 0, 49: 11},
+                      "middle": {50: 0, 49: 0}}[piece]
+    assert np.linalg.eigvalsh(m.toarray())[0] < 0.0 < np.linalg.eigvalsh(np.delete(
+        np.delete(m.toarray(), row, 0), row, 1))[0]
+
+
+def test_the_worker_thread_changes_no_bit(bent_level, monkeypatch):
+    handed = []
+    pair = _lapack.pair
+    monkeypatch.setattr(_lapack, "pair", lambda here, there, threaded:
+                        handed.append(threaded) or pair(here, there, threaded))
+    monkeypatch.setattr(spectral, "_SPLIT_BAND", 0)
+    solved = {}
+    for threaded, cpus in ((True, 2), (False, 1)):
+        monkeypatch.setattr(_lapack, "usable_cpus", lambda: cpus)
+        handed.clear()
+        solved[threaded] = lowest_eigenvalues(bent_level, 4)
+        assert handed and set(handed) == {threaded}
+    np.testing.assert_array_equal(solved[True][0], solved[False][0])
+    np.testing.assert_array_equal(solved[True].vectors, solved[False].vectors)
+    np.testing.assert_array_equal(solved[True][1], solved[False][1])
+
+
+def test_the_worker_raises_in_the_caller_and_serves_on():
+    with pytest.raises(ZeroDivisionError):
+        _lapack.pair(lambda: 1, lambda: 1 / 0, True)
+    assert _lapack.pair(lambda: 1, lambda: 2, True) == (1, 2)
+    worker = _lapack._WORKER[0]
+    # a second caller while the worker is busy runs both calls itself
+    assert worker.busy.acquire()
+    try:
+        assert worker.both(lambda: 3, lambda: 4) == (3, 4)
+    finally:
+        worker.busy.release()
+
+
+def test_callers_on_several_threads_share_the_worker_and_change_no_bit(bent_level,
+                                                                       monkeypatch):
+    import sys
+    import threading
+
+    monkeypatch.setattr(spectral, "_SPLIT_BAND", 0)
+    monkeypatch.setattr(_lapack, "usable_cpus", lambda: 1)
+    serial = lowest_eigenvalues(bent_level, 3)
+    monkeypatch.setattr(_lapack, "usable_cpus", lambda: 2)
+    results, errors = [], []
+
+    def solve():
+        try:
+            results.append(lowest_eigenvalues(bent_level, 3))
+        except Exception as exc:  # reported below, with the thread's other results
+            errors.append(exc)
+
+    threads = [threading.Thread(target=solve) for _ in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors and len(results) == len(threads)
+    for solved in results:
+        np.testing.assert_array_equal(solved[0], serial[0])
+        np.testing.assert_array_equal(solved.vectors, serial.vectors)
+
+
+def test_the_gil_free_calls_are_scipy_lapack_bit_for_bit():
+    from scipy.linalg.lapack import dpbtrf, dpbtrs, dpttrf, dpttrs
+
+    m = _banded(400, 9, 13)
+    band = spectral.lower_band(m)
+    rhs = np.random.default_rng(2).normal(size=400)
+    reference, info = dpbtrf(band, lower=1)
+    ours = band.copy(order="F")
+    assert info == 0 == _lapack.pbtrf(ours)
+    np.testing.assert_array_equal(ours, reference)
+    x = rhs.copy()
+    sweep = _lapack.tbsv(ours)
+    sweep(_lapack.address(x), b"N")
+    sweep(_lapack.address(x), b"T")
+    np.testing.assert_array_equal(x, dpbtrs(reference, rhs, lower=1)[0])
+    # a reverse sweep reads and writes the same doubles last first
+    y = rhs[::-1].copy()
+    backwards = _lapack.tbsv(ours, reverse=True)
+    backwards(_lapack.address(y), b"N")
+    backwards(_lapack.address(y), b"T")
+    np.testing.assert_array_equal(y[::-1], x)
+    d, e = 4.0 + np.random.default_rng(4).random(400), -np.ones(399)
+    rd, re, info = dpttrf(d, e)
+    assert info == 0 == _lapack.pttrf(d, e)
+    np.testing.assert_array_equal(d, rd)
+    np.testing.assert_array_equal(e, re)
+    x = rhs.copy()
+    _lapack.pttrs(d, e)(_lapack.address(x))
+    np.testing.assert_array_equal(x, dpttrs(rd, re, rhs)[0])
+
+
+def test_a_capsule_whose_integers_are_not_lp64_is_refused():
+    import ctypes
+
+    from scipy.linalg import cython_blas, cython_lapack
+
+    capsules = {**cython_lapack.__pyx_capi__, **cython_blas.__pyx_capi__}
+    assert set(_lapack.bind(capsules)) == set(_lapack.ARGUMENTS)
+    new = ctypes.PYFUNCTYPE(ctypes.py_object, ctypes.c_void_p, ctypes.c_char_p, ctypes.c_void_p)(
+        ("PyCapsule_New", ctypes.pythonapi))
+    name = b"void (char *, int64_t *, int64_t *, double *, int64_t *, int64_t *)"
+    capsules["dpbtrf"] = new(1, name, None)  # never called: refused from its name
+    with pytest.raises(ImportError, match="dpbtrf.*LP64"):
+        _lapack.bind(capsules)
 
 
 # ---------------------------------------------------------------------------
