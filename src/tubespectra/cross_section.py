@@ -41,12 +41,6 @@ class BelowLowestThreshold:
             cls._instance = super().__new__(cls)
         return cls._instance
 
-    def __repr__(self):
-        return "+inf (below lowest threshold)"
-
-    def __bool__(self):
-        return True
-
 
 BELOW_LOWEST_THRESHOLD = BelowLowestThreshold()
 
@@ -105,12 +99,6 @@ class ThresholdSet:
     @property
     def nu1(self):
         return self.nu[0]
-
-    def __len__(self):
-        return len(self.nu)
-
-    def __getitem__(self, i):
-        return self.nu[i]
 
 
 def _interval_spectrum(a, n_max):

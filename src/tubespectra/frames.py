@@ -38,7 +38,6 @@ __all__ = [
     "export_mesh",
 ]
 
-FRAME_TOL = 1e-10          # orthonormality / determinant tolerance on outputs
 _DRIFT_TOL = 1e-3          # max|P P^T - I| allowed per interval before projection
 _MAX_RETRIES = 3           # substep doublings before giving up on an interval
 
@@ -132,12 +131,6 @@ class RotationField:
     s_grid: np.ndarray
     matrices: np.ndarray  # (n, d-1, d-1)
 
-    def max_orthogonality_defect(self):
-        return float(np.max(_orthogonality_defects(self.matrices)))
-
-    def max_determinant_defect(self):
-        return float(np.max(np.abs(np.linalg.det(self.matrices) - 1.0)))
-
 
 @dataclass(frozen=True)
 class FrameField:
@@ -162,19 +155,6 @@ class FrameField:
         out = self.frames.copy()
         out[:, 1:, :] = np.einsum("kmn,knj->kmj", self.rotations, self.frames[:, 1:, :])
         return out
-
-    def validate(self):
-        """Check the frame-field invariants; raises on violation."""
-        orth = np.max(_orthogonality_defects(self.frames))
-        if orth > FRAME_TOL:
-            raise InputError(f"frame orthonormality defect {orth:g} above {FRAME_TOL:g}")
-        rot = RotationField(self.s_grid, self.rotations)
-        det_r, orth_r = rot.max_determinant_defect(), rot.max_orthogonality_defect()
-        if max(det_r, orth_r) > FRAME_TOL:
-            raise InputError(
-                f"rotation defect (det {det_r:g}, orth {orth_r:g}) above {FRAME_TOL:g}"
-            )
-        return self
 
 
 def integrate_frenet(profile, s_grid):

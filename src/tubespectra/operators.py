@@ -161,16 +161,6 @@ class TruncatedGrid:
         act[1:-1] = self.t_interior
         return act
 
-    @property
-    def n_unknowns(self):
-        return int((self.s_nodes.size - 2) * self.t_interior.sum())
-
-    def row_index(self):
-        act = self.active()
-        idx = -np.ones(self.full_shape, dtype=np.int64)
-        idx[act] = np.arange(act.sum())
-        return idx, act
-
     def transverse_nodes(self):
         """Every transverse node, shape ``t_interior.shape + (d-1,)``.
 

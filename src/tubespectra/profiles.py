@@ -59,9 +59,6 @@ class ScalarFunction:
             )
         return np.asarray(self._derivatives[order](np.asarray(s, dtype=float)))
 
-    def __repr__(self):
-        return f"ScalarFunction({self.label}, max_order={self.max_order})"
-
 
 def constant_function(value, max_order=3):
     """kappa(s) = value, all derivatives zero."""
@@ -300,7 +297,3 @@ class CurvatureProfile:
             s = sample_abscissae(self.s_range)
             sup = float(np.max(np.abs(self.kappas[0](s))))
         return sup
-
-    def __repr__(self):
-        names = ", ".join(k.label for k in self.kappas)
-        return f"CurvatureProfile(d={self.dimension}, [{names}], s_range={self.s_range})"

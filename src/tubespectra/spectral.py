@@ -707,13 +707,6 @@ class RichardsonResult:
     flagged: bool
     expected_order: float = 2.0
 
-    def __repr__(self):
-        return (
-            f"RichardsonResult(ext={self.extrapolated!r}, "
-            f"order={self.fitted_order!r}, err={self.error_estimate!r}, "
-            f"flagged={self.flagged})"
-        )
-
 
 def richardson_extrapolate(spacings, values, expected_order=2.0, order_window=0.3):
     """Extrapolate a spacing ladder assuming clean h^p convergence.
@@ -1132,10 +1125,6 @@ class SpectralReport:
     mourre_error: str = None     # why the Mourre check refused, after the ladder
     assumption_reports: dict = field(default_factory=dict)
     metadata: dict = field(default_factory=dict)
-
-    @property
-    def essential_spectrum_onset(self):
-        return self.thresholds.nu1
 
     def is_sound(self):
         """Assertable from the report alone: states below nu_1 minus bars."""

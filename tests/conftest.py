@@ -9,6 +9,7 @@ from tubespectra import (
     gaussian_bump,
     metric_from_profile,
 )
+from tubespectra.frames import _orthogonality_defects
 
 NU1 = np.pi**2 / 4.0
 
@@ -18,12 +19,27 @@ def jet_field(metric, name, s, u):
     return metric.jet(s, u, (name,))[name]
 
 
+def assert_frame_invariants(field):
+    """Orthonormal frames, and rotations orthonormal with determinant 1, within 1e-10."""
+    assert np.max(_orthogonality_defects(field.frames)) < 1e-10
+    assert np.max(_orthogonality_defects(field.rotations)) < 1e-10
+    assert np.max(np.abs(np.linalg.det(field.rotations) - 1.0)) < 1e-10
+
+
 def node_coordinates(grid):
     """(S, U) broadcast over the full node tensor; U has a trailing axis of length d-1."""
     S = grid.s_nodes.reshape((-1,) + (1,) * grid.transverse_dim)
     S = np.broadcast_to(S, grid.full_shape)
     U = np.broadcast_to(grid.transverse_nodes(), grid.full_shape + (grid.transverse_dim,))
     return S, U
+
+
+def row_index(grid):
+    """(row of each node, -1 off the unknowns; the unknowns mask) over the full tensor."""
+    act = grid.active()
+    idx = -np.ones(grid.full_shape, dtype=np.int64)
+    idx[act] = np.arange(act.sum())
+    return idx, act
 
 
 def unknown_coordinates(grid):

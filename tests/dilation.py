@@ -11,6 +11,7 @@ import scipy.sparse as sp
 
 from tubespectra import DiscreteOperator
 from tubespectra.operators import _axis_pair_slices
+from conftest import row_index
 
 
 def assemble_dilation(grid):
@@ -20,7 +21,7 @@ def assemble_dilation(grid):
     diagonal of s-coordinates; S = -(Q D + D Q)/2 so that quadratic forms
     of i[H, A] can be taken through S on real grid functions.
     """
-    idx, act = grid.row_index()
+    idx, act = row_index(grid)
     shape = grid.full_shape
     ds = grid.s_spacing
     lo, hi = _axis_pair_slices(shape, 0)
@@ -30,7 +31,7 @@ def assemble_dilation(grid):
     S_nodes = np.broadcast_to(grid.s_nodes.reshape((-1,) + (1,) * grid.transverse_dim), shape)
     s_sum = (S_nodes[lo] + S_nodes[hi])[both]
     vals = -s_sum / (4.0 * ds)
-    n = grid.n_unknowns
+    n = int(act.sum())
     m = sp.coo_matrix((vals, (rows, cols)), shape=(n, n))
     m = (m - m.T).tocsr()
     return DiscreteOperator(matrix=m, grid=grid, tag="A")

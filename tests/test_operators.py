@@ -35,7 +35,7 @@ from tubespectra.operators import (
     potential_s,
     reciprocal,
 )
-from conftest import node_coordinates
+from conftest import node_coordinates, row_index
 
 NU1 = np.pi**2 / 4.0
 
@@ -230,7 +230,7 @@ def test_the_active_transverse_nodes_are_each_slices_unknowns(grid):
         form[k] = -1
         np.testing.assert_array_equal(nodes[..., k],
                                       np.broadcast_to(ax.reshape(form), grid.t_interior.shape))
-    idx, _ = grid.row_index()
+    idx, _ = row_index(grid)
     width = int(grid.t_interior.sum())
     for j in (1, grid.s_nodes.size - 2):        # the first and the last interior slice
         np.testing.assert_array_equal(idx[j][grid.t_interior],
@@ -308,8 +308,8 @@ def test_weighted_form_matches_flat_operator(bump_metric):
 
 def reference_divergence_form(grid, coefficient_arrays):
     """The coordinate-format assembly: the upper faces, then m + m.T + diag."""
-    idx, act = grid.row_index()
-    n, shape, spac = grid.n_unknowns, grid.full_shape, grid.spacings
+    idx, act = row_index(grid)
+    n, shape, spac = int(act.sum()), grid.full_shape, grid.spacings
     diag_full = np.zeros(shape)
     rows, cols, vals = [], [], []
     for axis, c_nodes in enumerate(coefficient_arrays):
@@ -443,7 +443,7 @@ def test_a_diagonal_entry_the_potential_cancels_is_dropped():
     arrays = [np.ones(grid.full_shape)] * 2
     free = reference_divergence_form(grid, arrays)
     j = 5 * int(grid.t_interior.sum()) + 3          # in slice 5, a free end
-    diagonal = np.zeros(grid.n_unknowns)
+    diagonal = np.zeros(free.shape[0])
     diagonal[j] = -free[j, j]
     m, _ = operators._assemble_divergence_form(grid, arrays, diagonal)
     assert_same_csr(m, (free + sp.diags(diagonal)).tocsr())

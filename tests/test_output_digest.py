@@ -1,3 +1,4 @@
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -97,3 +98,22 @@ def test_values_split_every_numeric_field_into_its_own_key():
         "mourre.csv[1].rho = 2.23", "mourre.csv[1].expected = 4.46",
         "mourre.csv[1].measured = 4.324995217608661", "mourre.csv[1].n_states = 2",
     ]
+
+
+def test_every_curvature_family_and_surface_form_has_its_own_call():
+    sys.path.insert(0, str(TOOL.parent))
+    import output_digest
+
+    calls = [call for _, call in output_digest.pipeline_calls()]
+    marks = {"table-strip": "family = table\nfile = kappa.txt",
+             "planar-rect-tube": "family = constant\nvalue = 0.0",
+             "surface-file-strip": "[surface]\nfile = K.txt",
+             "curved-strip-positive": "[surface]\ncurvature = 0.1",
+             "curved-strip-negative": "[surface]\ncurvature = -0.1"}
+    for label, mark in marks.items():
+        (call,) = [c for c in calls if c.label == label]
+        assert mark in call.ini
+    # every table a problem file names is written beside it
+    for call in calls:
+        for name in re.findall(r"^file = (\S+)$", call.ini, flags=re.M):
+            assert name in call.files

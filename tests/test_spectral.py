@@ -841,7 +841,7 @@ def test_bound_state_for_strongly_bent_strip(strong_recipe, interval_thresholds)
     assert not res.no_bound_state
     report = SpectralReport(thresholds=interval_thresholds, bound_states=res)
     assert report.is_sound()
-    assert report.essential_spectrum_onset == NU1
+    assert report.thresholds.nu1 == NU1
 
 
 @pytest.mark.parametrize("domain_length", [4.0, None], ids=["given-length", "selected-length"])
@@ -1107,8 +1107,13 @@ def test_mourre_never_factorizes(mourre_setup, monkeypatch):
     monkeypatch.setattr(spla, "splu", lambda *a, **kw: factorized.append(1) or splu(*a, **kw))
     monkeypatch.setattr(spectral, "_factorize",
                         lambda *a: factorized.append(1) or factorize(*a))
-    monkeypatch.setattr(spectral, "assemble_free_hamiltonian",
-                        lambda g: assembled.append(g.n_unknowns) or free(g))
+
+    def counted_free(g):
+        op = free(g)
+        assembled.append(op.shape[0])
+        return op
+
+    monkeypatch.setattr(spectral, "assemble_free_hamiltonian", counted_free)
 
     def counting(*args):
         pairs = near(*args)

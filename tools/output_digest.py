@@ -7,7 +7,7 @@
 Runs the calls of the perfbench workloads (problem files from
 ``perfbench/workloads.py``) at seeds 0 and 7: the bent-strip and rect-tube
 ``spectrum``, the five screen ``check`` problems and the interval
-``mourre`` table.  Six more calls, printed under seed 0, cover what no
+``mourre`` table.  Eleven more calls, printed under seed 0, cover what no
 workload runs: a ``spectrum`` call on the smoke-scale bent strip without
 its ``domain_length`` (the domain-length doubling rule), a ``spectrum``
 call on the smoke-scale rect-tube with a unit-disc cross-section (the
@@ -20,12 +20,22 @@ the bent-strip and rect-tube problem files (``mesh.txt`` and
 ``mesh_metric.csv``), and a ``check`` call on
 the README's ``ini`` block, which sets every ``[numerics]`` and
 ``[outputs]`` key but ``truncation_tol`` and ``mourre_windows``, so that
-the resolved config its report embeds has nearly every key.  Each call is a
+the resolved config its report embeds has nearly every key.  The last five
+reach the curvature families and ``[surface]`` forms no other call does: a
+``spectrum`` call on the smoke-scale bent strip with its curvature read
+from a ``family = table`` file (0.5 exp(-s^2) every 0.25 on [-40, 40]),
+a ``spectrum`` call on the smoke-scale rect-tube with ``family =
+constant`` and ``value = 0.0`` for its second curvature (a planar
+curve), a ``check`` call on the smoke-scale flat strip with its Gauss
+curvature read from a ``[surface] file`` (K = 0 at the corners of
+[-1e4, 1e4] x [-1, 1]: the integrated strip metric, about 15 s of
+Jacobi sweeps), and ``check`` calls on that strip with ``[surface]
+curvature = 0.1`` and ``-0.1``, which exit 2 by design.  Each call is a
 ``python -m tubespectra.cli`` subprocess with ``PYTHONPATH=SRC_DIR`` in
-a fresh directory; a call whose problem file an earlier seed already ran
-is not repeated.  Prints one line per call: its exit code and the
-SHA-256 of its stdout and of each output file, ``report.txt`` without
-its ``generated:`` line.
+a fresh directory, beside the table files its problem file names; a
+call whose problem file an earlier seed already ran is not repeated.
+Prints one line per call: its exit code and the SHA-256 of its stdout
+and of each output file, ``report.txt`` without its ``generated:`` line.
 
 Comparing two source trees, say a change and a checkout of its parent,
 is then a diff:
@@ -46,7 +56,8 @@ each numeric cell of its CSV files, such as ``mourre.csv[1].measured``.
 Two trees whose numbers may move by roundoff can then be compared number
 by number under a relative tolerance.
 
-The full run takes about 20 s per tree on a 1-CPU VM.
+The full run takes about 35 s per tree on a 2-CPU VM, 15 s of it the
+``[surface] file`` check.
 
 ``--compare OLD NEW --rtol R [--atol A]`` reads two saved ``--values``
 outputs and pairs their lines in order.  It prints the largest relative
@@ -73,6 +84,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from dataclasses import dataclass, field
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -102,8 +114,48 @@ README_CHECK = workloads.Call("readme", "check",
                               re.search(r"```ini\n(.*?)```", README, flags=re.S).group(1))
 
 
+@dataclass
+class TableCall(workloads.Call):
+    """A call whose problem file names table files: ``{file name: text}``."""
+
+    files: dict = field(default_factory=dict)
+
+
+def _rows(*columns):
+    return "".join(" ".join(map(repr, row)) + "\n" for row in zip(*columns))
+
+
+_TABLE_S = [0.25 * i - 40.0 for i in range(321)]
+TABLE = TableCall(
+    "table-strip", "spectrum",
+    workloads.bent_strip_ini("smoke", mourre=False).replace(
+        "family = gaussian-bump\nkappa0 = 0.5\nsigma = 1.0", "family = table\nfile = kappa.txt"),
+    {"kappa.txt": _rows(_TABLE_S, [0.5 * math.exp(-s * s) for s in _TABLE_S])},
+)
+CONSTANT = workloads.Call(
+    "planar-rect-tube", "spectrum",
+    workloads.rect_tube_ini("smoke").replace("family = gaussian-bump\nkappa0 = 0.3\nsigma = 1.0",
+                                             "family = constant\nvalue = 0.0"),
+)
+SURFACE_FILE = TableCall(
+    "surface-file-strip", "check",
+    STRIP.ini.replace("curvature = 0.0", "file = K.txt"),
+    {"K.txt": _rows(*zip(*((s, u, 0.0) for s in (-1e4, 1e4) for u in (-1.0, 1.0))))},
+)
+CURVED = [workloads.Call(f"curved-strip-{label}", "check",
+                         STRIP.ini.replace("curvature = 0.0", f"curvature = {K!r}"))
+          for label, K in (("positive", 0.1), ("negative", -0.1))]
+
+
 def _sha(data):
     return hashlib.sha256(data).hexdigest()
+
+
+def write_inputs(work, call):
+    """The call's ``problem.ini`` and the table files it names, in directory ``work``."""
+    Path(work, "problem.ini").write_text(call.ini)
+    for name, text in getattr(call, "files", {}).items():
+        Path(work, name).write_text(text)
 
 
 def run_call(src_dir, call):
@@ -113,7 +165,7 @@ def run_call(src_dir, call):
     """
     env = dict(os.environ, PYTHONPATH=str(Path(src_dir).resolve()))
     with tempfile.TemporaryDirectory() as work:
-        Path(work, "problem.ini").write_text(call.ini)
+        write_inputs(work, call)
         proc = subprocess.run(
             [sys.executable, "-m", "tubespectra.cli", call.kind,
              "--config", "problem.ini", "--out", "out"],
@@ -254,6 +306,20 @@ def compare(old_path, new_path, rtol, atol=0.0):
     return int(failed)
 
 
+def pipeline_calls():
+    """``(seed, call)`` for each distinct call the digest runs, in its order."""
+    calls = [(seed, call) for seed in SEEDS for name in workloads.NAMES
+             for call in workloads.build(name, seed).calls]
+    extra = [DOUBLING_RULE, DISC, STRIP, *EXPORTS, README_CHECK,
+             TABLE, CONSTANT, SURFACE_FILE, *CURVED]
+    seen, out = set(), []
+    for seed, call in calls + [(SEEDS[0], c) for c in extra]:
+        if (call.kind, call.ini) not in seen:
+            seen.add((call.kind, call.ini))
+            out.append((seed, call))
+    return out
+
+
 def main(argv):
     parser = argparse.ArgumentParser(
         description="Digest the benchmark calls' outputs, or compare two --values outputs."
@@ -273,14 +339,7 @@ def main(argv):
         return compare(*args.compare, args.rtol, args.atol)
     if args.src_dir is None:
         parser.error("need SRC_DIR or --compare OLD NEW")
-    calls = [(seed, call) for seed in SEEDS for name in workloads.NAMES
-             for call in workloads.build(name, seed).calls]
-    seen = set()
-    extra = [DOUBLING_RULE, DISC, STRIP, *EXPORTS, README_CHECK]
-    for seed, call in calls + [(SEEDS[0], c) for c in extra]:
-        if (call.kind, call.ini) in seen:
-            continue
-        seen.add((call.kind, call.ini))
+    for seed, call in pipeline_calls():
         prefix = f"seed={seed} {call.label} {call.kind}"
         if args.values:
             for line in value_lines(args.src_dir, call):
