@@ -313,31 +313,36 @@ class SurfaceStripMetric(TubeMetric):
         """Integrate h'' = -K h in u for every s at once.
 
         Returns (h, h_u) arrays of shape (len(u_nodes), len(s_values)), one
-        row per u-node, so that each RK4 step writes contiguous rows.
+        row per u-node, so that each RK4 step writes contiguous rows.  K is
+        taken in one call, on every distinct stage abscissa (the u-nodes
+        and the steps' midpoints, each as its step computes it) against
+        every s, in the order the steps first reach them.
         Raises EllipticityError at the first focal point (h <= 0).
         """
-        K = self.surface.gauss_curvature
         s = np.asarray(s_values, dtype=float)
         nu = self.u_nodes.size
         h = np.empty((nu, s.size))
         hu = np.empty((nu, s.size))
         h[self._i0] = 1.0
         hu[self._i0] = -np.asarray(self.surface.kappa(s), dtype=float)
+        steps = [(j, j + 1) for j in range(self._i0, nu - 1)]
+        steps += [(j, j - 1) for j in range(self._i0, 0, -1)]
+        u0 = self.u_nodes[[j for j, _ in steps]]
+        du = self.u_nodes[[j for _, j in steps]] - u0
+        stages = np.stack([u0, u0 + du / 2, u0 + du], axis=1)
+        distinct, first, at = np.unique(stages, return_index=True, return_inverse=True)
+        order = np.argsort(first)  # the distinct abscissae as the steps reach them
+        minus_k = -self.surface.gauss_curvature(*np.broadcast_arrays(s, distinct[order][:, None]))
+        rows = np.argsort(order)[at.reshape(stages.shape)]
 
-        def step(j_from, j_to):
-            u0 = self.u_nodes[j_from]
-            du = self.u_nodes[j_to] - u0
+        for (j_from, j_to), d, (k0, k_half, k1) in zip(steps, du, rows):
             y1, y2 = h[j_from], hu[j_from]
-
-            def f(u, a1, a2):
-                return a2, -K(s, np.full_like(s, u)) * a1
-
-            k1a, k1b = f(u0, y1, y2)
-            k2a, k2b = f(u0 + du / 2, y1 + du / 2 * k1a, y2 + du / 2 * k1b)
-            k3a, k3b = f(u0 + du / 2, y1 + du / 2 * k2a, y2 + du / 2 * k2b)
-            k4a, k4b = f(u0 + du, y1 + du * k3a, y2 + du * k3b)
-            h[j_to] = y1 + du / 6 * (k1a + 2 * k2a + 2 * k3a + k4a)
-            hu[j_to] = y2 + du / 6 * (k1b + 2 * k2b + 2 * k3b + k4b)
+            k1a, k1b = y2, minus_k[k0] * y1
+            k2a, k2b = y2 + d / 2 * k1b, minus_k[k_half] * (y1 + d / 2 * k1a)
+            k3a, k3b = y2 + d / 2 * k2b, minus_k[k_half] * (y1 + d / 2 * k2a)
+            k4a, k4b = y2 + d * k3b, minus_k[k1] * (y1 + d * k3a)
+            h[j_to] = y1 + d / 6 * (k1a + 2 * k2a + 2 * k3a + k4a)
+            hu[j_to] = y2 + d / 6 * (k1b + 2 * k2b + 2 * k3b + k4b)
             bad = h[j_to] <= 0.0
             if bad.any():
                 i = int(np.argmax(bad))
@@ -346,11 +351,6 @@ class SurfaceStripMetric(TubeMetric):
                     f"(s={s[i]:g}, u={self.u_nodes[j_to]:g})",
                     where=(float(s[i]), float(self.u_nodes[j_to])),
                 )
-
-        for j in range(self._i0, nu - 1):
-            step(j, j + 1)
-        for j in range(self._i0, 0, -1):
-            step(j, j - 1)
         return h, hu
 
     def _columns(self, s, u):

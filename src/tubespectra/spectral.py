@@ -29,8 +29,7 @@ problem: in the modes of D - sigma I each end is a set of uncoupled
 tridiagonals (LAPACK dpttrf), whose Schur term goes onto the
 neighbouring slice of the curved core, and only the core is factored by
 banded Cholesky, from the lower triangle of the core's own rows and
-columns: only the symmetry check and the residuals read the whole
-matrix.  A matrix with no grid, or an operator with no free end, is all
+columns.  A matrix with no grid, or an operator with no free end, is all
 core.  The core, of half-bandwidth kd, is split at a middle block of kd
 rows, one s-slice: a top half with the left end, and a bottom half with
 the right end, stored in reverse so that both eliminate toward the
@@ -64,6 +63,17 @@ values are exact to roundoff; otherwise, or when no more than k unknowns
 are kept, the solve is made again with every chain whole.  Eigenvectors
 return to the grid with nothing beyond the cuts, and every residual is
 taken on the whole operator.
+
+No level tiles its operator's straight ends into a matrix: the
+symmetry check reads the operator's stored rows with each tiled run cut
+to two slices, the factor the core's rows, and the residuals apply the
+operator run by run, a tiled row from the template's values in its CSR
+column order, so each residual is the tiled matrix's to the bit.  A level
+then holds, besides those rows, the factor's bands while ARPACK runs:
+they are dropped when it returns, before the eigenvectors, n x k values,
+are extended onto the grid.  On the acceptance bent strip at h = 1/32
+that is a 1.6 MB operator, 12.5 MB of bands and 8.3 MB of vectors (k =
+4), never all at once.
 
 Ladder solves shift 1e-3 * max(1, |hint|) below a hint: nu_1 for the
 ladder's first solve, the previous solve's lowest eigenvalue after it.
@@ -111,6 +121,7 @@ from .errors import (
 from .operators import (
     DiscreteOperator,
     TruncatedGrid,
+    _canonical,
     assemble_free_hamiltonian,
 )
 
@@ -148,19 +159,6 @@ def _start_vector(n):
     return v / np.linalg.norm(v)
 
 
-def _canonical(matrix):
-    """A sparse matrix in canonical CSR form, which an assembled operator already has.
-
-    Any other input is converted, or copied and summed, so the caller's
-    matrix is never modified.
-    """
-    m = sp.csr_matrix(matrix)
-    if not m.has_canonical_format:
-        m = m.copy()
-        m.sum_duplicates()
-    return m
-
-
 def _lower_entries(matrix):
     """Band rows, columns and values of a sparse matrix's lower triangle, and its order.
 
@@ -191,6 +189,20 @@ def _exactly_symmetric(matrix):
     m = m.copy()  # stored zeros: compare again without them
     m.eliminate_zeros()
     return _exactly_symmetric(m)
+
+
+def _symmetric(op):
+    """:func:`_exactly_symmetric` for an operator, read from its stored rows.
+
+    Its rows are read with every tiled run cut to two slices, which no
+    tiled copy needs.  An assembled operator couples each slice to the
+    next alone, so a cut run keeps every condition that its dropped
+    slices repeat: that the template's in-slice block is symmetric, and
+    its coupling below the transpose of its coupling above, the latter
+    tested between the two slices kept, each against its other
+    neighbour's coupling.
+    """
+    return _exactly_symmetric(op.rows(most=2))
 
 
 def _scatter_band(band, entries, sigma=0.0, reverse=False):
@@ -355,6 +367,10 @@ class _Factor:
                     lambda: bottom.backward(x, address, middle), self.threaded)
         return x
 
+    def drop_bands(self):
+        """Free the factored pieces; ``restrict`` and ``extend`` still work, ``solve`` no more."""
+        self.halves = self.s = None
+
     def restrict(self, v):
         """A vector on m's unknowns as one on K: its core, and each end in modes, cut."""
         parts = [v[slice(*self.span)]]
@@ -397,7 +413,7 @@ def _free_ends(op):
     mode it is inf.  None of this depends on the shift, so one call
     serves every shift tried.
     """
-    if not isinstance(op, DiscreteOperator):
+    if op.grid is None:
         return op.shape[0], 0, 0, None, None, None, np.inf
     grid, (left, right) = op.grid, op.free_ends
     width = int(grid.t_interior.sum())
@@ -416,16 +432,16 @@ def _free_ends(op):
     return width, left, right, lam, psi, reach, limit
 
 
-def _core_entries(m, ends):
-    """``_lower_entries`` of m's core, the rows and columns between the free ends of ``ends``.
+def _core_entries(op, ends):
+    """``_lower_entries`` of op's core, the rows and columns between the free ends of ``ends``.
 
-    Only the core's rows are read.
+    Only the core's rows are read, and only its tiled slices, if any, tiled.
     """
     width, left, right = ends[:3]
     if not (left or right):
-        return _lower_entries(m)
-    lo, hi = left * width, m.shape[0] - right * width
-    return _lower_entries(sp.csr_matrix(m)[lo:hi, lo:hi])
+        return _lower_entries(op.rows())
+    lo, hi = left * width, op.shape[0] - right * width
+    return _lower_entries(op.rows(lo, hi)[:, lo:hi])
 
 
 def _factorize(core, sigma, grid=None, ends=None, cut=True):
@@ -567,12 +583,14 @@ def _factorize(core, sigma, grid=None, ends=None, cut=True):
                    tuple(end for end in (end_t, end_u) if end is not None), threaded)
 
 
-def _shift_invert(m, k, sigma, factor, v0):
-    """The k eigenpairs of m nearest sigma, and the solves ARPACK made.
+def _shift_invert(op, k, sigma, factor, v0):
+    """The k eigenpairs of op nearest sigma, and the solves ARPACK made.
 
     ARPACK runs on the factor's K, from ``v0`` restricted to it, and
-    applies [(m - sigma I)^-1]_KK through ``factor``, a :class:`_Factor`;
-    the eigenvectors are returned on m's unknowns.
+    applies [(op - sigma I)^-1]_KK through ``factor``, a :class:`_Factor`;
+    the eigenvectors are returned on op's unknowns.  The factor's bands,
+    the largest arrays of the solve, are dropped once ARPACK returns,
+    before the vectors are extended.
     """
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
@@ -588,15 +606,17 @@ def _shift_invert(m, k, sigma, factor, v0):
         vals, vecs = eigsh(opinv, k=k, sigma=sigma, which="LM", OPinv=opinv, tol=0.0,
                            v0=factor.restrict(v0))
     except ArpackNoConvergence as exc:
+        factor.drop_bands()
         got = np.asarray(exc.eigenvalues)
         best = None
         if got.size and exc.eigenvectors is not None and exc.eigenvectors.size:
             v = factor.extend(exc.eigenvectors[:, 0])
-            best = float(np.linalg.norm(m @ v - got[0] * v))
+            best = float(np.linalg.norm(op @ v - got[0] * v))
         raise SolverError(
             f"eigensolver did not converge for k={k} (got {got.size})",
             best_residual=best,
         ) from exc
+    factor.drop_bands()
     return vals, factor.extend(vecs), solves
 
 
@@ -648,11 +668,12 @@ def lowest_eigenvalues(op, k, below=None, start=None, overwrite_start=False):
     factor, ``lanczos`` the number of unknowns it ran on, and ``vectors``
     the unit eigenvectors on M's unknowns, one column per value.
     """
-    m = op.matrix if isinstance(op, DiscreteOperator) else op
-    n = m.shape[0]
+    if not isinstance(op, DiscreteOperator):
+        op = DiscreteOperator(op, None, "matrix")
+    n = op.shape[0]
     if k < 1 or k >= n:
         raise InputError(f"need 1 <= k < matrix dimension (k={k}, n={n})")
-    if not _exactly_symmetric(m):
+    if not _symmetric(op):
         raise InputError("matrix is not exactly symmetric")
     v0 = _start_vector(n)
     if start is not None:
@@ -666,30 +687,29 @@ def lowest_eigenvalues(op, k, below=None, start=None, overwrite_start=False):
     anchor = -1.0 if below is None else float(below)
     step = _SHIFT_OFFSET * max(1.0, abs(anchor))
     sigma = anchor if below is None else anchor - step
-    grid = op.grid if isinstance(op, DiscreteOperator) else None
     ends = _free_ends(op)
-    core = _core_entries(m, ends)
+    core = _core_entries(op, ends)
     width, left, right = ends[:3]
     # a free end's rows are the free operator's: they reach one slice away, no further
     band = max(int(core[0].max(initial=0)), width if left or right else 0)
-    while (factor := _factorize(core, sigma, grid, ends)) is None:
+    while (factor := _factorize(core, sigma, op.grid, ends)) is None:
         sigma -= step
         step *= 2.0
     del core
     solves = 0
     if factor.size > k:
-        vals, vecs, solves = _shift_invert(m, k, sigma, factor, v0)
+        vals, vecs, solves = _shift_invert(op, k, sigma, factor, v0)
     if factor.size < n and (factor.size <= k or vals.max() >= ends[-1]):
         # a Ritz value at or above the cut limit Lambda: an eigenvector may
         # reach past a cut, so solve again with every chain whole
-        factor = _factorize(_core_entries(m, ends), sigma, grid, ends, cut=False)
-        vals, vecs, more = _shift_invert(m, k, sigma, factor, v0)
+        factor = _factorize(_core_entries(op, ends), sigma, op.grid, ends, cut=False)
+        vals, vecs, more = _shift_invert(op, k, sigma, factor, v0)
         solves += more
     sizes = dict(core=factor.core, slices=factor.slices, lanczos=factor.size)
-    del factor  # the largest array alive: freed before the residuals' temporaries
-    order = np.argsort(vals)
-    vals, vecs = vals[order], vecs[:, order]
-    residuals = np.linalg.norm(m @ vecs - vecs * vals[None, :], axis=0)
+    if np.any(vals[1:] < vals[:-1]):  # ARPACK's are ascending as a rule: no reordered copy
+        order = np.argsort(vals)
+        vals, vecs = vals[order], vecs[:, order]
+    residuals = np.linalg.norm(op @ vecs - vecs * vals[None, :], axis=0)
     return _Result((vals, residuals), shift=sigma, band=band, solves=solves, vectors=vecs,
                    **sizes)
 
@@ -881,7 +901,7 @@ class _Ladder:
             length=float(length),
             spacing=float(spacing),
             unknowns=int(op.shape[0]),
-            nnz=int(getattr(op, "matrix", op).nnz),
+            nnz=int(op.nnz),
             band=solved.band,
             core=solved.core,
             slices=solved.slices,

@@ -261,6 +261,30 @@ def test_a_strip_jet_sweeps_once_per_stencil_offset(monkeypatch):
     assert sweeps == [-3.0]
 
 
+def test_a_sweep_takes_the_gauss_curvature_once(monkeypatch):
+    # on every stage abscissa at once: the u-nodes and the steps' midpoints
+    surface = varying_surface()
+    shapes = []
+
+    def counted(s, u):
+        shapes.append(np.broadcast_shapes(np.shape(s), np.shape(u)))
+        return surface.gauss_curvature(s, u)
+
+    metric = metric_from_jacobi(SurfaceData(counted, surface.kappa, surface.a, surface.s_range))
+    sweep, calls = SurfaceStripMetric._sweep, []
+
+    def counted_sweep(self, s_values):
+        before = len(shapes)
+        out = sweep(self, s_values)
+        calls.append((len(shapes) - before, shapes[-1]))
+        return out
+
+    monkeypatch.setattr(SurfaceStripMetric, "_sweep", counted_sweep)
+    metric.jet(np.linspace(-3.0, 3.0, 40)[:, None], np.linspace(-1.0, 1.0, 9)[None, :])
+    # one sweep per stencil offset, each with one call on 2 x 256 steps' abscissae
+    assert calls == [(1, (2 * metric.u_nodes.size - 1, 40))] * 7
+
+
 def test_the_integrated_strip_keeps_no_sweep_after_the_gate():
     import tracemalloc
 

@@ -445,7 +445,7 @@ def test_a_diagonal_entry_the_potential_cancels_is_dropped():
     j = 5 * int(grid.t_interior.sum()) + 3          # in slice 5, a free end
     diagonal = np.zeros(free.shape[0])
     diagonal[j] = -free[j, j]
-    m, _ = operators._assemble_divergence_form(grid, arrays, diagonal)
+    m = operators._assemble_divergence_form(grid, arrays, diagonal).matrix
     assert_same_csr(m, (free + sp.diags(diagonal)).tocsr())
     assert m.nnz == free.nnz - 1
     assert j not in m.indices[m.indptr[j]:m.indptr[j + 1]]
@@ -470,13 +470,101 @@ def test_an_end_slice_is_tiled_only_where_its_values_are_free_bit_for_bit(monkey
         return stencil(t_interior, faces, diag, first, stop)
 
     monkeypatch.setattr(operators, "_stencil_rows", recorded)
-    m, free_ends = operators._assemble_divergence_form(grid, arrays)
-    assert_same_csr(m, reference_divergence_form(grid, arrays))
+    op = operators._assemble_divergence_form(grid, arrays)
+    assert_same_csr(op.matrix, reference_divergence_form(grid, arrays))
     through_stencil = {i for first, stop in runs for i in range(first, stop)}
     assert through_stencil == ({0, slices - 1} | ({j - 1, j, j + 1} if stenciled else set()))
     # the runs stop short of the stenciled slices; with none, the left run
     # is every slice but the last
-    assert free_ends == ((j - 1, slices - j - 2) if stenciled else (slices - 1, 0))
+    assert op.free_ends == ((j - 1, slices - j - 2) if stenciled else (slices - 1, 0))
+
+
+GRIDS = {"interval": TruncatedGrid.interval(4.0, 0.125, 1.0),
+         "rectangle": TruncatedGrid.box(2.0, 0.25, (1.0, 1.0)),
+         "disc": TruncatedGrid.disc(2.0, 0.25, 1.0)}
+
+
+def _free_run_in_the_core(grid):
+    """The free operator's coefficients, G^11 changed at one node of two slices, and its operator.
+
+    The slices between the two are free: a tiled run inside the core.
+    """
+    slices = grid.s_nodes.size - 2
+    g = np.ones(grid.full_shape)
+    node = tuple(np.argwhere(grid.t_interior)[0])
+    for j in (3, slices - 4):
+        g[(j + 1,) + node] = 1.001
+    arrays = [g] + [np.ones(grid.full_shape)] * grid.transverse_dim
+    return arrays, operators._assemble_divergence_form(grid, arrays)
+
+
+def _cut_slices(op, most):
+    """The s-slices ``op.rows(most=most)`` drops: each tiled run's past its first ``most``."""
+    width, dropped, first = op.template[2].size, [], 0
+    for part in op.parts:
+        count = part if isinstance(part, int) else part.shape[0] // width
+        if isinstance(part, int):
+            dropped.extend(range(first + most, first + count))
+        first += count
+    return np.array(dropped, dtype=int)
+
+
+@pytest.mark.parametrize("case", ["interval", "rectangle", "disc", "interval-bent", "disc-bent"])
+def test_the_stored_runs_tile_the_stencils_csr_on_demand(bump_metric, d3_tube, case):
+    if case.endswith("bent"):
+        metric, grid = _case(case[:-5], bump_metric, d3_tube)
+        op = assemble_hamiltonian(metric, grid)
+        reference = reference_hamiltonian(metric, grid)
+    else:
+        arrays, op = _free_run_in_the_core(GRIDS[case])
+        reference = reference_divergence_form(GRIDS[case], arrays)
+        left, right = op.free_ends
+        slices, width = op.grid.s_nodes.size - 2, op.template[2].size
+        # wall, left end, stenciled, free inside the core, stenciled, right end, wall
+        assert [isinstance(part, int) for part in op.parts] == [False, True] * 3 + [False]
+        assert (left, right) == (2, 2) and op.parts[3] == slices - 10
+    assert_same_csr(op.matrix, reference)
+    m, n = op.matrix, op.shape[0]
+    width = op.template[2].size
+    for first, stop in ((0, n), (width, n - 2 * width), (3 * width, 4 * width)):
+        expected = m[first:stop]
+        expected.has_canonical_format = True
+        assert_same_csr(op.rows(first, stop), expected)
+    if not case.endswith("bent"):
+        # a run cut to two slices: the operator of a grid without the slices cut
+        dropped = _cut_slices(op, 2)
+        assert dropped.size
+        short = TruncatedGrid(op.grid.s_nodes[:-dropped.size], op.grid.t_axes,
+                              op.grid.t_interior)
+        cut = [np.delete(a, dropped + 1, axis=0) for a in arrays]
+        assert_same_csr(op.rows(most=2), reference_divergence_form(short, cut))
+    # the product is the tiled CSR's, to the bit
+    x = np.random.default_rng(5).normal(size=(n, 3))
+    for v in (x, x[:, 0], x[:, :1]):
+        assert (op @ v).tobytes() == (m @ v).tobytes()
+
+
+def test_shape_and_nnz_are_counted_without_tiling(bump_metric, monkeypatch):
+    op = assemble_hamiltonian(bump_metric, TruncatedGrid.interval(16.0, 0.125, 1.0))
+    assert any(isinstance(part, int) for part in op.parts)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("tiled")
+
+    monkeypatch.setattr(DiscreteOperator, "rows", refuse)
+    shape, nnz = op.shape, op.nnz
+    monkeypatch.undo()
+    assert shape == op.matrix.shape and nnz == op.matrix.nnz
+
+
+def test_an_operator_built_from_a_matrix_stores_it_as_one_run():
+    m = assemble_free_hamiltonian(GRIDS["interval"]).matrix.tolil()
+    op = DiscreteOperator(m, GRIDS["interval"], "by hand")
+    assert op.parts == (m,) and op.template is None and op.matrix is m
+    assert op.shape == m.shape and op.nnz == m.nnz
+    assert_same_csr(op.rows(), m.tocsr())
+    x = np.random.default_rng(6).normal(size=m.shape[0])
+    np.testing.assert_array_equal(op @ x, m @ x)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from tubespectra import (
     DiagnosticsError,
     DiscreteOperator,
     InputError,
+    SolverError,
     SpectralReport,
     ThresholdSet,
     TruncatedGrid,
@@ -255,6 +256,8 @@ def test_the_symmetry_check_gives_the_sparse_merge_verdict(case):
     before = [m.data.copy(), m.indices.copy(), m.indptr.copy()]
     assert spectral._exactly_symmetric(m) is symmetric
     assert (not (m != m.T).nnz) is symmetric  # the merge this check replaces
+    # an operator's verdict, read from its stored rows
+    assert spectral._symmetric(DiscreteOperator(m, None, case)) is symmetric
     for array, old in zip((m.data, m.indices, m.indptr), before):
         np.testing.assert_array_equal(array, old)
 
@@ -304,7 +307,7 @@ def bent_level(bump_metric):
 def _factors(op, sigma, cut=True):
     """op - sigma I factored with its free ends eliminated, and factored all core."""
     ends = spectral._free_ends(op)
-    factor = spectral._factorize(spectral._core_entries(op.matrix, ends), sigma, op.grid, ends,
+    factor = spectral._factorize(spectral._core_entries(op, ends), sigma, op.grid, ends,
                                  cut=cut)
     return factor, spectral._factorize(spectral._lower_entries(op.matrix), sigma)
 
@@ -352,7 +355,8 @@ def test_a_changed_coupling_or_a_missing_entry_ends_a_free_run():
     c[4, 1] = c[4, 2] = 0.0             # slice 3's transverse face between its unknowns 0 and 1
     f = n_s - 5                         # G^11 at slice f's unknown 2, changed: its two s-faces
     g[f + 1, 3] = 1.001
-    a, runs = operators._assemble_divergence_form(grid, [g, c])
+    assembled = operators._assemble_divergence_form(grid, [g, c])
+    a, runs = assembled.matrix, assembled.free_ends
     assert 3 * m + 1 not in a[3 * m].indices       # the zero face's entry is missing
     # the runs stop short of slice 3 and of slice f + 1, coupled to slice f by a changed face
     assert runs == (3, n_s - f - 2)
@@ -363,9 +367,9 @@ def _one_node_operator(grid, at):
     """The free operator plus 1e-3 at the node ``at`` = (s, u...), with the runs assembly finds."""
     s, u = unknown_coordinates(grid)
     diagonal = np.where(np.all(np.column_stack([s, u]) == at, axis=1), 1e-3, 0.0)
-    m, runs = operators._assemble_divergence_form(
+    op = operators._assemble_divergence_form(
         grid, [np.ones(grid.full_shape)] * (1 + grid.transverse_dim), diagonal)
-    return DiscreteOperator(m, grid, "H", runs)
+    return DiscreteOperator(op.matrix, grid, "H", op.free_ends)
 
 
 @pytest.mark.parametrize("grid, node, runs", [
@@ -513,7 +517,7 @@ def test_a_ritz_value_past_the_cut_limit_solves_again_with_whole_chains(bump_met
                                                                         monkeypatch):
     op = hamiltonian_recipe(bump_metric, CrossSection.interval(1.0))(8.0, 1.0 / 16.0)
     ends = spectral._free_ends(op)
-    core = spectral._core_entries(op.matrix, ends)
+    core = spectral._core_entries(op, ends)
     sizes, factored = [], []
     shift_invert, factorize = spectral._shift_invert, spectral._factorize
 
@@ -546,6 +550,162 @@ def test_the_residuals_are_those_of_the_whole_box_operator(bent_level):
     recomputed = np.linalg.norm(op.matrix @ solved.vectors - solved.vectors * vals, axis=0)
     np.testing.assert_array_equal(residuals, recomputed)
     assert np.all(residuals < 1e-11)
+
+
+SMOKE_BENT_STRIP = """
+[problem]
+kind = euclidean-tube
+dimension = 2
+
+[curvature]
+family = gaussian-bump
+kappa0 = 0.5
+sigma = 1.0
+
+[cross_section]
+shape = interval
+half_width = 1.0
+
+[numerics]
+domain_length = 16.0
+spacings = 0.125, 0.0625
+n_eigs = 4
+include_mourre = false
+"""
+
+SMOKE_RECT_TUBE = """
+[problem]
+kind = euclidean-tube
+dimension = 3
+
+[curvature]
+family = gaussian-bump
+kappa0 = 0.5
+sigma = 1.0
+
+[curvature2]
+family = gaussian-bump
+kappa0 = 0.3
+sigma = 1.0
+
+[cross_section]
+shape = rectangle
+side_x = 1.0
+side_y = 1.0
+
+[numerics]
+domain_length = 8.0
+spacings = 0.25, 0.125
+n_eigs = 4
+include_mourre = false
+"""
+
+
+def _spy_on_tiling(monkeypatch):
+    """Record every operator whose ``matrix`` is read, and each ``rows`` call that tiles a copy.
+
+    A call tiles a copy when it returns every row of an operator with a tiled run.
+    """
+    read, rows = [], []
+    matrix, gather = DiscreteOperator.matrix, DiscreteOperator.rows
+    monkeypatch.setattr(DiscreteOperator, "matrix",
+                        property(lambda op: read.append(op) or matrix.fget(op)))
+
+    def counted(op, *args, **kwargs):
+        got = gather(op, *args, **kwargs)
+        rows.append(got.shape[0] == op.shape[0] and any(isinstance(p, int) for p in op.parts))
+        return got
+
+    monkeypatch.setattr(DiscreteOperator, "rows", counted)
+    return read, rows
+
+
+def _extend_after_the_bands_are_dropped(monkeypatch):
+    extend = spectral._Factor.extend
+
+    def checked(factor, y):
+        assert factor.halves is None and factor.s is None
+        return extend(factor, y)
+
+    monkeypatch.setattr(spectral._Factor, "extend", checked)
+
+
+@pytest.mark.parametrize("text", [SMOKE_BENT_STRIP, SMOKE_RECT_TUBE],
+                         ids=["bent-strip", "rect-tube"])
+def test_a_ladder_never_tiles_an_assembled_operator(monkeypatch, text):
+    from tubespectra.cli import build_metric
+    from tubespectra.config import load_config_text
+
+    cfg = load_config_text(text)
+    omega = cfg.cross_section()
+    recipe = hamiltonian_recipe(build_metric(cfg, cfg.profile(), omega), omega)
+    assembled = []
+
+    def recorded(length, spacing):
+        assembled.append(recipe(length, spacing))
+        return assembled[-1]
+
+    read, rows = _spy_on_tiling(monkeypatch)
+    _extend_after_the_bands_are_dropped(monkeypatch)
+    policy = ConvergencePolicy(spacings=cfg.spacings, domain_length=cfg.domain_length, n_eigs=4)
+    result = bound_states(recorded, cross_section_spectrum(omega, cfg.n_thresholds), policy)
+    assert len(assembled) == len(result.levels) + 2
+    assert any(isinstance(part, int) for part in assembled[-1].parts)
+    assert not any(op in assembled for op in read)
+    # the core's rows and the cut runs' only: never every row
+    assert rows and not any(rows)
+    assert [level.nnz for level in result.levels] == [op.matrix.nnz for op in assembled[2:]]
+
+
+@pytest.mark.parametrize("change, symmetric", [
+    (None, True), ("template-diagonal", True), ("template-across", False),
+    ("template-within", False), ("wall-across", False),
+])
+def test_a_tiled_operator_gets_its_tiled_matrix_symmetry_verdict(bent_level, change, symmetric):
+    op = bent_level
+    parts, (values, columns, counts) = list(op.parts), op.template
+    assert isinstance(parts[1], int) and parts[1] > 2
+    values = values.copy()
+    starts = np.r_[0, np.cumsum(counts)[:-1]]
+    width = counts.size
+    up = np.nextafter(1.0, 2.0)
+    if change == "template-diagonal":
+        values[columns == np.arange(width).repeat(counts)] *= up
+    elif change == "template-across":       # one row's coupling to the slice below
+        values[starts[5]] *= up
+    elif change == "template-within":       # one row's coupling to the unknown below it
+        values[starts[5] + 1] *= up
+    elif change == "wall-across":           # the left wall's coupling into the tiled run
+        wall = parts[0].copy()
+        wall.data[-1] *= up
+        parts[0] = wall
+    changed = DiscreteOperator._tiled(parts, (values, columns, counts), op.grid, op.tag,
+                                      op.free_ends)
+    assert spectral._symmetric(changed) is symmetric
+    assert spectral._exactly_symmetric(changed.matrix) is symmetric
+
+
+def test_no_convergence_reports_the_whole_operators_residual_untiled(bent_level, monkeypatch):
+    from scipy.sparse import linalg as spla
+
+    op, captured = bent_level, []
+
+    def fails(a, k, v0=None, **kwargs):
+        vectors = np.random.default_rng(9).normal(size=(a.shape[0], 2))
+        raise spla.ArpackNoConvergence("no", np.array([2.4, 2.5]), vectors)
+
+    extend = spectral._Factor.extend
+    monkeypatch.setattr(spectral._Factor, "extend",
+                        lambda factor, y: captured.append(extend(factor, y)) or captured[-1])
+    _extend_after_the_bands_are_dropped(monkeypatch)
+    monkeypatch.setattr(spla, "eigsh", fails)
+    read, rows = _spy_on_tiling(monkeypatch)
+    with pytest.raises(SolverError) as err:
+        lowest_eigenvalues(op, 2)
+    assert op not in read and not any(rows)
+    monkeypatch.undo()
+    (v,) = captured
+    assert err.value.best_residual == np.linalg.norm(op.matrix @ v - 2.4 * v)
 
 
 LADDER = (1.0 / 8.0, 1.0 / 16.0, 1.0 / 32.0)  # test_criterion_1's
@@ -639,7 +799,7 @@ def test_the_split_factor_solves_as_a_dense_solve(bent_level, d3_recipe, monkeyp
     sigma = 1.0
     if isinstance(op, DiscreteOperator):
         ends = spectral._free_ends(op)
-        factor = spectral._factorize(spectral._core_entries(op.matrix, ends), sigma, op.grid,
+        factor = spectral._factorize(spectral._core_entries(op, ends), sigma, op.grid,
                                      ends, cut=False)
         m = op.matrix
     else:

@@ -28,7 +28,7 @@ a ``spectrum`` call on the smoke-scale rect-tube with ``family =
 constant`` and ``value = 0.0`` for its second curvature (a planar
 curve), a ``check`` call on the smoke-scale flat strip with its Gauss
 curvature read from a ``[surface] file`` (K = 0 at the corners of
-[-1e4, 1e4] x [-1, 1]: the integrated strip metric, about 15 s of
+[-1e4, 1e4] x [-1, 1]: the integrated strip metric, about 6.5 s of
 Jacobi sweeps), and ``check`` calls on that strip with ``[surface]
 curvature = 0.1`` and ``-0.1``, which exit 2 by design.  Each call is a
 ``python -m tubespectra.cli`` subprocess with ``PYTHONPATH=SRC_DIR`` in
@@ -56,8 +56,9 @@ each numeric cell of its CSV files, such as ``mourre.csv[1].measured``.
 Two trees whose numbers may move by roundoff can then be compared number
 by number under a relative tolerance.
 
-The full run takes about 35 s per tree on a 2-CPU VM, 15 s of it the
-``[surface] file`` check.
+The full run takes about 18 s per tree on a 2-CPU VM, 6.5 s of it the
+``[surface] file`` check (24 s and 10.5 s, measured back to back, when
+the Jacobi sweep took the Gauss curvature once per RK4 stage).
 
 ``--compare OLD NEW --rtol R [--atol A]`` reads two saved ``--values``
 outputs and pairs their lines in order.  It prints the largest relative

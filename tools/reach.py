@@ -16,8 +16,8 @@ function that holds it; comprehensions count with it), then, per
 entered function, the lines of its body no call reaches apart from
 ``raise`` statements.  An executable line is one the compiled body of a
 function maps an instruction to; module and class bodies are left out.
-The full run takes about 25 s on a 2-CPU VM, 15 s of it the ``[surface]
-file`` gate.
+The full run takes 9 to 15 s on a 2-CPU VM, by the VM's speed at the
+time, about half of it the ``[surface] file`` gate.
 """
 
 import ast
