@@ -208,8 +208,8 @@ class DiscreteOperator:
     columns from the slice's first unknown, entries per row).  Assembly
     stores every slice it does not tile; ``DiscreteOperator(matrix, grid,
     tag)`` stores all of ``matrix`` as one run and tiles nothing.
-    ``matrix`` tiles the whole CSR when it is read, ``rows`` any run of
-    rows, and ``op @ x`` applies the operator a block of rows at a time.
+    ``matrix`` tiles the whole CSR when it is read, and ``rows`` any run
+    of rows.
 
     ``free_ends`` are the numbers of s-slices at the left and at the right
     wall whose rows are exactly the free operator's, with at least one
@@ -305,43 +305,6 @@ class DiscreteOperator:
         m = sp.csr_matrix((data, indices, indptr), shape=(indptr.size - 1, n - dropped))
         m.has_canonical_format = True
         return m
-
-    def __matmul__(self, x):
-        """The operator times a vector, or times each column of an (n, k) array.
-
-        A stored run's rows are the sparse product's.  A tiled run's are
-        taken a block of slices at a time: one block of its rows is
-        tiled, its columns counted from the slice before it, and applied
-        to each window of x in turn.  Every row adds its terms in CSR
-        column order from zero, so each is the whole tiled CSR's to the bit.
-        """
-        if len(self.parts) == 1:
-            return self.parts[0] @ x
-        width = _width(self.template)
-        y = np.empty((self.shape[0],) + x.shape[1:])
-        start = 0
-        for part in self.parts:
-            if isinstance(part, int):
-                end = start + part * width
-                rows = min(end - start, max(1, _PRODUCT_ROWS // width) * width)
-                block = self.rows(start, start + rows)
-                block.indices -= start - width
-                for at in range(start, end, rows):
-                    count = min(rows, end - at)
-                    stop = block.indptr[count]
-                    piece = sp.csr_matrix(
-                        (block.data[:stop], block.indices[:stop], block.indptr[:count + 1]),
-                        shape=(count, count + 2 * width))
-                    y[at:at + count] = piece @ x[at - width:at + count + width]
-            else:
-                end = start + part.shape[0]
-                y[start:end] = part @ x
-            start = end
-        return y
-
-
-# about the rows of one block of a tiled run that a product tiles
-_PRODUCT_ROWS = 1 << 14
 
 
 def _width(template):

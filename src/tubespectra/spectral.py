@@ -60,37 +60,42 @@ Its Ritz values then lie at or above the eigenvalues (Cauchy
 interlacing), so when the k-th lies below Lambda every wanted
 eigenvector's cut part is below 1e-18 of its size at the core, and the
 values are exact to roundoff; otherwise, or when no more than k unknowns
-are kept, the solve is made again with every chain whole.  Eigenvectors
-return to the grid with nothing beyond the cuts, and every residual is
-taken on the whole operator.
+are kept, the solve is made again with every chain whole.  The Ritz
+vectors stay on K.  Extended onto the grid, zero beyond the cuts, they
+are vectors of the whole operator, and its residual is taken on K: in
+the ends' modes A - lambda I is, per mode, the chain rows (lam_t -
+lambda) a_j - (a_{j-1} + a_{j+1})/ds^2, nonzero only on the kept slices
+and on one slice past each cut.
 
-No level tiles its operator's straight ends into a matrix: the
-symmetry check reads the operator's stored rows with each tiled run cut
-to two slices, the factor the core's rows, and the residuals apply the
-operator run by run, a tiled row from the template's values in its CSR
-column order, so each residual is the tiled matrix's to the bit.  A level
-then holds, besides those rows, the factor's bands while ARPACK runs:
-they are dropped when it returns, before the eigenvectors, n x k values,
-are extended onto the grid.  On the acceptance bent strip at h = 1/32
-that is a 1.6 MB operator, 12.5 MB of bands and 8.3 MB of vectors (k =
-4), never all at once.
+No level tiles its operator's straight ends into a matrix, nor makes an
+n x k array of eigenvectors: the symmetry check reads the operator's
+stored rows with each tiled run cut to two slices, and the factor and
+the residuals each read the core's rows, so that no core CSR is held
+with the factor's bands.  A level then holds, besides the stored rows,
+the bands while ARPACK runs, dropped when it returns, and the Ritz
+vectors on K; a ladder extends only their sum onto the grid, for its
+next level.  On the acceptance bent strip at h = 1/32 that is a 1.6 MB
+operator, 12.5 MB of bands and 1.1 MB of Ritz vectors (k = 4, on 35,811
+of 257,985 unknowns), then a 1.5 MB core for the residuals.
 
 Ladder solves shift 1e-3 * max(1, |hint|) below a hint: nu_1 for the
-ladder's first solve, the previous solve's lowest eigenvalue after it.
-The factorization is the certificate: Cholesky exists only for a
-positive definite matrix, and A - sigma I is positive definite exactly
-when its free ends and their Schur complement onto the core are, and
-that complement exactly when its two halves and the middle block's
-Schur complement S are (Haynsworth inertia additivity, Linear Algebra
-Appl. 1 (1968) 73).  So when every factor exists (the ends' and the
-core's three Cholesky pieces) no eigenvalue lies at or below sigma and
-the solve cannot miss one.  A shift where it fails is lowered
-before any solve is made.  Each solve after the first starts Lanczos
-from the previous solve's eigenvectors: their sum, prolongated onto the
-new grid by linear interpolation along each tensor axis and taken as
-zero outside the old box, plus 1e-4 of a fixed vector so that no
-symmetry sector is left without a component.  Lanczos then converges on
-its first pass.
+ladder's first solve, the previous solve's lowest eigenvalue after it,
+or the grid's first discrete threshold nu_1(h) when that is lower: on a
+coarse grid an eigenvalue above nu_1(h) is a box mode, which the next,
+longer box moves down.  The factorization is the certificate: Cholesky
+exists only for a positive definite matrix, and A - sigma I is positive
+definite exactly when its free ends and their Schur complement onto the
+core are, and that complement exactly when its two halves and the middle
+block's Schur complement S are (Haynsworth inertia additivity, Linear
+Algebra Appl. 1 (1968) 73).  So when every factor exists (the ends' and
+the core's three Cholesky pieces) no eigenvalue lies at or below sigma
+and the solve cannot miss one.  A shift where it fails is lowered before
+any solve is made.  Each solve after the first starts Lanczos from the
+previous solve's eigenvectors: their sum, prolongated onto the new grid
+by linear interpolation along each tensor axis and taken as zero outside
+the old box, normalised and restricted to K, plus 1e-4 of a fixed vector
+on K so that no symmetry sector is left without a component.  Lanczos
+then converges on its first pass.
 
 The Mourre check is exact and closed form.  The free Hamiltonian of a
 straight tube separates, H0 = T_s x I + I x H_perp, so its eigenvalues
@@ -332,16 +337,18 @@ class _Factor:
     Schur complement onto the slices kept: ``solve`` applies
     [(m - sigma I)^-1]_KK, the compression of the inverse onto K.  With
     every chain whole, K is all of m's unknowns, the ends' in modes.
-    ``threaded`` runs the two halves at once.
+    ``lam``, ``psi`` are :func:`_free_ends`', ``c`` = 1/ds^2 the ends'
+    coupling, and ``threaded`` runs the two halves at once.
     """
 
-    def __init__(self, halves, middle, s, span, slices, width, psi=None, ends=(),
-                 threaded=False):
+    def __init__(self, halves, middle, s, span, slices, width, lam=None, psi=None, c=0.0,
+                 ends=(), threaded=False):
         from scipy.linalg.lapack import dpotrs
 
         self.halves, self.middle, self.s, self.threaded = halves, middle, s, threaded
         self.potrs = dpotrs
-        self.span, self.slices, self.width, self.psi, self.ends = span, slices, width, psi, ends
+        self.span, self.slices, self.width, self.ends = span, slices, width, ends
+        self.lam, self.psi, self.c = lam, psi, c
         self.core = (span[1] - span[0]) // width
         self.size = span[1] - span[0] + sum(end.index.size for end in ends)
 
@@ -394,6 +401,32 @@ class _Factor:
             x[end.unknowns] = nodal.transpose(1, 0, 2).reshape(x[end.unknowns].shape)
         return x
 
+    def residuals(self, rows, y, vals):
+        """||m x - lambda x|| of each column x = ``extend(y)``, lambda its entry of ``vals``.
+
+        ``rows`` are m's :func:`_core_rows`, y a column on K per value.  The
+        norm is taken in the ends' modes (module docstring), whose chains
+        reach the core's slice next to them by -c, on the kept slices and
+        one slice past each cut alone.
+        """
+        n, width, c = self.span[1] - self.span[0], self.width, self.c
+        r = rows @ y[:n] - y[:n] * vals
+        squares = 0.0
+        for end in self.ends:
+            a = y[end.part]
+            next_to = slice(n - width, n) if end.reverse else slice(0, width)
+            q = (np.repeat(self.lam, end.kept)[:, None] - vals) * a
+            e = np.full(a.shape[0] - 1, c)
+            e[end.last[:-1]] = 0.0           # one mode's chain ends where the next begins
+            q[1:] -= e[:, None] * a[:-1]
+            q[:-1] -= e[:, None] * a[1:]
+            q[end.last] -= c * (self.psi.T @ y[next_to])
+            r[next_to] -= c * (self.psi @ a[end.last])
+            count = (end.unknowns.stop - end.unknowns.start) // width
+            cut = a[(end.last - end.kept + 1)[end.kept < count]]
+            squares = squares + (q * q).sum(axis=0) + c * c * (cut * cut).sum(axis=0)
+        return np.sqrt(squares + (r * r).sum(axis=0))
+
 
 def _free_ends(op):
     """The free ends of op, their block diagonalized, and where its modes may be cut.
@@ -402,23 +435,21 @@ def _free_ends(op):
     unknowns per s-slice, and ``left`` and ``right`` the operator's
     ``free_ends``, the runs of slices at each wall whose rows are exactly
     the free operator's.  A matrix with no grid is one slice of all its
-    unknowns, with no free end.  D = Psi diag(lam) Psi^T for the free
-    one-slice block D (:func:`_free_slices`), whose modes have the transverse
-    thresholds nu_t(h) = lam_t - 2/ds^2, and ``limit`` the midpoint
-    Lambda of nu_1(h) and the next distinct threshold (inf when there is
-    none).  Below Lambda a mode t with nu_t(h) > Lambda is evanescent in
-    a free run: an eigenvector's mode-t content shrinks away from the core
-    by at least r_t per slice, r_t + 1/r_t = 2 + ds^2 (nu_t(h) - Lambda),
-    and ``reach[t]`` is the least J with r_t^J <= _CUT; for every other
-    mode it is inf.  None of this depends on the shift, so one call
-    serves every shift tried.
+    unknowns, with no free end.  On a grid D = Psi diag(lam) Psi^T for the
+    free one-slice block D (:func:`_free_slices`), whose modes have the
+    transverse thresholds nu_t(h) = lam_t - 2/ds^2, and ``limit`` the
+    midpoint Lambda of nu_1(h) and the next distinct threshold (inf when
+    there is none).  Below Lambda a mode t with nu_t(h) > Lambda is
+    evanescent in a free run: an eigenvector's mode-t content shrinks away
+    from the core by at least r_t per slice, r_t + 1/r_t = 2 + ds^2
+    (nu_t(h) - Lambda), and ``reach[t]`` is the least J with r_t^J <=
+    _CUT; for every other mode it is inf.  None of this depends on the
+    shift, so one call serves every shift tried.
     """
     if op.grid is None:
         return op.shape[0], 0, 0, None, None, None, np.inf
     grid, (left, right) = op.grid, op.free_ends
     width = int(grid.t_interior.sum())
-    if not (left or right):
-        return width, left, right, None, None, None, np.inf
     lam, psi = np.linalg.eigh(_free_slices(grid).toarray())
     c = 1.0 / grid.s_spacing**2
     nu = lam - 2.0 * c
@@ -432,23 +463,22 @@ def _free_ends(op):
     return width, left, right, lam, psi, reach, limit
 
 
-def _core_entries(op, ends):
-    """``_lower_entries`` of op's core, the rows and columns between the free ends of ``ends``.
+def _core_rows(op):
+    """op's core, the CSR rows and columns between its ``free_ends``.
 
     Only the core's rows are read, and only its tiled slices, if any, tiled.
     """
-    width, left, right = ends[:3]
-    if not (left or right):
-        return _lower_entries(op.rows())
+    left, right = op.free_ends
+    width = int(op.grid.t_interior.sum()) if left or right else 0
     lo, hi = left * width, op.shape[0] - right * width
-    return _lower_entries(op.rows(lo, hi)[:, lo:hi])
+    return op.rows(lo, hi)[:, lo:hi] if left or right else op.rows()
 
 
 def _factorize(core, sigma, grid=None, ends=None, cut=True):
     """m - sigma I factored as a :class:`_Factor`, or None when there is none.
 
-    ``core`` is m's :func:`_core_entries`, ``grid`` its grid and
-    ``ends`` its :func:`_free_ends`; without them m is all core.  The
+    ``core`` is ``_lower_entries`` of m's :func:`_core_rows`, ``grid``
+    m's grid, ``ends`` its :func:`_free_ends`; without them m is all core.  The
     free one-slice block is diagonalized, D - sigma I = Psi diag(delta_t)
     Psi^T.  A free run of p slices at a wall is then, in modes, m
     uncoupled tridiagonals T_t = tridiag(-c, delta_t, -c) of order p,
@@ -579,18 +609,16 @@ def _factorize(core, sigma, grid=None, ends=None, cut=True):
         return None
     lo = left * width
     return _Factor((top, bottom), slice(a, b), s, (lo, lo + n),
-                   (lo + n + right * width) // width, width, psi,
+                   (lo + n + right * width) // width, width, lam, psi, c,
                    tuple(end for end in (end_t, end_u) if end is not None), threaded)
 
 
-def _shift_invert(op, k, sigma, factor, v0):
-    """The k eigenpairs of op nearest sigma, and the solves ARPACK made.
+def _shift_invert(op, k, sigma, factor, start):
+    """The k eigenpairs of op nearest sigma, the eigenvectors on K, and the solves ARPACK made.
 
-    ARPACK runs on the factor's K, from ``v0`` restricted to it, and
-    applies [(op - sigma I)^-1]_KK through ``factor``, a :class:`_Factor`;
-    the eigenvectors are returned on op's unknowns.  The factor's bands,
-    the largest arrays of the solve, are dropped once ARPACK returns,
-    before the vectors are extended.
+    ARPACK applies [(op - sigma I)^-1]_KK through ``factor``, a
+    :class:`_Factor`, from the fixed vector on K plus ``start``, if any,
+    restricted to K.  The factor's bands are dropped once it returns.
     """
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
@@ -601,41 +629,52 @@ def _shift_invert(op, k, sigma, factor, v0):
         solves += 1
         return factor.solve(rhs)
 
+    v0 = _start_vector(factor.size)
+    if start is not None:  # normalised, plus a little of the fixed vector
+        v0 = factor.restrict(start) / (np.linalg.norm(start) or 1.0) + _SYMMETRY_BREAKER * v0
     opinv = LinearOperator((factor.size, factor.size), matvec=solve, dtype=float)
     try:
-        vals, vecs = eigsh(opinv, k=k, sigma=sigma, which="LM", OPinv=opinv, tol=0.0,
-                           v0=factor.restrict(v0))
+        vals, vecs = eigsh(opinv, k=k, sigma=sigma, which="LM", OPinv=opinv, tol=0.0, v0=v0)
     except ArpackNoConvergence as exc:
         factor.drop_bands()
         got = np.asarray(exc.eigenvalues)
         best = None
         if got.size and exc.eigenvectors is not None and exc.eigenvectors.size:
-            v = factor.extend(exc.eigenvectors[:, 0])
-            best = float(np.linalg.norm(op @ v - got[0] * v))
+            best = float(factor.residuals(_core_rows(op), exc.eigenvectors[:, :1], got[:1])[0])
         raise SolverError(
             f"eigensolver did not converge for k={k} (got {got.size})",
             best_residual=best,
         ) from exc
     factor.drop_bands()
-    return vals, factor.extend(vecs), solves
+    return vals, vecs, solves
 
 
 class _Result(tuple):
-    """A result tuple that carries named extras, such as a solve's shift."""
+    """A result tuple that carries named extras, such as a solve's shift.
 
-    def __new__(cls, items, **extras):
+    An extra in ``on_k``, vectors on a factor's K, is ``extend``-ed when first read.
+    """
+
+    def __new__(cls, items, extend=None, on_k=None, **extras):
         self = super().__new__(cls, items)
-        self.__dict__.update(extras)
+        self.__dict__.update(extras, _extend=extend, _on_k=dict(on_k or {}))
         return self
 
+    def __getattr__(self, name):  # only for a name not set, such as an extra not read yet
+        if name not in self.__dict__.get("_on_k", ()):
+            raise AttributeError(name)
+        value = self.__dict__[name] = self._extend(self._on_k.pop(name))
+        return value
 
-def lowest_eigenvalues(op, k, below=None, start=None, overwrite_start=False):
+
+def lowest_eigenvalues(op, k, below=None, start=None):
     """k smallest eigenvalues of a symmetric operator, with residuals.
 
     Shift-invert Lanczos (ARPACK, converged to machine precision: tol=0)
     at a shift sigma just under ``below`` -- a hint such as the lowest
     eigenvalue of the previous ladder level -- placed at
-    ``below - 1e-3 * max(1, |below|)``, or at -1 without a hint.
+    ``below - 1e-3 * max(1, |below|)``, or at -1 without a hint; on a
+    grid, a hint above its first threshold nu_1(h) is lowered to it.
     M - sigma I is factorized once by :func:`_factorize` and ARPACK
     solves with that factor: the ``free_ends`` of a DiscreteOperator,
     its exactly free s-slices at each wall, are eliminated in transverse
@@ -653,20 +692,20 @@ def lowest_eigenvalues(op, k, below=None, start=None, overwrite_start=False):
     Only the lower triangle of M is read, so a matrix that is not exactly
     symmetric raises InputError; SolverError when ARPACK did not converge.
 
-    Lanczos starts from a fixed vector, or from ``start`` -- a guess at
-    the wanted eigenvectors, such as the previous ladder level's carried
-    onto this grid -- normalised and with 1e-4 of the fixed vector added,
-    so that a guess with no component in some symmetry sector cannot hide
-    that sector's eigenvalues.  That is done on a copy, or in ``start``
-    itself with ``overwrite_start``, which spares a vector of the size of M.
+    Lanczos starts from a fixed vector on K, or from ``start`` -- a guess
+    at the wanted eigenvectors, such as the previous ladder level's
+    carried onto this grid -- normalised, restricted to K and with 1e-4
+    of the fixed vector added, so that a guess with no component in some
+    symmetry sector cannot hide that sector's eigenvalues.
 
     Returns ``(values, residuals)``, residuals ||M v - lambda v|| of the
-    unit eigenvectors, as a tuple whose ``shift`` is the certified sigma,
-    ``band`` the half-bandwidth of M, ``core`` and ``slices`` the number
-    of s-slices factored by banded Cholesky and of all s-slices (1 and 1
-    without a grid), ``solves`` the number of solves ARPACK made with the
-    factor, ``lanczos`` the number of unknowns it ran on, and ``vectors``
-    the unit eigenvectors on M's unknowns, one column per value.
+    unit eigenvectors, taken on K, as a tuple whose ``shift`` is the
+    certified sigma, ``band`` the half-bandwidth of M, ``core`` and
+    ``slices`` the number of s-slices factored by banded Cholesky and of
+    all s-slices (1 and 1 without a grid), ``solves`` the number of solves
+    ARPACK made with the factor, ``lanczos`` the number of unknowns it ran
+    on, and ``vectors`` the unit eigenvectors on M's unknowns, one column
+    per value, and ``summed`` their sum, each made when first read.
     """
     if not isinstance(op, DiscreteOperator):
         op = DiscreteOperator(op, None, "matrix")
@@ -675,21 +714,19 @@ def lowest_eigenvalues(op, k, below=None, start=None, overwrite_start=False):
         raise InputError(f"need 1 <= k < matrix dimension (k={k}, n={n})")
     if not _symmetric(op):
         raise InputError("matrix is not exactly symmetric")
-    v0 = _start_vector(n)
     if start is not None:
-        start = np.asarray(start, float) if overwrite_start else np.array(start, float)
+        start = np.asarray(start, float)
         if start.shape != (n,):
             raise InputError(f"start vector of shape {start.shape} for dimension {n}")
-        start /= np.linalg.norm(start) or 1.0
-        start += _SYMMETRY_BREAKER * v0
-        v0 = start
 
+    ends = _free_ends(op)
+    width, left, right, lam = ends[:4]
     anchor = -1.0 if below is None else float(below)
+    if below is not None and lam is not None:  # nu_1(h)
+        anchor = min(anchor, lam[0] - 2.0 / op.grid.s_spacing**2)
     step = _SHIFT_OFFSET * max(1.0, abs(anchor))
     sigma = anchor if below is None else anchor - step
-    ends = _free_ends(op)
-    core = _core_entries(op, ends)
-    width, left, right = ends[:3]
+    core = _lower_entries(_core_rows(op))
     # a free end's rows are the free operator's: they reach one slice away, no further
     band = max(int(core[0].max(initial=0)), width if left or right else 0)
     while (factor := _factorize(core, sigma, op.grid, ends)) is None:
@@ -698,20 +735,20 @@ def lowest_eigenvalues(op, k, below=None, start=None, overwrite_start=False):
     del core
     solves = 0
     if factor.size > k:
-        vals, vecs, solves = _shift_invert(op, k, sigma, factor, v0)
+        vals, vecs, solves = _shift_invert(op, k, sigma, factor, start)
     if factor.size < n and (factor.size <= k or vals.max() >= ends[-1]):
         # a Ritz value at or above the cut limit Lambda: an eigenvector may
         # reach past a cut, so solve again with every chain whole
-        factor = _factorize(_core_entries(op, ends), sigma, op.grid, ends, cut=False)
-        vals, vecs, more = _shift_invert(op, k, sigma, factor, v0)
+        factor = _factorize(_lower_entries(_core_rows(op)), sigma, op.grid, ends, cut=False)
+        vals, vecs, more = _shift_invert(op, k, sigma, factor, start)
         solves += more
     sizes = dict(core=factor.core, slices=factor.slices, lanczos=factor.size)
     if np.any(vals[1:] < vals[:-1]):  # ARPACK's are ascending as a rule: no reordered copy
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order]
-    residuals = np.linalg.norm(op @ vecs - vecs * vals[None, :], axis=0)
-    return _Result((vals, residuals), shift=sigma, band=band, solves=solves, vectors=vecs,
-                   **sizes)
+    return _Result((vals, factor.residuals(_core_rows(op), vecs, vals)), shift=sigma, band=band,
+                   solves=solves, extend=factor.extend,
+                   on_k=dict(vectors=vecs, summed=vecs.sum(axis=1)), **sizes)
 
 
 # ---------------------------------------------------------------------------
@@ -878,8 +915,9 @@ class _Ladder:
     ``solve(L, spacing)`` returns the k lowest eigenvalues and LadderLevel
     of ``assemble(L, spacing)``, hinted at nu_1 or the previous solve's
     lowest eigenvalue and started from the previous solve's sum of unit
-    eigenvectors, which it carries and frees before the solve.  An operator
-    without a grid is solved cold.
+    eigenvectors, which it carries on K, extends when the next solve uses
+    it, and frees before that solve.  An operator without a grid is solved
+    cold.
     """
 
     def __init__(self, assemble, k, below):
@@ -891,12 +929,11 @@ class _Ladder:
         grid = getattr(op, "grid", None)
         start = None
         if self.carried is not None and grid is not None:
-            start = _prolongate(self.carried, grid)
+            # the previous solve's sum of eigenvectors, extended onto its grid only now
+            start = _prolongate((self.carried[0], self.carried[1].summed), grid)
         self.carried = None
         # through the module global, so that a wrapper of it sees every solve
-        vals, residuals = solved = lowest_eigenvalues(
-            op, self.k, below=self.below, start=start, overwrite_start=True
-        )
+        vals, residuals = solved = lowest_eigenvalues(op, self.k, below=self.below, start=start)
         level = LadderLevel(
             length=float(length),
             spacing=float(spacing),
@@ -911,7 +948,7 @@ class _Ladder:
         )
         self.below = float(vals[0])
         if grid is not None:
-            self.carried = (grid, solved.vectors.sum(axis=1))
+            self.carried = (grid, solved)
         return vals, level
 
 

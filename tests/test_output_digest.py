@@ -60,6 +60,31 @@ def test_compare_lets_a_number_move_by_atol_whatever_its_relative_move(tmp_path)
     assert _compare(tmp_path, AFTER, "0", old=BEFORE, atol="3e-12").returncode == 0
 
 
+# a roundoff-sized residual moves by far the most, relatively, of the three
+RESIDUALS = """seed=0 bent-strip spectrum level[1].shift = {shift}
+seed=0 bent-strip spectrum level[1].max_residual = {residual}
+seed=0 bent-strip spectrum state[1].value = 2.25, 0.0
+"""
+
+
+def test_compare_names_the_largest_move_and_the_largest_above_atol(tmp_path):
+    old = RESIDUALS.format(shift="2.4565911420521216", residual="5.8e-14")
+    new = RESIDUALS.format(shift="2.456591142052125", residual="3.1e-14")
+    within = _compare(tmp_path, new, "1e-13", old=old, atol="1e-11")
+    assert within.returncode == 0
+    lines = within.stdout.splitlines()
+    assert lines[:2] == ["1.45e-15 seed=0 bent-strip spectrum level[1].shift",
+                         "0.466 seed=0 bent-strip spectrum level[1].max_residual"]
+    assert lines[2] == ("largest relative move 0.466 at "
+                        "seed=0 bent-strip spectrum level[1].max_residual")
+    assert lines[3] == ("largest relative move of values above atol 1e-11: 1.45e-15 at "
+                        "seed=0 bent-strip spectrum level[1].shift")
+    assert lines[-1] == "3 lines, largest relative move 0.466 (rtol 1e-13, atol 1e-11)"
+    # with nothing moved, no key is named
+    assert _compare(tmp_path, old, "0", old=old).stdout.splitlines() == [
+        "3 lines, largest relative move 0 (rtol 0)"]
+
+
 REPORT = """[bound_states]
 count = 1
 verdict = no bound state detected

@@ -172,10 +172,9 @@ def test_a_warm_start_cannot_hide_a_symmetry_sector():
     even[:n_even] = 1.0
     vals, res = solved = lowest_eigenvalues(op, k, start=even)
     assert np.all(even[:n_even] == 1.0) and not np.any(even[n_even:])  # left as given
-    owned = even.copy()  # the ladder hands its start over, to be normalised in place
-    np.testing.assert_array_equal(
-        lowest_eigenvalues(op, k, start=owned, overwrite_start=True)[0], vals)
-    assert np.linalg.norm(owned) == pytest.approx(1.0, abs=1e-3)
+    # it is normalised on K: its scale does not matter
+    np.testing.assert_allclose(lowest_eigenvalues(op, k, start=3.0 * even)[0], vals,
+                               rtol=1e-13)
     # the lowest modes alternate even and odd in s: both sectors are found
     np.testing.assert_allclose(vals, dense, rtol=1e-10)
     assert np.all(res < 1e-10)
@@ -307,8 +306,8 @@ def bent_level(bump_metric):
 def _factors(op, sigma, cut=True):
     """op - sigma I factored with its free ends eliminated, and factored all core."""
     ends = spectral._free_ends(op)
-    factor = spectral._factorize(spectral._core_entries(op, ends), sigma, op.grid, ends,
-                                 cut=cut)
+    factor = spectral._factorize(spectral._lower_entries(spectral._core_rows(op)), sigma,
+                                 op.grid, ends, cut=cut)
     return factor, spectral._factorize(spectral._lower_entries(op.matrix), sigma)
 
 
@@ -424,10 +423,13 @@ def test_an_operator_built_by_hand_and_a_raw_matrix_solve_all_core(bent_level):
         np.testing.assert_allclose(solved[0], assembled[0], rtol=1e-12)
 
 
-def test_a_retried_shift_diagonalizes_the_free_block_once(bent_level, monkeypatch):
-    # the free block's modes do not depend on the shift
-    op = bent_level
+def test_a_retried_shift_diagonalizes_the_free_block_once(strong_recipe, monkeypatch):
+    # the free block's modes do not depend on the shift; the hint lies
+    # between the lowest eigenvalue and the grid's first threshold, which
+    # would lower a hint above it
+    op = strong_recipe(16.0, 0.125)
     lam0 = lowest_eigenvalues(op, 1)[0][0]
+    assert op.free_ends != (0, 0) and lam0 + 0.05 < _first_threshold(op)
     blocks, shifts = [], []
     free_slices, factorize = spectral._free_slices, spectral._factorize
 
@@ -441,9 +443,28 @@ def test_a_retried_shift_diagonalizes_the_free_block_once(bent_level, monkeypatc
 
     monkeypatch.setattr(spectral, "_free_slices", counted_block)
     monkeypatch.setattr(spectral, "_factorize", counted_factorize)
-    solved = lowest_eigenvalues(op, 1, below=lam0 + 0.1)
+    solved = lowest_eigenvalues(op, 1, below=lam0 + 0.05)
     assert shifts[0] > lam0 and len(shifts) > 2 and solved.shift == shifts[-1] < lam0
     assert blocks == [op.grid]
+
+
+def _first_threshold(op):
+    """nu_1(h) of op's grid: the free one-slice block's lowest eigenvalue less 2/ds^2."""
+    return spectral._free_ends(op)[3][0] - 2.0 / op.grid.s_spacing**2
+
+
+def test_a_hint_above_the_grids_first_threshold_is_lowered_to_it(bent_level, monkeypatch):
+    # on the coarse bent strip the lowest eigenvalue lies above nu_1(h)
+    op, factored = bent_level, []
+    nu1_h = _first_threshold(op)
+    factorize = spectral._factorize
+    monkeypatch.setattr(spectral, "_factorize",
+                        lambda *args, **kw: factored.append(factorize(*args, **kw))
+                        or factored[-1])
+    for hint in (nu1_h + 0.5, NU1):
+        solved = lowest_eigenvalues(op, 2, below=hint)
+        assert solved.shift == nu1_h - 1e-3 * nu1_h < solved[0][0]
+    assert nu1_h < NU1 and None not in factored
 
 
 def test_the_factor_certifies_exactly_the_shifts_the_full_band_does(bent_level):
@@ -517,7 +538,7 @@ def test_a_ritz_value_past_the_cut_limit_solves_again_with_whole_chains(bump_met
                                                                         monkeypatch):
     op = hamiltonian_recipe(bump_metric, CrossSection.interval(1.0))(8.0, 1.0 / 16.0)
     ends = spectral._free_ends(op)
-    core = spectral._core_entries(op, ends)
+    core = spectral._lower_entries(spectral._core_rows(op))
     sizes, factored = [], []
     shift_invert, factorize = spectral._shift_invert, spectral._factorize
 
@@ -541,15 +562,63 @@ def test_a_ritz_value_past_the_cut_limit_solves_again_with_whole_chains(bump_met
     np.testing.assert_array_equal(solved[0], lowest_eigenvalues(op, 12)[0])
 
 
-def test_the_residuals_are_those_of_the_whole_box_operator(bent_level):
-    op = bent_level
-    solved = lowest_eigenvalues(op, 4)
+def _ritz_on_k(monkeypatch):
+    """Record the factor and the eigenvectors on K of each ``_shift_invert``."""
+    shift_invert, solved = spectral._shift_invert, []
+
+    def recorded(op, k, sigma, factor, start):
+        got = shift_invert(op, k, sigma, factor, start)
+        solved.append((factor, got[1]))
+        return got
+
+    monkeypatch.setattr(spectral, "_shift_invert", recorded)
+    return solved
+
+
+def _assert_residuals_are_the_whole_operators(op, k, monkeypatch):
+    """Solve op; its residuals, taken on K in the modes of the free ends, are the tiled CSR's.
+
+    Returns the solve's result and the number of Lanczos runs it made.
+    """
+    ritz = _ritz_on_k(monkeypatch)
+    solved = lowest_eigenvalues(op, k)
     vals, residuals = solved
-    assert solved.lanczos < op.shape[0] and solved.vectors.shape == (op.shape[0], 4)
+    m = getattr(op, "matrix", op)
+    factor, y = ritz[-1]
+    assert factor.size == solved.lanczos and solved.vectors.shape == (m.shape[0], k)
     np.testing.assert_allclose(np.linalg.norm(solved.vectors, axis=0), 1.0, rtol=1e-14)
-    recomputed = np.linalg.norm(op.matrix @ solved.vectors - solved.vectors * vals, axis=0)
-    np.testing.assert_array_equal(residuals, recomputed)
-    assert np.all(residuals < 1e-11)
+    recomputed = np.linalg.norm(m @ solved.vectors - solved.vectors * vals, axis=0)
+    assert np.all(residuals < 1e-11) and np.all(recomputed < 1e-11)
+    # Ritz vectors moved off the eigenvectors, on K: both residuals at least 1e-6
+    wrapped = op if isinstance(op, DiscreteOperator) else DiscreteOperator(m, None, "matrix")
+    rows = spectral._core_rows(wrapped)
+    moved = y + 1e-6 * np.random.default_rng(8).normal(size=y.shape)
+    x = factor.extend(moved)
+    expected = np.linalg.norm(m @ x - x * vals, axis=0)
+    assert np.all(expected >= 1e-6)
+    np.testing.assert_allclose(factor.residuals(rows, moved, vals), expected, rtol=1e-10)
+    return solved, len(ritz)
+
+
+def test_the_residuals_are_those_of_the_whole_box_operator(bent_level, monkeypatch):
+    # a level with two free ends, each cut for Lanczos
+    solved, runs = _assert_residuals_are_the_whole_operators(bent_level, 4, monkeypatch)
+    assert all(bent_level.free_ends) and solved.lanczos < bent_level.shape[0] and runs == 1
+
+
+@pytest.mark.parametrize("case", ["all-core", "whole-chains", "matrix"])
+def test_the_residuals_on_k_need_no_end_cut_or_grid(bent_level, bump_metric, monkeypatch, case):
+    recipe = hamiltonian_recipe(bump_metric, CrossSection.interval(1.0))
+    if case == "all-core":
+        op, k = recipe(4.0, 0.125), 4
+        assert op.free_ends == (0, 0)
+    elif case == "whole-chains":  # the retry after a Ritz value past the cut limit
+        op, k = recipe(8.0, 1.0 / 16.0), 12
+        assert all(op.free_ends)
+    else:
+        op, k = bent_level.matrix, 4
+    solved, runs = _assert_residuals_are_the_whole_operators(op, k, monkeypatch)
+    assert solved.lanczos == op.shape[0] and runs == 1 + (case == "whole-chains")
 
 
 SMOKE_BENT_STRIP = """
@@ -689,23 +758,68 @@ def test_no_convergence_reports_the_whole_operators_residual_untiled(bent_level,
     from scipy.sparse import linalg as spla
 
     op, captured = bent_level, []
+    pairs = np.random.default_rng(9).normal(size=(op.shape[0], 2))
 
     def fails(a, k, v0=None, **kwargs):
-        vectors = np.random.default_rng(9).normal(size=(a.shape[0], 2))
-        raise spla.ArpackNoConvergence("no", np.array([2.4, 2.5]), vectors)
+        raise spla.ArpackNoConvergence("no", np.array([2.4, 2.5]), pairs[:a.shape[0]])
 
-    extend = spectral._Factor.extend
-    monkeypatch.setattr(spectral._Factor, "extend",
-                        lambda factor, y: captured.append(extend(factor, y)) or captured[-1])
-    _extend_after_the_bands_are_dropped(monkeypatch)
+    residuals = spectral._Factor.residuals
+
+    def recorded(factor, rows, y, vals):
+        assert factor.halves is None and factor.s is None  # the bands are dropped first
+        captured.append(factor)
+        return residuals(factor, rows, y, vals)
+
+    def refused(factor, y):
+        raise AssertionError("a vector on the grid")
+
+    monkeypatch.setattr(spectral._Factor, "residuals", recorded)
+    monkeypatch.setattr(spectral._Factor, "extend", refused)
     monkeypatch.setattr(spla, "eigsh", fails)
     read, rows = _spy_on_tiling(monkeypatch)
     with pytest.raises(SolverError) as err:
         lowest_eigenvalues(op, 2)
     assert op not in read and not any(rows)
     monkeypatch.undo()
-    (v,) = captured
-    assert err.value.best_residual == np.linalg.norm(op.matrix @ v - 2.4 * v)
+    # the first Ritz pair's residual, taken on K, is the tiled CSR's of its vector on the grid
+    (factor,) = captured
+    assert factor.size < op.shape[0]
+    v = factor.extend(pairs[:factor.size, 0])
+    assert err.value.best_residual == pytest.approx(np.linalg.norm(op.matrix @ v - 2.4 * v),
+                                                    rel=1e-10)
+
+
+@pytest.mark.parametrize("text", [SMOKE_BENT_STRIP, SMOKE_RECT_TUBE],
+                         ids=["bent-strip", "rect-tube"])
+def test_a_ladder_certifies_each_first_shift_and_stays_on_k(monkeypatch, text):
+    # each level's hint is capped at its grid's first threshold, so no
+    # factorization fails; after ARPACK only the one vector the next level
+    # prolongates goes onto the grid, and the fixed start vector is on K
+    from tubespectra.cli import build_metric
+    from tubespectra.config import load_config_text
+
+    cfg = load_config_text(text)
+    omega = cfg.cross_section()
+    recipe = hamiltonian_recipe(build_metric(cfg, cfg.profile(), omega), omega)
+    factored, extended, started, solved = [], [], [], []
+    factorize, extend = spectral._factorize, spectral._Factor.extend
+    start_vector, lowest = spectral._start_vector, spectral.lowest_eigenvalues
+    monkeypatch.setattr(spectral, "_factorize", lambda *args, **kw:
+                        factored.append(factorize(*args, **kw)) or factored[-1])
+    monkeypatch.setattr(spectral._Factor, "extend",
+                        lambda factor, y: extended.append(y.ndim) or extend(factor, y))
+    monkeypatch.setattr(spectral, "_start_vector", lambda n: started.append(n) or start_vector(n))
+    monkeypatch.setattr(spectral, "lowest_eigenvalues",
+                        lambda op, k, **kw: solved.append((op.shape[0], lowest(op, k, **kw)))
+                        or solved[-1][1])
+    policy = ConvergencePolicy(spacings=cfg.spacings, domain_length=cfg.domain_length, n_eigs=4)
+    result = bound_states(recipe, cross_section_spectrum(omega, cfg.n_thresholds), policy)
+    assert len(solved) == len(result.levels) + 2 and None not in factored
+    # one start vector per level, on its K; one vector extended per level after the first
+    assert started == [got.lanczos for _, got in solved]
+    assert extended == [1] * (len(solved) - 1)
+    if text == SMOKE_BENT_STRIP:  # the free ends of the two refined levels are cut
+        assert all(got.lanczos < n for n, got in solved[-2:])
 
 
 LADDER = (1.0 / 8.0, 1.0 / 16.0, 1.0 / 32.0)  # test_criterion_1's
@@ -799,7 +913,8 @@ def test_the_split_factor_solves_as_a_dense_solve(bent_level, d3_recipe, monkeyp
     sigma = 1.0
     if isinstance(op, DiscreteOperator):
         ends = spectral._free_ends(op)
-        factor = spectral._factorize(spectral._core_entries(op, ends), sigma, op.grid,
+        factor = spectral._factorize(spectral._lower_entries(spectral._core_rows(op)), sigma,
+                                     op.grid,
                                      ends, cut=False)
         m = op.matrix
     else:

@@ -63,12 +63,15 @@ the Jacobi sweep took the Gauss curvature once per RK4 stage).
 ``--compare OLD NEW --rtol R [--atol A]`` reads two saved ``--values``
 outputs and pairs their lines in order.  It prints the largest relative
 move |new - old| / max(|old|, |new|) of every key whose numbers moved,
-then the largest move of all.  It exits 1 when a number moved by more
-than max(A, R max(|old|, |new|)) (A defaults to 0), or when the two
-outputs do not list the same keys and exit codes.  A key that is a
-difference of nearly equal values, such as a fitted order or an error
-bar, amplifies a roundoff move of those values; A lets such a key move
-by roundoff in absolute terms:
+then the key of the largest move of all, the largest move and its key
+among the numbers whose old and new values both exceed A in size (so
+that a roundoff-sized number, such as a ``max_residual``, does not hide
+how far the others moved), and the largest move of all.  It exits 1 when
+a number moved by more than max(A, R max(|old|, |new|)) (A defaults to
+0), or when the two outputs do not list the same keys and exit codes.  A
+key that is a difference of nearly equal values, such as a fitted order
+or an error bar, amplifies a roundoff move of those values; A lets such
+a key move by roundoff in absolute terms:
 
     python3 tools/output_digest.py --values ../parent/src > old.txt
     python3 tools/output_digest.py --values src > new.txt
@@ -287,23 +290,37 @@ def compare(old_path, new_path, rtol, atol=0.0):
     """Print the moves between two ``--values`` outputs; 1 when one exceeds its tolerance.
 
     A number passes when it moved by at most max(atol, rtol max(|old|, |new|)).
+    Besides each key's largest move, prints the key of the largest move of
+    all, and the largest move and its key among the numbers whose old and
+    new values both exceed atol in size, which a roundoff-sized number
+    cannot set.
     """
     old, new = _parse_values(old_path), _parse_values(new_path)
     if len(old) != len(new):
         print(f"{len(old)} lines in {old_path}, {len(new)} in {new_path}")
         return 1
-    worst, failed = 0.0, False
+    worst, above, failed = (0.0, None), (0.0, None), False
     for (key, before), (new_key, after) in zip(old, new):
         if key != new_key or len(before) != len(after):
             print(f"line {key!r} became {new_key!r} with {len(after)} numbers")
             return 1
-        move = max(map(_relative_move, before, after), default=0.0)
+        moves = list(map(_relative_move, before, after))
+        move = max(moves, default=0.0)
         if move:
             print(f"{move:.3g} {key}")
-        worst = max(worst, move)
+        large = max((m for m, a, b in zip(moves, before, after) if min(abs(a), abs(b)) > atol),
+                    default=0.0)
+        if move > worst[0]:
+            worst = (move, key)
+        if large > above[0]:
+            above = (large, key)
         failed |= not all(_within(a, b, rtol, atol) for a, b in zip(before, after))
+    if worst[1] is not None:
+        print(f"largest relative move {worst[0]:.3g} at {worst[1]}")
+    if above[1] is not None:
+        print(f"largest relative move of values above atol {atol:g}: {above[0]:.3g} at {above[1]}")
     floor = f", atol {atol:g}" if atol else ""
-    print(f"{len(old)} lines, largest relative move {worst:.3g} (rtol {rtol:g}{floor})")
+    print(f"{len(old)} lines, largest relative move {worst[0]:.3g} (rtol {rtol:g}{floor})")
     return int(failed)
 
 
