@@ -29,10 +29,11 @@ depends on u (:func:`sampled_abs`).  The metric and coefficient checks
 read all their quantities off one metric jet (``TubeMetric.jet``) per
 block of abscissae, taken on the block's axes (the abscissae as a row,
 the probe down the columns) so that a field of s alone is taken once
-per abscissa, and the curvature check off one table of the
-kappa_i^(k) it needs.  The set has geometric tails on
-both sides plus evenly spaced near-field points that cover the hole the
-tails leave around s = 0, where curvature bumps sit.  Every limit, decay
+per abscissa; they share that sampling, so a strip's gate, which runs
+both, takes each block's jet once.  The curvature check reads one table
+of the kappa_i^(k) it needs.  The set has geometric tails on both sides
+plus evenly spaced near-field points that cover the hole the tails leave
+around s = 0, where curvature bumps sit.  Every limit, decay
 and bounded entry reads that one array: tail suprema are its suffix
 maxima over |s| (:func:`tail_sups`), so they are exactly non-increasing
 in R by construction, and a bounded entry takes its maximum.  The
@@ -46,6 +47,7 @@ reports.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -442,13 +444,14 @@ def check_curvature_decay(profile, ladder=None, config=None):
 
 
 def check_metric_hypotheses(metric, config=None):
-    """Decay hypotheses on h directly, for strips where no generator exists."""
+    """Decay hypotheses on h directly, for strips where no generator exists.
+
+    It takes the sampling of :func:`check_coefficient_assumptions`, so
+    it refuses a metric whose h falls to the potential's floor as that
+    check does, and a strip's gate, which runs both, samples once.
+    """
     cfg = config or CheckerConfig()
-    ladder = default_ladder(metric.s_range)
-    s = sample_abscissae(metric.s_range, cfg)
-    probe = _u_probe(metric.a, metric.dimension - 1)
-    fields = ("dh", "h_s", "h_ss", "h_sss", "hu_sq", "hu_sq_s", "lap_u", "lap_u_s")
-    sup = sampled_abs(lambda t, u: metric.jet(t, u, fields), s, probe)
+    s, ladder, sup = _gate_sample(metric, cfg)
     entries = [
         limit_entry("metric-approach-flat[h-1]", "sup_u|h-1|", sup["dh"], ladder, s, cfg),
         limit_entry(
@@ -475,6 +478,37 @@ def check_metric_hypotheses(metric, config=None):
     return AssumptionReport(entries=tuple(entries), config=cfg)
 
 
+# the jet fields the metric check reads
+_METRIC_FIELDS = ("dh", "h_s", "h_ss", "h_sss", "hu_sq", "hu_sq_s", "lap_u", "lap_u_s")
+
+
+@lru_cache(maxsize=1)
+def _gate_sample(metric, cfg):
+    """(s, ladder, sups) of the metric and coefficient checks, from one full jet per block.
+
+    The sups are those of the metric check's jet fields and of the
+    coefficient check's G - 1, G^11_,1, V and V_,1.  The last metric's
+    are kept until the coefficient check reads them: a strip's gate runs
+    the metric check first, on the same sampling.
+    """
+    from .operators import g11_s, g_deviation, potential, potential_s, reciprocal
+
+    ladder = default_ladder(metric.s_range)
+    s = sample_abscissae(metric.s_range, cfg)
+
+    def quantities(t, u):
+        jet = metric.jet(t, u)
+        r = reciprocal(jet, t)
+        return {name: jet[name] for name in _METRIC_FIELDS} | {
+            "G-1": g_deviation(jet, r),
+            "G11_s": g11_s(jet, r),
+            "V": potential(jet, r),
+            "V_s": potential_s(jet, r),
+        }
+
+    return s, ladder, sampled_abs(quantities, s, _u_probe(metric.a, metric.dimension - 1))
+
+
 # ---------------------------------------------------------------------------
 # coefficient-level checks
 
@@ -497,15 +531,9 @@ def check_coefficient_assumptions(metric, config=None):
     slowest-decaying member and keeps the verdict conservative.  G and V
     are the functions of a metric jet that the assembly uses.
     """
-    from .operators import g11_s, g_deviation, potential, potential_s, reciprocal
-
-    cfg = config or CheckerConfig()
     if metric is None:
         raise InputError("the free operator has no s_range to check over")
-    ladder = default_ladder(metric.s_range)
-    s = sample_abscissae(metric.s_range, cfg)
-    probe = _u_probe(metric.a, metric.dimension - 1)
-
+    cfg = config or CheckerConfig()
     # C- 1 <= G <= C+ 1 from c- <= h <= c+
     c_minus, c_plus = metric.bounds
     c_lo, c_hi = min(c_plus**-2.0, 1.0), max(c_minus**-2.0, 1.0)
@@ -517,18 +545,8 @@ def check_coefficient_assumptions(metric, config=None):
             notes=f"C-={c_lo!r} C+={c_hi!r}",
         )
     ]
-
-    def quantities(t, u):
-        jet = metric.jet(t, u)
-        r = reciprocal(jet, t)
-        return {
-            "G-1": g_deviation(jet, r),
-            "G11_s": g11_s(jet, r),
-            "V": potential(jet, r),
-            "V_s": potential_s(jet, r),
-        }
-
-    sup = sampled_abs(quantities, s, probe)
+    s, ladder, sup = _gate_sample(metric, cfg)
+    _gate_sample.cache_clear()               # a gate runs this check last
     g_dev, g_der, v_abs, v_der = sup["G-1"], sup["G11_s"], sup["V"], sup["V_s"]
     entries.append(limit_entry("G-approach-identity", "sup|G-1|", g_dev, ladder, s, cfg))
     agg, subs = decay_entry(

@@ -33,9 +33,12 @@ block of abscissae as a row and the transverse probe down the columns.
 The closed-form metrics compute each intermediate (curvature column,
 sub-block, rotation, Jacobi basis) once per jet and keep fields that
 depend on s alone in the shape of s, so they are evaluated once per
-s-value.  The integrated strip keeps no sweep: a jet sweeps once per
-finite-difference offset its fields reach, row-major in (u-node, s), and
-reads h and h_u off it in one Hermite pass.
+s-value.  A tube's metric also bounds, from those intermediates alone,
+the per-node fields the Hamiltonian reads (``_field_bounds``), so that
+assembly certifies the straight slices without a jet.  The integrated
+strip keeps no sweep: a jet sweeps once per finite-difference offset its
+fields reach, row-major in (u-node, s), and reads h and h_u off it in
+one Hermite pass.
 """
 
 from __future__ import annotations
@@ -116,6 +119,13 @@ class TubeMetric:
         """``{field: array}`` at (s, u) for each of ``fields`` (see ``JET_FIELDS``)."""
         raise NotImplementedError
 
+    def _field_bounds(self, s, u):
+        """Per s, upper bounds on |dh|, |h_s|, |h_ss|, |hu_sq| and |lap_u| over the points u.
+
+        None: a metric without a bound of s alone is evaluated at every point.
+        """
+        return None
+
     @property
     def bounds(self):
         """Cached ellipticity bounds (c-, c+)."""
@@ -168,6 +178,20 @@ class EuclideanTubeMetric(TubeMetric):
             raise InputError("evaluation outside the rotation sample range")
         return self._rot(np.clip(s, lo, hi))
 
+    def _coefficient_columns(self, s):
+        """(k, c, R) at s: the first column's and each h-coefficient vector's s-derivatives, cached, and the rotation.
+
+        ``c(order)`` is the coefficient vector of u in d^order h/ds^order
+        before the rotation; in d = 2, where the sub-block vanishes and
+        the rotation is 1, it is ``k(order)`` and R is None.
+        """
+        p = self.profile
+        k = cache(lambda order: p.first_column(s, order))
+        if self._rot is None:
+            return k, k, None
+        K = cache(lambda order: p.sub_block(s, order))
+        return k, (lambda order: _h_coefficients(order, k, K)), self._rotation(s)
+
     def jet(self, s, u, fields=JET_FIELDS):
         """The requested fields; the h-derivatives from the closed forms of the module.
 
@@ -180,17 +204,10 @@ class EuclideanTubeMetric(TubeMetric):
         """
         s = np.asarray(s, dtype=float)
         u = self._split_u(u)
-        p = self.profile
-        k = cache(lambda order: p.first_column(s, order))
-        if self._rot is None:
-            def along(order):
-                return _contract(k(order), u)
-        else:
-            K = cache(lambda order: p.sub_block(s, order))
-            rotation = self._rotation(s)
+        k, c, rotation = self._coefficient_columns(s)
 
-            def along(order):
-                return _contract(_mv(rotation, _h_coefficients(order, k, K)), u)
+        def along(order):
+            return _contract(c(order) if rotation is None else _mv(rotation, c(order)), u)
 
         out = {}
         if "h" in fields or "dh" in fields:
@@ -202,14 +219,40 @@ class EuclideanTubeMetric(TubeMetric):
         for order, name in ((1, "h_s"), (2, "h_ss"), (3, "h_sss")):
             if name in fields:
                 out[name] = along(order)
-        if "hu_sq" in fields:
-            out["hu_sq"] = k(0)[..., 0] ** 2
-        if "hu_sq_s" in fields:
-            out["hu_sq_s"] = 2.0 * k(0)[..., 0] * k(1)[..., 0]
-        for name in ("lap_u", "lap_u_s"):
-            if name in fields:
-                out[name] = np.zeros(s.shape)
-        return out
+        return out | _of_s_alone(k, s.shape, fields)
+
+    def _field_bounds(self, s, u):
+        """Per s, upper bounds on |dh|, |h_s|, |h_ss| over the points u, and |hu_sq|, |lap_u|.
+
+        Each of dh, h_s and h_ss is u contracted with the column R c of
+        s alone that ``jet`` forms, so sum_mu max|u_mu| sum_nu |R_mu nu|
+        |c_nu| bounds it; the factor 1 + 1e-12 covers the rounding of
+        the jet and of the bound.  hu_sq and lap_u are of s alone.
+        """
+        s = np.asarray(s, dtype=float)
+        u_max = np.abs(self._split_u(u)).reshape(-1, self.dimension - 1).max(axis=0)
+        k, c, rotation = self._coefficient_columns(s)
+
+        def bound(order):
+            w = np.abs(c(order))
+            return (1.0 + 1e-12) * ((w if rotation is None else _mv(np.abs(rotation), w)) @ u_max)
+
+        out = {name: bound(order) for order, name in enumerate(("dh", "h_s", "h_ss"))}
+        return out | {name: np.abs(v) for name, v in
+                      _of_s_alone(k, s.shape, ("hu_sq", "lap_u")).items()}
+
+
+def _of_s_alone(k, shape, fields):
+    """The requested transverse combinations: curvature scalars of s alone, by rotation orthogonality."""
+    out = {}
+    if "hu_sq" in fields:
+        out["hu_sq"] = k(0)[..., 0] ** 2
+    if "hu_sq_s" in fields:
+        out["hu_sq_s"] = 2.0 * k(0)[..., 0] * k(1)[..., 0]
+    for name in ("lap_u", "lap_u_s"):
+        if name in fields:
+            out[name] = np.zeros(shape)
+    return out
 
 
 def _h_coefficients(order, k, K):

@@ -31,11 +31,17 @@ evaluated once per s-node, not once per node.
 
 Far from the bend every coefficient is 1 and V is 0 to the last bit, and
 the s-slices there have exactly the free operator's rows.  Assembly is
-the one place that decides which slices those are.  It computes each
-face and diagonal value on the whole grid, with the stencil's own
-arithmetic, and a slice is free when every value its rows read equals
-the free operator's: its diagonal, and each face that touches one of its
-unknowns.  A free slice between two others is tiled: the operator holds
+the one place that decides which slices those are, in two steps.  A
+tube's metric first bounds |h - 1|, |h_s|, |h_ss| and the transverse
+terms of V per s-node, from the curvature columns alone, and a slice
+whose bounds round h to 1 and V away against the free diagonal is
+certified free with no jet at all.  The jet, G^11, V, the faces and the
+diagonal are then computed, with the stencil's own arithmetic, only on
+the span of s-nodes around the uncertified slices, and a slice there is
+free when every value its rows read equals the free operator's: its
+diagonal, and each face that touches one of its unknowns.  The work
+thus scales with the curved core, not with the box.  A free slice
+between two others is tiled: the operator holds
 the free slice's CSR rows once, as its template, and a count of tiled
 slices per run.  Only the other slices go through the stencil, and their
 rows are what the operator stores, run by run.  ``matrix`` tiles the
@@ -411,11 +417,11 @@ def _around_inner(ndim, axis, faces):
 
 
 def _faces(spacings, coefficient_arrays, t_interior):
-    """Face values c_f / dx^2 along each axis of a full tensor, and the diagonal on its unknowns.
+    """Face values c_f / dx^2 along each axis of a tensor of s-nodes, and the diagonal on its unknowns.
 
     A face gets the mean of its two nodal coefficients; a node's diagonal
     is (up + down) per axis, the axes summed in order.  The diagonal has
-    one row per interior s-slice.
+    one row per s-node but the first and the last.
     """
     faces, diag = [], 0.0
     for axis, c_nodes in enumerate(coefficient_arrays):
@@ -429,12 +435,20 @@ def _faces(spacings, coefficient_arrays, t_interior):
     return faces, diag[:, t_interior[(slice(1, -1),) * t_interior.ndim]]
 
 
-def _stencil_rows(t_interior, faces, diag, first, stop):
-    """CSR rows of the interior s-slices first .. stop - 1, from :func:`_faces`.
+def _free_faces(grid, axes, count):
+    """:func:`_faces` of the free operator (every c_k = 1 on ``axes`` axes) on ``count`` slices."""
+    ones = np.broadcast_to(1.0, (count + 2,) + grid.t_interior.shape)
+    return _faces(grid.spacings, [ones] * axes, grid.t_interior)
+
+
+def _stencil_rows(t_interior, faces, diag, first, stop, neighbours):
+    """CSR rows of the slices first .. stop - 1 of :func:`_faces`'s diagonal.
 
     A row lists its neighbours below, itself and its neighbours above, in
     column order; a neighbour that is no unknown, or a value that is zero,
-    gives no entry.  Returns the data, the column indices and the entries
+    gives no entry.  ``neighbours`` tells whether the slices first - 1
+    and stop hold unknowns.  Returns the data, the column indices,
+    counted from the first unknown of slice ``first``, and the entries
     per row.
     """
     width, count = diag.shape[1], stop - first
@@ -456,64 +470,72 @@ def _stencil_rows(t_interior, faces, diag, first, stop):
     entries = below + [(diag[first:stop], np.zeros(width, dtype=int), everywhere)] + above[::-1]
     values = np.stack([v for v, _, _ in entries], axis=2)
     keep = np.stack([k for _, _, k in entries], axis=1) & (values != 0)
-    keep[0, :, 0] &= first > 0               # no slice below the first
-    keep[-1, :, -1] &= stop < diag.shape[0]  # nor above the last
-    columns = (np.arange(first * width, stop * width).reshape(count, width, 1)
+    keep[0, :, 0] &= neighbours[0]
+    keep[-1, :, -1] &= neighbours[1]
+    columns = (np.arange(count * width).reshape(count, width, 1)
                + np.stack([o for _, o, _ in entries], axis=1))
     return values[keep], columns[keep], keep.sum(axis=2).ravel()
 
 
-def _assemble_divergence_form(grid, coefficient_arrays, diagonal=None, tag="divergence form"):
+def _assemble_divergence_form(grid, coefficient_arrays, diagonal=None, tag="divergence form",
+                              first=0):
     """Operator of sum_k (-d_k c_k d_k), plus ``diagonal`` on the unknowns, with its free ends.
 
-    ``coefficient_arrays[k]`` holds the nodal values of c_k on the full
-    tensor grid, and every face gets the mean of its two nodal values, so
-    the matrix is exactly symmetric.  Its rows are in canonical CSR form
-    with no zero entry.  An s-slice is free when the values its rows read,
-    its diagonal and every face that touches one of its unknowns, equal
-    the free operator's (every c_k = 1, no diagonal) bit for bit.  A free
-    slice between two others is tiled: the operator stores the free
-    slice's rows once, as its template, and only the other slices go
-    through the stencil, one stored run of rows per run of them.  The free
+    ``coefficient_arrays[k]`` holds the nodal values of c_k on the
+    s-nodes from ``first`` on (all of them by default) and every
+    transverse node; their interior s-slices, from slice ``first`` on,
+    are the evaluated span, and ``diagonal`` is given on its unknowns.
+    Every other interior s-slice is free: its caller has proved that the
+    values its rows read are the free operator's (every c_k = 1, no
+    diagonal).  Every face gets the mean of its two nodal values, so the
+    matrix is exactly symmetric.  Its rows are in canonical CSR form with
+    no zero entry.  A slice of the span is free when the values its rows
+    read, its diagonal and every face that touches one of its unknowns,
+    equal the free operator's bit for bit.  A free slice between two
+    others is tiled: the operator stores the free slice's rows once, as
+    its template, and only the other slices go through the stencil, one
+    stored run of rows per run of them.  A run lies in the span, or is a
+    wall slice outside it, whose rows are the free operator's.  The free
     ends are the numbers of free slices from the left and from the right
     wall, leaving at least one slice between them.
     """
-    t_interior = grid.t_interior
+    t_interior, axes = grid.t_interior, len(coefficient_arrays)
     faces, diag = _faces(grid.spacings, coefficient_arrays, t_interior)
-    slices, width = diag.shape
+    (count, width), slices = diag.shape, grid.s_nodes.size - 2
     if diagonal is not None:
-        diag = diag + diagonal.reshape(slices, width)
+        diag = diag + diagonal.reshape(count, width)
     # the free operator on three interior s-slices: its middle one's rows are tiled
-    free_faces, free_diag = _faces(grid.spacings,
-                                   [np.ones((5,) + t_interior.shape)] * len(faces), t_interior)
-    values, columns, counts = _stencil_rows(t_interior, free_faces, free_diag, 1, 2)
-    free = np.all(diag == free_diag[1], axis=1)
+    free_faces, free_diag = _free_faces(grid, axes, 3)
+    template = _stencil_rows(t_interior, free_faces, free_diag, 1, 2, (True, True))
+    evaluated = np.all(diag == free_diag[1], axis=1)
     across = np.all(faces[0][:, t_interior] == free_faces[0].flat[0], axis=1)
-    free &= across[:-1] & across[1:]
-    for axis in range(1, len(faces)):
+    evaluated &= across[:-1] & across[1:]
+    for axis in range(1, axes):
         lo, hi = _axis_pair_slices(t_interior.shape, axis - 1)
         touching = t_interior[lo] | t_interior[hi]
-        free &= np.all(faces[axis][1:-1, touching] == free_faces[axis].flat[0], axis=1)
+        evaluated &= np.all(faces[axis][1:-1, touching] == free_faces[axis].flat[0], axis=1)
+    free = np.ones(slices, dtype=bool)
+    free[first:first + count] = evaluated
     left = min(int(np.cumprod(free).sum()), slices - 1)
     right = min(int(np.cumprod(free[::-1]).sum()), slices - 1 - left)
     tiled = free.copy()
     tiled[[0, -1]] = False                   # a wall slice has one s-coupling
     bounds = np.r_[0, np.flatnonzero(np.diff(tiled)) + 1, slices]
-    runs = [int(stop - first) if tiled[first] else
-            _stencil_rows(t_interior, faces, diag, first, stop)
-            for first, stop in zip(bounds[:-1], bounds[1:])]
 
-    def stored(run):
+    def stored(a, b):
+        walls = (a > 0, b < slices)
+        if first <= a and b <= first + count:
+            run = _stencil_rows(t_interior, faces, diag, a - first, b - first, walls)
+        else:
+            run = _stencil_rows(t_interior, *_free_faces(grid, axes, b - a), 0, b - a, walls)
         data, indices, entries = run
-        part = sp.csr_matrix((data, indices, np.r_[0, np.cumsum(entries)]),
+        part = sp.csr_matrix((data, indices + a * width, np.r_[0, np.cumsum(entries)]),
                              shape=(entries.size, slices * width))
         part.has_canonical_format = True
         return part
 
-    parts = [run if isinstance(run, int) else stored(run) for run in runs]
-    # the template's columns count from its slice's first unknown
-    return DiscreteOperator._tiled(parts, (values, columns - width, counts), grid, tag,
-                                   (left, right))
+    parts = [int(b - a) if tiled[a] else stored(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+    return DiscreteOperator._tiled(parts, template, grid, tag, (left, right))
 
 
 def _require_resolution(grid):
@@ -524,19 +546,19 @@ def _require_resolution(grid):
         )
 
 
-def _axis_jet(metric, grid, fields):
-    """The s-nodes as a column, and ``metric``'s jet on them x the active transverse nodes.
+def _axis_jet(metric, grid, fields, nodes=slice(None)):
+    """The s-nodes ``nodes`` as a column, and ``metric``'s jet on them x the active transverse nodes.
 
     A field is an array over (s-node, active transverse node), or over
     the s-nodes alone, as a column, if it depends on s alone.
     """
-    s = grid.s_nodes[:, None]
+    s = grid.s_nodes[nodes, None]
     return s, metric.jet(s, grid.transverse_nodes()[grid.t_interior][None], fields)
 
 
 def _on_nodes(grid, values, fill):
-    """``values`` over (s-node, active transverse node) on the full tensor, ``fill`` elsewhere."""
-    out = np.full(grid.full_shape, fill)
+    """``values`` over (s-node, active transverse node) on the tensor of their s-nodes, ``fill`` elsewhere."""
+    out = np.full(np.shape(values)[:1] + grid.t_interior.shape, fill)
     out[:, grid.t_interior] = values
     return out
 
@@ -546,21 +568,62 @@ def _interior(jet):
     return {name: values[1:-1] for name, values in jet.items()}
 
 
+# |h - 1| at most this: h rounds to 1, and G^11 = r = 1
+_FLAT = 2.0**-55
+
+
+def _evaluated_span(metric, grid):
+    """The interior s-slices first .. stop - 1 whose rows need the metric's jet.
+
+    A slice outside them is certified free from ``metric._field_bounds``
+    on the s-nodes, with no jet: where |h - 1| <= 2^-55 at its s-node and
+    at both neighbours, h rounds to 1 and every face it touches is free;
+    where then the bound on |V| (r = 1) is at most a quarter of the
+    spacing of doubles below the smallest free diagonal value, adding V
+    rounds back to that value.  The span runs from the first uncertified
+    slice to the last, and takes in a wall slice next to it, so that a
+    stored run is in it or a wall slice outside it.  Without a bound it
+    is every slice; for the free operator, none.
+    """
+    slices = grid.s_nodes.size - 2
+    if metric is None:
+        return 0, 0
+    bound = metric._field_bounds(grid.s_nodes, grid.transverse_nodes()[grid.t_interior])
+    if bound is None:
+        return 0, slices
+    flat = bound["dh"] <= _FLAT
+    v = (1.25 * bound["h_s"] ** 2 + 0.5 * bound["h_ss"]
+         + 0.25 * bound["hu_sq"] + 0.5 * bound["lap_u"])[1:-1]
+    low = _free_faces(grid, 1 + grid.transverse_dim, 1)[1].min()
+    certified = flat[:-2] & flat[1:-1] & flat[2:] & (v <= 0.25 * (low - np.nextafter(low, 0.0)))
+    if certified.all():
+        return 0, 0
+    left, right = np.flatnonzero(~certified)[[0, -1]]
+    # a wall slice next to the span joins it
+    return (0 if left <= 1 else int(left)), (slices if right >= slices - 2 else int(right) + 1)
+
+
 def assemble_hamiltonian(metric, grid, tag="H"):
     """Assemble -d_i G^ij d_j + V on the truncated grid; ``metric=None`` is the free operator.
 
-    G^11 and V come from one jet of ``metric`` on the grid's axes.  Only
-    G^11 at the active transverse nodes is read, so it is taken there.
+    G^11 and V come from one jet of ``metric`` on the grid's axes, taken
+    on the evaluated span's s-nodes and the one past each end
+    (:func:`_evaluated_span`); the slices outside it are free, and no
+    array the size of the whole grid is built.  Only G^11 at the active
+    transverse nodes is read, so it is taken there; the transverse
+    coefficients are 1.
     """
     _require_resolution(grid)
-    arrays = [np.ones(grid.full_shape)] * (1 + grid.transverse_dim)
+    first, stop = _evaluated_span(metric, grid)
+    shape = (stop - first + 2,) + grid.t_interior.shape
+    arrays = [np.broadcast_to(1.0, shape)] * (1 + grid.transverse_dim)
     diagonal = None
-    if metric is not None:
-        s, jet = _axis_jet(metric, grid, _V_FIELDS)
+    if stop > first:
+        s, jet = _axis_jet(metric, grid, _V_FIELDS, slice(first, stop + 2))
         arrays[0] = _on_nodes(grid, g11(jet), 1.0)
         inner = _interior(jet)
         diagonal = potential(inner, reciprocal(inner, s[1:-1]))
-    return _assemble_divergence_form(grid, arrays, diagonal, tag)
+    return _assemble_divergence_form(grid, arrays, diagonal, tag, first)
 
 
 def assemble_free_hamiltonian(grid):

@@ -113,12 +113,13 @@ def test_short_table_decay_is_inconclusive_not_fail():
 
 def test_each_gate_quantity_is_evaluated_once(bump_metric, monkeypatch):
     # the coefficient and metric checks read every quantity off one metric
-    # jet per block of abscissae, each abscissa in exactly one block; the
-    # curvature check evaluates each kappa_i^(k) once
+    # jet per block of abscissae, each abscissa in exactly one block, and
+    # the coefficient check reads the metric check's before dropping it;
+    # the curvature check evaluates each kappa_i^(k) once
     from collections import Counter
 
     from tubespectra import metric as metric_module
-    from tubespectra.assumptions import sample_abscissae
+    from tubespectra.assumptions import _gate_sample, sample_abscissae
 
     jets, kappas = [], Counter()
     jet = metric_module.EuclideanTubeMetric.jet
@@ -136,19 +137,73 @@ def test_each_gate_quantity_is_evaluated_once(bump_metric, monkeypatch):
     monkeypatch.setattr(CurvatureProfile, "kappa", counted_kappa)
 
     abscissae = sample_abscissae(bump_metric.s_range)
-    for check in (
-        lambda: check_coefficient_assumptions(bump_metric),
-        lambda: check_metric_hypotheses(bump_metric),
-    ):
-        jets.clear()
-        check()
-        assert len(jets) > 1 and np.array_equal(np.concatenate(jets), abscissae)
+    _gate_sample.cache_clear()
+    for check, sampled in ((check_metric_hypotheses, 1), (check_coefficient_assumptions, 1),
+                           (check_coefficient_assumptions, 2)):
+        check(bump_metric)
+        assert len(jets) > 1 and np.array_equal(np.concatenate(jets),
+                                                np.tile(abscissae, sampled))
 
     kappas.clear()
     check_curvature_decay(CurvatureProfile(
         [gaussian_bump(0.4, 1.0), power_tail(0.3, 1.0, 2.0)], (-1e4, 1e4)
     ))
     assert kappas == Counter({(1, k): 1 for k in range(4)} | {(2, k): 1 for k in range(3)})
+
+
+class _CountedJets:
+    """A metric whose jet calls are counted; everything else is the wrapped metric's."""
+
+    def __init__(self, metric):
+        self.metric, self.jets = metric, 0
+
+    def __getattr__(self, name):
+        return getattr(self.metric, name)
+
+    def jet(self, s, u, *fields):
+        self.jets += 1
+        return self.metric.jet(s, u, *fields)
+
+
+STRIP = """
+[problem]
+kind = surface-strip
+dimension = 2
+
+[curvature]
+family = gaussian-bump
+kappa0 = 0.5
+sigma = 1.0
+
+[cross_section]
+shape = interval
+half_width = 1.0
+
+[surface]
+curvature = {K}
+"""
+
+
+@pytest.mark.parametrize("K", ["0.0", "0.1"])
+def test_a_strip_gate_takes_one_jet_per_block(K):
+    # the metric and coefficient checks share the full jet of each block;
+    # K = 0.1 fails the gate by design, with the same sampling
+    from tubespectra.assumptions import _probe_blocks, _u_probe, sample_abscissae
+    from tubespectra.cli import assumption_gate, build_metric
+    from tubespectra.config import load_config_text
+
+    cfg = load_config_text(STRIP.format(K=K))
+    profile, omega = cfg.profile(), cfg.cross_section()
+    metric = _CountedJets(build_metric(cfg, profile, omega))
+    reports = assumption_gate(cfg, profile, omega, metric)
+    blocks = _probe_blocks(sample_abscissae(metric.s_range), _u_probe(metric.a, 1))
+    assert metric.jets == len(list(blocks)) == 3
+    assert list(reports) == ["basic", "metric-decay", "coefficients"]
+    # each report is the one its check gives alone, on a fresh sampling
+    for name, check in (("metric-decay", check_metric_hypotheses),
+                        ("coefficients", check_coefficient_assumptions)):
+        alone = _CountedJets(metric.metric)
+        assert check(alone).render() == reports[name].render() and alone.jets == 3
 
 
 def test_free_coefficient_field_is_refused():

@@ -18,6 +18,8 @@ from tubespectra import (
     constant_function,
     gaussian_bump,
     lowest_eigenvalues,
+    integrate_tang_rotation,
+    metric_from_frames,
     metric_from_jacobi,
     metric_from_profile,
     power_tail,
@@ -26,6 +28,7 @@ from tubespectra import (
 )
 from tubespectra import operators, spectral
 from tubespectra.cli import grid_for
+from tubespectra.profiles import ScalarFunction
 from tubespectra.operators import (
     g11,
     g11_s,
@@ -369,33 +372,88 @@ D3_SHAPES = {"rectangle": "shape = rectangle\nside_x = 1.0\nside_y = 1.0",
              "disc": "shape = disc\nradius = 1.0"}
 
 
+def _edge_bump(above):
+    """A bump whose bound on |h - 1| at s = 6 on the L = 8 interval grid is 2^-55, or just above.
+
+    kappa0 moves by single ulps from the estimate until the bound crosses 2^-55.
+    """
+    grid, flat = TruncatedGrid.interval(8.0, 0.125, 1.0), 2.0**-55
+    u, at = grid.transverse_nodes()[grid.t_interior], np.array([6.0])
+
+    def bump(kappa0):
+        return metric_from_profile(CurvatureProfile([gaussian_bump(kappa0, 1.0)], (-1e4, 1e4)),
+                                   1.0)
+
+    def bound(kappa0):
+        return bump(kappa0)._field_bounds(at, u)["dh"][0]
+
+    kappa0 = flat / ((1.0 + 1e-12) * np.exp(-36.0) * 0.875)
+    for _ in range(8):
+        if bound(kappa0) > flat:
+            kappa0 = np.nextafter(kappa0, 0.0)
+        elif bound(np.nextafter(kappa0, 1.0)) <= flat:
+            kappa0 = np.nextafter(kappa0, 1.0)
+    if above:
+        kappa0 = np.nextafter(kappa0, 1.0)
+    assert abs(bound(kappa0) - flat) <= 4 * np.spacing(flat)
+    assert (bound(kappa0) > flat) == above
+    return bump(kappa0), grid
+
+
 def _case(case, bump_metric, d3_tube):
-    """(metric, grid) of a named case: a cross-section, or a strip on the interval."""
-    interval = TruncatedGrid.interval(8.0, 0.125, 1.0)
-    if case == "power-tail":
+    """(metric, grid) of a named case: a cross-section, or a strip on the interval.
+
+    A ``-32`` suffix puts it on L = 32 instead of 8.
+    """
+    case, _, length = case.partition("-")
+    length = float(length or 8.0)
+    interval = TruncatedGrid.interval(length, 0.125, 1.0)
+    if case == "power":
         return metric_from_profile(CurvatureProfile([power_tail(0.4, 1.0, 2.5)],
                                                     (-1e4, 1e4)), 1.0), interval
-    if case == "strip-K":
+    if case == "strip":
         return metric_from_jacobi(SurfaceData(0.3, gaussian_bump(0.4, 1.0), 1.0,
                                               (-1e4, 1e4))), interval
-    if case == "integrated-strip":
+    if case == "integrated":
         return curved_strip_metric(), interval
     if case == "interval":
         return bump_metric, interval
+    if case in ("below", "above"):
+        return _edge_bump(case == "above")
+    if case == "sine":
+        # kappa = 1e-4 sin(8 pi s) rounds to a few 1e-18 on every s-node, while h_s
+        # does not: flat everywhere, and V alone keeps each slice uncertified
+        w = 8.0 * np.pi
+        kappa = ScalarFunction([lambda s, k=k: 1e-4 * w**k * np.sin(w * s + k * np.pi / 2)
+                                for k in range(4)], sup_abs=1e-4)
+        return metric_from_profile(CurvatureProfile([kappa], (-1e4, 1e4)), 1.0), interval
+    if case == "wall":
+        # a narrow bump next to both walls: the wall slices are certified, their
+        # neighbours are not, and the span takes the walls in
+        return (metric_from_profile(CurvatureProfile([gaussian_bump(0.5, 0.04)], (-1e4, 1e4)),
+                                    1.0), TruncatedGrid.interval(0.5, 0.125, 1.0))
     metric, omega = d3_tube(D3_SHAPES[case])
-    return metric, grid_for(omega, 8.0, 0.25)
+    return metric, grid_for(omega, length, 0.25)
 
 
-@pytest.mark.parametrize("case, bent, free", [
-    ("interval", False, True), ("interval", True, True),
-    ("rectangle", False, True), ("rectangle", True, True),
-    ("disc", False, True), ("disc", True, True),
-    # h - 1 decays as a power, tends to C_K - 1 != 0, or is swept: no free slice
-    ("power-tail", True, False), ("strip-K", True, False), ("integrated-strip", True, False),
+@pytest.mark.parametrize("case, bent, free, certified", [
+    ("interval", False, True, True), ("interval", True, True, True),
+    ("rectangle", False, True, True), ("rectangle", True, True, True),
+    ("disc", False, True, True), ("disc", True, True, True),
+    ("interval-32", True, True, True), ("rectangle-32", True, True, True),
+    # the bound on |h - 1| at s = 6 is 2^-55, or the next double: certified or not
+    ("below", True, True, True), ("above", True, True, True),
+    ("sine", True, False, False), ("wall", True, True, False),
+    # h - 1 decays as a power, tends to C_K - 1 != 0, or is swept: no free slice,
+    # and nothing certified
+    ("power", True, False, False), ("strip", True, False, False),
+    ("integrated", True, False, False),
 ], ids=["interval-free", "interval-bent", "rectangle-free", "rectangle-bent", "disc-free",
-        "disc-bent", "power-tail", "strip-K", "integrated-strip"])
+        "disc-bent", "interval-L32", "rectangle-L32", "edge-bound-at-2^-55",
+        "edge-bound-an-ulp-above", "flat-but-V", "walls-join-the-span", "power-tail", "strip-K",
+        "integrated-strip"])
 def test_the_assembly_is_the_coordinate_format_one_bit_for_bit(bump_metric, d3_tube,
-                                                               case, bent, free):
+                                                               case, bent, free, certified):
     metric, grid = _case(case, bump_metric, d3_tube)
     if not bent:
         metric = None
@@ -403,6 +461,28 @@ def test_the_assembly_is_the_coordinate_format_one_bit_for_bit(bump_metric, d3_t
     assert_same_csr(op.matrix, reference_hamiltonian(metric, grid))
     # free ends were tiled from the free slice
     assert (op.free_ends[0] > 0) == free
+    # some slices were certified free, with no jet
+    first, stop = operators._evaluated_span(metric, grid)
+    assert (stop - first < grid.s_nodes.size - 2) == certified
+
+
+def test_the_certificate_decides_one_slice_each_side_at_its_edge():
+    # each side of s = 6 one slice needs the jet once the bound there passes 2^-55
+    spans = [operators._evaluated_span(*_edge_bump(above)) for above in (False, True)]
+    assert spans[1] == (spans[0][0] - 1, spans[0][1] + 1)
+
+
+def test_a_rotation_evaluated_out_of_range_is_refused(d3_tube):
+    # the bound takes the rotation on every s-node, those of certified slices too
+    metric, omega = d3_tube(D3_SHAPES["rectangle"])
+    short = metric_from_frames(metric.profile,
+                               integrate_tang_rotation(metric.profile, np.linspace(-20, 20, 321)),
+                               metric.a)
+    grid = grid_for(omega, 32.0, 0.25)
+    first, stop = operators._evaluated_span(metric, grid)
+    assert abs(grid.s_nodes[[first, stop + 1]]).max() < 20.0
+    with pytest.raises(InputError, match="rotation sample range"):
+        assemble_hamiltonian(short, grid)
 
 
 def test_the_weighted_form_and_the_commutator_are_the_reference_bit_for_bit(bump_metric, d3_tube):
@@ -420,11 +500,8 @@ def test_the_weighted_form_and_the_commutator_are_the_reference_bit_for_bit(bump
         assert m.nnz < assemble_hamiltonian(metric, grid).matrix.nnz
 
 
-@pytest.mark.parametrize("case", ["interval", "rectangle"])
-def test_a_field_of_s_alone_is_taken_once_per_s_node(bump_metric, d3_tube, monkeypatch, case):
-    # the curvature column depends on s alone: one jet on the grid's axes
-    # evaluates it on the s-nodes, not on every node
-    metric, grid = _case(case, bump_metric, d3_tube)
+def _counted_columns(monkeypatch):
+    """The sizes of the s-arrays ``CurvatureProfile.first_column`` is called on, as they come."""
     points = []
     first_column = CurvatureProfile.first_column
 
@@ -433,9 +510,31 @@ def test_a_field_of_s_alone_is_taken_once_per_s_node(bump_metric, d3_tube, monke
         return first_column(self, s, order)
 
     monkeypatch.setattr(CurvatureProfile, "first_column", counted)
+    return points
+
+
+@pytest.mark.parametrize("case", ["interval", "rectangle"])
+def test_a_field_of_s_alone_is_taken_once_per_s_node(bump_metric, d3_tube, monkeypatch, case):
+    # the curvature column depends on s alone: the bound takes it on every
+    # s-node, and the jet on the grid's axes on the s-nodes of the evaluated
+    # span and the one past each end, not on every node
+    metric, grid = _case(case, bump_metric, d3_tube)
+    first, stop = operators._evaluated_span(metric, grid)
+    assert 0 < first < stop < grid.s_nodes.size - 2
+    points = _counted_columns(monkeypatch)
     assemble_hamiltonian(metric, grid)
-    # h, h_s and h_ss read one order each; hu_sq reuses the first
-    assert points == [grid.s_nodes.size] * 3
+    # h - 1, h_s and h_ss read one order each; hu_sq reuses the first
+    assert points == [grid.s_nodes.size] * 3 + [stop - first + 2] * 3
+
+
+def test_the_jet_runs_on_the_core_and_a_few_slices_more(bump_metric, monkeypatch):
+    # the acceptance bent strip's finest level: 4,095 slices, a core of 387
+    grid = TruncatedGrid.interval(64.0, 1.0 / 32.0, 1.0)
+    points = _counted_columns(monkeypatch)
+    op = assemble_hamiltonian(bump_metric, grid)
+    assert grid.s_nodes.size - 2 - sum(op.free_ends) == 387
+    assert points[:3] == [grid.s_nodes.size] * 3
+    assert len(points) == 6 and max(points[3:]) <= 387 + 8
 
 
 def test_a_diagonal_entry_the_potential_cancels_is_dropped():
@@ -464,10 +563,10 @@ def test_an_end_slice_is_tiled_only_where_its_values_are_free_bit_for_bit(monkey
     slices, runs = grid.s_nodes.size - 2, []
     stencil = operators._stencil_rows
 
-    def recorded(t_interior, faces, diag, first, stop):
+    def recorded(t_interior, faces, diag, first, stop, neighbours):
         if diag.shape[0] == slices:             # not the free slice's own rows
             runs.append((first, stop))
-        return stencil(t_interior, faces, diag, first, stop)
+        return stencil(t_interior, faces, diag, first, stop, neighbours)
 
     monkeypatch.setattr(operators, "_stencil_rows", recorded)
     op = operators._assemble_divergence_form(grid, arrays)

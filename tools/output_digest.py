@@ -56,9 +56,11 @@ each numeric cell of its CSV files, such as ``mourre.csv[1].measured``.
 Two trees whose numbers may move by roundoff can then be compared number
 by number under a relative tolerance.
 
-The full run takes about 18 s per tree on a 2-CPU VM, 6.5 s of it the
-``[surface] file`` check (24 s and 10.5 s, measured back to back, when
-the Jacobi sweep took the Gauss curvature once per RK4 stage).
+The full run takes about 16.5 s per tree on a 2-CPU VM, 4.4 s of it the
+``[surface] file`` check (23 s and 7.4 s, measured back to back, when
+the metric and the coefficient check each swept every block of
+abscissae; 24 s and 10.5 s before that, when the Jacobi sweep took the
+Gauss curvature once per RK4 stage).
 
 ``--compare OLD NEW --rtol R [--atol A]`` reads two saved ``--values``
 outputs and pairs their lines in order.  It prints the largest relative
