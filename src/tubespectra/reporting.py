@@ -58,7 +58,11 @@ def render_report(report, resolved_config_text=None, title="tubespectra spectral
         lines.append(f"spacings = {_fmt(bs.spacings)}")
         lines.append(f"count = {len(bs.states)}")
         lines.append(f"count_stable_last_two_levels = {bs.count_stable}")
-        if bs.no_bound_state:
+        if bs.no_bound_state and bs.closure is not None:
+            lines.append("verdict = not resolved: the closure at the coarsest spacing bounds a "
+                         "discrete bound state below nu_1(h), but no extrapolated value lies "
+                         "below nu_1 by more than its error")
+        elif bs.no_bound_state:
             lines.append("verdict = no bound state detected")
         for j, st in enumerate(bs.states, start=1):
             lines.append(f"state[{j}].value = {_fmt(st.value)}")
@@ -69,6 +73,16 @@ def render_report(report, resolved_config_text=None, title="tubespectra spectral
             lines.append(f"state[{j}].fitted_order = {_fmt(st.fitted_order)}")
             lines.append(f"state[{j}].flagged = {st.flagged}")
         lines.append(f"truncation_ladder = {_fmt([v for pair in bs.truncation_ladder for v in pair])}")
+        # the path, index 0's closure bracket at (L, h0) and why the probes ran
+        fields = [bs.truncation]
+        if bs.closure is not None:
+            root, lower = bs.closure
+            fields.append(f"root {_fmt(root)}")
+            if lower is not None:
+                fields.append(f"lower {_fmt(lower)}")
+        if bs.probe_reason:
+            fields.append(bs.probe_reason)
+        lines.append(f"truncation = {', '.join(fields)}")
         for j, lv in enumerate(bs.levels, start=1):
             lines.append(
                 f"level[{j}] = L {_fmt(lv.length)}, h {_fmt(lv.spacing)}, "

@@ -6,15 +6,37 @@ a spacing ladder, and Richardson extrapolated assuming the clean
 second-order convergence of the stencil; the fitted order is reported
 and the result flagged when it strays from 2.
 
-One driver makes every (L, spacing) solve of a search, in order.  A
-probe at the coarsest spacing solves at L0, 2 L0, ...  With the domain
-length L given it solves at L/4, L/2 and L, and a state's truncation
-error is the geometric tail of its own last two moves.  Without it, L
-starts at 8 and doubles at most 6 times, until the lowest eigenvalue
-moves less than the truncation tolerance (default 1e-6 nu_1), and that
-last move is every state's truncation error.  The probe's last solve is
-the coarsest refinement level; the ladder then goes on at that L over
-the finer spacings.
+One driver makes every (L, spacing) solve of a search, in order.  With
+the domain length L given it solves (L, h0), h0 the coarsest spacing,
+first and cold, and bounds the truncation from that level's own Ritz
+vectors.  Beyond the bend the tube is exactly straight, so in the
+infinitely long tube each free end of the box goes on as a semi-infinite
+straight chain, whose exact Schur term onto the core's edge slice at x <
+nu_1(h) is -c Psi diag(r_t(x)) Psi^T, c = 1/ds^2, r_t + 1/r_t = 2 +
+(nu_t(h) - x)/c, 0 < r_t < 1: a discrete transparent boundary (Keller &
+Givoli, J. Comput. Phys. 82 (1989) 172).  The Ritz vectors' core parts
+project the core so closed, and by min-max each root of theta_i(x) = x,
+theta_i(x) the projection's eigenvalues, bounds the i-th eigenvalue of
+the infinitely long tube at h0 from above (the Rayleigh functional of
+Voss & Werner, Math. Methods Appl. Sci. 4 (1982) 415).  Index 0's root
+is found by bracketed Newton.  The core closed at x_0, below the root by
+the Kato-Temple term of its residual there (at least 1e-10 max(1,
+|root|), doubled at most 4 times while it fails), then has a Cholesky
+factor, which certifies that the infinite tube has no eigenvalue at or
+below x_0.  Index 0's truncation error is its box value less x_0, and
+the other indices are box modes, not states.  The probes at L/4 and L/2
+run instead, after the ladder, each started from (L, h0)'s eigenvectors,
+when a side has no free end (a power tail), index 0 has no root more
+than 1e-10 max(1, |nu_1(h)|) below nu_1(h), its certificate fails,
+another index has a root (a second state, whose lower end one factor
+cannot certify), or another index extrapolates below nu_1 by more than
+its refinement error; a state's truncation error is then the geometric
+tail of its own moves over L/4, L/2 and L.  Without a domain length a
+probe at the coarsest spacing solves at L = 8, 16, ..., doubling at most
+6 times, until the lowest eigenvalue moves less than the truncation
+tolerance (default 1e-6 nu_1), and that last move is every state's
+truncation error; the probe's last solve is the coarsest refinement
+level.  The ladder goes on at L over the finer spacings.
 
 Every grid stores s as the slowest index, so A - sigma I is banded, its
 half-bandwidth the number of transverse nodes per slice.  Far from the
@@ -90,8 +112,12 @@ block's Schur complement S are (Haynsworth inertia additivity, Linear
 Algebra Appl. 1 (1968) 73).  So when every factor exists (the ends' and
 the core's three Cholesky pieces) no eigenvalue lies at or below sigma
 and the solve cannot miss one.  A shift where it fails is lowered before
-any solve is made.  Each solve after the first starts Lanczos from the
-previous solve's eigenvectors: their sum, prolongated onto the new grid
+any solve is made.  A ladder's first solve starts Lanczos from the
+straight box's k lowest modes, summed: the Dirichlet sines of the k
+lowest wavenumbers along s times the lowest sine across each axis of the
+cross-section's bounding box.  Each later solve starts from the previous
+solve's eigenvectors (a probe at L/4 or L/2 from (L, h0)'s): their sum,
+prolongated onto the new grid
 by linear interpolation along each tensor axis and taken as zero outside
 the old box, normalised and restricted to K, plus 1e-4 of a fixed vector
 on K so that no symmetry sector is left without a component.  Lanczos
@@ -156,6 +182,11 @@ _SYMMETRY_BREAKER = 1e-4
 # an evanescent mode's chain in a free end is cut for Lanczos where its decay
 # since the core falls below this, far below roundoff
 _CUT = 1e-18
+# least distance of a closure's certified lower bound below its root,
+# relative to max(1, |root|): above the closed factor's backward error.  The
+# distance doubles at most _CLOSURE_TRIES times while that factor fails
+_CLOSURE_GAP = 1e-10
+_CLOSURE_TRIES = 4
 
 
 def _start_vector(n):
@@ -458,9 +489,20 @@ def _free_ends(op):
     limit = 0.5 * (nu[0] + above[0]) if above.size else np.inf
     reach = np.full(width, np.inf)
     cut = nu > limit
-    a = (lam[cut] - limit) / c
-    reach[cut] = np.ceil(np.log(_CUT) / np.log(2.0 / (a + np.sqrt(a * a - 4.0))))
+    reach[cut] = np.ceil(np.log(_CUT) / np.log(_decay(nu[cut], c, limit)[0]))
     return width, left, right, lam, psi, reach, limit
+
+
+def _decay(nu, c, x):
+    """``(r, s)``: r_t + 1/r_t = 2 + (nu_t - x)/c, 0 < r_t < 1, and s_t = 1/r_t - r_t.
+
+    r_t is how fast mode t of threshold nu_t > x decays per slice at x in an
+    infinitely long free run whose slices couple by -c; -c r_t is that run's
+    Schur term onto the slice next to it.
+    """
+    d = (nu - x) / c
+    s = np.sqrt(d * (d + 4.0))
+    return 2.0 / (2.0 + d + s), s
 
 
 def _core_rows(op):
@@ -474,7 +516,7 @@ def _core_rows(op):
     return op.rows(lo, hi)[:, lo:hi] if left or right else op.rows()
 
 
-def _factorize(core, sigma, grid=None, ends=None, cut=True):
+def _factorize(core, sigma, grid=None, ends=None, cut=True, closed=False):
     """m - sigma I factored as a :class:`_Factor`, or None when there is none.
 
     ``core`` is ``_lower_entries`` of m's :func:`_core_rows`, ``grid``
@@ -501,6 +543,13 @@ def _factorize(core, sigma, grid=None, ends=None, cut=True):
     no pivoting and is backward stable: the factor is exact for a matrix
     within roundoff of m - sigma I.  The factor keeps min(p, reach_t)
     slices of mode t's chain, or with ``cut`` false the whole chain.
+
+    With ``closed`` each free run is taken infinitely long: its Schur term
+    is -c Psi diag(r_t(sigma)) Psi^T (:func:`_decay`), and it exists only
+    below nu_1(h).  The factor is then that of the core closed by exact
+    straight ends, with no unknown of the ends on K, and its success
+    certifies that the infinitely long tube on this grid has no eigenvalue
+    at or below sigma.
     """
     # imported on first use, like eigsh below: scipy.linalg would add
     # about 0.1 s to every import of the package
@@ -523,6 +572,11 @@ def _factorize(core, sigma, grid=None, ends=None, cut=True):
 
     def end_of(count, first, part, reverse):
         """A free end eliminated in modes, and its Schur term's lower triangle, or None."""
+        if closed:  # the infinitely long run: nothing of it stays on K
+            nu = lam - 2.0 * c
+            if sigma >= nu[0]:
+                return None
+            return None, ((c * psi * _decay(nu, c, sigma)[0]) @ psi.T)[i, j]
         kept = np.minimum(reach, count).astype(int) if cut else np.full(width, count)
         # mode-major: mode t's slices are contiguous and uncoupled from mode t + 1's
         d = np.repeat(lam - sigma, count)
@@ -553,7 +607,7 @@ def _factorize(core, sigma, grid=None, ends=None, cut=True):
         if done is None:
             return None
         eliminated.append(done)
-        part += done[0].index.size
+        part += 0 if closed else done[0].index.size
 
     def scatter(band, f, entries, links, schur, reverse):
         """One half's band, its end's Schur term on its first slice, and its coupling G in f."""
@@ -601,7 +655,7 @@ def _factorize(core, sigma, grid=None, ends=None, cut=True):
     s[np.diag_indices(kd)] -= sigma
     for h, schur in ((top, schur_t), (bottom, schur_u)):
         s -= h.f.T @ h.f
-        if h.end is not None and h.rowless:
+        if schur is not None and h.rowless:
             at = h.at(kd)
             s[at, at][i, j] -= schur
     s, info = dpotrf(s, lower=1, overwrite_a=1)
@@ -611,6 +665,84 @@ def _factorize(core, sigma, grid=None, ends=None, cut=True):
     return _Factor((top, bottom), slice(a, b), s, (lo, lo + n),
                    (lo + n + right * width) // width, width, lam, psi, c,
                    tuple(end for end in (end_t, end_u) if end is not None), threaded)
+
+
+def _closure(op, solved):
+    """A level's Ritz vectors closed by infinitely long straight ends (module docstring).
+
+    ``solved`` is :func:`lowest_eigenvalues`' result on op: its ``ritz``
+    vectors on K, the core's unknowns first, and its ``ends``.  Their core
+    parts, orthonormalized to Q, project the core closed by the exact
+    straight ends: P(x) = Q^T A_cc Q - c sum_ends B^T diag(r_t(x)) B, B =
+    Psi^T Q on the core slice next to the end.  By min-max a root of
+    theta_i(x) = x, theta_i the i-th eigenvalue of P(x), bounds the i-th
+    eigenvalue of the infinitely long tube on this grid from above.  Each
+    theta_i(x) - x falls as x rises; index 0's root is found by Newton's
+    method, bracketed, in u = sqrt(nu_1(h) - x), in which it is smooth up
+    to nu_1(h).  Its lower bound x_0 = root - gap is certified when the
+    core closed at x_0 has a Cholesky factor (:func:`_factorize`).  The
+    gap is the larger of _CLOSURE_GAP max(1, |root|) and the Kato-Temple
+    term |res|^2 / (theta_1 - root) of the closed core's residual at the
+    root (|res| when theta_1 is nearer), and doubles while the factor fails.
+
+    Returns None when op lacks a free end on a side, else ``(root, lower,
+    more)``: index 0's root, None unless it lies more than eps =
+    _CLOSURE_GAP max(1, |nu_1(h)|) below nu_1(h); x_0, None when the factor
+    fails _CLOSURE_TRIES + 1 times; and whether an index above 0 has a root
+    below nu_1(h) - eps.
+    """
+    ends = solved.ends
+    width, left, right, lam, psi = ends[:5]
+    if not (left and right):
+        return None
+    c = 1.0 / op.grid.s_spacing**2
+    nu = lam - 2.0 * c
+    rows = _core_rows(op)
+    n = rows.shape[0]
+    q = np.linalg.qr(solved.ritz[:n])[0]
+    p = q.T @ (rows @ q)
+    b = np.vstack((psi.T @ q[:width], psi.T @ q[n - width:]))
+
+    def projected(u):
+        """x = nu_1(h) - u^2, r_t(x), the eigenpairs of P(x), and d/du (theta_0(x) - x)."""
+        x = nu[0] - u * u
+        r, s = _decay(nu, c, x)
+        theta, z = np.linalg.eigh(p - c * (b.T * np.tile(r, 2)) @ b)
+        # r_t' = r_t / (c s_t), and 2u / s_1 stays finite as u -> 0
+        slope = 2.0 * u * (1.0 + np.tile(r / s, 2) @ (b @ z[:, 0]) ** 2)
+        return x, r, theta, z, slope
+
+    lo = np.sqrt(_CLOSURE_GAP * max(1.0, abs(nu[0])))
+    x, r, theta, z, slope = projected(lo)
+    if theta[0] >= x:
+        return None, None, False
+    more = bool(np.any(theta[1:] < x))
+    # theta_0 falls as x rises, so theta_0(x) at this x is at or below the root
+    u, hi = lo, np.sqrt(nu[0] - theta[0])
+    for _ in range(60):
+        x_was = x
+        u = u - (theta[0] - x) / slope
+        u = u if lo < u < hi else 0.5 * (lo + hi)
+        x, r, theta, z, slope = projected(u)
+        lo, hi = (u, hi) if theta[0] < x else (lo, u)
+        if abs(x - x_was) <= 4e-16 * max(1.0, abs(x)):
+            break
+    root = float(x)
+    w = q @ z[:, 0]
+    res = rows @ w - root * w
+    edges = c * psi @ (r[:, None] * (b @ z[:, 0]).reshape(2, width).T)
+    res[:width] -= edges[:, 0]
+    res[n - width:] -= edges[:, 1]
+    size = np.linalg.norm(res)
+    spread = theta[1] - root if theta.size > 1 else 0.0
+    gap = max(_CLOSURE_GAP * max(1.0, abs(root)),
+              float(size if spread <= size else size * size / spread))
+    core = _lower_entries(rows)
+    for _ in range(_CLOSURE_TRIES + 1):
+        if _factorize(core, root - gap, op.grid, ends, closed=True) is not None:
+            return root, root - gap, more
+        gap *= 2.0
+    return root, None, more
 
 
 def _shift_invert(op, k, sigma, factor, start):
@@ -704,8 +836,10 @@ def lowest_eigenvalues(op, k, below=None, start=None):
     ``slices`` the number of s-slices factored by banded Cholesky and of
     all s-slices (1 and 1 without a grid), ``solves`` the number of solves
     ARPACK made with the factor, ``lanczos`` the number of unknowns it ran
-    on, and ``vectors`` the unit eigenvectors on M's unknowns, one column
-    per value, and ``summed`` their sum, each made when first read.
+    on, ``ends`` M's :func:`_free_ends`, ``ritz`` the unit eigenvectors
+    on K, the core's unknowns first, and ``vectors`` the unit eigenvectors
+    on M's unknowns, one column per value, and ``summed`` their sum, each
+    made when first read.
     """
     if not isinstance(op, DiscreteOperator):
         op = DiscreteOperator(op, None, "matrix")
@@ -747,7 +881,7 @@ def lowest_eigenvalues(op, k, below=None, start=None):
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order]
     return _Result((vals, factor.residuals(_core_rows(op), vecs, vals)), shift=sigma, band=band,
-                   solves=solves, extend=factor.extend,
+                   solves=solves, ritz=vecs, ends=ends, extend=factor.extend,
                    on_k=dict(vectors=vecs, summed=vecs.sum(axis=1)), **sizes)
 
 
@@ -834,6 +968,8 @@ class BoundState:
     value: float
     error: float                 # refinement + truncation
     refinement_error: float
+    # the closure's certified bracket below the box value at (L, h0), or the
+    # probes' tail of the box values over L (module docstring)
     truncation_error: float
     ladder_values: tuple
     fitted_order: float
@@ -864,9 +1000,14 @@ class BoundStatesResult:
     spacings: tuple
     raw_ladder: tuple            # tuple per level of eigenvalue tuples
     levels: tuple                # LadderLevel per row of raw_ladder
-    truncation_ladder: tuple     # ((L, lowest eigenvalue), ...) at coarse spacing
+    # ((L, lowest eigenvalue), ...) at coarse spacing: the probes' and L's,
+    # or L's alone when the closure bounds the truncation
+    truncation_ladder: tuple
     count_stable: bool
     runtime_seconds: float
+    truncation: str = "probe"    # how truncation_error is bounded: "closure" or "probe"
+    probe_reason: str = None     # why the probes ran, when they did
+    closure: tuple = None        # index 0's (root, certified lower bound or None) at (L, h0)
 
     @property
     def no_bound_state(self):
@@ -894,8 +1035,8 @@ def _prolongate(carried, grid):
     """A grid function ``carried = (old grid, values)`` on ``grid``'s unknowns.
 
     Separable linear interpolation along each tensor axis, zero outside
-    the old box: it carries a ladder level onto both of the ladder's
-    steps, h -> h/2 at the same L and L -> 2L at the same h.
+    the old box: it carries a ladder level onto each of the ladder's
+    steps, h -> h/2 at the same L, and L -> 2L, L/4 or L/2 at the same h.
     """
     old_grid, values = carried
     full = np.zeros(old_grid.full_shape)
@@ -909,14 +1050,33 @@ def _prolongate(carried, grid):
     return full[grid.active()]
 
 
+def _straight_start(grid, k):
+    """The sum of a straight box's k lowest modes on ``grid``'s unknowns: a ladder's first start.
+
+    Along s the Dirichlet sines of the k lowest wavenumbers between the
+    walls; across, the lowest sine of each axis of the cross-section's
+    bounding box, its first mode on an interval or a rectangle.
+    """
+    def sines(nodes, count):
+        x = (nodes - nodes[0]) * (np.pi / (nodes[-1] - nodes[0]))
+        return sum(np.sin(j * x) for j in range(1, count + 1))
+
+    full = sines(grid.s_nodes, k)
+    for axis in grid.t_axes:
+        full = np.multiply.outer(full, sines(axis, 1))
+    return full[grid.active()]
+
+
 class _Ladder:
     """The (L, spacing) solves of one bound-state search, in order.
 
     ``solve(L, spacing)`` returns the k lowest eigenvalues and LadderLevel
-    of ``assemble(L, spacing)``, hinted at nu_1 or the previous solve's
-    lowest eigenvalue and started from the previous solve's sum of unit
-    eigenvectors, which it carries on K, extends when the next solve uses
-    it, and frees before that solve.  An operator without a grid is solved
+    of ``assemble(L, spacing)``, the operator and :func:`lowest_eigenvalues`'
+    result, hinted at ``below`` (nu_1, then the previous solve's lowest
+    eigenvalue) and started from ``carried``, the previous solve's sum of
+    unit eigenvectors, which it carries on K, extends when the next solve
+    uses it, and frees before that solve; the first solve on a grid starts
+    from :func:`_straight_start`.  An operator without a grid is solved
     cold.
     """
 
@@ -931,6 +1091,8 @@ class _Ladder:
         if self.carried is not None and grid is not None:
             # the previous solve's sum of eigenvectors, extended onto its grid only now
             start = _prolongate((self.carried[0], self.carried[1].summed), grid)
+        elif grid is not None:
+            start = _straight_start(grid, self.k)
         self.carried = None
         # through the module global, so that a wrapper of it sees every solve
         vals, residuals = solved = lowest_eigenvalues(op, self.k, below=self.below, start=start)
@@ -949,37 +1111,70 @@ class _Ladder:
         self.below = float(vals[0])
         if grid is not None:
             self.carried = (grid, solved)
-        return vals, level
+        return vals, level, op, solved
 
 
-def _truncation_probe(ladder, spacing, domain_length, tol):
-    """The coarse-spacing probe over L of the module docstring, by both rules.
+def _doubling_probe(ladder, spacing, tol):
+    """The doubling rule's probe over L of the module docstring.
 
     Returns (L, ((L, lambda_0), ...), truncation errors, eigenvalues at L,
     LadderLevel at L): the last two are the coarsest refinement level.
     """
-    given = domain_length is not None
-    length = float(domain_length) / 4.0 if given else 8.0
-    probes = [ladder.solve(length, spacing)]
+    length = 8.0
+    vals, level = ladder.solve(length, spacing)[:2]
     trunc = [(length, ladder.below)]
-    for _ in range(2 if given else 6):
+    for _ in range(6):
         length *= 2.0
-        probes.append(ladder.solve(length, spacing))
+        vals, level = ladder.solve(length, spacing)[:2]
         trunc.append((length, ladder.below))
-        if not given and abs(trunc[-1][1] - trunc[-2][1]) < tol:
+        if abs(trunc[-1][1] - trunc[-2][1]) < tol:
             break
     est = np.full(ladder.k, abs(trunc[-1][1] - trunc[-2][1]))
-    if given:
-        v0, v1, v2 = (v for v, _ in probes)
-        for j in range(ladder.k):
-            m1 = v1[j] - v0[j]
-            m2 = v2[j] - v1[j]
-            if m1 != 0.0 and 0.0 < abs(m2) < abs(m1):
-                q = abs(m2 / m1)
-                est[j] = abs(m2) * q / (1.0 - q)  # geometric tail of the moves
-            else:
-                est[j] = abs(m2)
-    return (length, tuple(trunc), est) + probes[-1]
+    return length, tuple(trunc), est, vals, level
+
+
+def _truncation_probe(ladder, spacing, length, values, anchor):
+    """The probes at L/4 and L/2 of a given domain length L, at the coarsest spacing.
+
+    ``values`` are the eigenvalues at (L, spacing), and ``anchor`` the
+    ladder's ``(carried, below)`` after that solve, from which each probe
+    starts.  Returns (((L/4, lambda_0), (L/2, lambda_0), (L, lambda_0)),
+    truncation errors): per index, the geometric tail of its own last two
+    moves, or its last move when they do not shrink.
+    """
+    probes = []
+    for fraction in (0.25, 0.5):
+        ladder.carried, ladder.below = anchor
+        probes.append(ladder.solve(length * fraction, spacing)[0])
+    ladder.carried = None
+    v0, v1, v2 = probes + [values]
+    est = np.empty(ladder.k)
+    for j in range(ladder.k):
+        m1 = v1[j] - v0[j]
+        m2 = v2[j] - v1[j]
+        if m1 != 0.0 and 0.0 < abs(m2) < abs(m1):
+            q = abs(m2 / m1)
+            est[j] = abs(m2) * q / (1.0 - q)  # geometric tail of the moves
+        else:
+            est[j] = abs(m2)
+    trunc = tuple((length * f, float(v[0])) for f, v in zip((0.25, 0.5, 1.0), (v0, v1, v2)))
+    return trunc, est
+
+
+def _probe_reason(closure, fits, nu1):
+    """Why a given length's closure cannot bound the truncation, or None when it can."""
+    if closure is None:
+        return "no free end on a side"
+    root, lower, more = closure
+    if root is None:
+        return "index 0 has no closure root below nu_1(h)"
+    if lower is None:
+        return "the closure's lower bound failed its certificate"
+    if more:
+        return "an index above 0 has a closure root below nu_1(h)"
+    if any(res.extrapolated < nu1 - res.error_estimate for res in fits[1:]):
+        return "an index above 0 extrapolates below nu_1 by more than its refinement error"
+    return None
 
 
 def bound_states(assemble, thresholds, policy=None):
@@ -989,6 +1184,11 @@ def bound_states(assemble, thresholds, policy=None):
     DiscreteOperator.  Eigenvalue branches are tracked by index across the
     ladder; non-monotone branches (beyond roundoff slack) abort with the
     raw ladder attached, since extrapolation would then be meaningless.
+    With the domain length L given, (L, h0) is solved first, cold, and
+    when its closure (:func:`_closure`) certifies index 0 and no other
+    index, index 0 alone is a candidate state and its truncation error is
+    the box value less the certified lower bound; otherwise the probes at
+    L/4 and L/2 run after the ladder (module docstring).
     """
     t0 = time.perf_counter()
     policy = policy or ConvergencePolicy()
@@ -999,12 +1199,20 @@ def bound_states(assemble, thresholds, policy=None):
 
     tol = 1e-6 * nu1 if policy.truncation_tol is None else policy.truncation_tol
     ladder = _Ladder(assemble, policy.n_eigs, below=nu1)
-    length, trunc_ladder, trunc_est, coarsest, level = _truncation_probe(
-        ladder, spacings[0], policy.domain_length, tol
-    )
-    raw, levels = [coarsest], [level]
+    given = policy.domain_length is not None
+    if given:
+        length = float(policy.domain_length)
+        vals, level, op, solved = ladder.solve(length, spacings[0])
+        closure = _closure(op, solved)
+        # the probes' start, if they run: its eigenvectors' sum alone, on its grid
+        kept = ladder.carried and (ladder.carried[0], _Result((), summed=solved.summed))
+        anchor = kept, ladder.below
+        del op, solved
+    else:
+        length, trunc_ladder, trunc_est, vals, level = _doubling_probe(ladder, spacings[0], tol)
+    raw, levels = [vals], [level]
     for h in spacings[1:]:
-        vals, level = ladder.solve(length, h)
+        vals, level = ladder.solve(length, h)[:2]
         raw.append(vals)
         levels.append(level)
     raw_arr = np.stack(raw)
@@ -1019,23 +1227,33 @@ def bound_states(assemble, thresholds, policy=None):
             )
 
     fits = [richardson_extrapolate(spacings, raw_arr[:, j]) for j in range(policy.n_eigs)]
-    bars = [res.error_estimate + float(trunc_est[j]) for j, res in enumerate(fits)]
+    reason, bracket = "domain length chosen by the doubling rule", None
+    if given:
+        reason = _probe_reason(closure, fits, nu1)
+        bracket = closure[:2] if closure and closure[0] is not None else None
+        if reason is None:  # index 0's alone: the indices above it are box modes, not states
+            trunc_ladder = ((length, float(raw_arr[0, 0])),)
+            trunc_est = np.array([raw_arr[0, 0] - closure[1]])
+        else:
+            trunc_ladder, trunc_est = _truncation_probe(ladder, spacings[0], length, raw_arr[0],
+                                                        anchor)
+    indices = range(trunc_est.size)  # the indices that may be states
+    bars = [fits[j].error_estimate + float(trunc_est[j]) for j in indices]
     states = [
         BoundState(
-            value=res.extrapolated,
-            error=bar,
-            refinement_error=res.error_estimate,
+            value=fits[j].extrapolated,
+            error=bars[j],
+            refinement_error=fits[j].error_estimate,
             truncation_error=float(trunc_est[j]),
             ladder_values=tuple(float(v) for v in raw_arr[:, j]),
-            fitted_order=res.fitted_order,
-            flagged=res.flagged,
+            fitted_order=fits[j].fitted_order,
+            flagged=fits[j].flagged,
         )
-        for j, (res, bar) in enumerate(zip(fits, bars))
-        if res.extrapolated < nu1 - bar
+        for j in indices
+        if fits[j].extrapolated < nu1 - bars[j]
     ]
     # count stability over the final two levels, using each level's raw values
-    counts = [sum(bool(raw_arr[lvl, j] < nu1 - bar) for j, bar in enumerate(bars))
-              for lvl in (-2, -1)]
+    counts = [sum(bool(raw_arr[lvl, j] < nu1 - bars[j]) for j in indices) for lvl in (-2, -1)]
 
     return BoundStatesResult(
         states=tuple(states),
@@ -1047,6 +1265,9 @@ def bound_states(assemble, thresholds, policy=None):
         truncation_ladder=trunc_ladder,
         count_stable=counts[0] == counts[1],
         runtime_seconds=time.perf_counter() - t0,
+        truncation="probe" if reason else "closure",
+        probe_reason=reason,
+        closure=bracket,
     )
 
 

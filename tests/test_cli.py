@@ -183,6 +183,8 @@ def test_straight_tube_spectrum_run(tmp_path, capsys):
     assert code == 0
     report = (tmp_path / "report.txt").read_text()
     assert "no bound state detected" in report
+    # every slice but the last is free, so one side has no free end to close
+    assert "truncation = probe, no free end on a side\n" in report
     assert repr(np.pi**2 / 4.0) in report
     assert (tmp_path / "spectrum.csv").exists()
 
@@ -226,6 +228,13 @@ def test_bent_tube_spectrum_reports_a_bound_state(tmp_path):
     assert all(float(res) < 1e-8 for *_, res in levels)
     # each certified shift sits below every eigenvalue of its level
     ladder = re.search(r"^state\[1\]\.ladder = (.*)$", report, flags=re.M).group(1)
+    # the closure brackets the infinitely long tube's value at h = 1/8 below the box's
+    root, lower = re.search(r"^truncation = closure, root (\S+), lower (\S+)$", report,
+                            flags=re.M).groups()
+    assert float(lower) < float(root) < float(ladder.split(", ")[0])
+    truncation = re.search(r"^state\[1\]\.truncation_error = (\S+)$", report, flags=re.M)
+    assert float(truncation.group(1)) == pytest.approx(
+        float(ladder.split(", ")[0]) - float(lower), rel=5e-3)
     assert all(float(sig) < float(v)
                for (*_, sig, _, _), v in zip(levels, ladder.split(", ")))
     # the finer level starts from the coarser level's eigenvectors: fewer
@@ -245,15 +254,55 @@ def test_warm_started_ladder_matches_cold_solves(tmp_path):
     report, code = run_spectrum(cfg, str(tmp_path))
     assert code == 0
     result = report.bound_states
+    # (L, h0) is the only solve at the coarsest spacing: its closure bounds the truncation
+    assert result.truncation == "closure"
+    assert result.truncation_ladder == ((cfg.domain_length, result.raw_ladder[0][0]),)
     omega = cfg.cross_section()
     recipe = hamiltonian_recipe(build_metric(cfg, cfg.profile(), omega), omega)
     # every level solved again from the fixed start vector, shift -1
-    for ell, value in result.truncation_ladder:
-        cold, _ = lowest_eigenvalues(recipe(ell, cfg.spacings[0]), cfg.n_eigs)
-        np.testing.assert_allclose(value, cold[0], rtol=1e-12, atol=0.0)
     for h, row in zip(cfg.spacings, result.raw_ladder):
         cold, _ = lowest_eigenvalues(recipe(cfg.domain_length, h), cfg.n_eigs)
         np.testing.assert_allclose(row, cold, rtol=1e-12, atol=0.0)
+
+
+def test_warm_started_probes_match_cold_solves(tmp_path):
+    from tubespectra.cli import run_spectrum
+
+    # a power tail leaves no free end to close: the probes at L/4 and L/2
+    # run after the ladder, each started from (L, h0)'s eigenvectors
+    text = BUMP.replace("family = gaussian-bump\nkappa0 = 0.65\nsigma = 1.2",
+                        "family = power-tail\nkappa0 = 0.5\nsigma = 1.0\np = 2.5")
+    cfg = load_config_text(text.replace("domain_length = 32.0", "domain_length = 16.0"))
+    report, code = run_spectrum(cfg, str(tmp_path))
+    assert code == 0
+    result = report.bound_states
+    assert (result.truncation, result.probe_reason) == ("probe", "no free end on a side")
+    omega = cfg.cross_section()
+    recipe = hamiltonian_recipe(build_metric(cfg, cfg.profile(), omega), omega)
+    assert [ell for ell, _ in result.truncation_ladder] == [4.0, 8.0, 16.0]
+    for ell, value in result.truncation_ladder:
+        cold, _ = lowest_eigenvalues(recipe(ell, cfg.spacings[0]), cfg.n_eigs)
+        np.testing.assert_allclose(value, cold[0], rtol=1e-12, atol=0.0)
+
+
+def test_a_closure_root_with_no_state_is_not_resolved(tmp_path):
+    # the acceptance bent strip in a box of L = 16: its extrapolated value
+    # does not clear its bar, but the closure of the h = 1/8 box bounds an
+    # eigenvalue of the infinitely long discrete tube below nu_1(h)
+    text = BENT_STRIP.replace(
+        "include_mourre = false",
+        "domain_length = 16.0\nspacings = 0.125, 0.0625\nn_eigs = 4\ninclude_mourre = false")
+    code = main(["spectrum", "--config", write(tmp_path, text), "--out", str(tmp_path)])
+    assert code == 0
+    report = (tmp_path / "report.txt").read_text()
+    assert "count = 0" in report and "no bound state detected" not in report
+    verdict = re.search(r"^verdict = (.*)$", report, flags=re.M).group(1)
+    assert verdict == ("not resolved: the closure at the coarsest spacing bounds a discrete "
+                       "bound state below nu_1(h), but no extrapolated value lies below nu_1 "
+                       "by more than its error")
+    root, lower = map(float, re.search(r"^truncation = closure, root (\S+), lower (\S+)$",
+                                       report, flags=re.M).groups())
+    assert lower < root < 2.4594841083864765  # nu_1(h) at h = 1/8
 
 
 def test_flat_strip_config_matches_the_euclidean_run(tmp_path):

@@ -134,11 +134,42 @@ def test_every_curvature_family_and_surface_form_has_its_own_call():
              "planar-rect-tube": "family = constant\nvalue = 0.0",
              "surface-file-strip": "[surface]\nfile = K.txt",
              "curved-strip-positive": "[surface]\ncurvature = 0.1",
-             "curved-strip-negative": "[surface]\ncurvature = -0.1"}
+             "curved-strip-negative": "[surface]\ncurvature = -0.1",
+             "given-length-power-tail": "family = power-tail"}
     for label, mark in marks.items():
         (call,) = [c for c in calls if c.label == label]
         assert mark in call.ini
+    (call,) = [c for c in calls if c.label == "given-length-power-tail"]
+    assert "domain_length = 16.0" in call.ini and call.kind == "spectrum"
     # every table a problem file names is written beside it
     for call in calls:
         for name in re.findall(r"^file = (\S+)$", call.ini, flags=re.M):
             assert name in call.files
+
+
+def test_values_name_the_truncation_path_and_its_bracket(tmp_path):
+    sys.path.insert(0, str(TOOL.parent))
+    import output_digest
+
+    closed = ("truncation = closure, root 2.4582043237989066, lower 2.4582043233679727\n"
+              "verdict = not resolved: the closure at the coarsest spacing bounds a discrete "
+              "bound state below nu_1(h), but no extrapolated value lies below nu_1 by more "
+              "than its error\n")
+    assert output_digest.report_values(closed) == [
+        "truncation=closure", "truncation.root = 2.4582043237989066",
+        "truncation.lower = 2.4582043233679727",
+    ]
+    probed = "truncation = probe, root 2.28, an index above 0 has a closure root below nu_1(h)\n"
+    assert output_digest.report_values(probed) == ["truncation=probe", "truncation.root = 2.28"]
+    # a path or a bracket that one output lacks fails the comparison, and the
+    # keys both list are still compared
+    old = "seed=0 x spectrum truncation=probe\nseed=0 x spectrum count = 1\n"
+    new = ("seed=0 x spectrum truncation=closure\nseed=0 x spectrum truncation.root = 2.0\n"
+           "seed=0 x spectrum count = 2\n")
+    out = _compare(tmp_path, new, "0", old=old)
+    assert out.returncode == 1
+    lines = out.stdout.splitlines()
+    assert lines[:3] == [f"only in {tmp_path / 'old.txt'}: seed=0 x spectrum truncation=probe",
+                         f"only in {tmp_path / 'new.txt'}: seed=0 x spectrum truncation=closure",
+                         f"only in {tmp_path / 'new.txt'}: seed=0 x spectrum truncation.root"]
+    assert lines[3] == "0.5 seed=0 x spectrum count"

@@ -718,12 +718,15 @@ def test_a_ladder_never_tiles_an_assembled_operator(monkeypatch, text):
     _extend_after_the_bands_are_dropped(monkeypatch)
     policy = ConvergencePolicy(spacings=cfg.spacings, domain_length=cfg.domain_length, n_eigs=4)
     result = bound_states(recorded, cross_section_spectrum(omega, cfg.n_thresholds), policy)
-    assert len(assembled) == len(result.levels) + 2
-    assert any(isinstance(part, int) for part in assembled[-1].parts)
+    # the ladder's levels, then the probes at L/4 and L/2 when they run
+    assert (result.truncation, len(assembled)) == (
+        ("closure", 2) if text == SMOKE_BENT_STRIP else ("probe", 4))
+    levels = assembled[:len(result.levels)]
+    assert any(isinstance(part, int) for part in levels[-1].parts)
     assert not any(op in assembled for op in read)
     # the core's rows and the cut runs' only: never every row
     assert rows and not any(rows)
-    assert [level.nnz for level in result.levels] == [op.matrix.nnz for op in assembled[2:]]
+    assert [level.nnz for level in result.levels] == [op.matrix.nnz for op in levels]
 
 
 @pytest.mark.parametrize("change, symmetric", [
@@ -814,12 +817,14 @@ def test_a_ladder_certifies_each_first_shift_and_stays_on_k(monkeypatch, text):
                         or solved[-1][1])
     policy = ConvergencePolicy(spacings=cfg.spacings, domain_length=cfg.domain_length, n_eigs=4)
     result = bound_states(recipe, cross_section_spectrum(omega, cfg.n_thresholds), policy)
-    assert len(solved) == len(result.levels) + 2 and None not in factored
-    # one start vector per level, on its K; one vector extended per level after the first
+    probes = 2 * (result.truncation == "probe")
+    assert len(solved) == len(result.levels) + probes and None not in factored
+    # one start vector per level, on its K; one vector extended per level after
+    # the first: the probes start from (L, h0)'s, extended once already
     assert started == [got.lanczos for _, got in solved]
-    assert extended == [1] * (len(solved) - 1)
+    assert extended == [1] * (len(result.levels) - 1)
     if text == SMOKE_BENT_STRIP:  # the free ends of the two refined levels are cut
-        assert all(got.lanczos < n for n, got in solved[-2:])
+        assert all(got.lanczos < n for n, got in solved[:2])
 
 
 LADDER = (1.0 / 8.0, 1.0 / 16.0, 1.0 / 32.0)  # test_criterion_1's
@@ -1119,7 +1124,8 @@ def test_bound_state_for_strongly_bent_strip(strong_recipe, interval_thresholds)
     assert report.thresholds.nu1 == NU1
 
 
-@pytest.mark.parametrize("domain_length", [4.0, None], ids=["given-length", "selected-length"])
+@pytest.mark.parametrize("domain_length", [4.0, 48.0, None],
+                         ids=["given-length", "given-length-closed", "selected-length"])
 def test_ladder_assembles_each_level_once(strong_recipe, interval_thresholds, domain_length):
     calls = []
 
@@ -1129,9 +1135,15 @@ def test_ladder_assembles_each_level_once(strong_recipe, interval_thresholds, do
 
     policy = ConvergencePolicy(spacings=(0.2, 0.1), domain_length=domain_length, n_eigs=2)
     res = bound_states(counting_recipe, interval_thresholds, policy)
-    if domain_length is not None:
-        # L/4, L/2 and L at the coarsest spacing, then L at the finer one
-        assert calls == [(1.0, 0.2), (2.0, 0.2), (4.0, 0.2), (4.0, 0.1)]
+    if domain_length == 4.0:
+        # L at each spacing, then the probes at L/4 and L/2: the curvature
+        # reaches both walls, so no end is free to close
+        assert (res.truncation, res.probe_reason) == ("probe", "no free end on a side")
+        assert calls == [(4.0, 0.2), (4.0, 0.1), (1.0, 0.2), (2.0, 0.2)]
+    elif domain_length is not None:
+        # the closure of (L, h0)'s Ritz vectors bounds the truncation: no probe
+        assert res.truncation == "closure"
+        assert calls == [(48.0, 0.2), (48.0, 0.1)]
     else:
         # the doublings at the coarsest spacing, then L at the finer one
         assert calls == [(ell, 0.2) for ell, _ in res.truncation_ladder] + [
@@ -1203,36 +1215,223 @@ def test_domain_doubling_rule_stops(strong_recipe, interval_thresholds):
     assert moves[-1] < 1e-4 and all(m >= 1e-4 for m in moves[:-1])
 
 
-@pytest.mark.parametrize("domain_length", [8.0, None], ids=["given-length", "selected-length"])
+@pytest.mark.parametrize("domain_length", [48.0, 8.0, None],
+                         ids=["given-length", "given-length-probe", "selected-length"])
 def test_truncation_error_follows_its_rule(strong_recipe, interval_thresholds, domain_length,
                                            monkeypatch):
-    solved = []
+    solved, closed, close = [], [], spectral._closure
 
     def recording(*args, **kwargs):
         result = lowest_eigenvalues(*args, **kwargs)
         solved.append(result[0])
         return result
 
+    def closing(op, result):
+        closed.append(close(op, result))
+        return closed[-1]
+
     monkeypatch.setattr(spectral, "lowest_eigenvalues", recording)
+    monkeypatch.setattr(spectral, "_closure", closing)
     policy = ConvergencePolicy(spacings=(0.2, 0.1), domain_length=domain_length, n_eigs=2)
     res = bound_states(strong_recipe, interval_thresholds, policy)
+    assert res.states
     # every probe and level is solved through the module's lowest_eigenvalues
     assert len(solved) == len(res.truncation_ladder) + 1
-    probes = np.array(solved[:-1])
-    assert tuple(probes[:, 0]) == tuple(v for _, v in res.truncation_ladder)
     if domain_length is None:
+        probes = np.array(solved[:-1])
         # lambda_0's last move, for every index
         expected = np.full(2, abs(probes[-1, 0] - probes[-2, 0]))
+    elif domain_length == 48.0:
+        # (L, h0)'s closure certifies index 0 alone: its box value less the
+        # certified lower bound, and index 1 is a box mode, not a state
+        ((root, lower, more),) = closed
+        assert res.truncation == "closure" and res.closure == (root, lower) and not more
+        assert lower < root < _first_threshold(strong_recipe(48.0, 0.2)) < solved[0][1]
+        assert len(res.states) == 1
+        probes = np.array(solved[:1])
+        expected = probes[0, :1] - lower
     else:
+        # (L, h0) and the finer level first, then the probes at L/4 and L/2;
         # per index, the geometric tail of the L/4 -> L/2 -> L moves
+        assert res.probe_reason == "no free end on a side" and closed == [None]
+        probes = np.array([solved[2], solved[3], solved[0]])
         m1, m2 = probes[1] - probes[0], probes[2] - probes[1]
         q = np.abs(m2 / m1)
         shrinking = (m2 != 0.0) & (np.abs(m2) < np.abs(m1))
         expected = np.where(shrinking, np.abs(m2) * q / (1.0 - q), np.abs(m2))
-    assert res.states
+    assert tuple(probes[:, 0]) == tuple(v for _, v in res.truncation_ladder)
     for st in res.states:
         j = list(probes[-1]).index(st.ladder_values[0])
         assert st.truncation_error == expected[j]
+
+
+# ---------------------------------------------------------------------------
+# the straight ends' closure
+
+
+@pytest.fixture(scope="module")
+def bump_recipe(bump_metric):
+    return hamiltonian_recipe(bump_metric, CrossSection.interval(1.0))
+
+
+@pytest.fixture(scope="module")
+def long_box_value(bump_recipe):
+    """The bent strip's lowest eigenvalue at h = 1/8 in the L = 512 box: the infinite tube's."""
+    return float(lowest_eigenvalues(bump_recipe(512.0, 0.125), 1)[0][0])
+
+
+def _closed(recipe, length, spacing=0.125, k=4):
+    op = recipe(length, spacing)
+    solved = lowest_eigenvalues(op, k)
+    return op, solved, spectral._closure(op, solved)
+
+
+def test_the_closed_root_at_64_is_the_long_boxs_value(bump_recipe, long_box_value):
+    _, solved, (root, lower, more) = _closed(bump_recipe, 64.0)
+    # the L = 64 box lies 5.7e-5 above; its Ritz vectors closed, 1.3e-12
+    assert solved[0][0] - long_box_value > 5e-5
+    assert long_box_value < root < long_box_value + 1e-7
+    assert lower is not None and not more
+
+
+@pytest.mark.parametrize("grid", [TruncatedGrid.interval(6.0, 0.125, 1.0),
+                                  TruncatedGrid.box(2.0, 0.25, (0.5, 0.5))],
+                         ids=["interval", "rectangle"])
+def test_the_straight_boxs_modes_are_the_free_operators(grid):
+    # the first start's terms are the free operator's eigenvectors
+    free = assemble_free_hamiltonian(grid).matrix
+    first = spectral._straight_start(grid, 1)
+    for mode in (first, spectral._straight_start(grid, 2) - first):
+        value = mode @ (free @ mode) / (mode @ mode)
+        np.testing.assert_allclose(free @ mode, value * mode, atol=1e-10 * value)
+
+
+def test_a_ladders_first_solve_starts_from_the_straight_boxs_modes(
+        bump_recipe, interval_thresholds, monkeypatch):
+    op = bump_recipe(64.0, 0.125)
+    cold = lowest_eigenvalues(op, 4, below=NU1)
+    warm = lowest_eigenvalues(op, 4, below=NU1, start=spectral._straight_start(op.grid, 4))
+    np.testing.assert_allclose(warm[0], cold[0], rtol=1e-12)
+    assert warm.solves < cold.solves
+    straight, starts = spectral._straight_start, []
+    monkeypatch.setattr(spectral, "_straight_start",
+                        lambda grid, k: starts.append((grid.s_spacing, k)) or straight(grid, k))
+    policy = ConvergencePolicy(spacings=(0.125, 0.0625), domain_length=64.0, n_eigs=4)
+    res = bound_states(bump_recipe, interval_thresholds, policy)
+    # the first solve alone; each later one starts from the one before
+    assert starts == [(0.125, 4)] and res.levels[0].solves == warm.solves
+
+
+@pytest.mark.parametrize("length", [32.0, 64.0])
+def test_the_certified_bracket_holds_the_long_boxs_value(bump_recipe, long_box_value, length):
+    op, _, (root, lower, more) = _closed(bump_recipe, length)
+    assert lower < long_box_value <= root < _first_threshold(op)
+    # the certificate: the core closed at the lower bound has a Cholesky factor
+    ends = spectral._free_ends(op)
+    core = spectral._lower_entries(spectral._core_rows(op))
+    assert spectral._factorize(core, lower, op.grid, ends, closed=True) is not None
+    assert spectral._factorize(core, long_box_value + 1e-9, op.grid, ends, closed=True) is None
+
+
+def test_the_closed_factor_solves_with_the_closed_core(bump_recipe):
+    # the core, closed by -c Psi diag(r_t(x)) Psi^T on each edge slice, solved densely
+    op = bump_recipe(32.0, 0.125)
+    ends = spectral._free_ends(op)
+    width, lam, psi = ends[0], ends[3], ends[4]
+    c = 1.0 / 0.125**2
+    x = 2.3
+    r = spectral._decay(lam - 2.0 * c, c, x)[0]
+    # r_t is the decaying root of r + 1/r = (lam_t - x)/c
+    np.testing.assert_allclose(r + 1.0 / r, (lam - x) / c, rtol=1e-14)
+    assert np.all((0.0 < r) & (r < 1.0))
+    rows = spectral._core_rows(op)
+    dense = rows.toarray() - x * np.eye(rows.shape[0])
+    for edge in (slice(0, width), slice(rows.shape[0] - width, rows.shape[0])):
+        dense[edge, edge] -= c * (psi * r) @ psi.T
+    factor = spectral._factorize(spectral._lower_entries(rows), x, op.grid, ends, closed=True)
+    assert factor.size == rows.shape[0] and factor.ends == ()
+    rhs = np.random.default_rng(5).normal(size=factor.size)
+    np.testing.assert_allclose(factor.solve(rhs), np.linalg.solve(dense, rhs), rtol=1e-10)
+    # at or above nu_1(h) the straight ends themselves are not positive definite
+    nu1_h = _first_threshold(op)
+    assert spectral._factorize(spectral._lower_entries(rows), nu1_h, op.grid, ends,
+                               closed=True) is None
+
+
+def test_a_power_tail_with_a_given_length_takes_the_probe_path(interval_thresholds):
+    from tubespectra import power_tail
+
+    profile = CurvatureProfile([power_tail(0.5, 1.0, 2.5)], (-1e4, 1e4))
+    recipe = hamiltonian_recipe(metric_from_profile(profile, 1.0), CrossSection.interval(1.0))
+    policy = ConvergencePolicy(spacings=(0.125, 0.0625), domain_length=16.0, n_eigs=4)
+    res = bound_states(recipe, interval_thresholds, policy)
+    assert (res.truncation, res.probe_reason, res.closure) == (
+        "probe", "no free end on a side", None)
+    assert [ell for ell, _ in res.truncation_ladder] == [4.0, 8.0, 16.0]
+
+
+def test_a_strip_with_two_states_falls_back_to_the_probes(interval_thresholds):
+    # a wide strong bend: two states, and the closure cannot certify the second's lower end
+    profile = CurvatureProfile([gaussian_bump(0.9, 6.0)], (-1e4, 1e4))
+    recipe = hamiltonian_recipe(metric_from_profile(profile, 1.0), CrossSection.interval(1.0))
+    policy = ConvergencePolicy(spacings=(0.125, 0.0625), domain_length=112.0, n_eigs=4)
+    res = bound_states(recipe, interval_thresholds, policy)
+    assert res.truncation == "probe"
+    assert res.probe_reason == "an index above 0 has a closure root below nu_1(h)"
+    assert len(res.states) == 2 and res.is_sound()
+    root, lower = res.closure
+    # index 0 lies deep: its box value is the infinite tube's, to roundoff
+    assert lower < root <= res.raw_ladder[0][0] + 1e-12
+    assert [ell for ell, _ in res.truncation_ladder] == [28.0, 56.0, 112.0]
+
+
+@pytest.mark.parametrize("fails", [2, spectral._CLOSURE_TRIES + 1])
+def test_a_failed_certificate_doubles_its_gap_and_never_reports_a_bound(
+        bump_recipe, interval_thresholds, monkeypatch, fails):
+    factorize, closed = spectral._factorize, []
+
+    def failing(core, sigma, grid=None, ends=None, cut=True, **kw):
+        got = factorize(core, sigma, grid, ends, cut, **kw)
+        if kw.get("closed"):
+            got = None if len(closed) < fails else got
+            closed.append((sigma, got is not None))
+        return got
+
+    monkeypatch.setattr(spectral, "_factorize", failing)
+    policy = ConvergencePolicy(spacings=LADDER, domain_length=64.0, n_eigs=4)
+    res = bound_states(bump_recipe, interval_thresholds, policy)
+    root = res.closure[0]
+    gaps = [root - sigma for sigma, _ in closed]
+    np.testing.assert_allclose(np.array(gaps[1:]) / gaps[:-1], 2.0, rtol=1e-6)
+    if fails <= spectral._CLOSURE_TRIES:
+        # the first certified shift is the lower bound, and the real factor exists there
+        assert [ok for _, ok in closed] == [False] * fails + [True]
+        assert res.truncation == "closure" and res.closure[1] == closed[-1][0]
+        (st,) = res.states
+        assert st.truncation_error == st.ladder_values[0] - closed[-1][0]
+    else:
+        # no certified lower bound: the probes bound the truncation
+        assert len(closed) == fails and not any(ok for _, ok in closed)
+        assert res.closure == (root, None) and res.truncation == "probe"
+        assert res.probe_reason == "the closure's lower bound failed its certificate"
+        assert [ell for ell, _ in res.truncation_ladder] == [16.0, 32.0, 64.0]
+
+
+@pytest.mark.parametrize("closure, extrapolated, reason", [
+    (None, 3.0, "no free end on a side"),
+    ((None, None, False), 3.0, "index 0 has no closure root below nu_1(h)"),
+    ((2.0, None, False), 3.0, "the closure's lower bound failed its certificate"),
+    ((2.0, 1.9, True), 3.0, "an index above 0 has a closure root below nu_1(h)"),
+    ((2.0, 1.9, False), 2.45,
+     "an index above 0 extrapolates below nu_1 by more than its refinement error"),
+    ((2.0, 1.9, False), 2.47, None),
+])
+def test_the_probes_run_exactly_when_the_closure_cannot_bound(closure, extrapolated, reason):
+    # nu_1 = 2.5; index 1's refinement error is 0.04
+    fits = [richardson_extrapolate((0.2, 0.1), (2.1, 2.0)),
+            richardson_extrapolate((0.2, 0.1), (extrapolated + 0.16, extrapolated + 0.04))]
+    assert fits[1].error_estimate == pytest.approx(0.04)
+    assert spectral._probe_reason(closure, fits, 2.5) == reason
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,12 @@
 Runs the calls of the perfbench workloads (problem files from
 ``perfbench/workloads.py``) at seeds 0 and 7: the bent-strip and rect-tube
 ``spectrum``, the five screen ``check`` problems and the interval
-``mourre`` table.  Eleven more calls, printed under seed 0, cover what no
+``mourre`` table.  Twelve more calls, printed under seed 0, cover what no
 workload runs: a ``spectrum`` call on the smoke-scale bent strip without
-its ``domain_length`` (the domain-length doubling rule), a ``spectrum``
+its ``domain_length`` (the domain-length doubling rule), one with its
+curvature a power tail (``family = power-tail``, p = 2.5), whose box has
+no free end to close, so that its given ``domain_length`` takes the
+probes at L/4 and L/2, a ``spectrum``
 call on the smoke-scale rect-tube with a unit-disc cross-section (the
 only ladder on a cross-section that does not fill its grid's bounding
 box), a ``spectrum`` call on the smoke-scale bent strip drawn on a flat
@@ -63,14 +66,17 @@ abscissae; 24 s and 10.5 s before that, when the Jacobi sweep took the
 Gauss curvature once per RK4 stage).
 
 ``--compare OLD NEW --rtol R [--atol A]`` reads two saved ``--values``
-outputs and pairs their lines in order.  It prints the largest relative
+outputs and pairs their lines by key, the n-th line of a key with its
+n-th line.  It prints each key that only one output lists, or whose count
+of numbers changed, and the largest relative
 move |new - old| / max(|old|, |new|) of every key whose numbers moved,
 then the key of the largest move of all, the largest move and its key
 among the numbers whose old and new values both exceed A in size (so
 that a roundoff-sized number, such as a ``max_residual``, does not hide
 how far the others moved), and the largest move of all.  It exits 1 when
 a number moved by more than max(A, R max(|old|, |new|)) (A defaults to
-0), or when the two outputs do not list the same keys and exit codes.  A
+0), or when the two outputs do not list the same keys and exit codes
+(an ``exit=…`` or ``truncation=…`` line is a key with no number).  A
 key that is a difference of nearly equal values, such as a fitted order
 or an error bar, amplifies a roundoff move of those values; A lets such
 a key move by roundoff in absolute terms:
@@ -101,6 +107,12 @@ DOUBLING_RULE = workloads.Call(
     "bent-strip-doubling", "spectrum",
     "\n".join(line for line in workloads.bent_strip_ini("smoke").splitlines()
               if not line.startswith("domain_length")),
+)
+POWER_TAIL = workloads.Call(
+    "given-length-power-tail", "spectrum",
+    workloads.bent_strip_ini("smoke", mourre=False).replace(
+        "family = gaussian-bump\nkappa0 = 0.5\nsigma = 1.0",
+        "family = power-tail\nkappa0 = 0.5\nsigma = 1.0\np = 2.5"),
 )
 DISC = workloads.Call(
     "disc-tube", "spectrum",
@@ -218,7 +230,10 @@ def report_values(text):
     ``key.core = C`` and ``key.slices = N``), and any other line its
     numeric ``name=number`` tokens as ``entry.name = number``, ``entry``
     being the last bracketed header and ``name`` led by the line's label
-    (``notes``, ``fit``) when it has one.
+    (``notes``, ``fit``) when it has one.  The ``truncation`` line's
+    leading word, the path its run took, gives ``truncation=word`` before
+    its numeric fields: a line with no number, which ``--compare`` matches
+    by key.
     """
     out, entry = [], ""
     for line in text.splitlines():
@@ -226,6 +241,8 @@ def report_values(text):
         if sep and _is_numeric(value):
             out.append(line)
             continue
+        if sep and key == "truncation":  # its leading word names the path the run took
+            out.append(f"{key}={value.split(', ', 1)[0]}")
         if sep:
             for field in value.split(", "):
                 name, _, number = field.partition(" ")
@@ -288,24 +305,41 @@ def _within(old, new, rtol, atol):
     return move <= rtol or (math.isfinite(move) and abs(new - old) <= atol)
 
 
+def _keyed(rows):
+    """``{(key, occurrence): numbers}`` of parsed ``--values`` rows, in their order."""
+    seen, out = {}, {}
+    for key, numbers in rows:
+        seen[key] = seen.get(key, -1) + 1
+        out[key, seen[key]] = numbers
+    return out
+
+
 def compare(old_path, new_path, rtol, atol=0.0):
     """Print the moves between two ``--values`` outputs; 1 when one exceeds its tolerance.
 
-    A number passes when it moved by at most max(atol, rtol max(|old|, |new|)).
-    Besides each key's largest move, prints the key of the largest move of
-    all, and the largest move and its key among the numbers whose old and
-    new values both exceed atol in size, which a roundoff-sized number
-    cannot set.
+    Lines are paired by key, the n-th line of a key with its n-th line.  A
+    number passes when it moved by at most max(atol, rtol max(|old|,
+    |new|)).  Besides each key's largest move, prints the key of the
+    largest move of all, and the largest move and its key among the
+    numbers whose old and new values both exceed atol in size, which a
+    roundoff-sized number cannot set.  A key that only one output has, or
+    whose count of numbers changed, is printed and fails the comparison;
+    the other keys are still compared.
     """
-    old, new = _parse_values(old_path), _parse_values(new_path)
-    if len(old) != len(new):
-        print(f"{len(old)} lines in {old_path}, {len(new)} in {new_path}")
-        return 1
+    old, new = _keyed(_parse_values(old_path)), _keyed(_parse_values(new_path))
     worst, above, failed = (0.0, None), (0.0, None), False
-    for (key, before), (new_key, after) in zip(old, new):
-        if key != new_key or len(before) != len(after):
-            print(f"line {key!r} became {new_key!r} with {len(after)} numbers")
-            return 1
+    for path, keys, other in ((old_path, old, new), (new_path, new, old)):
+        for key, _ in (k for k in keys if k not in other):
+            print(f"only in {path}: {key}")
+            failed = True
+    for (key, n), before in old.items():
+        after = new.get((key, n))
+        if after is None:
+            continue
+        if len(before) != len(after):
+            print(f"line {key!r} has {len(before)} numbers, then {len(after)}")
+            failed = True
+            continue
         moves = list(map(_relative_move, before, after))
         move = max(moves, default=0.0)
         if move:
@@ -330,7 +364,7 @@ def pipeline_calls():
     """``(seed, call)`` for each distinct call the digest runs, in its order."""
     calls = [(seed, call) for seed in SEEDS for name in workloads.NAMES
              for call in workloads.build(name, seed).calls]
-    extra = [DOUBLING_RULE, DISC, STRIP, *EXPORTS, README_CHECK,
+    extra = [DOUBLING_RULE, POWER_TAIL, DISC, STRIP, *EXPORTS, README_CHECK,
              TABLE, CONSTANT, SURFACE_FILE, *CURVED]
     seen, out = set(), []
     for seed, call in calls + [(SEEDS[0], c) for c in extra]:
