@@ -30,7 +30,12 @@ read all their quantities off one metric jet (``TubeMetric.jet``) per
 block of abscissae, taken on the block's axes (the abscissae as a row,
 the probe down the columns) so that a field of s alone is taken once
 per abscissa; they share that sampling, so a strip's gate, which runs
-both, takes each block's jet once.  The curvature check reads one table
+both, takes each block's jet once.  The jet is taken on the curved
+abscissae and on one straight representative: where every curvature
+input of the jet is exactly 0.0 (``TubeMetric._straight``), every
+quantity is the representative's, bit for bit, and the exactly straight
+tails copy it.  A strip whose K varies has no such test and takes the
+jet at every abscissa.  The curvature check reads one table
 of the kappa_i^(k) it needs.  The set has geometric tails on both sides
 plus evenly spaced near-field points that cover the hole the tails leave
 around s = 0, where curvature bumps sit.  Every limit, decay
@@ -197,18 +202,56 @@ def _probe_blocks(s, probe):
     """(t, u) per block of abscissae: t a row of them, u the probe points down axis 0."""
     for i in range(0, s.size, _BLOCK):
         t = s[None, i:i + _BLOCK]
-        yield t, np.broadcast_to(probe[:, None], (len(probe), t.size) + probe.shape[1:])
+        yield t, _down(probe, t.size)
 
 
-def sampled_abs(fn, s, probe):
-    """Max over the probe of |q(s_i, u)| for each array q of the dict fn(t, u) returns.
+def _down(probe, count):
+    """The probe points down axis 0, against ``count`` abscissae along axis 1."""
+    return np.broadcast_to(probe[:, None], (len(probe), count) + probe.shape[1:])
 
-    ``fn`` is called once per block of abscissae (:func:`_probe_blocks`)
-    and may return arrays that depend on s alone in the shape of t.
-    Returns ``{name: array over s}``.
+
+def _probe_max(quantities):
+    """Max over the probe, axis 0, of |q| for each array q of ``quantities``."""
+    return {name: np.max(np.abs(q), axis=0) for name, q in quantities.items()}
+
+
+def sampled_abs(fn, metric, s, probe):
+    """Max over the probe of |q(s_i, u)| for each array q of the dict fn(jet, t) returns.
+
+    ``jet`` is ``metric``'s jet on a block t of abscissae, a row, and
+    the probe down the columns (:func:`_probe_blocks`); q may depend on
+    s alone, in the shape of t.  Where ``metric._straight`` flags
+    abscissae as straight, the jet there is one function of u: it is
+    taken on the block's other abscissae and on the first straight one
+    of all, the representative, and every other straight abscissa takes
+    the representative's maxima.  A metric without that test is
+    evaluated at every abscissa.  Returns ``{name: array over s}``.
     """
-    parts = [{name: np.max(np.abs(q), axis=0) for name, q in fn(t, u).items()}
-             for t, u in _probe_blocks(s, probe)]
+    parts, representative = [], None
+    for t, u in _probe_blocks(s, probe):
+        split = metric._straight(t)
+        if split is None:
+            parts.append(_probe_max(fn(metric.jet(t, u), t)))
+            continue
+        straight, jet = split
+        straight, first = straight.reshape(-1), None
+        if representative is None and straight.any():
+            first = int(np.argmax(straight))
+            straight[first] = False
+        taken = ~straight
+        count = np.count_nonzero(taken)
+        keep = slice(None) if count == taken.size else taken   # no copy when all are taken
+        part = _probe_max(fn(jet(keep, _down(probe, count)), t[:, keep])) if count else {}
+        if first is not None:
+            at = np.count_nonzero(taken[:first])
+            representative = {name: values[at] for name, values in part.items()}
+        if straight.any():
+            filled = {name: np.full(straight.size, value)
+                      for name, value in representative.items()}
+            for name, values in part.items():
+                filled[name][taken] = values
+            part = filled
+        parts.append(part)
     sups = {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
     if any(v.shape != s.shape for v in sups.values()):
         raise InputError("quantity function must be vectorized over s")
@@ -486,18 +529,19 @@ _METRIC_FIELDS = ("dh", "h_s", "h_ss", "h_sss", "hu_sq", "hu_sq_s", "lap_u", "la
 def _gate_sample(metric, cfg):
     """(s, ladder, sups) of the metric and coefficient checks, from one full jet per block.
 
-    The sups are those of the metric check's jet fields and of the
-    coefficient check's G - 1, G^11_,1, V and V_,1.  The last metric's
-    are kept until the coefficient check reads them: a strip's gate runs
-    the metric check first, on the same sampling.
+    Each block's jet is taken on its curved abscissae and, once, on one
+    straight representative (:func:`sampled_abs`).  The sups are those
+    of the metric check's jet fields and of the coefficient check's
+    G - 1, G^11_,1, V and V_,1.  The last metric's are kept until the
+    coefficient check reads them: a strip's gate runs the metric check
+    first, on the same sampling.
     """
     from .operators import g11_s, g_deviation, potential, potential_s, reciprocal
 
     ladder = default_ladder(metric.s_range)
     s = sample_abscissae(metric.s_range, cfg)
 
-    def quantities(t, u):
-        jet = metric.jet(t, u)
+    def quantities(jet, t):
         r = reciprocal(jet, t)
         return {name: jet[name] for name in _METRIC_FIELDS} | {
             "G-1": g_deviation(jet, r),
@@ -506,7 +550,8 @@ def _gate_sample(metric, cfg):
             "V_s": potential_s(jet, r),
         }
 
-    return s, ladder, sampled_abs(quantities, s, _u_probe(metric.a, metric.dimension - 1))
+    return s, ladder, sampled_abs(quantities, metric, s,
+                                  _u_probe(metric.a, metric.dimension - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -567,9 +612,13 @@ def check_coefficient_assumptions(metric, config=None):
 
 
 def _u_probe(a, m):
-    """Transverse probe points: 9 on an interval, a 5^m lattice in the ball."""
+    """Transverse probe points, one per row: 9 on an interval, a 5^m lattice in the ball.
+
+    Each point keeps its component axis, so that a block of one abscissa
+    is not read as a row of points.
+    """
     if m == 1:
-        return np.linspace(-a, a, 9)
+        return np.linspace(-a, a, 9)[:, None]
     grids = np.meshgrid(*([np.linspace(-a, a, 5)] * m), indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=-1)
     return pts[np.linalg.norm(pts, axis=-1) <= a]

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -124,47 +125,52 @@ def _rectangle_spectrum(lx, ly, n_max):
     return ThresholdSet(tuple(out), ("analytic",) * n_max)
 
 
-def _bessel_zeros(order, count):
-    """First ``count`` positive zeros of J_order by scan + bracketed root.
+# scan steps per evaluation of J_order over an array
+_SCAN = 32
+
+
+def _bessel_zeros(order):
+    """The positive zeros of J_order, in increasing order, by scan + bracketed root.
 
     Scanning step pi/8 cannot skip a zero (consecutive zeros of J_m are
-    more than pi/2 apart); each bracket is polished to ~1e-13.
+    more than pi/2 apart); each bracket is polished to ~1e-13.  The scan
+    abscissae are accumulated one step at a time, and J_order is taken
+    on ``_SCAN`` steps of them at once.
     """
     from scipy.optimize import brentq
     from scipy.special import jv
 
-    zeros = []
     step = np.pi / 8.0
     x = max(order, 1e-3)
-    f_prev = jv(order, x)
-    while len(zeros) < count:
-        x_next = x + step
-        f_next = jv(order, x_next)
-        if f_prev == 0.0:
-            zeros.append(x)
-        elif f_prev * f_next < 0.0:
-            zeros.append(brentq(lambda t: jv(order, t), x, x_next, xtol=1e-13, rtol=1e-15))
-        x, f_prev = x_next, f_next
-    return zeros
+    while True:
+        xs = np.cumsum(np.r_[x, np.full(_SCAN, step)])
+        f = jv(order, xs)
+        for j in np.flatnonzero((f[:-1] == 0.0) | (f[:-1] * f[1:] < 0.0)):
+            if f[j] == 0.0:
+                yield float(xs[j])
+            else:
+                yield brentq(lambda t: jv(order, t), xs[j], xs[j + 1], xtol=1e-13, rtol=1e-15)
+        x = float(xs[-1])
 
 
 def _disc_spectrum(radius, n_max):
-    # nu = (j_{m,k}/R)^2, multiplicity 2 for m >= 1 (sin/cos branches)
-    values = []
-    m = 0
+    # nu = (j_{m,k}/R)^2, multiplicity 2 for m >= 1 (sin/cos branches).
+    # Order m >= 1 is scanned only up to its first value past the current
+    # n_max-th one: no larger value can enter the n_max lowest
+    values = [(z / radius) ** 2 for z in islice(_bessel_zeros(0), n_max)]
+    m = 1
     while True:
-        zeros = _bessel_zeros(m, n_max)
-        first = (zeros[0] / radius) ** 2
-        vals = [(z / radius) ** 2 for z in zeros]
-        mult = 1 if m == 0 else 2
-        for v in vals:
-            values.extend([v] * mult)
-        values.sort()
-        values = values[: max(n_max, 1)]
-        if len(values) >= n_max and first > values[n_max - 1]:
+        cap = values[n_max - 1]
+        vals = []
+        for z in islice(_bessel_zeros(m), n_max):
+            vals.append((z / radius) ** 2)
+            if vals[-1] > cap:
+                break
+        if vals[0] > cap:
             break
+        values = sorted(values + [v for v in vals for _ in range(2)])[:n_max]
         m += 1
-    return ThresholdSet(tuple(values[:n_max]), ("analytic",) * n_max)
+    return ThresholdSet(tuple(values), ("analytic",) * n_max)
 
 
 def cross_section_spectrum(omega, n_max):

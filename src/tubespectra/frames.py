@@ -8,11 +8,14 @@ matrix, y_{n+1} = P_n y_n, fixed by G at its stage points, so every P_n is
 built at once.  Each frame block is replaced by its nearest rotation (SVD
 polar factor, determinant +1) and the states are running products of the
 P_n: the same as projecting the state after every step, since
-polar(P F) = polar(P) F for orthogonal F.  An interval whose frame block
-has max|P P^T - I| > 1e-3 (a gross-stiffness guard, not an accuracy
-control) is redone with doubled substeps up to three times; then
-IntegrationError names the first such s marching out from 0, the forward
-side first.  Initial data are pinned at arclength 0: standard basis
+polar(P F) = polar(P) F for orthogonal F.  Where G is exactly zero at
+every stage of an interval, as on the straight ends of a curve whose
+curvatures vanish there, P = I exactly: that interval takes no RK4
+product, and a frame block that is exactly I no SVD.  An interval whose
+frame block has max|P P^T - I| > 1e-3 (a gross-stiffness guard, not an
+accuracy control) is redone with doubled substeps up to three times;
+then IntegrationError names the first such s marching out from 0, the
+forward side first.  Initial data are pinned at arclength 0: standard basis
 frame, identity rotation, curve through the origin.
 """
 
@@ -47,11 +50,24 @@ def _rk4_propagators(generator, s0, s1, substeps):
 
     Each interval [s0, s1] takes ``substeps`` RK4 steps, whose one-step
     propagators are multiplied in order.  G is evaluated in one call, on
-    every stage abscissa of every step.
+    every stage abscissa of every step.  An interval where G is exactly
+    zero at every stage has P = I exactly, and takes no step.
     """
     h = (s1 - s0) / substeps
     starts = s0 + np.arange(substeps)[:, None] * h
     g = generator(np.stack([starts, starts + 0.5 * h, starts + h]))
+    moving = np.any(g != 0.0, axis=(0, 1, 3, 4))
+    prop = np.broadcast_to(np.eye(g.shape[-1]), (s1.size,) + g.shape[-2:]).copy()
+    prop[moving] = _rk4_steps(g[:, :, moving], h[moving])
+    return prop
+
+
+def _rk4_steps(g, h):
+    """The product over the steps of each interval's one-step RK4 propagators.
+
+    ``g[j, n]`` is G at stage j (start, midpoint, end) of step n of each
+    interval, and ``h`` each interval's step.
+    """
     eye = np.eye(g.shape[-1])
     h = h[:, None, None]
     prop = eye
@@ -69,6 +85,18 @@ def _orthogonality_defects(m):
     return np.max(np.abs(m @ np.swapaxes(m, -1, -2) - eye), axis=(-2, -1))
 
 
+def _polar_factors(prop, block):
+    """Replace each frame block, prop's leading ``block`` x ``block``, by its nearest rotation.
+
+    The SVD polar factor, determinant +1.  A block that is exactly I is
+    its own, and takes no SVD.
+    """
+    turning = np.flatnonzero(np.any(prop[:, :block, :block] != np.eye(block), axis=(1, 2)))
+    u, _, vt = np.linalg.svd(prop[turning, :block, :block])
+    u[np.linalg.det(u @ vt) < 0, :, -1] *= -1.0
+    prop[turning, :block, :block] = u @ vt
+
+
 def _cumulative_product(p):
     """out[n] = p[n] @ ... @ p[0], by log2(n) stacked products."""
     out = p.copy()
@@ -84,6 +112,11 @@ def _integrate_bidirectional(profile, generator, s_grid, block):
 
     The leading ``block`` x ``block`` of each interval's propagator is the
     frame block that the drift guard reads and the polar factor replaces.
+    An interval where G is exactly zero takes no RK4 step
+    (:func:`_rk4_propagators`), and a frame block that is exactly I
+    takes no SVD (:func:`_polar_factors`): the rotation of a curve that
+    is exactly straight beyond its bend steps only the intervals that
+    meet the bend.
     """
     s_grid = np.asarray(s_grid, dtype=float)
     lo, hi = profile.s_range
@@ -113,10 +146,7 @@ def _integrate_bidirectional(profile, generator, s_grid, block):
         raise IntegrationError(f"orthogonality drift above {_DRIFT_TOL:g} near s={s:g} "
                                f"after {_MAX_RETRIES} substep doublings", s=s)
 
-    u, _, vt = np.linalg.svd(prop[:, :block, :block])
-    u[np.linalg.det(u @ vt) < 0, :, -1] *= -1.0
-    prop[:, :block, :block] = u @ vt
-
+    _polar_factors(prop, block)
     result = np.empty((s_grid.size,) + prop.shape[1:])
     result[np.abs(s_grid) <= 1e-14] = np.eye(prop.shape[-1])
     result[fwd] = _cumulative_product(prop[:fwd.size])

@@ -33,9 +33,13 @@ block of abscissae as a row and the transverse probe down the columns.
 The closed-form metrics compute each intermediate (curvature column,
 sub-block, rotation, Jacobi basis) once per jet and keep fields that
 depend on s alone in the shape of s, so they are evaluated once per
-s-value.  A tube's metric also bounds, from those intermediates alone,
-the per-node fields the Hamiltonian reads (``_field_bounds``), so that
-assembly certifies the straight slices without a jet.  The integrated
+s-value.  A tube's metric and a strip of constant K also flag, from
+those intermediates, the abscissae where every curvature input of the
+jet is exactly 0.0 (``_straight``), so that the gate takes the jet on
+the curved abscissae and one straight representative only.  A tube's
+metric also bounds, from those intermediates alone, the per-node fields
+the Hamiltonian reads (``_field_bounds``), so that assembly certifies
+the straight slices without a jet.  The integrated
 strip keeps no sweep: a jet sweeps once per finite-difference offset its
 fields reach, row-major in (u-node, s), and reads h and h_u off it in
 one Hermite pass.
@@ -126,6 +130,20 @@ class TubeMetric:
         """
         return None
 
+    def _straight(self, s):
+        """``(straight, jet)`` at the abscissae s, or None.
+
+        ``straight`` flags each s where every curvature input the jet
+        reads is exactly 0.0, so that the jet there is one function of u,
+        the same at each of them.  ``jet(keep, u, fields)`` is
+        ``self.jet(s[..., keep], u, fields)`` bit for bit, ``keep``
+        indexing s's last axis (flags or a slice), from the inputs the
+        flags were formed from.  Forming the flags raises what a jet at s
+        raises before its first field.  None: a metric with no such test
+        is evaluated at every abscissa.
+        """
+        return None
+
     @property
     def bounds(self):
         """Cached ellipticity bounds (c-, c+)."""
@@ -171,25 +189,37 @@ class EuclideanTubeMetric(TubeMetric):
             self._rot = CubicSpline(s_grid, mats, axis=0)
             self._rot_range = (float(s_grid[0]), float(s_grid[-1]))
 
-    def _rotation(self, s):
+    def _in_rotation_range(self, s):
+        """s, refused when it leaves the rotation samples."""
         s = np.asarray(s, dtype=float)
         lo, hi = self._rot_range
         if s.size and (s.min() < lo - 1e-12 or s.max() > hi + 1e-12):
             raise InputError("evaluation outside the rotation sample range")
-        return self._rot(np.clip(s, lo, hi))
+        return s
 
-    def _coefficient_columns(self, s):
+    def _rotation(self, s):
+        return self._rot(np.clip(self._in_rotation_range(s), *self._rot_range))
+
+    def _columns(self, s):
+        """(k, K) at s: the first column's and the sub-block's s-derivatives, each taken when read.
+
+        K is None in d = 2, where the sub-block vanishes.
+        """
+        p = self.profile
+        k = cache(lambda order: p.first_column(s, order))
+        return k, None if self._rot is None else cache(lambda order: p.sub_block(s, order))
+
+    def _coefficient_columns(self, s, columns=None):
         """(k, c, R) at s: the first column's and each h-coefficient vector's s-derivatives, cached, and the rotation.
 
         ``c(order)`` is the coefficient vector of u in d^order h/ds^order
         before the rotation; in d = 2, where the sub-block vanishes and
-        the rotation is 1, it is ``k(order)`` and R is None.
+        the rotation is 1, it is ``k(order)`` and R is None.  ``columns``
+        are :meth:`_columns` at s, if they are already formed.
         """
-        p = self.profile
-        k = cache(lambda order: p.first_column(s, order))
-        if self._rot is None:
+        k, K = columns or self._columns(s)
+        if K is None:
             return k, k, None
-        K = cache(lambda order: p.sub_block(s, order))
         return k, (lambda order: _h_coefficients(order, k, K)), self._rotation(s)
 
     def jet(self, s, u, fields=JET_FIELDS):
@@ -202,9 +232,36 @@ class EuclideanTubeMetric(TubeMetric):
         the transverse combinations to curvature scalars, exactly: they
         keep the shape of s.
         """
+        return self._jet(s, u, fields)
+
+    def _straight(self, s):
+        """Straight where k^(0..3) and, in d >= 3, K^(0..2) are exactly 0: R c = 0 for any R.
+
+        They are read in the jet's order, after the rotation range, so
+        that the first error is the jet's; the rotation itself is taken
+        only where the jet is.
+        """
+        s = np.asarray(s, dtype=float)
+        k, K = self._columns(s)
+        if K is not None:
+            self._in_rotation_range(s)
+        straight = np.ones(s.shape, dtype=bool)
+        for f, order in ((k, 0), (k, 1), (K, 0), (k, 2), (K, 1), (k, 3), (K, 2)):
+            if f is not None:
+                v = f(order)
+                straight &= np.all(v == 0.0, axis=tuple(range(s.ndim, v.ndim)))
+
+        def jet(keep, u, fields=JET_FIELDS):
+            return self._jet(s[..., keep], u, fields, (
+                cache(lambda order: k(order)[..., keep, :]),
+                None if K is None else cache(lambda order: K(order)[..., keep, :, :])))
+
+        return straight, jet
+
+    def _jet(self, s, u, fields, columns=None):
         s = np.asarray(s, dtype=float)
         u = self._split_u(u)
-        k, c, rotation = self._coefficient_columns(s)
+        k, c, rotation = self._coefficient_columns(s, columns)
 
         def along(order):
             return _contract(c(order) if rotation is None else _mv(rotation, c(order)), u)
@@ -512,8 +569,8 @@ class ConstantCurvatureStripMetric(TubeMetric):
                 return np.arctanh(np.minimum(w / k, 1.0)) / w
             return 1.0 / k
 
-    def _terms(self, s, u):
-        """(s, kappa(s), C_K(u), S_K(u)); raises at a focal point inside the strip."""
+    def _curvatures(self, s):
+        """(kappa(s), kappa^(n) at s, cached); raises at a focal point inside the strip."""
         s = np.asarray(s, dtype=float)
         k = self.kappa(s)
         d = self._focal_distance(np.abs(k))
@@ -525,8 +582,7 @@ class ConstantCurvatureStripMetric(TubeMetric):
                 f"focal point inside the strip: h = 0 at (s={s_f:g}, u={u_f:g})",
                 where=(s_f, u_f),
             )
-        C, S = _jacobi_basis(self.K, self._split_u(u)[..., 0])
-        return s, k, C, S
+        return k, cache(lambda order: self.kappa(s, order))
 
     def jet(self, s, u, fields=JET_FIELDS):
         """The requested fields from one focal check and one kappa^(n) per order n.
@@ -534,8 +590,26 @@ class ConstantCurvatureStripMetric(TubeMetric):
         ``dh`` = (C_K - 1) - kappa S_K is exact before rounding for K = 0,
         where C_K = 1; for K != 0, h - 1 tends to C_K - 1, not to 0.
         """
-        s, k, C, S = self._terms(s, u)
-        kappa = cache(lambda order: self.kappa(s, order))
+        return self._jet(*self._curvatures(s), u, fields)
+
+    def _straight(self, s):
+        """Straight where kappa^(0..3) are exactly 0: there h = C_K(u), whatever the s.
+
+        The focal check and the kappa^(n) come in the jet's order, so
+        that the first error is the jet's.
+        """
+        k, kappa = self._curvatures(s)
+        straight = k == 0.0
+        for order in (1, 2, 3):
+            straight &= kappa(order) == 0.0
+
+        def jet(keep, u, fields=JET_FIELDS):
+            return self._jet(k[..., keep], cache(lambda order: kappa(order)[..., keep]), u, fields)
+
+        return straight, jet
+
+    def _jet(self, k, kappa, u, fields):
+        C, S = _jacobi_basis(self.K, self._split_u(u)[..., 0])
         out = {}
         if "h" in fields or "lap_u" in fields:
             h = C - k * S

@@ -111,38 +111,56 @@ def test_short_table_decay_is_inconclusive_not_fail():
     assert report.overall == "inconclusive"
 
 
+def _curved(profile, s):
+    """Where any curvature input of a tube's jet is nonzero: kappa_1^(0..3), kappa_i^(0..2) for i >= 2."""
+    return np.any([profile.kappa(i, s, k) != 0.0
+                   for i in range(1, profile.dimension) for k in range(4 if i == 1 else 3)],
+                  axis=0)
+
+
+def _taken(curved):
+    """The abscissae a gate's jets take: the curved ones and the first straight one."""
+    taken = curved.copy()
+    if not curved.all():
+        taken[np.argmax(~curved)] = True
+    return taken
+
+
 def test_each_gate_quantity_is_evaluated_once(bump_metric, monkeypatch):
     # the coefficient and metric checks read every quantity off one metric
-    # jet per block of abscissae, each abscissa in exactly one block, and
-    # the coefficient check reads the metric check's before dropping it;
-    # the curvature check evaluates each kappa_i^(k) once
+    # jet per block of abscissae, taken on its curved abscissae and, once,
+    # on the first straight one, each abscissa in at most one jet; the
+    # coefficient check reads the metric check's before dropping it; the
+    # curvature check evaluates each kappa_i^(k) once
     from collections import Counter
 
     from tubespectra import metric as metric_module
     from tubespectra.assumptions import _gate_sample, sample_abscissae
 
     jets, kappas = [], Counter()
-    jet = metric_module.EuclideanTubeMetric.jet
+    jet = metric_module.EuclideanTubeMetric._jet
     kappa = CurvatureProfile.kappa
 
-    def counted_jet(self, s, u, *fields):
+    def counted_jet(self, s, *args):
         jets.append(np.ravel(s))
-        return jet(self, s, u, *fields)
+        return jet(self, s, *args)
 
     def counted_kappa(self, i, s, order=0):
         kappas[i, order] += 1
         return kappa(self, i, s, order)
 
-    monkeypatch.setattr(metric_module.EuclideanTubeMetric, "jet", counted_jet)
+    abscissae = sample_abscissae(bump_metric.s_range)
+    taken = _taken(_curved(bump_metric.profile, abscissae))
+    assert 2048 < taken.sum() < 3000 < abscissae.size
+    monkeypatch.setattr(metric_module.EuclideanTubeMetric, "_jet", counted_jet)
     monkeypatch.setattr(CurvatureProfile, "kappa", counted_kappa)
 
-    abscissae = sample_abscissae(bump_metric.s_range)
     _gate_sample.cache_clear()
     for check, sampled in ((check_metric_hypotheses, 1), (check_coefficient_assumptions, 1),
                            (check_coefficient_assumptions, 2)):
         check(bump_metric)
-        assert len(jets) > 1 and np.array_equal(np.concatenate(jets),
-                                                np.tile(abscissae, sampled))
+        assert len(jets) == 2 * sampled and np.array_equal(np.concatenate(jets),
+                                                           np.tile(abscissae[taken], sampled))
 
     kappas.clear()
     check_curvature_decay(CurvatureProfile(
@@ -152,17 +170,36 @@ def test_each_gate_quantity_is_evaluated_once(bump_metric, monkeypatch):
 
 
 class _CountedJets:
-    """A metric whose jet calls are counted; everything else is the wrapped metric's."""
+    """A metric whose jets are counted, with the abscissae each takes; all else is the wrapped metric's."""
 
     def __init__(self, metric):
-        self.metric, self.jets = metric, 0
+        self.metric, self.jets = metric, []
 
     def __getattr__(self, name):
         return getattr(self.metric, name)
 
     def jet(self, s, u, *fields):
-        self.jets += 1
+        self.jets.append(np.ravel(s))
         return self.metric.jet(s, u, *fields)
+
+    def _straight(self, s):
+        split = self.metric._straight(s)
+        if split is None:
+            return None
+        straight, jet = split
+
+        def counted(keep, u, *fields):
+            self.jets.append(np.ravel(s[..., keep]))
+            return jet(keep, u, *fields)
+
+        return straight, counted
+
+
+class _FullSampling(_CountedJets):
+    """The wrapped metric, sampled at every abscissa."""
+
+    def _straight(self, s):
+        return None
 
 
 STRIP = """
@@ -186,9 +223,11 @@ curvature = {K}
 
 @pytest.mark.parametrize("K", ["0.0", "0.1"])
 def test_a_strip_gate_takes_one_jet_per_block(K):
-    # the metric and coefficient checks share the full jet of each block;
-    # K = 0.1 fails the gate by design, with the same sampling
-    from tubespectra.assumptions import _probe_blocks, _u_probe, sample_abscissae
+    # the metric and coefficient checks share the full jet of each block
+    # that holds a curved abscissa or the first straight one, taken there
+    # alone: 2 of the 3 blocks; K = 0.1 fails the gate by design, with the
+    # same sampling
+    from tubespectra.assumptions import sample_abscissae
     from tubespectra.cli import assumption_gate, build_metric
     from tubespectra.config import load_config_text
 
@@ -196,14 +235,173 @@ def test_a_strip_gate_takes_one_jet_per_block(K):
     profile, omega = cfg.profile(), cfg.cross_section()
     metric = _CountedJets(build_metric(cfg, profile, omega))
     reports = assumption_gate(cfg, profile, omega, metric)
-    blocks = _probe_blocks(sample_abscissae(metric.s_range), _u_probe(metric.a, 1))
-    assert metric.jets == len(list(blocks)) == 3
+    s = sample_abscissae(metric.s_range)
+    taken = s[_taken(_curved(profile, s))]
+    assert len(metric.jets) == 2 and np.array_equal(np.concatenate(metric.jets), taken)
+    assert np.abs(taken).max() < 30.0 < s.max()
     assert list(reports) == ["basic", "metric-decay", "coefficients"]
-    # each report is the one its check gives alone, on a fresh sampling
+    # each report is the one its check gives alone, on a fresh sampling,
+    # and the one full sampling gives
     for name, check in (("metric-decay", check_metric_hypotheses),
                         ("coefficients", check_coefficient_assumptions)):
-        alone = _CountedJets(metric.metric)
-        assert check(alone).render() == reports[name].render() and alone.jets == 3
+        alone, full = _CountedJets(metric.metric), _FullSampling(metric.metric)
+        assert check(alone).render() == reports[name].render() and len(alone.jets) == 2
+        assert check(full).render() == reports[name].render() and len(full.jets) == 3
+
+
+TUBE = """
+[problem]
+kind = euclidean-tube
+dimension = {d}
+
+[curvature]
+{kappa1}
+
+[curvature2]
+{kappa2}
+
+[cross_section]
+{cross_section}
+"""
+BUMP, BUMP2 = "family = gaussian-bump\nkappa0 = 0.5\nsigma = 1.0", "family = gaussian-bump\nkappa0 = 0.3\nsigma = 1.0"
+INTERVAL, SQUARE = "shape = interval\nhalf_width = 1.0", "shape = rectangle\nside_x = 1.0\nside_y = 1.0"
+GATE_PROBLEMS = {
+    "d2-gaussian": TUBE.format(d=2, kappa1=BUMP, kappa2="", cross_section=INTERVAL),
+    "rect-tube": TUBE.format(d=3, kappa1=BUMP, kappa2=BUMP2, cross_section=SQUARE),
+    "disc": TUBE.format(d=3, kappa1=BUMP, kappa2=BUMP2, cross_section="shape = disc\nradius = 1.0"),
+    "flat-strip": STRIP.format(K="0.0"),
+    "curved-strip": STRIP.format(K="0.1"),
+    "table": TUBE.format(d=2, kappa1="family = table\nfile = kappa.txt", kappa2="",
+                         cross_section=INTERVAL),
+    "planar-d3": TUBE.format(d=3, kappa1=BUMP, kappa2="family = constant\nvalue = 0.0",
+                             cross_section=SQUARE),
+}
+
+
+def _twice_vanishing(a=0.5):
+    """a s^2 exp(-s^2): at s = 0 it and its first derivative are 0, its second is not."""
+    from tubespectra.profiles import ScalarFunction
+
+    def along(poly):
+        return lambda s: a * np.polynomial.polynomial.polyval(s, poly) * np.exp(-s * s)
+
+    return ScalarFunction([along(p) for p in ((0, 0, 1), (0, 2, 0, -2), (2, 0, -10, 0, 4),
+                                             (0, -24, 0, 36, 0, -8))], sup_abs=a)
+
+
+def _nan_beyond(r):
+    """A curvature that is 0 up to |s| = r and nan beyond, in every derivative."""
+    from tubespectra.profiles import ScalarFunction
+
+    return ScalarFunction([lambda s: np.where(np.abs(s) > r, np.nan, 0.0)] * 3, sup_abs=0.0)
+
+
+# metrics built in code: a curvature exactly 0 at s = 0 whose second
+# derivative is not, and a second curvature that is nan where the first is 0
+CODE_PROBLEMS = {
+    "twice-vanishing-tube": lambda: metric_from_profile(d2_profile(_twice_vanishing()), 1.0),
+    "twice-vanishing-strip": lambda: metric_from_jacobi(
+        SurfaceData(0.0, _twice_vanishing(), 1.0, (-1e4, 1e4))),
+    "nan-torsion": lambda: _nan_torsion_tube(),
+}
+
+
+def _nan_torsion_tube():
+    from tubespectra import RotationField, metric_from_frames
+
+    profile = CurvatureProfile([gaussian_bump(0.5), _nan_beyond(50.0)], (-1e4, 1e4))
+    s = np.linspace(-1e4, 1e4, 5)
+    return metric_from_frames(profile, RotationField(s, np.tile(np.eye(2), (5, 1, 1))), 0.5)
+
+
+def _gate_metric(text, tmp_path):
+    """The metric a gate samples, and its profile, from a problem file's text or a builder."""
+    from tubespectra.cli import build_metric
+    from tubespectra.config import load_config
+
+    if callable(text):
+        metric = text()
+        profile = getattr(metric, "profile", None) or d2_profile(metric.kappa)
+        return metric, profile
+    s = np.arange(-160, 161) * 0.25
+    np.savetxt(tmp_path / "kappa.txt", np.stack([s, 0.5 * np.exp(-s * s)], axis=1))
+    path = tmp_path / "problem.ini"
+    path.write_text(text.replace("[curvature2]\n\n", ""))
+    cfg = load_config(str(path))
+    profile = cfg.profile()
+    return build_metric(cfg, profile, cfg.cross_section()), profile
+
+
+@pytest.mark.parametrize("problem", list(GATE_PROBLEMS) + list(CODE_PROBLEMS))
+def test_the_gate_sups_equal_full_sampling_bit_for_bit(problem, tmp_path):
+    # a straight abscissa takes the representative's sups: they are the
+    # ones its own jet gives, to the last bit
+    from tubespectra.assumptions import _gate_sample
+
+    metric, profile = _gate_metric((GATE_PROBLEMS | CODE_PROBLEMS)[problem], tmp_path)
+    skipping, full = _CountedJets(metric), _FullSampling(metric)
+    samples = [_gate_sample(m, CheckerConfig()) for m in (skipping, full)]
+    _gate_sample.cache_clear()
+    (s, ladder, sups), (s_full, ladder_full, sups_full) = samples
+    assert np.array_equal(s, s_full) and ladder == ladder_full and sups.keys() == sups_full.keys()
+    for name, values in sups.items():
+        assert values.tobytes() == sups_full[name].tobytes(), name
+    assert np.array_equal(np.concatenate(full.jets), s)
+    taken = np.concatenate(skipping.jets)
+    assert np.array_equal(taken, s[_taken(_curved(profile, s))])
+    # each skips most of the tails but the table, whose spline is exactly 0
+    # only at its ends, and the nan second curvature, which is never 0
+    # where the first is
+    if problem == "table":
+        assert 0 < s.size - taken.size < 3
+    elif problem == "nan-torsion":
+        assert np.abs(s[~_curved(profile, s)]).max() < 50.0
+    else:
+        assert taken.size < s.size / 2
+    if problem.startswith("twice-vanishing"):
+        assert 0.0 in taken
+
+
+def _focal_strip():
+    # K = 1 with a = 1: kappa >= cot(1) puts a focal point inside the strip
+    return metric_from_jacobi(SurfaceData(1.0, gaussian_bump(0.9), 1.0, (-1e4, 1e4)))
+
+
+def _short_rotation_tube():
+    # the rotation samples cover |s| <= 50 of the s_range's 1e4
+    from tubespectra import integrate_tang_rotation, metric_from_frames
+
+    profile = CurvatureProfile([gaussian_bump(0.5), gaussian_bump(0.3)], (-1e4, 1e4))
+    return metric_from_frames(profile, integrate_tang_rotation(
+        profile, np.linspace(-50.0, 50.0, 201)), 0.5)
+
+
+@pytest.mark.parametrize("metric,error", [(_focal_strip, EllipticityError),
+                                          (_short_rotation_tube, InputError)],
+                         ids=["focal-point", "rotation-range"])
+def test_the_gate_raises_what_full_sampling_raises(metric, error):
+    from tubespectra.assumptions import _gate_sample
+
+    metric = metric()
+    raised = []
+    for sampled in (_CountedJets(metric), _FullSampling(metric)):
+        with pytest.raises(error) as caught:
+            _gate_sample(sampled, CheckerConfig())
+        raised.append(str(caught.value))
+    _gate_sample.cache_clear()
+    assert raised[0] == raised[1]
+    assert raised[0].startswith(("focal point inside the strip: h = 0 at (s=0,",
+                                 "evaluation outside the rotation sample range"))
+
+
+def test_a_power_tail_gate_skips_nothing():
+    # kappa ~ |s|^-2.5 is nowhere exactly 0: every abscissa takes its own jet
+    from tubespectra.assumptions import _gate_sample, sample_abscissae
+
+    metric = _CountedJets(metric_from_profile(d2_profile(power_tail(0.5, 1.0, 2.5)), 1.0))
+    _gate_sample(metric, CheckerConfig())
+    _gate_sample.cache_clear()
+    assert np.array_equal(np.concatenate(metric.jets), sample_abscissae(metric.s_range))
 
 
 def test_free_coefficient_field_is_refused():

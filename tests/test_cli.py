@@ -880,3 +880,70 @@ def test_d3_metric_resolves_the_rotation_across_the_curvature_bump():
     u = np.full((2, 2), 0.5)
     assert np.allclose(jet_field(metric, "h", s, u), jet_field(fine, "h", s, u),
                        rtol=0.0, atol=1e-6)
+
+
+def _benchmark_workloads(monkeypatch):
+    """perfbench/workloads.py, the benchmark's problem files, loaded from its path."""
+    import importlib.util
+    import sys
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("benchmark_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_a_screen_check_skips_the_exactly_straight_abscissae_and_intervals(tmp_path, monkeypatch):
+    # the screen workload's rect-tube check: the gate's jets take the curved
+    # abscissae and one straight one, and the Tang rotation steps only the
+    # intervals where its generator is nonzero at some stage
+    from tubespectra import frames, metric
+    from tubespectra.assumptions import sample_abscissae
+    from tubespectra.cli import run_check
+    from tubespectra.profiles import CurvatureProfile
+
+    screen = _benchmark_workloads(monkeypatch).build("screen", 0)
+    ini = next(call.ini for call in screen.calls if call.label == "rectangle-d3")
+    cfg = load_config_text(ini)
+    seen, rotations, stepping = [], [], []
+    jet, propagate, steps = metric.EuclideanTubeMetric._jet, frames._rk4_propagators, frames._rk4_steps
+
+    def counted_jet(self, s, *args):
+        seen.append(np.size(s))
+        return jet(self, s, *args)
+
+    def recorded(generator, s0, s1, substeps):
+        # per call of the rotation: its intervals with a nonzero stage, its
+        # intervals, then the intervals it steps
+        stepping.clear()
+        if getattr(generator, "__func__", None) is CurvatureProfile.sub_block:
+            h = (s1 - s0) / substeps
+            starts = s0 + np.arange(substeps)[:, None] * h
+            g = generator(np.stack([starts, starts + 0.5 * h, starts + h]))
+            rotations.append([int(np.any(g != 0.0, axis=(0, 1, 3, 4)).sum()), s1.size])
+            stepping.append(rotations[-1])
+        return propagate(generator, s0, s1, substeps)
+
+    def counted_steps(g, h):
+        for record in stepping:
+            record.append(g.shape[2])
+        return steps(g, h)
+
+    monkeypatch.setattr(metric.EuclideanTubeMetric, "_jet", counted_jet)
+    monkeypatch.setattr(frames, "_rk4_propagators", recorded)
+    monkeypatch.setattr(frames, "_rk4_steps", counted_steps)
+    _, code = run_check(cfg, str(tmp_path))
+    assert code == 0
+
+    profile = cfg.profile()
+    s = sample_abscissae(profile.s_range)
+    curved = np.any([profile.kappa(i, s, k) != 0.0 for i, top in ((1, 4), (2, 3))
+                     for k in range(top)], axis=0)
+    assert 0 < sum(seen) <= curved.sum() + 1 < s.size / 2
+    # the metric's 2049-node rotation, its two retried intervals three
+    # times, then the overlap window's, which the bend fills
+    assert [(moving, total) for moving, total, _ in rotations] == [
+        (6, 2048), (2, 2), (2, 2), (2, 2), (rotations[-1][1],) * 2]
+    assert all(stepped == moving for moving, _, stepped in rotations)

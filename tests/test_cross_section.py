@@ -44,6 +44,44 @@ def test_disc_spectrum_against_scipy_bessel_zeros():
     assert np.allclose(th.nu, ref, rtol=1e-12)
 
 
+def _exhaustive_disc_thresholds(radius, n_max):
+    """The n_max lowest (j_{m,k}/R)^2 from n_max zeros of each order, one scan step at a time.
+
+    Orders are taken until one's first value lies past the n_max-th.
+    """
+    from scipy.optimize import brentq
+    from scipy.special import jv
+
+    def zeros(m):
+        out, step, x = [], np.pi / 8.0, max(m, 1e-3)
+        f = jv(m, x)
+        while len(out) < n_max:
+            x_next = x + step
+            f_next = jv(m, x_next)
+            if f == 0.0:
+                out.append(x)
+            elif f * f_next < 0.0:
+                out.append(brentq(lambda t: jv(m, t), x, x_next, xtol=1e-13, rtol=1e-15))
+            x, f = x_next, f_next
+        return out
+
+    values, m = [], 0
+    while True:
+        vals = [(z / radius) ** 2 for z in zeros(m)]
+        if len(values) >= n_max and vals[0] > sorted(values)[n_max - 1]:
+            return tuple(sorted(values)[:n_max])
+        values += vals * (1 if m == 0 else 2)
+        m += 1
+
+
+@pytest.mark.parametrize("n_max", [8, 30])
+@pytest.mark.parametrize("radius", [1.0, 0.37])
+def test_disc_thresholds_equal_the_exhaustive_per_order_zeros(radius, n_max):
+    # each order is scanned only up to its first value past the n_max-th
+    th = cross_section_spectrum(CrossSection.disc(radius), n_max)
+    assert th.nu == _exhaustive_disc_thresholds(radius, n_max)
+
+
 def test_scaling_law_for_thresholds():
     for factor in (0.5, 2.0, 3.0):
         th1 = cross_section_spectrum(CrossSection.interval(1.0), 5)

@@ -268,6 +268,64 @@ def test_metric_rotation_grid_retries_exactly_the_two_bump_intervals(monkeypatch
     assert batched.value.s == sequential.value.s == edge
 
 
+def _every_interval_propagators(generator, s0, s1, substeps):
+    """RK4 propagators with every interval stepped, a zero generator too."""
+    h = (s1 - s0) / substeps
+    starts = s0 + np.arange(substeps)[:, None] * h
+    return frames_module._rk4_steps(generator(np.stack([starts, starts + 0.5 * h, starts + h])), h)
+
+
+def _every_block_polar(prop, block):
+    """The polar factor by SVD of every frame block, the identity too."""
+    u, _, vt = np.linalg.svd(prop[:, :block, :block])
+    u[np.linalg.det(u @ vt) < 0, :, -1] *= -1.0
+    prop[:, :block, :block] = u @ vt
+
+
+def test_the_rotation_skips_exactly_the_identity_intervals(monkeypatch):
+    # on the 2049-node grid of cli.build_metric, rect-tube's curvatures are
+    # exactly 0 on all but 6 of the 2048 intervals: those take no RK4 step
+    # and no SVD, and the rotation is the one that steps them all, bit for bit
+    prof = CurvatureProfile([gaussian_bump(0.5), gaussian_bump(0.3)], (-1e4, 1e4))
+    s = np.linspace(-1e4, 1e4, 2049)
+    stepped, steps = [], frames_module._rk4_steps
+
+    def counted(g, h):
+        stepped.append(g.shape[2])
+        return steps(g, h)
+
+    monkeypatch.setattr(frames_module, "_rk4_steps", counted)
+    rot = integrate_tang_rotation(prof, s).matrices
+    assert stepped == [6, 2, 2, 2]     # and the two bump intervals' retries
+    # the Frenet march steps every interval, as it carries the point row;
+    # the rotation on a fine grid steps the 220 intervals inside |s| < 27.5
+    fine = np.linspace(-40.0, 40.0, 321)
+    frame_field = build_frame_field(prof, fine)
+    assert stepped[4:] == [320, 220]
+    monkeypatch.setattr(frames_module, "_rk4_propagators", _every_interval_propagators)
+    monkeypatch.setattr(frames_module, "_polar_factors", _every_block_polar)
+    assert rot.tobytes() == integrate_tang_rotation(prof, s).matrices.tobytes()
+    reference = build_frame_field(prof, fine)
+    for name in ("frames", "points", "rotations"):
+        assert getattr(frame_field, name).tobytes() == getattr(reference, name).tobytes()
+
+
+def test_an_interval_whose_generator_is_zero_at_its_ends_alone_still_steps(monkeypatch):
+    # a second curvature bump of width 0.05 at s = 6 is exactly 0 at the
+    # nodes 4 and 8 but not at their midpoint, a stage of the interval
+    from tubespectra.profiles import ScalarFunction
+
+    bump = ScalarFunction([lambda s: 0.01 * np.exp(-((s - 6.0) / 0.05) ** 2)] * 3)
+    prof = CurvatureProfile([constant_function(0.0), bump], (-10.0, 10.0))
+    s = np.linspace(-8.0, 8.0, 5)
+    assert bump(s).tolist() == [0.0] * 5 and bump(6.0) > 0.0
+    rot = integrate_tang_rotation(prof, s).matrices
+    assert not np.array_equal(rot[-1], np.eye(2))
+    monkeypatch.setattr(frames_module, "_rk4_propagators", _every_interval_propagators)
+    monkeypatch.setattr(frames_module, "_polar_factors", _every_block_polar)
+    assert rot.tobytes() == integrate_tang_rotation(prof, s).matrices.tobytes()
+
+
 def test_straight_tube_embedding_gives_parallel_lines():
     prof = profile_d2(constant_function(0.0))
     s = np.linspace(-3, 3, 61)
