@@ -296,22 +296,22 @@ def _nan_beyond(r):
     return ScalarFunction([lambda s: np.where(np.abs(s) > r, np.nan, 0.0)] * 3, sup_abs=0.0)
 
 
-# metrics built in code: a curvature exactly 0 at s = 0 whose second
-# derivative is not, and a second curvature that is nan where the first is 0
-CODE_PROBLEMS = {
-    "twice-vanishing-tube": lambda: metric_from_profile(d2_profile(_twice_vanishing()), 1.0),
-    "twice-vanishing-strip": lambda: metric_from_jacobi(
-        SurfaceData(0.0, _twice_vanishing(), 1.0, (-1e4, 1e4))),
-    "nan-torsion": lambda: _nan_torsion_tube(),
-}
-
-
 def _nan_torsion_tube():
     from tubespectra import RotationField, metric_from_frames
 
     profile = CurvatureProfile([gaussian_bump(0.5), _nan_beyond(50.0)], (-1e4, 1e4))
     s = np.linspace(-1e4, 1e4, 5)
     return metric_from_frames(profile, RotationField(s, np.tile(np.eye(2), (5, 1, 1))), 0.5)
+
+
+# metrics built in code: a curvature exactly 0 at s = 0 whose second
+# derivative is not, and a second curvature that is nan where the first is 0
+CODE_PROBLEMS = {
+    "twice-vanishing-tube": lambda: metric_from_profile(d2_profile(_twice_vanishing()), 1.0),
+    "twice-vanishing-strip": lambda: metric_from_jacobi(
+        SurfaceData(0.0, _twice_vanishing(), 1.0, (-1e4, 1e4))),
+    "nan-torsion": _nan_torsion_tube,
+}
 
 
 def _gate_metric(text, tmp_path):
