@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -157,12 +156,12 @@ def _disc_spectrum(radius, n_max):
     # nu = (j_{m,k}/R)^2, multiplicity 2 for m >= 1 (sin/cos branches).
     # Order m >= 1 is scanned only up to its first value past the current
     # n_max-th one: no larger value can enter the n_max lowest
-    values = [(z / radius) ** 2 for z in islice(_bessel_zeros(0), n_max)]
+    values = [(z / radius) ** 2 for _, z in zip(range(n_max), _bessel_zeros(0))]
     m = 1
     while True:
         cap = values[n_max - 1]
         vals = []
-        for z in islice(_bessel_zeros(m), n_max):
+        for _, z in zip(range(n_max), _bessel_zeros(m)):
             vals.append((z / radius) ** 2)
             if vals[-1] > cap:
                 break
