@@ -293,41 +293,129 @@ def overlap_clearance(a):
     return 2.0 * a * 0.99
 
 
+# The overlap search's ball tree over the s-samples: each node of a level
+# holds _FAN consecutive nodes of the level below, up to a level of at
+# most _TOP nodes, whose pairs are all tested.  A ball test passes within
+# a relative _GROW of its bound, far above the few roundings it is off by.
+_FAN = 8
+_TOP = 64
+_GROW = 1.0 + 1e-9
+
+
+def _parent_level(c, r, lo, hi):
+    """The level above (c, r, lo, hi), and this level padded to whole parents.
+
+    A node is a ball, centre ``c[:, k]`` and radius ``r[k]``, holding
+    samples whose s lie in [lo[k], hi[k]].  Padding repeats the last ball
+    with an empty s-range, which no pair test passes.
+    """
+    m = -(-r.size // _FAN)
+    extra = m * _FAN - r.size
+    if extra:
+        c = np.concatenate([c, np.repeat(c[:, -1:], extra, axis=1)], axis=1)
+        r = np.concatenate([r, np.repeat(r[-1:], extra)])
+        lo = np.concatenate([lo, np.full(extra, np.inf)])
+        hi = np.concatenate([hi, np.full(extra, -np.inf)])
+    kids = c.reshape(c.shape[0], m, _FAN).transpose(0, 2, 1)
+    centre = kids.sum(axis=1) / _FAN
+    e = kids - centre[:, None, :]
+    e *= e
+    radius = (np.sqrt(e.sum(axis=0)) + r.reshape(m, _FAN).T).max(axis=0)
+    parent = (centre, radius, lo.reshape(m, _FAN).min(axis=1), hi.reshape(m, _FAN).max(axis=1))
+    return (c, r, lo, hi), parent
+
+
+def _child_pairs(a, b, fan, level, min_sep, clearance):
+    """The pairs of children of the node pairs (a, b) that may hold an offending pair.
+
+    Some s of the second exceeds some s of the first by more than
+    ``min_sep``, and their balls lie within ``clearance`` of each other.
+    """
+    c, r, lo, hi = level
+    kids = np.arange(fan)[:, None]
+    first = (a * fan + kids)[:, None, :]
+    second = (b * fan + kids)[None, :, :]
+    keep = hi[second] - lo[first] > min_sep
+    dist2 = 0.0
+    for cq in c:
+        t = cq[first] - cq[second]
+        dist2 = dist2 + t * t
+    bound = (r[first] + r[second] + clearance) * _GROW
+    keep &= dist2 <= bound * bound
+    return np.broadcast_to(first, keep.shape)[keep], np.broadcast_to(second, keep.shape)[keep]
+
+
+def _offending_pairs(x, s, min_sep, clearance):
+    """Every pair i < j with s_j - s_i > min_sep and squared distance <= clearance^2, in lexicographic order.
+
+    ``x[q, u, k]`` is coordinate q of point u of the sample at s[k],
+    point index k * n_u + u, and s ascends.  Each sample gets a ball about
+    its points' mean, and a ball tree groups consecutive samples
+    (:func:`_parent_level`).  Descending it from the pairs of its top
+    level keeps only the node pairs whose s-ranges are more than
+    ``min_sep`` apart somewhere and whose balls lie within ``clearance``;
+    the points of the sample pairs left are then tested, as
+    ((dx^2 + dy^2) + dz^2) <= clearance^2.
+    """
+    n_u = x.shape[1]
+    c = x.sum(axis=1) / n_u
+    e = x - c[:, None, :]
+    e *= e
+    level = (c, np.sqrt(e.sum(axis=0).max(axis=0)), s, s)
+    below = []
+    while level[1].size > _TOP:
+        padded, level = _parent_level(*level)
+        below.append(padded)
+    root = np.zeros(1, dtype=np.intp)
+    a, b = _child_pairs(root, root, level[1].size, level, min_sep, clearance)
+    for padded in reversed(below):
+        a, b = _child_pairs(a, b, _FAN, padded, min_sep, clearance)
+
+    dist2 = 0.0
+    for xq in x:
+        t = xq[:, None, a] - xq[None, :, b]
+        dist2 = dist2 + t * t
+    u, v, q = np.nonzero(dist2 <= clearance * clearance)
+    i, j = a[q] * n_u + u, b[q] * n_u + v
+    order = np.lexsort((j, i))
+    return np.stack([i[order], j[order]], axis=1)
+
+
 def check_self_overlap(cloud):
     """Detect tube self-overlap on a sampled point cloud.
 
     Two samples are offending when their arclength parameters differ by
     more than 4a while their images lie within ``overlap_clearance(a)`` of
     each other, a being the tube radius: within arc distance 4a the tube
-    is locally embedded whenever the basic curvature bound holds.
+    is locally embedded whenever the basic curvature bound holds.  Every
+    offending pair is found, exactly, by a ball-tree search over the
+    cloud's s-samples (:func:`_offending_pairs`), which needs the layout
+    :func:`tube_embedding` gives: s-major, one ascending s per sample.
+    The pairs come in lexicographic (i, j) order, i < j.
     """
-    from scipy.spatial import cKDTree
-
     a = cloud.radius
     if a <= 0:
         raise InputError("tube radius must be positive")
     min_arc_separation = 4.0 * a
     clearance = overlap_clearance(a)
 
-    pts = cloud.reshaped_points()
     if cloud.n_s < 2:
         raise ResolutionError("need at least two s samples to certify")
-    step = np.linalg.norm(np.diff(pts, axis=0), axis=-1)
-    if float(step.max()) >= clearance / 2.0:
+    s = cloud.s[::cloud.n_u]
+    if (cloud.s.reshape(cloud.n_s, cloud.n_u) != s[:, None]).any() or (np.diff(s) < 0).any():
+        raise InputError("the cloud must be s-major, with one ascending s per sample")
+    # x[q, u, k]: coordinate q of point u of sample k
+    x = np.ascontiguousarray(cloud.reshaped_points().transpose(2, 1, 0))
+    step = np.diff(x, axis=2)
+    step = float(np.sqrt((step * step).sum(axis=0).max()))
+    if step >= clearance / 2.0:
         raise ResolutionError(
-            f"cloud under-resolved: adjacent s-sample spacing {step.max():g} "
+            f"cloud under-resolved: adjacent s-sample spacing {step:g} "
             f"not below clearance/2 = {clearance / 2.0:g}; refuse to certify"
         )
 
-    tree = cKDTree(cloud.points)
-    pairs = tree.query_pairs(r=clearance, output_type="ndarray")
-    if pairs.size:
-        sep = np.abs(cloud.s[pairs[:, 0]] - cloud.s[pairs[:, 1]])
-        offending = sep > min_arc_separation
-        pairs, sep = pairs[offending], sep[offending]
-    else:
-        pairs = pairs.reshape(0, 2)
-        sep = np.empty(0)
+    pairs = _offending_pairs(x, s, min_arc_separation, clearance)
+    sep = np.abs(cloud.s[pairs[:, 0]] - cloud.s[pairs[:, 1]])
     return OverlapResult(
         overlap_free=pairs.shape[0] == 0,
         pairs=pairs,

@@ -56,7 +56,7 @@ import numpy as np
 from .assumptions import _probe_blocks, _u_probe, sample_abscissae
 from .errors import EllipticityError, InputError
 from .frames import RotationField
-from .profiles import CurvatureProfile, ScalarFunction
+from .profiles import CurvatureProfile, NotAKnotSpline, ScalarFunction
 
 __all__ = [
     "TubeMetric",
@@ -155,10 +155,11 @@ class TubeMetric:
 class EuclideanTubeMetric(TubeMetric):
     """Metric of a tube about a curve in R^d, from curvature data.
 
-    The rotation samples are interpolated entrywise with cubic splines in
-    s (exact for d=2, where the rotation is the scalar 1), while the
-    curvature vectors are evaluated analytically, so the closed-form
-    derivative identities hold to spline accuracy.
+    The rotation samples are interpolated entrywise by one not-a-knot
+    cubic spline in s (:class:`~tubespectra.profiles.NotAKnotSpline`;
+    none in d=2, where the rotation is the scalar 1), while the curvature
+    vectors are evaluated analytically, so the closed-form derivative
+    identities hold to spline accuracy.
     """
 
     source = "euclidean-tube"
@@ -184,9 +185,7 @@ class EuclideanTubeMetric(TubeMetric):
             s_grid, mats = rotations.s_grid, rotations.matrices
             if mats.shape[-1] != m:
                 raise InputError("rotation block size does not match the profile")
-            from scipy.interpolate import CubicSpline
-
-            self._rot = CubicSpline(s_grid, mats, axis=0)
+            self._rot = NotAKnotSpline(s_grid, mats)
             self._rot_range = (float(s_grid[0]), float(s_grid[-1]))
 
     def _in_rotation_range(self, s):

@@ -166,16 +166,100 @@ def _differentiate_samples(values, step):
     return out
 
 
+class NotAKnotSpline:
+    """The not-a-knot cubic spline through (x, y), along y's first axis.
+
+    Coefficient for coefficient scipy's ``CubicSpline(x, y, axis=0)``:
+    the slopes solve its banded system by ``scipy.linalg.solve_banded``,
+    the pieces are its Hermite cubics, and a piece is evaluated in
+    ``PPoly``'s order, c3 + c2 z + c1 z^2 + c0 z^3 summed left to right,
+    on its half-open interval (the last one closed), and beyond the knots
+    by the end pieces.  Needs at least 4 strictly increasing knots.
+    """
+
+    def __init__(self, x, y):
+        from scipy.linalg import solve_banded
+
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        n = x.size
+        if x.ndim != 1 or n < 4 or y.shape[0] != n:
+            raise InputError("a cubic spline needs at least 4 knots, one per sample")
+        dx = np.diff(x)
+        if not np.all(dx > 0):
+            raise InputError("spline knots must be strictly increasing")
+        dxr = dx.reshape((n - 1,) + (1,) * (y.ndim - 1))
+        slope = np.diff(y, axis=0) / dxr
+        band = np.zeros((3, n))
+        rhs = np.empty(y.shape)
+        band[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
+        band[0, 2:] = dx[:-1]
+        band[-1, :-2] = dx[1:]
+        rhs[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
+        # not-a-knot: the third derivative is continuous at x[1] and x[-2]
+        band[1, 0] = dx[1]
+        band[0, 1] = d = x[2] - x[0]
+        rhs[0] = ((dxr[0] + 2 * d) * dxr[1] * slope[0] + dxr[0] ** 2 * slope[1]) / d
+        band[1, -1] = dx[-2]
+        band[-1, -2] = d = x[-1] - x[-3]
+        rhs[-1] = (dxr[-1] ** 2 * slope[-2] + (2 * d + dxr[-1]) * dxr[-2] * slope[-1]) / d
+        m = solve_banded((1, 1), band, rhs.reshape(n, -1), overwrite_ab=True,
+                         overwrite_b=True, check_finite=False).reshape(y.shape)
+        t = (m[:-1] + m[1:] - 2 * slope) / dxr
+        self.x = x
+        self.c = (t / dxr, (slope - m[:-1]) / dxr - t, m[:-1], y[:-1])
+
+    def __call__(self, s):
+        s = np.asarray(s, dtype=float)
+        i = np.clip(np.searchsorted(self.x, s, side="right") - 1, 0, self.x.size - 2)
+        z = (s - self.x[i]).reshape(s.shape + (1,) * (self.c[0].ndim - 1))
+        c0, c1, c2, c3 = (c[i] for c in self.c)
+        zz = z * z
+        return 0.0 + c3 + c2 * z + c1 * zz + c0 * (zz * z)
+
+    def critical_points(self):
+        """The zeros of each piece's derivative on its interval, as ``PPoly.derivative().roots()`` finds them.
+
+        Each derivative quadratic 3 c0 z^2 + 2 c1 z + c2 (a line if c0 is 0)
+        takes the cancellation-free root formula, a pair of complex roots
+        with imaginary part within 1e-10 counts as a double real root, and
+        each root takes one Newton step.  A piece whose derivative is
+        identically 0 has no isolated zero, and contributes none.
+        """
+        c0, c1, c2, _ = self.c
+        lead, mid, const = 3.0 * c0, 2.0 * c1, c2
+        with np.errstate(all="ignore"):
+            disc = mid * mid - 4 * lead * const
+            root = np.sqrt(np.abs(disc))
+            vertex = -mid / (2 * lead)
+            near = np.where(disc == 0, vertex, np.where(
+                mid < 0, (2 * const) / (-mid + root), (-mid - root) / (2 * lead)))
+            far = np.where(disc == 0, vertex, np.where(
+                mid < 0, (-mid + root) / (2 * lead), (2 * const) / (-mid - root)))
+            complex_pair = np.where(np.abs(root / (2 * lead)) <= 1e-10, vertex, np.nan)
+            near = np.where(disc < 0, complex_pair, near)
+            far = np.where(disc < 0, complex_pair, far)
+            line = np.where(mid != 0, -const / mid, np.nan)
+            out = []
+            for z in (np.where(lead != 0, near, line), np.where(lead != 0, far, np.nan)):
+                f = 0.0 + const + mid * z + lead * (z * z)
+                df = 0.0 + mid + lead * z * 2.0
+                step = f / df
+                z = np.where((df != 0) & (np.abs(step) < np.abs(z)), z - step, z) + self.x[:-1]
+                out.append(z[(z >= self.x[:-1]) & (z <= self.x[1:])])
+        return np.concatenate(out)
+
+
 def tabulated_function(s_samples, values, max_order=3, label="table"):
     """Build a ScalarFunction from equally spaced samples.
 
     Derivatives are obtained by repeated finite differencing of the sample
-    arrays and each derivative is interpolated with a cubic spline, so the
-    accuracy drops with the order; ``max_order`` caps what callers may ask
-    for.
+    arrays and each derivative is interpolated with a not-a-knot cubic
+    spline (:class:`NotAKnotSpline`), so the accuracy drops with the
+    order; ``max_order`` caps what callers may ask for.  The declared
+    sup is the largest |value| over the samples and over the spline's
+    critical points between them, where it may overshoot them.
     """
-    from scipy.interpolate import CubicSpline
-
     s_samples = np.asarray(s_samples, dtype=float)
     values = np.asarray(values, dtype=float)
     if s_samples.ndim != 1 or s_samples.shape != values.shape:
@@ -191,7 +275,7 @@ def tabulated_function(s_samples, values, max_order=3, label="table"):
     for _ in range(max_order):
         arrays.append(_differentiate_samples(arrays[-1], step))
 
-    splines = [CubicSpline(s_samples, a, extrapolate=False) for a in arrays]
+    splines = [NotAKnotSpline(s_samples, a) for a in arrays]
     lo, hi = s_samples[0], s_samples[-1]
 
     def make_eval(spline):
@@ -203,11 +287,8 @@ def tabulated_function(s_samples, values, max_order=3, label="table"):
 
         return _eval
 
-    # the spline can overshoot its samples: its sup is over them and over
-    # its critical points between them (nan follows a constant piece)
-    critical = splines[0].derivative().roots()
-    critical = critical[np.isfinite(critical)]
-    sup = max(np.max(np.abs(values)), np.max(np.abs(splines[0](critical)), initial=0.0))
+    critical = splines[0](splines[0].critical_points())
+    sup = max(np.max(np.abs(values)), np.max(np.abs(critical), initial=0.0))
     fn = ScalarFunction([make_eval(sp) for sp in splines], label=label, sup_abs=sup)
     fn.sample_grid = s_samples
     return fn
@@ -270,8 +351,15 @@ class CurvatureProfile:
         return out
 
     def sub_block(self, s, order=0):
-        """The (d-1) x (d-1) block of K over rows/columns 2..d."""
-        return self.frenet_matrix(s, order)[..., 1:, 1:]
+        """The (d-1) x (d-1) block of K over rows/columns 2..d, from kappa_2.. alone."""
+        s = self._check_range(s)
+        m = self.dimension - 1
+        out = np.zeros(s.shape + (m, m))
+        for i in range(1, m):
+            val = self.kappa(i + 1, s, order)
+            out[..., i - 1, i] = val
+            out[..., i, i - 1] = -val
+        return out
 
     def first_column(self, s, order=0):
         """Entries K_alpha^1 for alpha = 2..d, i.e. (-kappa_1, 0, ..., 0)."""

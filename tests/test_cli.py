@@ -391,8 +391,8 @@ def test_loading_the_benchmark_problem_files_imports_no_heavy_scipy_module(tmp_p
 
     src = os.path.dirname(os.path.dirname(tubespectra.__file__))
     perfbench = Path(__file__).resolve().parents[1] / "perfbench"
-    heavy = ("scipy.linalg", "scipy.sparse.linalg", "scipy.interpolate", "scipy.optimize",
-             "scipy.special", "scipy.integrate", "scipy.stats")
+    heavy = ("scipy.linalg", "scipy.sparse.linalg", "scipy.spatial", "scipy.interpolate",
+             "scipy.optimize", "scipy.special", "scipy.integrate", "scipy.stats")
     code = (
         "import sys\n"
         "from tubespectra import cli, config\n"
@@ -404,6 +404,45 @@ def test_loading_the_benchmark_problem_files_imports_no_heavy_scipy_module(tmp_p
         "    with open(path, 'w') as fh:\n"
         "        fh.write(ini)\n"
         "    config.load_config(path)\n"
+        f"loaded = [name for name in {heavy!r} if name in sys.modules]\n"
+        "assert not loaded, loaded\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=300)
+
+
+def test_ladder_runs_and_a_table_check_load_no_spatial_or_interpolate_module(tmp_path):
+    # the overlap search and the splines are in the package: importing
+    # scipy.spatial, or scipy.interpolate with scipy.optimize and
+    # scipy.special, costs a process tenths of a second and tens of MB
+    import os
+    import subprocess
+    import sys
+
+    import tubespectra
+
+    src = os.path.dirname(os.path.dirname(tubespectra.__file__))
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    s = np.arange(-160, 161) * 0.25
+    np.savetxt(tmp_path / "kappa.txt", np.stack([s, 0.5 * np.exp(-s * s)], axis=1))
+    heavy = ("scipy.spatial", "scipy.interpolate", "scipy.optimize", "scipy.special")
+    code = (
+        "import sys\n"
+        "from tubespectra.cli import run_check, run_spectrum\n"
+        "from tubespectra.config import load_config\n"
+        f"sys.path.insert(0, {str(perfbench)!r})\n"
+        "import workloads\n"
+        "bump = 'family = gaussian-bump\\nkappa0 = 0.5\\nsigma = 1.0'\n"
+        "table = workloads.bent_strip_ini('smoke', mourre=False).replace(\n"
+        "    bump, 'family = table\\nfile = kappa.txt')\n"
+        "for name, run, ini in (('bent', run_spectrum, workloads.bent_strip_ini('smoke')),\n"
+        "                       ('rect', run_spectrum, workloads.rect_tube_ini('smoke')),\n"
+        "                       ('table', run_check, table)):\n"
+        f"    path = {str(tmp_path)!r} + '/' + name + '.ini'\n"
+        "    with open(path, 'w') as fh:\n"
+        "        fh.write(ini)\n"
+        f"    _, exit_code = run(load_config(path), {str(tmp_path)!r} + '/' + name)\n"
+        "    assert exit_code == 0, (name, exit_code)\n"
         f"loaded = [name for name in {heavy!r} if name in sys.modules]\n"
         "assert not loaded, loaded\n"
     )

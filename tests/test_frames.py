@@ -15,6 +15,7 @@ from tubespectra import (
     integrate_frenet,
     integrate_tang_rotation,
     build_frame_field,
+    check_basic,
     check_self_overlap,
     export_mesh,
     metric_from_jacobi,
@@ -416,6 +417,99 @@ def test_gentle_bump_tube_is_overlap_free_and_matches_brute_force():
     sep = np.abs(cloud.s[:, None] - cloud.s[None, :])
     far = sep > result.min_arc_separation
     assert np.sqrt(d2[far].min()) > result.clearance
+
+
+def _brute_force_pairs(cloud):
+    """Every offending pair by testing all N^2, in lexicographic order: the search's oracle."""
+    a = cloud.radius
+    clearance = 2.0 * a * 0.99
+    pairs = []
+    for i in range(cloud.points.shape[0] - 1):
+        diff = cloud.points[i + 1:] - cloud.points[i]
+        dist2 = diff[:, 0] * diff[:, 0]
+        for q in range(1, diff.shape[1]):
+            dist2 = dist2 + diff[:, q] * diff[:, q]
+        far = np.abs(cloud.s[i + 1:] - cloud.s[i]) > 4.0 * a
+        pairs.extend((i, i + 1 + j) for j in np.flatnonzero((dist2 <= clearance * clearance) & far))
+    return np.array(pairs, dtype=np.intp).reshape(-1, 2)
+
+
+def _assert_pairs_are_the_brute_force_pairs(cloud):
+    result = check_self_overlap(cloud)
+    expected = _brute_force_pairs(cloud)
+    assert result.pairs.dtype == np.intp
+    assert np.array_equal(result.pairs, expected)
+    assert np.array_equal(result.arc_separations,
+                          np.abs(cloud.s[expected[:, 0]] - cloud.s[expected[:, 1]]))
+    assert result.overlap_free == (expected.shape[0] == 0)
+    return result
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_overlap_search_finds_the_brute_force_pairs_of_a_random_cloud(seed):
+    # points scattered at random about a short random walk: thousands of
+    # offending pairs, and sample balls that overlap at every level
+    rng = np.random.default_rng(seed)
+    n_s, n_u, d = int(rng.integers(70, 200)), int(rng.integers(1, 10)), int(rng.integers(2, 4))
+    s = np.sort(rng.uniform(-20.0, 20.0, n_s))
+    centres = np.cumsum(rng.uniform(-0.05, 0.05, (n_s, d)), axis=0)
+    points = centres[:, None, :] + rng.uniform(-0.05, 0.05, (n_s, n_u, d))
+    cloud = frames_module.TubeCloud(s=np.repeat(s, n_u), u=np.zeros((n_s * n_u, d - 1)),
+                                    points=points.reshape(-1, d), n_s=n_s, n_u=n_u,
+                                    radius=float(rng.uniform(0.3, 1.0)))
+    _assert_pairs_are_the_brute_force_pairs(cloud)
+
+
+def test_overlap_search_finds_the_brute_force_pairs_of_overlapping_tubes():
+    assert _assert_pairs_are_the_brute_force_pairs(_circle_cloud(laps=2)).pairs.shape[0] > 0
+    prof = CurvatureProfile([constant_function(1.0), constant_function(0.05)], (-1.0, 26.0))
+    ff = build_frame_field(prof, np.linspace(0.0, 25.0, 301))
+    ang = np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)
+    u = np.vstack([np.zeros((1, 2)), 0.3 * np.stack([np.cos(ang), np.sin(ang)], axis=1)])
+    helix = tube_embedding(ff, u, radius=0.3)
+    assert _assert_pairs_are_the_brute_force_pairs(helix).pairs.shape[0] > 0
+
+
+def test_a_pair_exactly_4a_apart_in_arclength_does_not_offend():
+    # a circle of radius 0.2 sampled every 0.125 (a = 0.25, 4a = 1.0, all
+    # exact in binary): samples 8 apart are exactly 4a apart in s and 9
+    # apart just over it, and both lie within the clearance
+    a, s = 0.25, np.arange(41) * 0.125
+    points = 0.2 * np.stack([np.cos(s / 0.2), np.sin(s / 0.2)], axis=1)
+    cloud = frames_module.TubeCloud(s=s, u=np.zeros((41, 1)), points=points, n_s=41, n_u=1,
+                                    radius=a)
+    result = _assert_pairs_are_the_brute_force_pairs(cloud)
+    assert np.min(result.arc_separations) == 1.125
+    assert tuple(result.pairs[0]) == (0, 9)
+    entry = check_basic(overlap=result).entry("basic-self-overlap")
+    assert entry.verdict == "fail"
+    assert entry.notes == f"{result.pairs.shape[0]} offending pairs, e.g. arc separation 1.125"
+
+
+def test_a_pair_exactly_at_the_clearance_offends():
+    # a hairpin of two lines exactly the clearance apart: the points facing
+    # each other are at squared distance clearance^2 exactly, and offend,
+    # however tight the search's balls about them are
+    a = 0.25
+    gap = 2.0 * a * 0.99
+    x = np.arange(41) * 0.125
+    points = np.concatenate([np.stack([x, np.zeros(41)], axis=1),
+                             [[5.0, gap / 3.0], [5.0, 2.0 * gap / 3.0]],
+                             np.stack([x[::-1], np.full(41, gap)], axis=1)])
+    s = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(points, axis=0), axis=1))])
+    cloud = frames_module.TubeCloud(s=s, u=np.zeros((84, 1)), points=points, n_s=84, n_u=1,
+                                    radius=a)
+    result = _assert_pairs_are_the_brute_force_pairs(cloud)
+    facing = {(k, 83 - k) for k in range(41) if s[83 - k] - s[k] > 4.0 * a}
+    assert facing and facing <= set(map(tuple, result.pairs))
+
+
+def test_a_cloud_not_in_s_major_layout_is_refused():
+    cloud = _circle_cloud(laps=1)
+    shuffled = frames_module.TubeCloud(s=cloud.s[::-1].copy(), u=cloud.u, points=cloud.points,
+                                       n_s=cloud.n_s, n_u=cloud.n_u, radius=cloud.radius)
+    with pytest.raises(InputError, match="s-major"):
+        check_self_overlap(shuffled)
 
 
 def test_under_resolved_cloud_is_refused():

@@ -149,6 +149,64 @@ def test_a_table_whose_spline_overshoots_the_curvature_bound_is_refused():
         metric_from_profile(profile, 1.0)
 
 
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+def test_the_spline_is_scipys_cubic_spline_bit_for_bit_on_the_rotation_grid():
+    # the d = 3 metric's rotation: 2049 samples of 2 x 2 matrices over +-1e4
+    from scipy.interpolate import CubicSpline
+
+    from tubespectra import integrate_tang_rotation
+    from tubespectra.profiles import NotAKnotSpline
+
+    prof = CurvatureProfile([gaussian_bump(0.5), gaussian_bump(0.3)], (-1e4, 1e4))
+    rot = integrate_tang_rotation(prof, np.linspace(-1e4, 1e4, 2049))
+    ours, ref = NotAKnotSpline(rot.s_grid, rot.matrices), CubicSpline(rot.s_grid, rot.matrices)
+    for k in range(4):
+        assert np.array_equal(_bits(ours.c[k]), _bits(ref.c[k]))
+    rng = np.random.default_rng(0)
+    s = np.concatenate([rot.s_grid, rng.uniform(-1e4, 1e4, 4000), rng.uniform(-30.0, 30.0, 4000)])
+    assert ours(s).shape == (s.size, 2, 2)
+    assert np.array_equal(_bits(ours(s)), _bits(ref(s)))
+    assert np.array_equal(_bits(ours(s[:7].reshape(7, 1))), _bits(ref(s[:7].reshape(7, 1))))
+
+
+@pytest.mark.parametrize("values", [
+    lambda s: 0.5 * np.exp(-s * s),
+    lambda s: -0.6 * np.exp(-((s - 0.05) ** 2)),
+    lambda s: np.where((s > -0.01) & (s < 0.11), 0.95, 0.0),
+    lambda s: 0.1 * np.random.default_rng(142).normal(size=s.size),  # its sup needs the Newton step
+], ids=["digest-table", "off-sample-peak", "overshoot", "noise"])
+def test_a_table_is_scipys_cubic_spline_bit_for_bit_and_so_is_its_sup(values):
+    from scipy.interpolate import CubicSpline
+
+    from tubespectra.profiles import _differentiate_samples
+
+    s = np.arange(-160, 161) * 0.25
+    fn = tabulated_function(s, values(s))
+    arrays = [values(s)]
+    for _ in range(3):
+        arrays.append(_differentiate_samples(arrays[-1], 0.25))
+    refs = [CubicSpline(s, a, extrapolate=False) for a in arrays]
+    x = np.concatenate([s, np.random.default_rng(1).uniform(-40.0, 40.0, 4000)])
+    for order, ref in enumerate(refs):
+        assert np.array_equal(_bits(fn(x, order)), _bits(ref(x)))
+    critical = refs[0].derivative().roots()
+    critical = critical[np.isfinite(critical)]
+    sup = max(np.max(np.abs(arrays[0])), np.max(np.abs(refs[0](critical)), initial=0.0))
+    assert _bits(fn.sup_abs) == _bits(sup)
+
+
+def test_a_spline_needs_four_increasing_knots():
+    from tubespectra.profiles import NotAKnotSpline
+
+    with pytest.raises(InputError, match="4 knots"):
+        NotAKnotSpline(np.arange(3.0), np.ones(3))
+    with pytest.raises(InputError, match="strictly increasing"):
+        NotAKnotSpline(np.array([0.0, 1.0, 1.0, 2.0]), np.ones(4))
+
+
 def test_frenet_matrix_is_skew_and_bidiagonal():
     prof = CurvatureProfile(
         [gaussian_bump(0.5), constant_function(0.2), constant_function(0.1)],
